@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import pipeline
 from .errors import ParseError, ResourceLimitError
 from .fields import QQ, field_from_string
-from .jobs import JobSpec, parse_job
+from .jobs import JobSpec, parse_job, parse_pool
 from .reporting import render_report
 from .ring import MonomialOrder, standard_context
 
@@ -93,19 +92,6 @@ def _read_job(path: str) -> JobSpec:
     return parse_job(text)
 
 
-def _parse_pool_flag(text: str):
-    values = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        try:
-            values.append(Fraction(chunk))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad pool entry {chunk!r}") from None
-    if not values:
-        raise ParseError("empty pool")
-    return tuple(values)
-
-
 def _require_ideal(spec: JobSpec, command: str):
     if spec.ideal is None:
         raise ParseError(f"{command} needs an ideal line in the job file")
@@ -147,7 +133,7 @@ def _cmd_lift_search(args, spec: JobSpec):
         field = _first(spec.field, QQ)
         ctx = standard_context([f"x{i}" for i in range(1, spec.delta.n + 1)], field)
         order = MonomialOrder.degrevlex(ctx)
-    pool = _parse_pool_flag(args.pool) if args.pool else spec.pool
+    pool = parse_pool(args.pool) if args.pool else spec.pool
     return pipeline.lift_search(
         spec.delta,
         order,

@@ -99,9 +99,19 @@ class SimplicialComplex:
     def f_vector(self) -> Tuple[int, ...]:
         return tuple(len(g) for g in self.faces_by_dim())
 
-    def _link_facet_sets(self, face) -> List[frozenset]:
-        fs = set(face)
-        return [frozenset(set(g) - fs) for g in self.facets if fs <= set(g)]
+    def free_faces(self) -> Tuple[Tuple[int, ...], ...]:
+        """Nonempty faces in exactly one facet, that facet one vertex larger.
+
+        Listed in ``all_faces`` order.
+        """
+        facet_sets = [set(g) for g in self.facets]
+        found = set()
+        for g in self.facets:
+            for k in range(len(g)):
+                f = g[:k] + g[k + 1 :]
+                if f and sum(1 for s in facet_sets if s.issuperset(f)) == 1:
+                    found.add(f)
+        return tuple(sorted(found, key=lambda f: (len(f), f)))
 
     def render(self) -> str:
         return "facets: " + "; ".join(" ".join(str(v) for v in f) for f in self.facets)
@@ -118,7 +128,8 @@ def link(delta: SimplicialComplex, face) -> Link:
     face = tuple(sorted(set(face)))
     if not delta.has_face(face):
         raise ValueError(f"{face} is not a face")
-    facet_sets = delta._link_facet_sets(face)
+    fs = set(face)
+    facet_sets = [frozenset(set(g) - fs) for g in delta.facets if fs <= set(g)]
     if facet_sets == [frozenset()]:
         raise ValueError("link of a facet is the empty complex {()}")
     old = sorted(set().union(*facet_sets))
@@ -233,6 +244,7 @@ class ComplexPropertyReport:
     free_faces: Tuple[Tuple[int, ...], ...]
     cone_points: Tuple[int, ...]
     ghost_vertices: Tuple[int, ...]
+    cohomology: CohomologyProfile  # of the complex itself; not part of as_dict
 
     def as_dict(self) -> dict:
         return {
@@ -272,21 +284,19 @@ def is_strongly_connected(delta: SimplicialComplex) -> bool:
 def _links_for_reisner(delta: SimplicialComplex):
     """(face, link complex) pairs for all faces including (), facets excluded."""
     yield (), delta
+    facets = set(delta.facets)
     for face in delta.all_faces():
-        facet_sets = delta._link_facet_sets(face)
-        if facet_sets == [frozenset()]:
-            continue  # facet: empty-complex link imposes no condition
-        old = sorted(set().union(*facet_sets))
-        relabel = {v: i + 1 for i, v in enumerate(old)}
-        new_facets = [tuple(sorted(relabel[v] for v in g)) for g in facet_sets]
-        yield face, SimplicialComplex.from_facets(len(old), new_facets)
+        if face not in facets:  # a facet's link {()} imposes no condition
+            yield face, link(delta, face).complex
 
 
 def property_report(delta: SimplicialComplex, field: Field = QQ) -> ComplexPropertyReport:
     own = reduced_cohomology(delta, field)
+    pure = delta.is_pure()
+    strongly_connected = is_strongly_connected(delta)
     cm = True
-    buchsbaum = True
-    normal = is_strongly_connected(delta)
+    buchsbaum = pure  # Buchsbaum complexes are pure
+    normal = strongly_connected
     for face, lk in _links_for_reisner(delta):
         profile = own if face == () else reduced_cohomology(lk, field)
         vanishing_below_top = all(profile.dims[i] == 0 for i in range(lk.dim))
@@ -302,23 +312,17 @@ def property_report(delta: SimplicialComplex, field: Field = QQ) -> ComplexPrope
         counts[v] = sum(1 for f in facet_sets if v in f)
     leaves = tuple(v for v in delta.vertices() if counts[v] == 1)
     cone_points = tuple(v for v in delta.vertices() if counts[v] == len(facet_sets))
-    d = delta.dim
-    free_faces = []
-    if d >= 1:
-        for face in delta.faces_by_dim()[d - 1]:
-            containing = sum(1 for f in facet_sets if set(face) <= f)
-            if containing == 1:
-                free_faces.append(face)
     return ComplexPropertyReport(
-        pure=delta.is_pure(),
-        strongly_connected=is_strongly_connected(delta),
+        pure=pure,
+        strongly_connected=strongly_connected,
         normal=normal,
         cohen_macaulay=cm,
         buchsbaum=buchsbaum,
         acyclic=own.is_acyclic(),
-        negative_a_invariant_given_cm=own.dims[d] == 0,
+        negative_a_invariant_given_cm=own.dims[delta.dim] == 0,
         leaves=leaves,
-        free_faces=tuple(free_faces),
+        free_faces=delta.free_faces(),
         cone_points=cone_points,
         ghost_vertices=delta.ghost_vertices(),
+        cohomology=own,
     )

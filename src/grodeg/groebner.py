@@ -11,11 +11,11 @@ aborts runaway completions with ``DegreeCapExceeded``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
 from typing import Optional, Tuple
 
 from .errors import ContextMismatchError, DegreeCapExceeded
 from .fields import QQ, PrimeField
+from .linalg import primitive_integers
 from .ring import Monomial, MonomialOrder, Polynomial, RingContext
 
 
@@ -199,10 +199,6 @@ def initial_ideal(B: GroebnerBasis) -> MonomialIdeal:
     return MonomialIdeal.from_monomials(B.ctx, B.leading_monomials())
 
 
-def is_squarefree(M: MonomialIdeal) -> bool:
-    return M.is_squarefree()
-
-
 def ideal_membership(f: Polynomial, B: GroebnerBasis) -> bool:
     return B.normal_form(f).is_zero()
 
@@ -304,19 +300,8 @@ def reduce_mod_p(B: GroebnerBasis, p: int, *, degree_cap: int = 40) -> ModPReduc
 
     images = []
     for g in B.polys:
-        dens = [c.denominator for _, c in g.terms]
-        den_lcm = lcm(*dens) if dens else 1
-        if den_lcm % p == 0:
-            bad = next(c for _, c in g.terms if c.denominator % p == 0)
-            raise ValueError(f"bad prime {p}: denominator of coefficient {bad} vanishes")
-        ints = [int(c * den_lcm) for _, c in g.terms]
-        content = 0
-        for v in ints:
-            content = gcd(content, v)
-        if content > 1:
-            ints = [v // content for v in ints]
-        image = Polynomial(gf_ctx, gf_order, [(m, v) for (m, _), v in zip(g.terms, ints)])
-        images.append(image)
+        ints = primitive_integers([c for _, c in g.terms], p)
+        images.append(Polynomial(gf_ctx, gf_order, zip(g.support_monomials(), ints)))
 
     basis_p = buchberger(images, gf_order, degree_cap=degree_cap)
     stable = initial_ideal(B).same_monomials(initial_ideal(basis_p))

@@ -150,6 +150,18 @@ def _parse_facets(payload: str, n_hint: Optional[int], lineno: int, col: int) ->
         raise ParseError(str(e), lineno, col) from None
 
 
+def parse_pool(text: str, lineno: Optional[int] = None, col: Optional[int] = None):
+    """Comma-separated rationals; errors carry the given position, if any."""
+    values = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        try:
+            values.append(Fraction(chunk))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad pool entry {chunk!r}", lineno, col) from None
+    return tuple(values)
+
+
 def parse_job(text: str) -> JobSpec:
     """Parse a job file into a ``JobSpec``; errors carry line and column."""
     entries = {}
@@ -255,16 +267,7 @@ def parse_job(text: str) -> JobSpec:
     pool = None
     if "pool" in entries:
         lineno, col, payload, _, _ = entries["pool"]
-        values = []
-        for _, chunk in _split_tracking(payload, ","):
-            chunk = chunk.strip()
-            try:
-                values.append(Fraction(chunk))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad pool entry {chunk!r}", lineno, col + 1) from None
-        if not values:
-            raise ParseError("empty pool", lineno, col + 1)
-        pool = tuple(values)
+        pool = parse_pool(payload, lineno, col + 1)
 
     return JobSpec(
         ctx=ctx,

@@ -3,7 +3,8 @@
 Rank over the rationals uses fraction-free (Bareiss) elimination on an
 integer matrix; Fraction entries are first cleared row by row, which leaves
 the rank unchanged. Rank over GF(p) is plain Gaussian elimination on
-residues.
+residues. The same clearing to primitive integers (``primitive_integers``)
+also maps rational polynomials to GF(p).
 """
 
 from __future__ import annotations
@@ -75,15 +76,20 @@ def rank_mod_p(rows, p: int) -> int:
     return rank
 
 
-def _clear_row(row):
-    den = lcm(*[c.denominator for c in row]) if row else 1
-    ints = [int(c * den) for c in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+def primitive_integers(values, p: int = 0):
+    """Rationals scaled by one common factor to coprime integers.
+
+    With a prime ``p``, a denominator divisible by ``p`` is a bad-prime error:
+    the values have no image mod ``p``.
+    """
+    values = [Fraction(c) for c in values]
+    den = lcm(*(c.denominator for c in values))
+    if p and den % p == 0:
+        bad = next(c for c in values if c.denominator % p == 0)
+        raise ValueError(f"bad prime {p}: denominator of coefficient {bad} vanishes")
+    ints = [c.numerator * (den // c.denominator) for c in values]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 def rank_exact(rows, field) -> int:
@@ -92,8 +98,7 @@ def rank_exact(rows, field) -> int:
     if not m or not m[0]:
         return 0
     if field.characteristic() == 0:
-        cleared = [_clear_row([Fraction(c) for c in row]) for row in m]
-        return rank_int(cleared)
+        return rank_int([primitive_integers(row) for row in m])
     p = field.characteristic()
     ints = [[c.v if isinstance(c, GFElement) else int(c) for c in row] for row in m]
     return rank_mod_p(ints, p)

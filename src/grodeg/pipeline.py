@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import multiprocessing
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .complexes import (
     CohomologyProfile,
@@ -34,12 +32,12 @@ from .complexes import (
     SimplicialComplex,
     complex_from_squarefree_ideal,
     property_report,
-    reduced_cohomology,
     to_ideal,
 )
 from .errors import DegreeCapExceeded, ScanBoundExceeded
-from .fields import Field, GFElement, QQ, is_prime
+from .fields import Field, QQ, is_prime
 from .groebner import GroebnerBasis, MonomialIdeal, buchberger, initial_ideal
+from .linalg import primitive_integers
 from .ring import Monomial, MonomialOrder, Polynomial, RingContext
 from .singularity import (
     JacobianAnalysis,
@@ -137,7 +135,6 @@ class DegenerationReport:
     squarefree: bool
     delta: Optional[SimplicialComplex]
     properties: Optional[ComplexPropertyReport]
-    cohomology: Optional[CohomologyProfile]
     coordinate_points: Tuple[JacobianAnalysis, ...]
     obstructions: Tuple[ObstructionVerdict, ...]
     conjectures: Optional[Dict[str, object]]
@@ -173,7 +170,7 @@ class DegenerationReport:
             return out
         out["facets"] = self.delta.render()
         out["complex"] = self.properties.as_dict()
-        out["cohomology"] = _cohomology_dict(self.cohomology)
+        out["cohomology"] = _cohomology_dict(self.properties.cohomology)
         out["necessary_conditions"] = self.necessary_conditions()
         out["coordinate_points"] = [a.as_dict(ctx.field) for a in self.coordinate_points]
         out["obstructions"] = [o.as_dict() for o in self.obstructions]
@@ -196,14 +193,13 @@ def analyze(gens, order: MonomialOrder, *, degree_cap: int = DEFAULT_DEGREE_CAP)
     if not squarefree:
         return DegenerationReport(
             digest, order, tuple(polys), B, M, False,
-            None, None, None, (), (), None, (order.render(),),
+            None, None, (), (), None, (order.render(),),
         )
 
     if all(M.contains(Monomial.variable(i, ctx.n)) for i in range(ctx.n)):
         raise ValueError("initial ideal contains every variable: the projective scheme is empty")
     delta = complex_from_squarefree_ideal(M)
     props = property_report(delta, ctx.field)
-    coh = reduced_cohomology(delta, ctx.field)
 
     standard = all(g == 1 for g in ctx.grading)
     points: Tuple[JacobianAnalysis, ...] = ()
@@ -222,9 +218,23 @@ def analyze(gens, order: MonomialOrder, *, degree_cap: int = DEFAULT_DEGREE_CAP)
 
     return DegenerationReport(
         digest, order, tuple(polys), B, M, True,
-        delta, props, coh, points, tuple(obstructions), conjectures,
+        delta, props, points, tuple(obstructions), conjectures,
         (order.render(),),
     )
+
+
+def _ordered_map(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]``, spread over worker processes when workers > 1.
+
+    Results come back in item order, and the pool uses the platform's default
+    start method, so neither the worker count nor the start method can change
+    an answer.
+    """
+    if workers <= 1 or not items:
+        return [fn(x) for x in items]
+    chunk = max(1, len(items) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=chunk))
 
 
 def _scan_task(gens, degree_cap, task):
@@ -268,15 +278,7 @@ def scan_orders(
         raise ValueError(f"unknown order family {family!r} (want lex, degrevlex, or both)")
 
     tasks = [(kind, perm) for kind in kinds for perm in itertools.permutations(range(ctx.n))]
-    run = partial(_scan_task, gens, degree_cap)
-    if workers > 1:
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork")
-        ) as pool:
-            keys = list(pool.map(run, tasks, chunksize=chunk))
-    else:
-        keys = [run(t) for t in tasks]
+    keys = _ordered_map(partial(_scan_task, gens, degree_cap), tasks, workers)
 
     first_order: Dict[tuple, MonomialOrder] = {}
     producers: Dict[tuple, List[str]] = {}
@@ -314,17 +316,13 @@ def _build_lift(ctx, order, targets, slots, coeffs, assignment):
     return [Polynomial(ctx, order, terms[ti]) for ti in range(len(targets))]
 
 
-def _lift_batch(ctx, order, targets, slots, coeffs, degree_cap, assignments):
-    flags = []
-    for assignment in assignments:
-        polys = _build_lift(ctx, order, targets, slots, coeffs, assignment)
-        try:
-            B = buchberger(polys, order, degree_cap=degree_cap)
-        except DegreeCapExceeded:
-            flags.append(False)
-            continue
-        flags.append(set(B.polys) == set(polys))
-    return flags
+def _is_valid_lift(ctx, order, targets, slots, coeffs, degree_cap, assignment) -> bool:
+    polys = _build_lift(ctx, order, targets, slots, coeffs, assignment)
+    try:
+        B = buchberger(polys, order, degree_cap=degree_cap)
+    except DegreeCapExceeded:
+        return False
+    return set(B.polys) == set(polys)
 
 
 @dataclass(frozen=True)
@@ -461,16 +459,8 @@ def lift_search(
             tuple(rng.randrange(len(coeffs)) for _ in slots) for _ in range(budget)
         ]
 
-    run = partial(_lift_batch, ctx, order, targets, slots, coeffs, degree_cap)
-    if workers > 1 and assignments:
-        step = max(1, (len(assignments) + workers * 4 - 1) // (workers * 4))
-        batches = [assignments[i : i + step] for i in range(0, len(assignments), step)]
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork")
-        ) as pool_exec:
-            flags = [f for batch_flags in pool_exec.map(run, batches) for f in batch_flags]
-    else:
-        flags = run(assignments)
+    run = partial(_is_valid_lift, ctx, order, targets, slots, coeffs, degree_cap)
+    flags = _ordered_map(run, assignments, workers)
 
     seen = set()
     lifts = []
@@ -487,7 +477,9 @@ def lift_search(
         ) if polys else ()
         violations: Tuple[SupportViolation, ...] = ()
         if check_supports and polys:
-            B = buchberger(polys, order, degree_cap=degree_cap)
+            # valid: the monic candidates, by decreasing lead, are the reduced basis
+            basis = sorted(polys, key=lambda g: order.sort_key(g.leading_monomial()), reverse=True)
+            B = GroebnerBasis(tuple(basis), order, ctx)
             violations = tuple(support_exclusions(B, delta))
         lifts.append(ValidLift(tuple(polys), points, violations))
 
@@ -521,29 +513,6 @@ class PointCountResult:
         }
 
 
-def _integer_terms_mod_p(f: Polynomial, p: int):
-    """Clear denominators to a primitive integer form, then reduce mod p."""
-    field = f.ctx.field
-    char = field.characteristic()
-    if char == p:
-        ints = [(m.exps, c.v) for m, c in f.terms]
-    elif char == 0:
-        den = 1
-        for _, c in f.terms:
-            den = den * c.denominator // gcd(den, c.denominator)
-        if den % p == 0:
-            bad = next(c for _, c in f.terms if c.denominator % p == 0)
-            raise ValueError(f"bad prime {p}: denominator of coefficient {bad} vanishes")
-        ints = [(m.exps, c.numerator * (den // c.denominator)) for m, c in f.terms]
-        content = 0
-        for _, c in ints:
-            content = gcd(content, c)
-        ints = [(e, c // content) for e, c in ints]
-    else:
-        raise ValueError(f"curve lives over GF({char}), cannot reduce mod {p}")
-    return [(e, c % p) for e, c in ints if c % p]
-
-
 def count_points(f: Polynomial, p: int) -> PointCountResult:
     """Count projective points of a plane curve over GF(p), exactly.
 
@@ -562,7 +531,14 @@ def count_points(f: Polynomial, p: int) -> PointCountResult:
     if not homogeneous or f.is_zero():
         raise ValueError("point counting needs a nonzero homogeneous form")
 
-    terms = _integer_terms_mod_p(f, p)
+    char = ctx.field.characteristic()
+    if char == p:
+        ints = [c.v for _, c in f.terms]
+    elif char == 0:
+        ints = primitive_integers([c for _, c in f.terms], p)
+    else:
+        raise ValueError(f"curve lives over GF({char}), cannot reduce mod {p}")
+    terms = [(m.exps, c % p) for (m, _), c in zip(f.terms, ints) if c % p]
     if not terms:
         raise ValueError(f"bad prime {p}: the form vanishes identically mod {p}")
     partials = []
@@ -618,7 +594,6 @@ class ComplexReport:
     delta: SimplicialComplex
     field: Field
     properties: ComplexPropertyReport
-    cohomology: CohomologyProfile
     lex: ObstructionVerdict
 
     def as_dict(self) -> dict:
@@ -628,16 +603,10 @@ class ComplexReport:
             "dim": self.delta.dim,
             "f_vector": list(self.delta.f_vector()),
             "properties": self.properties.as_dict(),
-            "cohomology": _cohomology_dict(self.cohomology),
+            "cohomology": _cohomology_dict(self.properties.cohomology),
             "lex_obstruction": self.lex.as_dict(),
         }
 
 
 def analyze_complex(delta: SimplicialComplex, field: Field = QQ) -> ComplexReport:
-    return ComplexReport(
-        delta,
-        field,
-        property_report(delta, field),
-        reduced_cohomology(delta, field),
-        lex_obstruction(delta),
-    )
+    return ComplexReport(delta, field, property_report(delta, field), lex_obstruction(delta))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .complexes import SimplicialComplex, property_report, to_ideal
+from .complexes import SimplicialComplex, to_ideal
 from .errors import ContextMismatchError
 from .groebner import GroebnerBasis, initial_ideal
 from .linalg import rank_exact
@@ -337,7 +337,6 @@ def lex_obstruction(delta: SimplicialComplex, order=None) -> ObstructionVerdict:
             None,
             {"dim": d, "link_sizes": {str(v): link_sizes[v] for v in sorted(link_sizes)}},
         )
-    report = property_report(delta)
     return ObstructionVerdict(
         kind,
         False,
@@ -346,6 +345,6 @@ def lex_obstruction(delta: SimplicialComplex, order=None) -> ObstructionVerdict:
         {
             "dim": d,
             "failing_vertices": failing,
-            "free_faces": [list(f) for f in report.free_faces],
+            "free_faces": [list(f) for f in delta.free_faces()],
         },
     )

@@ -325,17 +325,46 @@ class TestPropertyReport:
         assert d["free_faces"] == [[1], [3]]
         assert d["cohen_macaulay"] is True
 
+    def test_non_pure_vertex_and_edge(self):
+        rep = property_report(SimplicialComplex.from_facets(3, [(1,), (2, 3)]), QQ)
+        assert not rep.pure
+        assert not rep.buchsbaum  # Buchsbaum complexes are pure
+        assert rep.free_faces == ((2,), (3,))  # the facet (1,) is not free
+
+    def test_non_pure_triangle_with_tail(self):
+        delta = SimplicialComplex.from_facets(4, [(1, 2, 3), (3, 4)])
+        rep = property_report(delta, QQ)
+        assert not rep.buchsbaum and not rep.cohen_macaulay
+        assert rep.free_faces == ((4,), (1, 2), (1, 3), (2, 3))
+        assert delta.free_faces() == rep.free_faces
+
+    def test_report_keeps_the_complex_cohomology(self):
+        for field in (QQ, PrimeField(2)):
+            rep = property_report(RP2, field)
+            assert rep.cohomology == reduced_cohomology(RP2, field)
+            assert "cohomology" not in rep.as_dict()
+
     def test_implications_random(self):
-        """CM implies Buchsbaum; strong connectivity implies pure; a cone is
-        acyclic; one-dimensional CM equals connected; all on random input."""
+        """CM implies Buchsbaum; Buchsbaum and strong connectivity imply
+        pure; a cone is acyclic; one-dimensional CM equals connected; free
+        faces match their definition; all on random input."""
         rng = random.Random(83)
         for _ in range(60):
             d = random_complex(rng, rng.randint(1, 6))
             rep = property_report(d, QQ)
             if rep.cohen_macaulay:
                 assert rep.buchsbaum
+            if rep.buchsbaum:
+                assert rep.pure
             if rep.strongly_connected:
                 assert rep.pure
+            facets = [set(g) for g in d.facets]
+            free = []
+            for face in d.all_faces():
+                containing = [g for g in facets if set(face) <= g]
+                if len(containing) == 1 and len(containing[0]) == len(face) + 1:
+                    free.append(face)
+            assert rep.free_faces == tuple(free)
             if rep.cone_points:
                 assert rep.acyclic
             if d.dim == 1 and not d.ghost_vertices():

@@ -1,8 +1,14 @@
 """End-to-end pipeline tests: analyze, order scans, lift search, point counts."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import grodeg
 
 from grodeg import (
     DegreeCapExceeded,
@@ -14,12 +20,14 @@ from grodeg import (
     SimplicialComplex,
     analyze,
     analyze_complex,
+    buchberger,
     count_points,
     ideal_digest,
     lift_search,
     parse_polynomial,
     scan_orders,
     standard_context,
+    support_exclusions,
     to_jsonable,
 )
 
@@ -702,3 +710,94 @@ class TestAnalyzeComplex:
         assert over_f2["properties"]["cohen_macaulay"] is False
         assert over_f2["properties"]["buchsbaum"] is True
         assert over_f2["properties"]["negative_a_invariant_given_cm"] is False
+
+
+def count_calls(monkeypatch, name, module="complexes"):
+    """Wrap the function ``grodeg.<module>.<name>`` in every grodeg module that
+    holds it; the returned list gains one entry per call."""
+    original = getattr(sys.modules[f"grodeg.{module}"], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "grodeg" or mod_name.startswith("grodeg."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+class TestNoWorkTwice:
+    def test_analyze_complex_computes_each_cohomology_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "reduced_cohomology")
+        report = analyze_complex(OCTAHEDRON)
+        non_facets = len(OCTAHEDRON.all_faces()) - len(OCTAHEDRON.facets)
+        assert len(calls) == 1 + non_facets
+        assert [a[0] for a in calls].count(OCTAHEDRON) == 1
+        assert report.as_dict()["cohomology"]["dims"] == [0, 0, 1]
+
+    def test_analyze_computes_each_cohomology_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "reduced_cohomology")
+        ctx = ctx_xyz()
+        report = analyze([P(CUBIC, ctx, MonomialOrder.lex(ctx))], MonomialOrder.lex(ctx))
+        delta = report.delta
+        assert len(calls) == 1 + len(delta.all_faces()) - len(delta.facets)
+
+    def test_lex_obstruction_runs_no_property_report(self, monkeypatch):
+        calls = count_calls(monkeypatch, "property_report")
+        path = SimplicialComplex.from_facets(3, [(1, 2), (2, 3)])
+        report = analyze_complex(path)
+        assert len(calls) == 1
+        assert report.lex.witness["free_faces"] == [[1], [3]]
+
+    def test_lift_search_completes_each_candidate_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "buchberger", module="groebner")
+        four_cycle = SimplicialComplex.from_facets(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        drl = MonomialOrder.degrevlex(ctx_n(4))
+        res = lift_search(four_cycle, drl, budget=60, seed=3)
+        assert res.tried == 60 and len(res.lifts) > 0
+        assert len(calls) == res.tried
+        # the support checks read the candidate as its own reduced basis
+        for lift in res.lifts:
+            B = buchberger(lift.polys, drl)  # this module's name is not wrapped
+            assert tuple(support_exclusions(B, four_cycle)) == lift.support_violations
+
+
+_SPAWN_SCRIPT = textwrap.dedent(
+    """
+    import json, multiprocessing
+    multiprocessing.set_start_method("spawn")
+    from grodeg import (MonomialOrder, SimplicialComplex, lift_search, parse_polynomial,
+                        scan_orders, standard_context, to_jsonable)
+
+    ctx = standard_context(("x", "y", "z"))
+    f = parse_polynomial("x^3 + y^3 + z^3", ctx, MonomialOrder.degrevlex(ctx))
+    cycle = SimplicialComplex.from_facets(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    drl = MonomialOrder.degrevlex(standard_context(("x1", "x2", "x3", "x4")))
+    out = {}
+    for workers in (1, 2):
+        scan = scan_orders([f], family="both", workers=workers)
+        lifts = lift_search(cycle, drl, budget=40, seed=5, workers=workers)
+        out[workers] = json.dumps(to_jsonable([scan, lifts]), sort_keys=True)
+    print(json.dumps([multiprocessing.get_start_method(), out[1], out[2]]))
+    """
+)
+
+
+def test_worker_pool_answers_do_not_depend_on_the_start_method():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(grodeg.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPAWN_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    method, one, two = json.loads(proc.stdout)
+    assert method == "spawn"
+    assert one == two
