@@ -24,7 +24,7 @@ import sys
 from . import pipeline
 from .errors import ParseError, ResourceLimitError
 from .fields import QQ, field_from_string
-from .jobs import JobSpec, parse_job, parse_pool
+from .jobs import _INT_PARAMS, JobSpec, parse_job, parse_pool
 from .reporting import render_report
 from .ring import MonomialOrder, standard_context
 
@@ -40,7 +40,8 @@ def _common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--seed", type=int, default=None,
                      help="seed for sampled searches")
     sub.add_argument("--degree-cap", type=int, default=None, metavar="D",
-                     help="abort basis completion beyond this degree (default 40)")
+                     help="abort basis completion beyond this degree in analyze "
+                     "and scan-orders (default 40)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-orders", help="walk all permutation orders of a family")
     _common_flags(p)
-    p.add_argument("--family", choices=("lex", "degrevlex", "both"), default=None)
+    p.add_argument("--family", choices=tuple(pipeline._FAMILIES), default=None)
 
     p = sub.add_parser("complex", help="analyze a simplicial complex directly")
     _common_flags(p)
@@ -90,6 +91,15 @@ def _read_job(path: str) -> JobSpec:
     except OSError as e:
         raise ParseError(f"cannot read job file {path}: {e.strerror or e}") from None
     return parse_job(text)
+
+
+def _check_flag_minimums(args):
+    """Hold ``--jobs`` and ``--budget`` to the minimums of their job directives."""
+    for flag, directive in (("jobs", "workers"), ("budget", "budget")):
+        value = getattr(args, flag, None)
+        minimum = _INT_PARAMS[directive]
+        if value is not None and value < minimum:
+            raise ParseError(f"--{flag} must be >= {minimum}")
 
 
 def _require_ideal(spec: JobSpec, command: str):
@@ -141,7 +151,6 @@ def _cmd_lift_search(args, spec: JobSpec):
         budget=_first(args.budget, spec.budget, pipeline.DEFAULT_BUDGET),
         seed=_first(args.seed, spec.seed, 0),
         workers=_first(args.jobs, spec.workers, 1),
-        degree_cap=_cap(args),
     )
 
 
@@ -171,6 +180,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        _check_flag_minimums(args)
         spec = _read_job(args.jobfile)
         result = _HANDLERS[args.command](args, spec)
         fmt = _first(args.format, spec.format, "json")

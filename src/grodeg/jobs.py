@@ -33,6 +33,7 @@ from typing import Optional, Tuple
 from .complexes import SimplicialComplex
 from .errors import ParseError
 from .fields import Field, field_from_string
+from .pipeline import _FAMILIES
 from .ring import MonomialOrder, Polynomial, RingContext, parse_polynomial
 
 _INT_PARAMS = {
@@ -42,7 +43,6 @@ _INT_PARAMS = {
     "workers": 1,
     "seed": None,  # any integer
 }
-_FAMILIES = ("lex", "degrevlex", "both")
 _FORMATS = ("json", "text")
 
 

@@ -34,9 +34,10 @@ from .complexes import (
     property_report,
     to_ideal,
 )
-from .errors import DegreeCapExceeded, ScanBoundExceeded
+from .errors import ScanBoundExceeded
 from .fields import Field, QQ, is_prime
 from .groebner import GroebnerBasis, MonomialIdeal, buchberger, initial_ideal
+from .groebner import normal_form, s_polynomial
 from .linalg import primitive_integers
 from .ring import Monomial, MonomialOrder, Polynomial, RingContext
 from .singularity import (
@@ -80,6 +81,15 @@ def _cohomology_dict(coh: CohomologyProfile) -> dict:
         "reduced_euler_characteristic": coh.reduced_euler,
         "acyclic": coh.is_acyclic(),
     }
+
+
+def _coordinate_points(gens, ctx: RingContext, delta: SimplicialComplex):
+    """Jacobian verdicts at every coordinate point, against the codimension of ``delta``."""
+    codim = (ctx.n - 1) - delta.dim
+    return tuple(
+        jacobian_rank_at(gens, ProjPoint.coordinate(ctx.field, ctx.n, i), codim)
+        for i in range(ctx.n)
+    )
 
 
 def _conjecture_summary(field, props: ComplexPropertyReport, points) -> dict:
@@ -205,11 +215,7 @@ def analyze(gens, order: MonomialOrder, *, degree_cap: int = DEFAULT_DEGREE_CAP)
     points: Tuple[JacobianAnalysis, ...] = ()
     obstructions: List[ObstructionVerdict] = []
     if standard and B.polys:
-        codim = (ctx.n - 1) - delta.dim
-        points = tuple(
-            jacobian_rank_at(B, ProjPoint.coordinate(ctx.field, ctx.n, i), codim)
-            for i in range(ctx.n)
-        )
+        points = _coordinate_points(B, ctx, delta)
         obstructions.append(ci_obstruction(B))
         if delta.dim == 1 and not delta.ghost_vertices():
             obstructions.append(leafless_obstruction(B, delta))
@@ -306,23 +312,23 @@ def _monomials_of_degree(n: int, d: int):
         yield Monomial(tuple(exps))
 
 
-def _build_lift(ctx, order, targets, slots, coeffs, assignment):
-    zero = ctx.field.zero
-    terms = {ti: [(t, ctx.field.one)] for ti, t in enumerate(targets)}
+def _build_lift(order, targets, slots, coeffs, assignment):
+    terms = [[(t, 1)] for t in targets]
     for (ti, m), choice in zip(slots, assignment):
-        c = coeffs[choice]
-        if c != zero:
-            terms[ti].append((m, c))
-    return [Polynomial(ctx, order, terms[ti]) for ti in range(len(targets))]
+        terms[ti].append((m, coeffs[choice]))
+    return [Polynomial(order.ctx, order, ts) for ts in terms]
 
 
-def _is_valid_lift(ctx, order, targets, slots, coeffs, degree_cap, assignment) -> bool:
-    polys = _build_lift(ctx, order, targets, slots, coeffs, assignment)
-    try:
-        B = buchberger(polys, order, degree_cap=degree_cap)
-    except DegreeCapExceeded:
-        return False
-    return set(B.polys) == set(polys)
+def _is_valid_lift(order, targets, slots, coeffs, assignment) -> bool:
+    # Buchberger's criterion decides validity exactly because the candidates are
+    # reduced by construction: monic, the minimal non-faces as leads, tails outside
+    # the non-face ideal. Homogeneous division never raises the degree: no cap needed.
+    polys = _build_lift(order, targets, slots, coeffs, assignment)
+    return all(
+        f.leading_monomial().gcd_is_one(g.leading_monomial())
+        or normal_form(s_polynomial(f, g), polys, order).is_zero()
+        for f, g in itertools.combinations(polys, 2)
+    )
 
 
 @dataclass(frozen=True)
@@ -402,7 +408,6 @@ def lift_search(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     workers: int = 1,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> LiftSearchResult:
     """Search homogeneous lifts of the non-face ideal of ``delta``.
 
@@ -410,11 +415,11 @@ def lift_search(
     strictly smaller in the order, outside the non-face ideal. Coefficients
     range over ``pool`` ({-2,-1,1,2} over QQ, the whole field over GF(p); 0
     always means "drop the tail"). The whole space is enumerated when its
-    size fits the budget, otherwise ``budget`` seeded-random draws. A lift is
-    valid when Buchberger returns the candidate set itself, i.e. the chosen
-    tails already form a reduced basis with the prescribed initial ideal.
-    Valid lifts get Jacobian verdicts at all coordinate points, plus the
-    tail-support exclusion checks in the one-dimensional setting.
+    size fits the budget, otherwise ``budget`` seeded-random draws, each distinct
+    one checked once. A lift is valid when every S-pair with non-coprime leads
+    reduces to zero against it (Buchberger's criterion), so it is already the
+    reduced basis. Valid lifts get Jacobian verdicts at all coordinate points,
+    plus the tail-support exclusion checks in the one-dimensional setting.
     """
     ctx = order.ctx
     if ctx.n != delta.n:
@@ -426,11 +431,7 @@ def lift_search(
     if pool is None:
         p = field.characteristic()
         pool = DEFAULT_POOL_QQ if p == 0 else tuple(range(p))
-    coeffs = []
-    for c in pool:
-        v = field.of(c)
-        if v not in coeffs:
-            coeffs.append(v)
+    coeffs = list(dict.fromkeys(field.of(c) for c in pool))
     if not coeffs:
         raise ValueError("empty coefficient pool")
 
@@ -452,29 +453,22 @@ def lift_search(
     space = len(coeffs) ** len(slots)
     exhaustive = space <= budget
     if exhaustive:
-        assignments = list(itertools.product(range(len(coeffs)), repeat=len(slots)))
+        draws = list(itertools.product(range(len(coeffs)), repeat=len(slots)))
     else:
         rng = random.Random(seed)
-        assignments = [
-            tuple(rng.randrange(len(coeffs)) for _ in slots) for _ in range(budget)
-        ]
+        draws = [tuple(rng.randrange(len(coeffs)) for _ in slots) for _ in range(budget)]
+    assignments = list(dict.fromkeys(draws))
 
-    run = partial(_is_valid_lift, ctx, order, targets, slots, coeffs, degree_cap)
+    run = partial(_is_valid_lift, order, targets, slots, coeffs)
     flags = _ordered_map(run, assignments, workers)
 
-    seen = set()
     lifts = []
-    codim = (ctx.n - 1) - delta.dim
     check_supports = delta.dim == 1 and not delta.ghost_vertices()
     for assignment, ok in zip(assignments, flags):
-        if not ok or assignment in seen:
+        if not ok:
             continue
-        seen.add(assignment)
-        polys = _build_lift(ctx, order, targets, slots, coeffs, assignment)
-        points = tuple(
-            jacobian_rank_at(polys, ProjPoint.coordinate(field, ctx.n, i), codim)
-            for i in range(ctx.n)
-        ) if polys else ()
+        polys = _build_lift(order, targets, slots, coeffs, assignment)
+        points = _coordinate_points(polys, ctx, delta) if polys else ()
         violations: Tuple[SupportViolation, ...] = ()
         if check_supports and polys:
             # valid: the monic candidates, by decreasing lead, are the reduced basis
@@ -485,7 +479,7 @@ def lift_search(
 
     return LiftSearchResult(
         delta, order, tuple(coeffs), budget, seed, exhaustive, space,
-        len(assignments), tuple(targets), empty, tuple(lifts),
+        len(draws), tuple(targets), empty, tuple(lifts),
     )
 
 

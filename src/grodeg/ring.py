@@ -226,19 +226,11 @@ class MonomialOrder:
     def greatest_variable(self) -> int:
         """Index of the largest variable under this order."""
         n = self.ctx.n
-        best = 0
-        for i in range(1, n):
-            if self.compare(Monomial.variable(i, n), Monomial.variable(best, n)) > 0:
-                best = i
-        return best
+        return max(range(n), key=lambda i: self.sort_key(Monomial.variable(i, n)))
 
     def smallest_variable(self) -> int:
         n = self.ctx.n
-        best = 0
-        for i in range(1, n):
-            if self.compare(Monomial.variable(i, n), Monomial.variable(best, n)) < 0:
-                best = i
-        return best
+        return min(range(n), key=lambda i: self.sort_key(Monomial.variable(i, n)))
 
     def render(self) -> str:
         if self.kind in ("lex", "degrevlex"):

@@ -13,6 +13,8 @@ from grodeg.reporting import render_report
 
 FERMAT_JOB = "ring QQ x,y,z\nideal: x^3 + y^3 + z^3\n"
 
+TRIANGLE_JOB = "facets: 1 2; 2 3; 1 3\n"
+
 FULL_JOB = """ring GF(5) x1,x2,x3
 order lex x3>x1>x2
 ideal: x1*x2 ; x2*x3
@@ -352,6 +354,21 @@ class TestCLI:
         rc, _, err = run_cli(["lift-search", "--pool", "1,oops"], job)
         assert rc == 2
         assert err == "grodeg: bad pool entry 'oops'\n"
+
+    @pytest.mark.parametrize(
+        "argv,job,message",
+        [
+            (["lift-search", "--budget", "-3"], TRIANGLE_JOB, "--budget must be >= 1"),
+            (["lift-search", "--budget", "0"], TRIANGLE_JOB, "--budget must be >= 1"),
+            (["lift-search", "--jobs", "0"], TRIANGLE_JOB, "--jobs must be >= 1"),
+            (["scan-orders", "--jobs", "-4"], FERMAT_JOB, "--jobs must be >= 1"),
+        ],
+    )
+    def test_flags_below_the_directive_minimum(self, run_cli, argv, job, message):
+        rc, out, err = run_cli(argv, job)
+        assert rc == 2
+        assert out == ""
+        assert err == f"grodeg: {message}\n"
 
     def test_no_arguments_is_a_usage_error(self, capsys):
         assert main([]) == 2

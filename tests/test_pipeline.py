@@ -1,5 +1,6 @@
 """End-to-end pipeline tests: analyze, order scans, lift search, point counts."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -9,9 +10,11 @@ import textwrap
 import pytest
 
 import grodeg
+from grodeg import cli, pipeline
 
 from grodeg import (
     DegreeCapExceeded,
+    Monomial,
     MonomialOrder,
     Polynomial,
     PrimeField,
@@ -28,10 +31,11 @@ from grodeg import (
     scan_orders,
     standard_context,
     support_exclusions,
+    to_ideal,
     to_jsonable,
 )
 
-from conftest import brute_projective_count, ctx_n, ctx_xyz
+from conftest import brute_projective_count, ctx_n, ctx_xyz, ref_initial_monomials
 
 
 def P(text, ctx, order):
@@ -545,6 +549,81 @@ class TestLiftSearch:
             lift_search(self.triangle(), drl, pool=())
 
 
+def lift_candidates(delta, order, coeffs):
+    """Every lift candidate of the non-face ideal, built from the definition."""
+    ctx = order.ctx
+    targets = to_ideal(delta, ctx).gens
+    tails = []
+    for t in targets:
+        d = t.degree()
+        tails.append([
+            Monomial(e)
+            for e in itertools.product(range(d + 1), repeat=ctx.n)
+            if sum(e) == d
+            and order.compare(Monomial(e), t) < 0
+            and not any(g.divides(Monomial(e)) for g in targets)
+        ])
+    slots = [(ti, m) for ti, ms in enumerate(tails) for m in ms]
+    for choice in itertools.product(coeffs, repeat=len(slots)):
+        terms = [[(t, 1)] for t in targets]
+        for (ti, m), c in zip(slots, choice):
+            if c:
+                terms[ti].append((m, c))
+        yield tuple(Polynomial(ctx, order, ts) for ts in terms)
+
+
+class TestLiftOracle:
+    """Lift verdicts against the criterion-free completion in conftest."""
+
+    PATH = SimplicialComplex.from_facets(4, [(1, 2), (2, 3), (3, 4)])
+    STAR = SimplicialComplex.from_facets(4, [(1, 2), (1, 3), (1, 4)])
+
+    @pytest.mark.parametrize(
+        "delta,field,pool,space,valid",
+        [
+            (PATH, PrimeField(2), (0, 1), 256, 32),
+            (STAR, PrimeField(3), (0, 1, 2), 243, 27),
+            (STAR, QQ, (-1, 0, 1), 243, 23),
+        ],
+    )
+    def test_exhaustive_spaces(self, delta, field, pool, space, valid):
+        drl = MonomialOrder.degrevlex(ctx_n(4, field))
+        res = lift_search(delta, drl, pool=pool, budget=space)
+        assert res.exhaustive and res.tried == space
+        targets = sorted(t.exps for t in res.targets)
+        expected = [
+            c for c in lift_candidates(delta, drl, pool)
+            if ref_initial_monomials(c, drl) == targets
+        ]
+        assert len(expected) == valid
+        assert len(res.lifts) == valid
+        assert {lift.polys for lift in res.lifts} == set(expected)
+
+    def test_sampled_five_cycle_has_no_valid_lift(self, monkeypatch):
+        built = []
+        original = pipeline._build_lift
+
+        def recording(*args):
+            polys = original(*args)
+            built.append(polys)
+            return polys
+
+        monkeypatch.setattr(pipeline, "_build_lift", recording)
+        cycle = SimplicialComplex.from_facets(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+        drl = MonomialOrder.degrevlex(ctx_n(5, PrimeField(2)))
+        res = lift_search(cycle, drl, budget=30, seed=4)
+        assert not res.exhaustive and res.tried == 30 and res.lifts == ()
+        assert built
+        targets = sorted(t.exps for t in res.targets)
+        assert all(ref_initial_monomials(c, drl) != targets for c in built)
+
+    def test_degree_cap_does_not_change_lift_verdicts(self, tmp_path, capsys):
+        job = tmp_path / "path.job"
+        job.write_text("facets: 1 2; 2 3; 3 4\nfield GF(2)\nbudget 256\n")
+        assert cli.main(["lift-search", str(job), "--degree-cap", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["valid_lift_count"] == 32
+
+
 class TestCountPoints:
     # (p, count, trace, smooth, supersingular, hasse_ok)
     FERMAT_TABLE = [
@@ -753,17 +832,26 @@ class TestNoWorkTwice:
         assert len(calls) == 1
         assert report.lex.witness["free_faces"] == [[1], [3]]
 
-    def test_lift_search_completes_each_candidate_once(self, monkeypatch):
+    def test_lift_search_completes_no_candidate(self, monkeypatch):
         calls = count_calls(monkeypatch, "buchberger", module="groebner")
         four_cycle = SimplicialComplex.from_facets(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
         drl = MonomialOrder.degrevlex(ctx_n(4))
         res = lift_search(four_cycle, drl, budget=60, seed=3)
         assert res.tried == 60 and len(res.lifts) > 0
-        assert len(calls) == res.tried
+        assert calls == []
         # the support checks read the candidate as its own reduced basis
         for lift in res.lifts:
             B = buchberger(lift.polys, drl)  # this module's name is not wrapped
             assert tuple(support_exclusions(B, four_cycle)) == lift.support_violations
+
+    def test_lift_search_checks_each_distinct_draw_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "_is_valid_lift", module="pipeline")
+        triangle = SimplicialComplex.from_facets(3, [(1, 2), (1, 3), (2, 3)])
+        drl = MonomialOrder.degrevlex(ctx_n(3))
+        res = lift_search(triangle, drl, pool=(-2, -1, 1, 2), budget=200)
+        assert res.tried == 200
+        assignments = [args[-1] for args in calls]
+        assert len(assignments) == len(set(assignments)) == len(res.lifts) == 133
 
 
 _SPAWN_SCRIPT = textwrap.dedent(
