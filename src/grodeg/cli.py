@@ -94,8 +94,8 @@ def _read_job(path: str) -> JobSpec:
 
 
 def _check_flag_minimums(args):
-    """Hold ``--jobs`` and ``--budget`` to the minimums of their job directives."""
-    for flag, directive in (("jobs", "workers"), ("budget", "budget")):
+    """Hold ``--jobs``, ``--budget`` and ``--prime`` to the minimums of their job directives."""
+    for flag, directive in (("jobs", "workers"), ("budget", "budget"), ("prime", "prime")):
         value = getattr(args, flag, None)
         minimum = _INT_PARAMS[directive]
         if value is not None and value < minimum:

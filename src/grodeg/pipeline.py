@@ -319,16 +319,18 @@ def _build_lift(order, targets, slots, coeffs, assignment):
     return [Polynomial(order.ctx, order, ts) for ts in terms]
 
 
-def _is_valid_lift(order, targets, slots, coeffs, assignment) -> bool:
+def _valid_lift(order, targets, slots, coeffs, assignment) -> Optional[List[Polynomial]]:
+    """The candidate's polynomials when it is a valid lift, else None."""
     # Buchberger's criterion decides validity exactly because the candidates are
     # reduced by construction: monic, the minimal non-faces as leads, tails outside
     # the non-face ideal. Homogeneous division never raises the degree: no cap needed.
     polys = _build_lift(order, targets, slots, coeffs, assignment)
-    return all(
+    valid = all(
         f.leading_monomial().gcd_is_one(g.leading_monomial())
         or normal_form(s_polynomial(f, g), polys, order).is_zero()
         for f, g in itertools.combinations(polys, 2)
     )
+    return polys if valid else None
 
 
 @dataclass(frozen=True)
@@ -426,6 +428,8 @@ def lift_search(
         raise ValueError("complex and ring have different vertex counts")
     if any(g != 1 for g in ctx.grading):
         raise ValueError("lift search requires the standard grading")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     field = ctx.field
 
     if pool is None:
@@ -459,15 +463,14 @@ def lift_search(
         draws = [tuple(rng.randrange(len(coeffs)) for _ in slots) for _ in range(budget)]
     assignments = list(dict.fromkeys(draws))
 
-    run = partial(_is_valid_lift, order, targets, slots, coeffs)
-    flags = _ordered_map(run, assignments, workers)
+    run = partial(_valid_lift, order, targets, slots, coeffs)
+    checked = _ordered_map(run, assignments, workers)
 
     lifts = []
     check_supports = delta.dim == 1 and not delta.ghost_vertices()
-    for assignment, ok in zip(assignments, flags):
-        if not ok:
+    for polys in checked:
+        if polys is None:
             continue
-        polys = _build_lift(order, targets, slots, coeffs, assignment)
         points = _coordinate_points(polys, ctx, delta) if polys else ()
         violations: Tuple[SupportViolation, ...] = ()
         if check_supports and polys:

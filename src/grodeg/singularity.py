@@ -43,7 +43,8 @@ class ProjPoint:
     def coordinate(field, n: int, i: int) -> "ProjPoint":
         if not 0 <= i < n:
             raise ValueError(f"coordinate index {i} out of range")
-        return ProjPoint.make(field, [1 if j == i else 0 for j in range(n)])
+        one, zero = field.one, field.zero
+        return ProjPoint(tuple(one if j == i else zero for j in range(n)))
 
     def render(self, field) -> str:
         return "[" + ":".join(field.render_scalar(c) for c in self.coords) + "]"
@@ -75,7 +76,14 @@ def _gens_of(basis_or_gens):
 
 
 def jacobian_rank_at(basis_or_gens, point, expected_codim: int) -> JacobianAnalysis:
-    """Exact Jacobian rank at a projective point, classified against codimension."""
+    """Exact Jacobian rank at a projective point, classified against codimension.
+
+    One pass over each generator's terms fills its value and its Jacobian row:
+    a term c*x^e adds c*e_j*x^(e-unit_j) to column j. Terms that vanish at the
+    point together with all their partials are skipped: two support variables
+    at zero coordinates, or one with exponent >= 2. At a coordinate point e_i
+    only the x_i^d and x_i^(d-1)*x_j terms are read.
+    """
     gens: List[Polynomial] = _gens_of(basis_or_gens)
     if not gens:
         raise ValueError("no generators")
@@ -92,11 +100,42 @@ def jacobian_rank_at(basis_or_gens, point, expected_codim: int) -> JacobianAnaly
         raise ValueError("point has the wrong number of coordinates")
     coords = [ctx.field.of(c) for c in point.coords]
 
-    zero = ctx.field.zero
-    on_scheme = all(g.evaluate(coords) == zero for g in gens)
-    matrix = [
-        [g.partial_derivative(j).evaluate(coords) for j in range(ctx.n)] for g in gens
-    ]
+    # Over GF(p) the arithmetic runs on plain integers, reduced mod p only when
+    # the value is tested and the rank taken; over QQ it runs on Fractions.
+    p = ctx.field.characteristic()
+    if p:
+        coords = [c.v for c in coords]
+    inverse = [(pow(x, -1, p) if p else 1 / x) if x else 0 for x in coords]
+    on_scheme = True
+    matrix = []
+    for g in gens:
+        value = 0
+        row = [0] * ctx.n
+        for m, c in g.terms:
+            t = c.v if p else c
+            hole = None  # the one support variable at a zero coordinate, if any
+            for k, e in enumerate(m.exps):
+                if not e:
+                    continue
+                x = coords[k]
+                if x:
+                    if x != 1:
+                        t = t * x**e
+                elif e > 1 or hole is not None:
+                    break
+                else:
+                    hole = k
+            else:
+                if hole is None:
+                    value += t
+                    for k, e in enumerate(m.exps):
+                        if e:
+                            row[k] += e * t * inverse[k]
+                else:
+                    row[hole] += t
+        if (value % p if p else value) != 0:
+            on_scheme = False
+        matrix.append(row)
     rank = rank_exact(matrix, ctx.field)
     if not on_scheme:
         verdict = "off_scheme"

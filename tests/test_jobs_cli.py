@@ -362,6 +362,7 @@ class TestCLI:
             (["lift-search", "--budget", "0"], TRIANGLE_JOB, "--budget must be >= 1"),
             (["lift-search", "--jobs", "0"], TRIANGLE_JOB, "--jobs must be >= 1"),
             (["scan-orders", "--jobs", "-4"], FERMAT_JOB, "--jobs must be >= 1"),
+            (["point-count", "--prime", "1"], FERMAT_JOB, "--prime must be >= 2"),
         ],
     )
     def test_flags_below_the_directive_minimum(self, run_cli, argv, job, message):

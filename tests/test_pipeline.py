@@ -548,6 +548,12 @@ class TestLiftSearch:
         with pytest.raises(ValueError, match="empty coefficient pool"):
             lift_search(self.triangle(), drl, pool=())
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_is_rejected(self, budget):
+        drl = MonomialOrder.degrevlex(ctx_n(3))
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            lift_search(self.triangle(), drl, budget=budget)
+
 
 def lift_candidates(delta, order, coeffs):
     """Every lift candidate of the non-face ideal, built from the definition."""
@@ -845,13 +851,39 @@ class TestNoWorkTwice:
             assert tuple(support_exclusions(B, four_cycle)) == lift.support_violations
 
     def test_lift_search_checks_each_distinct_draw_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, "_is_valid_lift", module="pipeline")
+        calls = count_calls(monkeypatch, "_valid_lift", module="pipeline")
         triangle = SimplicialComplex.from_facets(3, [(1, 2), (1, 3), (2, 3)])
         drl = MonomialOrder.degrevlex(ctx_n(3))
         res = lift_search(triangle, drl, pool=(-2, -1, 1, 2), budget=200)
         assert res.tried == 200
         assignments = [args[-1] for args in calls]
         assert len(assignments) == len(set(assignments)) == len(res.lifts) == 133
+
+    def test_lift_search_builds_each_valid_lift_once(self, monkeypatch):
+        built = count_calls(monkeypatch, "_build_lift", module="pipeline")
+        triangle = SimplicialComplex.from_facets(3, [(1, 2), (1, 3), (2, 3)])
+        drl = MonomialOrder.degrevlex(ctx_n(3))
+        res = lift_search(triangle, drl, pool=(-2, -1, 1, 2), budget=200)
+        assert len(res.lifts) == 133
+        assert len(built) == 133  # every distinct draw is valid here
+
+    @pytest.mark.parametrize("method", ["partial_derivative", "evaluate"])
+    def test_jacobian_builds_and_evaluates_no_polynomial(self, monkeypatch, method):
+        calls = []
+        original = getattr(Polynomial, method)
+
+        def counted(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(Polynomial, method, counted)
+        drl = MonomialOrder.degrevlex(ctx_n(6))
+        res = lift_search(OCTAHEDRON, drl, pool=(-1, 1), budget=20, seed=1)
+        assert res.lifts and all(len(lift.coordinate_points) == 6 for lift in res.lifts)
+        ctx = ctx_xyz()
+        report = analyze([P(CUBIC, ctx, MonomialOrder.lex(ctx))], MonomialOrder.lex(ctx))
+        assert report.coordinate_points[0].verdict == "singular"
+        assert calls == []
 
 
 _SPAWN_SCRIPT = textwrap.dedent(

@@ -1,10 +1,15 @@
 """Jacobian criterion and the three smoothing obstructions."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from grodeg import (
     GroebnerBasis,
+    Monomial,
     MonomialOrder,
+    Polynomial,
     PrimeField,
     ProjPoint,
     QQ,
@@ -19,7 +24,13 @@ from grodeg import (
     support_exclusions,
 )
 
-from conftest import ctx_n, ctx_xyz, ref_rank_mod_p
+from conftest import (
+    ctx_n,
+    ctx_xyz,
+    random_homogeneous_poly,
+    ref_rank_fraction,
+    ref_rank_mod_p,
+)
 
 
 def P(text, ctx, order):
@@ -145,6 +156,79 @@ class TestJacobian:
             "verdict": "singular",
             "hypothesis": "equidimensional of the expected codimension",
         }
+
+
+def slow_jacobian(gens, point, expected_codim):
+    """(on_scheme, rank, verdict) from built partial derivatives, evaluated one by one."""
+    ctx = gens[0].ctx
+    field = ctx.field
+    coords = list(point.coords)
+    on_scheme = all(g.evaluate(coords) == field.zero for g in gens)
+    rows = [[g.partial_derivative(j).evaluate(coords) for j in range(ctx.n)] for g in gens]
+    p = field.characteristic()
+    if p:
+        rank = ref_rank_mod_p([[c.v for c in row] for row in rows], p)
+    else:
+        rank = ref_rank_fraction(rows)
+    if not on_scheme:
+        return on_scheme, rank, "off_scheme"
+    return on_scheme, rank, "singular" if rank < expected_codim else "smooth"
+
+
+class TestJacobianOracle:
+    """``jacobian_rank_at`` against the slow route on random generator sets."""
+
+    N = 4
+
+    def random_points(self, rng, field):
+        p = field.characteristic()
+
+        def scalar():
+            if p:
+                return rng.randrange(1, p)
+            return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+
+        points = [ProjPoint.coordinate(field, self.N, i) for i in range(self.N)]
+        for zeros in (0, 1, 2):
+            for _ in range(3):
+                coords = [scalar() for _ in range(self.N)]
+                for k in rng.sample(range(self.N), zeros):
+                    coords[k] = 0
+                points.append(ProjPoint.make(field, coords))
+        return points
+
+    def random_gens(self, rng, ctx, order, point, through_point):
+        p = ctx.field.characteristic()
+        # degree p puts exponents divisible by p (x^3 over GF(3)) into the rows
+        degrees = (2, 3, p) if p else (2, 3, 4)
+        pivot = next(k for k, c in enumerate(point.coords) if c != ctx.field.zero)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            d = rng.choice(degrees)
+            power = Polynomial(ctx, order, [(Monomial.variable(rng.randrange(ctx.n), ctx.n).pow(d), 1)])
+            g = random_homogeneous_poly(rng, ctx, order, d) + power
+            if through_point:
+                # the pivot coordinate is 1, so this moves g onto the point
+                pivot_power = Monomial.variable(pivot, ctx.n).pow(d)
+                g = g - Polynomial(ctx, order, [(pivot_power, g.evaluate(point.coords))])
+            gens.append(g)
+        return gens
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=str)
+    def test_matches_slow_route(self, field):
+        rng = random.Random(f"jacobian-oracle-{field.render()}")
+        ctx = ctx_n(self.N, field)
+        order = MonomialOrder.degrevlex(ctx)
+        verdicts = set()
+        for _ in range(8):
+            for point in self.random_points(rng, field):
+                for through_point in (False, True):
+                    gens = self.random_gens(rng, ctx, order, point, through_point)
+                    codim = rng.randint(1, len(gens))
+                    a = jacobian_rank_at(gens, point, codim)
+                    assert (a.on_scheme, a.rank, a.verdict) == slow_jacobian(gens, point, codim)
+                    verdicts.add(a.verdict)
+        assert verdicts == {"off_scheme", "singular", "smooth"}
 
 
 class TestCIObstruction:
