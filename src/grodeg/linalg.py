@@ -9,7 +9,6 @@ also maps rational polynomials to GF(p).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .fields import GFElement
@@ -77,12 +76,12 @@ def rank_mod_p(rows, p: int) -> int:
 
 
 def primitive_integers(values, p: int = 0):
-    """Rationals scaled by one common factor to coprime integers.
+    """Rationals (ints or Fractions) scaled by one common factor to coprime integers.
 
     With a prime ``p``, a denominator divisible by ``p`` is a bad-prime error:
     the values have no image mod ``p``.
     """
-    values = [Fraction(c) for c in values]
+    values = list(values)
     den = lcm(*(c.denominator for c in values))
     if p and den % p == 0:
         bad = next(c for c in values if c.denominator % p == 0)

@@ -22,7 +22,7 @@ import hashlib
 import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
@@ -45,8 +45,9 @@ from .singularity import (
     ObstructionVerdict,
     ProjPoint,
     SupportViolation,
+    _checked_generators,
+    _jacobian_rank,
     ci_obstruction,
-    jacobian_rank_at,
     leafless_obstruction,
     lex_obstruction,
     support_exclusions,
@@ -84,10 +85,14 @@ def _cohomology_dict(coh: CohomologyProfile) -> dict:
 
 
 def _coordinate_points(gens, ctx: RingContext, delta: SimplicialComplex):
-    """Jacobian verdicts at every coordinate point, against the codimension of ``delta``."""
+    """Jacobian verdicts at every coordinate point, against the codimension of ``delta``.
+
+    The generators are checked once, not once per point.
+    """
+    gens, _ = _checked_generators(gens)
     codim = (ctx.n - 1) - delta.dim
     return tuple(
-        jacobian_rank_at(gens, ProjPoint.coordinate(ctx.field, ctx.n, i), codim)
+        _jacobian_rank(gens, ctx, ProjPoint.coordinate(ctx.field, ctx.n, i), codim)
         for i in range(ctx.n)
     )
 
@@ -188,22 +193,31 @@ class DegenerationReport:
         return out
 
 
-def analyze(gens, order: MonomialOrder, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> DegenerationReport:
-    """Degenerate a homogeneous ideal along one order and report everything."""
-    ctx = order.ctx
-    polys = [g.with_order(order) for g in gens]
-    for g in polys:
+def _check_homogeneous(gens, order: MonomialOrder):
+    for g in gens:
         homogeneous, _ = g.is_homogeneous()
         if not homogeneous:
-            raise ValueError(f"inhomogeneous generator: {g.render()}")
+            raise ValueError(f"inhomogeneous generator: {g.with_order(order).render()}")
+
+
+def analyze(gens, order: MonomialOrder, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> DegenerationReport:
+    """Degenerate a homogeneous ideal along one order and report everything."""
+    _check_homogeneous(gens, order)
+    B = buchberger(gens, order, degree_cap=degree_cap)
+    return _degeneration_report(gens, order, B, (order.render(),))
+
+
+def _degeneration_report(gens, order: MonomialOrder, B: GroebnerBasis, producing_orders) -> DegenerationReport:
+    """The report of homogeneous ``gens`` whose reduced basis under ``order`` is ``B``."""
+    ctx = order.ctx
+    polys = tuple(g.with_order(order) for g in gens)
     digest = ideal_digest(ctx, polys)
-    B = buchberger(polys, order, degree_cap=degree_cap)
     M = initial_ideal(B)
     squarefree = B.is_proper() and M.is_squarefree()
     if not squarefree:
         return DegenerationReport(
-            digest, order, tuple(polys), B, M, False,
-            None, None, (), (), None, (order.render(),),
+            digest, order, polys, B, M, False,
+            None, None, (), (), None, producing_orders,
         )
 
     if all(M.contains(Monomial.variable(i, ctx.n)) for i in range(ctx.n)):
@@ -223,9 +237,8 @@ def analyze(gens, order: MonomialOrder, *, degree_cap: int = DEFAULT_DEGREE_CAP)
     conjectures = _conjecture_summary(ctx.field, props, points)
 
     return DegenerationReport(
-        digest, order, tuple(polys), B, M, True,
-        delta, props, points, tuple(obstructions), conjectures,
-        (order.render(),),
+        digest, order, polys, B, M, True,
+        delta, props, points, tuple(obstructions), conjectures, producing_orders,
     )
 
 
@@ -243,18 +256,44 @@ def _ordered_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items, chunksize=chunk))
 
 
-def _scan_task(gens, degree_cap, task):
-    kind, perm = task
-    order = MonomialOrder(kind, gens[0].ctx, perm=perm)
-    B = buchberger([g.with_order(order) for g in gens], order, degree_cap=degree_cap)
-    return tuple(m.exps for m in initial_ideal(B).gens)
-
-
 _FAMILIES = {
     "lex": ("lex",),
     "degrevlex": ("degrevlex",),
     "both": ("lex", "degrevlex"),
 }
+
+
+def _keeps_marking(B: GroebnerBasis, order: MonomialOrder) -> bool:
+    """Whether every element of ``B`` still has its marked leading monomial under ``order``."""
+    key = order.sort_key
+    for g in B.polys:
+        lead = key(g.terms[0][0])
+        if any(key(m) > lead for m, _ in g.terms[1:]):
+            return False
+    return True
+
+
+def _scan_slice(gens, degree_cap, orders):
+    """The reduced bases of ``gens`` under ``orders``, each distinct one completed once.
+
+    Returns the bases completed, in order of completion, and for each order
+    the index of its basis among them. Bases are tried most recently hit
+    first; a basis that keeps its marking under an order is that order's
+    reduced basis (see ``scan_orders``), so only the misses are completed.
+    """
+    bases: List[GroebnerBasis] = []
+    recent: List[int] = []
+    which = []
+    for order in orders:
+        k = next((k for k in recent if _keeps_marking(bases[k], order)), None)
+        if k is None:
+            k = len(bases)
+            bases.append(buchberger(gens, order, degree_cap=degree_cap))
+        else:
+            recent.remove(k)
+        recent.insert(0, k)
+        which.append(k)
+    return bases, which
 
 
 def scan_orders(
@@ -270,6 +309,17 @@ def scan_orders(
     Each distinct initial ideal yields one full report whose
     ``producing_orders`` lists every order that realized it, in scan order.
     The scan refuses to run past ``bound`` variables (factorial blowup).
+
+    A reduced basis G is kept once found. If every g in G keeps its leading
+    monomial under a new order C, marked division by G sends every element of
+    the ideal to 0 whichever order drives it, so G is the reduced basis under
+    C as well and in_C(I) = in(G): nothing is completed. Conversely the reduced
+    basis is fixed by the initial ideal (its tails are standard monomials), so
+    an order with an initial ideal already seen always finds its basis kept.
+    The scan therefore completes once per distinct initial ideal, or once per
+    ideal and worker when ``workers`` > 1 (each worker scans one contiguous
+    slice of the orders), and ``degree_cap`` bounds only those completions.
+    Each report is built from the basis of the first order that produced it.
     """
     gens = list(gens)
     if not gens:
@@ -283,25 +333,26 @@ def scan_orders(
     if kinds is None:
         raise ValueError(f"unknown order family {family!r} (want lex, degrevlex, or both)")
 
-    tasks = [(kind, perm) for kind in kinds for perm in itertools.permutations(range(ctx.n))]
-    keys = _ordered_map(partial(_scan_task, gens, degree_cap), tasks, workers)
+    orders = [
+        MonomialOrder(kind, ctx, perm=perm)
+        for kind in kinds
+        for perm in itertools.permutations(range(ctx.n))
+    ]
+    _check_homogeneous(gens, orders[0])
+    size = -(-len(orders) // max(1, workers))
+    slices = [orders[i : i + size] for i in range(0, len(orders), size)]
+    scanned = _ordered_map(partial(_scan_slice, gens, degree_cap), slices, workers)
 
-    first_order: Dict[tuple, MonomialOrder] = {}
-    producers: Dict[tuple, List[str]] = {}
-    ordered_keys: List[tuple] = []
-    for (kind, perm), key in zip(tasks, keys):
-        order = MonomialOrder(kind, ctx, perm=perm)
-        if key not in first_order:
-            first_order[key] = order
-            producers[key] = []
-            ordered_keys.append(key)
-        producers[key].append(order.render())
-
-    reports = []
-    for key in ordered_keys:
-        report = analyze(gens, first_order[key], degree_cap=degree_cap)
-        reports.append(replace(report, producing_orders=tuple(producers[key])))
-    return reports
+    # initial ideal -> (its first order, the basis that order completed, producing orders)
+    groups: Dict[tuple, Tuple[MonomialOrder, GroebnerBasis, List[str]]] = {}
+    for chunk, (bases, which) in zip(slices, scanned):
+        keys = [tuple(m.exps for m in initial_ideal(B).gens) for B in bases]
+        for order, k in zip(chunk, which):
+            groups.setdefault(keys[k], (order, bases[k], []))[2].append(order.render())
+    return [
+        _degeneration_report(gens, order, B, tuple(producers))
+        for order, B, producers in groups.values()
+    ]
 
 
 def _monomials_of_degree(n: int, d: int):

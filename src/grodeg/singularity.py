@@ -84,6 +84,16 @@ def jacobian_rank_at(basis_or_gens, point, expected_codim: int) -> JacobianAnaly
     at zero coordinates, or one with exponent >= 2. At a coordinate point e_i
     only the x_i^d and x_i^(d-1)*x_j terms are read.
     """
+    gens, ctx = _checked_generators(basis_or_gens)
+    if not isinstance(point, ProjPoint):
+        point = ProjPoint.make(ctx.field, point)
+    if len(point.coords) != ctx.n:
+        raise ValueError("point has the wrong number of coordinates")
+    return _jacobian_rank(gens, ctx, point, expected_codim)
+
+
+def _checked_generators(basis_or_gens):
+    """The generators and their ring, once they pass the checks every Jacobian needs."""
     gens: List[Polynomial] = _gens_of(basis_or_gens)
     if not gens:
         raise ValueError("no generators")
@@ -94,10 +104,12 @@ def jacobian_rank_at(basis_or_gens, point, expected_codim: int) -> JacobianAnaly
         homogeneous, _ = g.is_homogeneous()
         if not homogeneous:
             raise ValueError(f"inhomogeneous generator: {g.render()}")
-    if not isinstance(point, ProjPoint):
-        point = ProjPoint.make(ctx.field, point)
-    if len(point.coords) != ctx.n:
-        raise ValueError("point has the wrong number of coordinates")
+    return gens, ctx
+
+
+def _jacobian_rank(gens, ctx, point: ProjPoint, expected_codim: int) -> JacobianAnalysis:
+    """``jacobian_rank_at`` without its checks: the generators come from
+    ``_checked_generators`` and the point has ``ctx.n`` coordinates."""
     coords = [ctx.field.of(c) for c in point.coords]
 
     # Over GF(p) the arithmetic runs on plain integers, reduced mod p only when

@@ -18,6 +18,28 @@ class TestPrimitiveIntegers:
         assert primitive_integers([0, 0]) == [0, 0]
         assert primitive_integers([]) == []
 
+    @pytest.mark.parametrize(
+        "row, expected",
+        [
+            ([4, -6, 10, 0], [2, -3, 5, 0]),
+            ([Fraction(1, 3), Fraction(-1, 6), Fraction(5, 2)], [2, -1, 15]),
+            ([3, Fraction(3, 4), 0, Fraction(-9, 2)], [4, 1, 0, -6]),
+        ],
+        ids=["int", "fraction", "mixed"],
+    )
+    def test_reads_ints_and_fractions_as_they_are(self, row, expected, monkeypatch):
+        made = []
+        original = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        assert primitive_integers(row) == expected
+        assert primitive_integers(iter(row)) == expected
+        assert made == []
+
     def test_bad_prime(self):
         with pytest.raises(ValueError, match="bad prime 7: denominator of coefficient 3/14 vanishes"):
             primitive_integers([1, Fraction(3, 14)], 7)

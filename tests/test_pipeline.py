@@ -1,8 +1,10 @@
 """End-to-end pipeline tests: analyze, order scans, lift search, point counts."""
 
+import dataclasses
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -26,6 +28,7 @@ from grodeg import (
     buchberger,
     count_points,
     ideal_digest,
+    initial_ideal,
     lift_search,
     parse_polynomial,
     scan_orders,
@@ -35,7 +38,13 @@ from grodeg import (
     to_jsonable,
 )
 
-from conftest import brute_projective_count, ctx_n, ctx_xyz, ref_initial_monomials
+from conftest import (
+    brute_projective_count,
+    ctx_n,
+    ctx_xyz,
+    random_homogeneous_poly,
+    ref_initial_monomials,
+)
 
 
 def P(text, ctx, order):
@@ -415,6 +424,26 @@ class TestScanOrders:
         three = scan_orders([f], family="both", workers=3)
         assert [as_json(r) for r in one] == [as_json(r) for r in three]
 
+    def test_workers_do_not_change_a_many_cone_scan(self):
+        # twisted cubic: 2x2 minors of the 2x3 Hankel matrix, 48 orders
+        ctx = ctx_n(4)
+        drl = MonomialOrder.degrevlex(ctx)
+        gens = [P(t, ctx, drl) for t in ("x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2")]
+        runs = [scan_orders(gens, family="both", workers=w) for w in (1, 2, 3)]
+        assert len(runs[0]) > 3
+        assert sum(len(r.producing_orders) for r in runs[0]) == 48
+        one = [as_json(r) for r in runs[0]]
+        assert [as_json(r) for r in runs[1]] == one
+        assert [as_json(r) for r in runs[2]] == one
+
+    def test_inhomogeneous_generator_is_rejected_before_scanning(self, monkeypatch):
+        calls = count_calls(monkeypatch, "buchberger", module="groebner")
+        ctx = ctx_xyz()
+        f = P("x^2 + y", ctx, MonomialOrder.degrevlex(ctx))
+        with pytest.raises(ValueError, match=r"inhomogeneous generator: x\^2 \+ y"):
+            scan_orders([f])
+        assert calls == []
+
     def test_empty_generator_list_is_rejected(self):
         with pytest.raises(ValueError, match="order scan needs at least one generator"):
             scan_orders([])
@@ -435,6 +464,53 @@ class TestScanOrders:
             ValueError, match=r"unknown order family 'grlex' \(want lex, degrevlex, or both\)"
         ):
             scan_orders([f], family="grlex")
+
+
+def _plain_scan(gens):
+    """(initial ideal, producing orders, rendered basis) per ideal over both order
+    families, one completion per order."""
+    ctx = gens[0].ctx
+    groups = {}
+    for kind in ("lex", "degrevlex"):
+        for perm in itertools.permutations(range(ctx.n)):
+            order = MonomialOrder(kind, ctx, perm=perm)
+            B = buchberger(gens, order)
+            M = initial_ideal(B)
+            if M.gens not in groups:
+                groups[M.gens] = (list(M.render_gens()), [], list(B.render_polys()))
+            groups[M.gens][1].append(order.render())
+    return list(groups.values())
+
+
+class TestScanOracle:
+    """``scan_orders`` against a plain completion for every order, on random ideals."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
+    def test_matches_one_completion_per_order(self, field):
+        rng = random.Random(f"scan-oracle-{field.render()}")
+        for _ in range(6):
+            ctx = ctx_n(rng.choice((3, 4)), field)
+            order = MonomialOrder.degrevlex(ctx)
+            gens = [
+                random_homogeneous_poly(rng, ctx, order, rng.randint(1, 3))
+                for _ in range(rng.randint(1, 3))
+            ]
+            reports = scan_orders(gens, family="both")
+            assert [
+                (list(r.initial.render_gens()), list(r.producing_orders), list(r.basis.render_polys()))
+                for r in reports
+            ] == _plain_scan(gens)
+            for r in reports:
+                alone = analyze(gens, r.order)
+                assert as_json(r) == as_json(
+                    dataclasses.replace(alone, producing_orders=r.producing_orders)
+                )
+            by_order = {o: r for r in reports for o in r.producing_orders}
+            for kind in ("lex", "degrevlex", rng.choice(("lex", "degrevlex"))):
+                perm = tuple(rng.sample(range(ctx.n), ctx.n))
+                o = MonomialOrder(kind, ctx, perm=perm)
+                leads = sorted(m.exps for m in by_order[o.render()].initial.gens)
+                assert leads == ref_initial_monomials(gens, o)
 
 
 class TestLiftSearch:
@@ -866,6 +942,44 @@ class TestNoWorkTwice:
         res = lift_search(triangle, drl, pool=(-2, -1, 1, 2), budget=200)
         assert len(res.lifts) == 133
         assert len(built) == 133  # every distinct draw is valid here
+
+    def test_scan_completes_each_initial_ideal_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "buchberger", module="groebner")
+        ctx = ctx_xyz()
+        fermat = P(FERMAT, ctx, MonomialOrder.degrevlex(ctx))
+        reports = scan_orders([fermat], family="both")
+        assert sum(len(r.producing_orders) for r in reports) == 12
+        assert len(reports) == len(calls) == 3
+        # the report of each ideal reads the basis its first order completed
+        assert [a[1] for a in calls] == [r.order for r in reports]
+
+    def test_scan_of_the_rational_normal_quartic_completes_each_ideal_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "buchberger", module="groebner")
+        ctx = ctx_n(5)
+        drl = MonomialOrder.degrevlex(ctx)
+        hankel = [("x1", "x2", "x3", "x4"), ("x2", "x3", "x4", "x5")]
+        gens = [
+            P(f"{hankel[0][i]}*{hankel[1][j]} - {hankel[0][j]}*{hankel[1][i]}", ctx, drl)
+            for i, j in itertools.combinations(range(4), 2)
+        ]
+        reports = scan_orders(gens, family="both")
+        assert sum(len(r.producing_orders) for r in reports) == 240
+        assert len(reports) > 10
+        assert len(calls) == len(reports)
+
+    def test_coordinate_points_check_each_generator_once(self, monkeypatch):
+        calls = []
+        original = Polynomial.is_homogeneous
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Polynomial, "is_homogeneous", counted)
+        drl = MonomialOrder.degrevlex(ctx_n(6))
+        res = lift_search(OCTAHEDRON, drl, pool=(-1, 1), budget=20, seed=1)
+        assert res.lifts and all(len(lift.coordinate_points) == 6 for lift in res.lifts)
+        assert len(calls) == sum(len(lift.polys) for lift in res.lifts)
 
     @pytest.mark.parametrize("method", ["partial_derivative", "evaluate"])
     def test_jacobian_builds_and_evaluates_no_polynomial(self, monkeypatch, method):
