@@ -5,7 +5,10 @@ Complexes are stored by their facets. Vertices missing from every facet are
 ghost vertices: permitted, flagged, excluded from leaf/cone bookkeeping. The
 void complex and the empty complex {()} are rejected. Reduced cohomology is
 computed from exact ranks of the coboundary matrices of the augmented cochain
-complex, faces ordered lexicographically, standard alternating signs.
+complex, faces ordered lexicographically, standard alternating signs; the
+matrices are built as sparse rows for ``linalg``'s sparse elimination.
+``property_report`` examines each distinct link once: links are keyed by their
+relabelled facets in a set that lives for one report.
 """
 
 from __future__ import annotations
@@ -195,35 +198,24 @@ class CohomologyProfile:
 
 
 def _coboundary_matrix(lower: List[Tuple[int, ...]], upper: List[Tuple[int, ...]]):
-    """Matrix of the coboundary from i-cochains to (i+1)-cochains."""
+    """Sparse rows ``{column: ±1}`` of the coboundary from i-cochains to (i+1)-cochains."""
     col_of: Dict[Tuple[int, ...], int] = {f: j for j, f in enumerate(lower)}
-    rows = []
-    for g in upper:
-        row = [0] * len(lower)
-        for k in range(len(g)):
-            sub = g[:k] + g[k + 1 :]
-            j = col_of.get(sub)
-            if j is not None:
-                row[j] = 1 if k % 2 == 0 else -1
-        rows.append(row)
-    return rows
+    return [
+        {col_of[g[:k] + g[k + 1 :]]: -1 if k % 2 else 1 for k in range(len(g))} for g in upper
+    ]
 
 
 def reduced_cohomology(delta: SimplicialComplex, field: Field = QQ) -> CohomologyProfile:
     groups = delta.faces_by_dim()
     d = delta.dim
     f = [len(g) for g in groups]
-
-    def rank(mat):
-        if not mat or not mat[0]:
-            return 0
-        p = field.characteristic()
-        return rank_int(mat) if p == 0 else rank_mod_p(mat, p)
+    p = field.characteristic()
 
     # rank of each coboundary; degree -1 is the augmentation (all-ones column)
-    ranks = [rank([[1] for _ in groups[0]])]
+    ranks = [1 if groups[0] else 0]
     for i in range(d):
-        ranks.append(rank(_coboundary_matrix(groups[i], groups[i + 1])))
+        rows = _coboundary_matrix(groups[i], groups[i + 1])
+        ranks.append(rank_mod_p(rows, p) if p else rank_int(rows))
     ranks.append(0)  # coboundary out of top degree
 
     dims = tuple(f[i] - ranks[i + 1] - ranks[i] for i in range(d + 1))
@@ -282,29 +274,30 @@ def is_strongly_connected(delta: SimplicialComplex) -> bool:
 
 
 def _links_for_reisner(delta: SimplicialComplex):
-    """(face, link complex) pairs for all faces including (), facets excluded."""
-    yield (), delta
+    """Relabelled links of all nonempty faces, facets excluded."""
     facets = set(delta.facets)
     for face in delta.all_faces():
         if face not in facets:  # a facet's link {()} imposes no condition
-            yield face, link(delta, face).complex
+            yield link(delta, face).complex
 
 
 def property_report(delta: SimplicialComplex, field: Field = QQ) -> ComplexPropertyReport:
     own = reduced_cohomology(delta, field)
     pure = delta.is_pure()
     strongly_connected = is_strongly_connected(delta)
-    cm = True
+    cm = not any(own.dims[: delta.dim])
     buchsbaum = pure  # Buchsbaum complexes are pure
     normal = strongly_connected
-    for face, lk in _links_for_reisner(delta):
-        profile = own if face == () else reduced_cohomology(lk, field)
-        vanishing_below_top = all(profile.dims[i] == 0 for i in range(lk.dim))
-        if not vanishing_below_top:
-            cm = False
-            if face != ():
-                buchsbaum = False
-        if face != () and normal and not is_strongly_connected(lk):
+    # Links that are the same complex after relabelling give the same verdicts,
+    # so each distinct one is examined once per report.
+    seen = set()
+    for lk in _links_for_reisner(delta):
+        if lk in seen:
+            continue
+        seen.add(lk)
+        if any(reduced_cohomology(lk, field).dims[: lk.dim]):
+            cm = buchsbaum = False
+        if normal and not is_strongly_connected(lk):
             normal = False
     facet_sets = [set(f) for f in delta.facets]
     counts = {}

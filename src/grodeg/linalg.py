@@ -1,78 +1,79 @@
 """Exact rank computations shared by cohomology and Jacobian analyses.
 
-Rank over the rationals uses fraction-free (Bareiss) elimination on an
-integer matrix; Fraction entries are first cleared row by row, which leaves
-the rank unchanged. Rank over GF(p) is plain Gaussian elimination on
-residues. The same clearing to primitive integers (``primitive_integers``)
-also maps rational polynomials to GF(p).
+Every rank is taken by one sparse elimination (``_rank``): rows are
+``{column: value}`` dicts (dense sequences are read as such), the sparsest row
+is inserted first into an echelon form keyed by leading column, and each later
+row is reduced by the pivot at its leading column until it is zero or starts a
+new pivot. Over the rationals the entries stay integers: a unit pivot is
+subtracted as it is, any other pivot cross-multiplies (a nonzero scaling of
+the row, so the rank is unchanged) and the row is divided by its content.
+Over GF(p) entries are plain residues and pivots are scaled to lead with 1.
+Coboundary matrices have a few ±1 entries per row and almost only unit
+pivots (Dumas-Saunders-Villard, JSC 2001), so they stay small and integral.
+The same clearing to primitive integers (``primitive_integers``) turns
+rational rows into integer ones and maps rational polynomials to GF(p).
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .fields import GFElement
+
+def _rank(rows, p: int) -> int:
+    """Rank over QQ (``p == 0``, integer entries) or GF(p) of rows given as
+    ``{column: value}`` dicts or dense sequences, which are left unchanged."""
+    sparse = []
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        sparse.append({j: v for j, x in items if (v := x % p if p else x)})
+    sparse.sort(key=len)
+    pivots = {}
+    for r in sparse:
+        while r:
+            c = min(r)
+            q = pivots.get(c)
+            if q is None:
+                if p and r[c] != 1:
+                    inv = pow(r[c], -1, p)
+                    r = {j: x * inv % p for j, x in r.items()}
+                pivots[c] = r
+                break
+            f = r[c]
+            if p:
+                for j, x in q.items():
+                    v = (r.get(j, 0) - f * x) % p
+                    if v:
+                        r[j] = v
+                    else:
+                        del r[j]
+                continue
+            a = q[c]
+            unit = a == 1 or a == -1
+            if unit:
+                f *= a
+            else:
+                r = {j: a * x for j, x in r.items()}
+            for j, x in q.items():
+                v = r.get(j, 0) - f * x
+                if v:
+                    r[j] = v
+                else:
+                    del r[j]
+            if not unit:
+                g = gcd(*r.values())
+                if g > 1:
+                    r = {j: x // g for j, x in r.items()}
+    return len(pivots)
 
 
 def rank_int(rows) -> int:
-    """Rank of an integer matrix via Bareiss fraction-free elimination."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for i in range(rank + 1, nrows):
-            fi = m[i][col]
-            for j in range(col + 1, ncols):
-                m[i][j] = (m[i][j] * pv - fi * m[rank][j]) // prev
-            m[i][col] = 0
-        prev = pv
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank over QQ of an integer matrix (rows as dicts or sequences)."""
+    return _rank(rows, 0)
 
 
 def rank_mod_p(rows, p: int) -> int:
-    """Rank of an integer (or residue) matrix over GF(p)."""
-    m = [[int(x) % p for x in r] for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        row = m[rank]
-        for i in range(rank + 1, nrows):
-            f = m[i][col]
-            if f:
-                f = f * inv % p
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], row)]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank over GF(p) of an integer (or residue) matrix (rows as dicts or sequences)."""
+    return _rank(rows, p)
 
 
 def primitive_integers(values, p: int = 0):
@@ -92,12 +93,16 @@ def primitive_integers(values, p: int = 0):
 
 
 def rank_exact(rows, field) -> int:
-    """Rank of a matrix of field scalars (Fractions over QQ, residues over GF(p))."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    if field.characteristic() == 0:
-        return rank_int([primitive_integers(row) for row in m])
+    """Rank of a matrix of field scalars (ints or Fractions over QQ, integer
+    residues over GF(p)), rows as ``{column: scalar}`` dicts or sequences."""
     p = field.characteristic()
-    ints = [[c.v if isinstance(c, GFElement) else int(c) for c in row] for row in m]
-    return rank_mod_p(ints, p)
+    if p:
+        return _rank(rows, p)
+    return _rank([_cleared(row) for row in rows], 0)
+
+
+def _cleared(row):
+    """A rational row as primitive integers in the same columns."""
+    if isinstance(row, dict):
+        return dict(zip(row, primitive_integers(row.values())))
+    return primitive_integers(row)

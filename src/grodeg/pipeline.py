@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Tuple
@@ -251,6 +250,8 @@ def _ordered_map(fn, items, workers: int) -> list:
     """
     if workers <= 1 or not items:
         return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor  # only pools pay for the import
+
     chunk = max(1, len(items) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))

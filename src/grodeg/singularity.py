@@ -122,7 +122,7 @@ def _jacobian_rank(gens, ctx, point: ProjPoint, expected_codim: int) -> Jacobian
     matrix = []
     for g in gens:
         value = 0
-        row = [0] * ctx.n
+        row = {}  # column -> partial derivative at the point
         for m, c in g.terms:
             t = c.v if p else c
             hole = None  # the one support variable at a zero coordinate, if any
@@ -142,9 +142,9 @@ def _jacobian_rank(gens, ctx, point: ProjPoint, expected_codim: int) -> Jacobian
                     value += t
                     for k, e in enumerate(m.exps):
                         if e:
-                            row[k] += e * t * inverse[k]
+                            row[k] = row.get(k, 0) + e * t * inverse[k]
                 else:
-                    row[hole] += t
+                    row[hole] = row.get(hole, 0) + t
         if (value % p if p else value) != 0:
             on_scheme = False
         matrix.append(row)

@@ -44,6 +44,12 @@ BOWTIE = SimplicialComplex.from_facets(5, [(1, 2, 3), (3, 4, 5)])
 TWO_EDGES = SimplicialComplex.from_facets(4, [(1, 2), (3, 4)])
 
 
+def suspension(delta):
+    """Join with two new vertices: cohomology moves up one degree."""
+    n = delta.n
+    return SimplicialComplex.from_facets(n + 2, [f + (v,) for f in delta.facets for v in (n + 1, n + 2)])
+
+
 class TestValidation:
     def test_rejected_inputs(self):
         with pytest.raises(ValueError, match="at least one vertex slot"):
@@ -228,6 +234,8 @@ class TestCohomology:
         assert reduced_cohomology(RP2, QQ).dims == (0, 0, 0)
         assert reduced_cohomology(RP2, PrimeField(2)).dims == (0, 1, 1)
         assert reduced_cohomology(RP2, PrimeField(3)).dims == (0, 0, 0)
+        assert reduced_cohomology(suspension(RP2), QQ).dims == (0, 0, 0, 0)
+        assert reduced_cohomology(suspension(RP2), PrimeField(2)).dims == (0, 0, 1, 1)
 
     def test_acyclicity_and_euler(self):
         prof = reduced_cohomology(PATH, QQ)
@@ -371,3 +379,58 @@ class TestPropertyReport:
                 connected = reduced_cohomology(d, QQ).dims[0] == 0
                 assert rep.cohen_macaulay == connected
             assert rep.strongly_connected == is_strongly_connected(d)
+
+
+def ref_verdicts(delta, p):
+    """property_report's link verdicts from every link, none skipped, each
+    profile from ref_homology_dims."""
+    dims = ref_homology_dims(delta, p)
+    pure = delta.is_pure()
+    cm = not any(dims[: delta.dim])
+    buchsbaum = pure
+    normal = is_strongly_connected(delta)
+    facets = set(delta.facets)
+    for face in delta.all_faces():
+        if face in facets:
+            continue
+        lk = link(delta, face).complex
+        if any(ref_homology_dims(lk, p)[: lk.dim]):
+            cm = buchsbaum = False
+        if not is_strongly_connected(lk):
+            normal = False
+    return dims, {
+        "pure": pure,
+        "normal": normal,
+        "cohen_macaulay": cm,
+        "buchsbaum": buchsbaum,
+        "acyclic": not any(dims),
+        "negative_a_invariant_given_cm": dims[delta.dim] == 0,
+    }
+
+
+class TestCohomologyOracle:
+    """Sparse ranks and the per-report link memo against brute-force homology
+    on non-pure, ghost-vertex and torsion complexes."""
+
+    @staticmethod
+    def complexes():
+        rng = random.Random(2003)
+        out = [RP2, suspension(RP2), SimplicialComplex(7, RP2.facets)]
+        while len(out) < 33:
+            d = random_complex(rng, rng.randint(2, 7), max_facets=8)
+            if not d.is_pure() or d.ghost_vertices() or len(out) % 3 == 0:
+                out.append(d)
+        return out
+
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_cohomology_and_reports(self, p):
+        field = PrimeField(p) if p else QQ
+        kinds = set()
+        for d in self.complexes():
+            kinds.update(k for k, on in [("non-pure", not d.is_pure()), ("ghosts", d.ghost_vertices())] if on)
+            dims, verdicts = ref_verdicts(d, p)
+            assert reduced_cohomology(d, field).dims == dims, d.render()
+            rep = property_report(d, field)
+            assert rep.cohomology.dims == dims, d.render()
+            assert rep.as_dict() == dict(rep.as_dict(), **verdicts), d.render()
+        assert kinds == {"non-pure", "ghosts"}

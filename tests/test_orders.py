@@ -192,6 +192,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="not global: variable y"):
             MonomialOrder.matrix(ctx, [(1, -1), (0, -1)])
 
+    def test_matrix_rows_with_non_unit_pivots(self):
+        ctx = standard_context(("x", "y"))
+        assert MonomialOrder.matrix(ctx, [(2, 3), (4, 5)]).render() == "matrix 2,3 ; 4,5"
+        with pytest.raises(ValueError, match="not total"):
+            MonomialOrder.matrix(ctx, [(2, 4), (3, 6)])
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown order kind 'grlex'"):
             MonomialOrder("grlex", ctx_xyz(), perm=(0, 1, 2))

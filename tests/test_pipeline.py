@@ -30,6 +30,7 @@ from grodeg import (
     ideal_digest,
     initial_ideal,
     lift_search,
+    link,
     parse_polynomial,
     scan_orders,
     standard_context,
@@ -873,6 +874,12 @@ class TestAnalyzeComplex:
         assert over_f2["properties"]["negative_a_invariant_given_cm"] is False
 
 
+def distinct_links(delta):
+    """The relabelled links of the non-facet nonempty faces, each once."""
+    facets = set(delta.facets)
+    return {link(delta, f).complex for f in delta.all_faces() if f not in facets}
+
+
 def count_calls(monkeypatch, name, module="complexes"):
     """Wrap the function ``grodeg.<module>.<name>`` in every grodeg module that
     holds it; the returned list gains one entry per call."""
@@ -895,8 +902,8 @@ class TestNoWorkTwice:
     def test_analyze_complex_computes_each_cohomology_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "reduced_cohomology")
         report = analyze_complex(OCTAHEDRON)
-        non_facets = len(OCTAHEDRON.all_faces()) - len(OCTAHEDRON.facets)
-        assert len(calls) == 1 + non_facets
+        assert len(calls) == 1 + len(distinct_links(OCTAHEDRON))
+        assert len(calls) == 4  # the octahedron, two labellings of the 4-cycle, S^0
         assert [a[0] for a in calls].count(OCTAHEDRON) == 1
         assert report.as_dict()["cohomology"]["dims"] == [0, 0, 1]
 
@@ -905,7 +912,7 @@ class TestNoWorkTwice:
         ctx = ctx_xyz()
         report = analyze([P(CUBIC, ctx, MonomialOrder.lex(ctx))], MonomialOrder.lex(ctx))
         delta = report.delta
-        assert len(calls) == 1 + len(delta.all_faces()) - len(delta.facets)
+        assert len(calls) == 1 + len(distinct_links(delta))
 
     def test_lex_obstruction_runs_no_property_report(self, monkeypatch):
         calls = count_calls(monkeypatch, "property_report")
@@ -1035,3 +1042,21 @@ def test_worker_pool_answers_do_not_depend_on_the_start_method():
     method, one, two = json.loads(proc.stdout)
     assert method == "spawn"
     assert one == two
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(grodeg.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys, grodeg.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
