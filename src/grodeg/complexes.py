@@ -273,12 +273,31 @@ def is_strongly_connected(delta: SimplicialComplex) -> bool:
     return len(seen) == len(facets)
 
 
+def _relabelled_link(delta: SimplicialComplex, face: Tuple[int, ...]) -> SimplicialComplex:
+    """``link(delta, face).complex`` for a face of ``delta`` that is not a facet, unchecked.
+
+    The sets g minus face, over the facets g containing the face, are nonempty,
+    distinct and pairwise incomparable, so they are the link's facets as they
+    are. They also keep the canonical order of the g: where two facets first
+    differ, the smaller one holds a vertex the other lacks, so not a vertex of
+    the face. Relabelling is increasing, so nothing needs checking or sorting.
+    """
+    fs = set(face)
+    rests = [[v for v in g if v not in fs] for g in delta.facets if fs.issubset(g)]
+    old = sorted(set().union(*rests))
+    relabel = {v: i + 1 for i, v in enumerate(old)}
+    lk = object.__new__(SimplicialComplex)
+    object.__setattr__(lk, "n", len(old))
+    object.__setattr__(lk, "facets", tuple(tuple([relabel[v] for v in r]) for r in rests))
+    return lk
+
+
 def _links_for_reisner(delta: SimplicialComplex):
     """Relabelled links of all nonempty faces, facets excluded."""
     facets = set(delta.facets)
     for face in delta.all_faces():
         if face not in facets:  # a facet's link {()} imposes no condition
-            yield link(delta, face).complex
+            yield _relabelled_link(delta, face)
 
 
 def property_report(delta: SimplicialComplex, field: Field = QQ) -> ComplexPropertyReport:

@@ -1,16 +1,23 @@
 """Buchberger completion, reduced bases, initial ideals, and related tests.
 
 Division is deterministic: the reducer is always the first divisor in basis
-list order. Buchberger applies the coprime-lead and chain criteria and
-supports two pair-selection strategies, ``normal`` (smallest lcm degree
-first) and ``fifo``; both produce the same reduced basis, which is the
-canonical object everything downstream consumes. A degree cap (default 40)
-aborts runaway completions with ``DegreeCapExceeded``.
+list order. It runs on exponent tuples: the live terms sit in a dict keyed
+by the order's compiled key, each step removes the largest and adds the
+shifted divisor tail, and only the remainder is built as a ``Polynomial``.
+Buchberger applies the coprime-lead and chain criteria and supports two
+pair-selection strategies, ``normal`` (smallest lcm degree first) and
+``fifo``; each pair is ranked once, when it is made, and both produce the
+same reduced basis, which is the canonical object everything downstream
+consumes. A degree cap (default 40) aborts runaway completions with
+``DegreeCapExceeded``.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
+from operator import add, le, sub
 from typing import Optional, Tuple
 
 from .errors import ContextMismatchError, DegreeCapExceeded
@@ -19,28 +26,54 @@ from .linalg import primitive_integers
 from .ring import Monomial, MonomialOrder, Polynomial, RingContext
 
 
+def _split_lead(g: Polynomial, order: MonomialOrder):
+    """``((lead monomial, lead coefficient), other terms)`` of nonzero g under order."""
+    terms = g.terms
+    k = 0
+    if g.order is not order and g.order != order:
+        key = order.exps_key
+        k = max(range(len(terms)), key=lambda t: key(terms[t][0].exps))
+    return terms[k], terms[:k] + terms[k + 1 :]
+
+
 def normal_form(f: Polynomial, basis, order: Optional[MonomialOrder] = None) -> Polynomial:
-    """Remainder of f under multivariate division by the listed polynomials."""
+    """Remainder of f under multivariate division by the listed polynomials.
+
+    The live terms sit in a dict keyed by their order key, so each step takes
+    the largest key and adds the shifted divisor tail term by term; only the
+    remainder becomes a ``Polynomial``.
+    """
     order = order or f.order
+    key = order.exps_key
+    ctx = f.ctx
     reducers = []
     for g in basis:
-        if g.ctx != f.ctx:
+        if g.ctx is not ctx and g.ctx != ctx:
             raise ContextMismatchError("divisor over a different ring context")
-        if not g.is_zero():
-            g = g.with_order(order)
-            reducers.append((g.leading_monomial(), g.leading_coefficient(), g))
-    p = f.with_order(order)
+        if g.terms:
+            (lm, lc), tail = _split_lead(g, order)
+            reducers.append((lm.exps, lc, tail))
+    live = {key(m.exps): (m.exps, c) for m, c in f.terms}
     remainder = []
-    while not p.is_zero():
-        lm, lc = p.leading_term()
-        for gm, gc, g in reducers:
-            if gm.divides(lm):
-                p = p - g.times_term(lm.divide(gm), lc / gc)
+    while live:
+        e, c = live.pop(max(live))
+        for ge, gc, tail in reducers:
+            if all(map(le, ge, e)):
+                q = tuple(map(sub, e, ge))
+                s = -c / gc
+                for m, tc in tail:
+                    te = tuple(map(add, m.exps, q))
+                    k = key(te)
+                    old = live.get(k)
+                    v = s * tc if old is None else old[1] + s * tc
+                    if v:
+                        live[k] = (te, v)
+                    else:
+                        del live[k]
                 break
         else:
-            remainder.append((lm, lc))
-            p = p.drop_leading()
-    return Polynomial._make(f.ctx, order, remainder)
+            remainder.append((Monomial(e), c))
+    return Polynomial._make(ctx, order, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -48,11 +81,20 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.ctx != g.ctx:
         raise ContextMismatchError("S-polynomial of polynomials over different contexts")
     order = f.order
-    fm = f.with_order(order).monic()
-    gm = g.with_order(order).monic()
-    lf, lg = fm.leading_monomial(), gm.leading_monomial()
-    l = lf.lcm(lg)
-    return fm.times_term(l.divide(lf), 1) - gm.times_term(l.divide(lg), 1)
+    one = f.ctx.field.one
+    (lf, cf), tf = _split_lead(f, order)
+    (lg, cg), tg = _split_lead(g, order)
+    l = tuple(map(max, lf.exps, lg.exps))
+    acc = {}
+    # the monic leads cancel; the tails are shifted up to the lcm and subtracted
+    for lead, c0, tail in ((lf, one / cf, tf), (lg, -one / cg, tg)):
+        q = tuple(map(sub, l, lead.exps))
+        for m, c in tail:
+            e = tuple(map(add, m.exps, q))
+            acc[e] = acc[e] + c * c0 if e in acc else c * c0
+    key = order.exps_key
+    kept = sorted(((e, c) for e, c in acc.items() if c), key=lambda ec: key(ec[0]), reverse=True)
+    return Polynomial._make(f.ctx, order, [(Monomial(e), c) for e, c in kept])
 
 
 @dataclass(frozen=True)
@@ -116,47 +158,47 @@ def _pair_key(a: int, b: int):
 
 
 def buchberger(gens, order: MonomialOrder, *, degree_cap: int = 40, strategy: str = "normal") -> GroebnerBasis:
-    """Complete the generators to the reduced Groebner basis under order."""
+    """Complete the generators to the reduced Groebner basis under order.
+
+    Each pair is ranked once, when it is made, and waits in a heap: ``normal``
+    ranks by (lcm degree, lcm key), ``fifo`` by creation; ties go by index.
+    """
     if strategy not in ("normal", "fifo"):
         raise ValueError(f"unknown strategy {strategy!r}")
     ctx = order.ctx
-    basis = []
+    grading = ctx.grading
+    key = order.sort_key
+    made = itertools.count()
+    basis, leads = [], []
+    pending = []  # heap of (rank, i, j, lcm of the leads), i < j
+    processed = set()
+
+    def add(g):
+        t = len(basis)
+        lt = g.leading_monomial()
+        basis.append(g)
+        leads.append(lt)
+        for k in range(t):
+            l = leads[k].lcm(lt)
+            rank = next(made) if strategy == "fifo" else (l.graded_degree(grading), key(l))
+            heapq.heappush(pending, (rank, k, t, l))
+
     for g in gens:
         if g.ctx != ctx:
             raise ContextMismatchError("generator over a different ring context")
         if not g.is_zero():
-            basis.append(g.with_order(order).monic())
+            add(g.with_order(order).monic())
     if not basis:
         return GroebnerBasis((), order, ctx)
 
-    grading = ctx.grading
-    pending = [(i, j) for j in range(len(basis)) for i in range(j)]
-    processed = set()
-
-    def lead(k):
-        return basis[k].leading_monomial()
-
     while pending:
-        if strategy == "fifo":
-            i, j = pending.pop(0)
-        else:
-            best_at = 0
-            best_key = None
-            for idx, (a, b) in enumerate(pending):
-                l = lead(a).lcm(lead(b))
-                key = (l.graded_degree(grading), order.sort_key(l), a, b)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_at = idx
-            i, j = pending.pop(best_at)
-        processed.add(_pair_key(i, j))
-        li, lj = lead(i), lead(j)
-        if li.gcd_is_one(lj):
+        _, i, j, l = heapq.heappop(pending)
+        processed.add((i, j))
+        if leads[i].gcd_is_one(leads[j]):
             continue
-        l = li.lcm(lj)
         if any(
             k != i and k != j
-            and lead(k).divides(l)
+            and leads[k].divides(l)
             and _pair_key(i, k) in processed
             and _pair_key(j, k) in processed
             for k in range(len(basis))
@@ -173,9 +215,7 @@ def buchberger(gens, order: MonomialOrder, *, degree_cap: int = 40, strategy: st
             raise DegreeCapExceeded(
                 f"new basis element degree {r.graded_degree()} exceeds cap {degree_cap}"
             )
-        basis.append(r.monic())
-        t = len(basis) - 1
-        pending.extend((k, t) for k in range(t))
+        add(r.monic())
 
     return GroebnerBasis(_reduce_basis(basis, order), order, ctx)
 

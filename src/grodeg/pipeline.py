@@ -266,10 +266,10 @@ _FAMILIES = {
 
 def _keeps_marking(B: GroebnerBasis, order: MonomialOrder) -> bool:
     """Whether every element of ``B`` still has its marked leading monomial under ``order``."""
-    key = order.sort_key
+    key = order.exps_key
     for g in B.polys:
-        lead = key(g.terms[0][0])
-        if any(key(m) > lead for m, _ in g.terms[1:]):
+        lead = key(g.terms[0][0].exps)
+        if any(key(m.exps) > lead for m, _ in g.terms[1:]):
             return False
     return True
 
@@ -365,10 +365,18 @@ def _monomials_of_degree(n: int, d: int):
 
 
 def _build_lift(order, targets, slots, coeffs, assignment):
-    terms = [[(t, 1)] for t in targets]
+    """The candidate's polynomials: each target with coefficient 1, then its nonzero tails.
+
+    ``slots`` lists each target's tails in decreasing order, all below it, and
+    ``coeffs`` are field elements, so the terms are already in canonical form.
+    """
+    one = order.ctx.field.one
+    terms = [[(t, one)] for t in targets]
     for (ti, m), choice in zip(slots, assignment):
-        terms[ti].append((m, coeffs[choice]))
-    return [Polynomial(order.ctx, order, ts) for ts in terms]
+        c = coeffs[choice]
+        if c:
+            terms[ti].append((m, c))
+    return [Polynomial._make(order.ctx, order, ts) for ts in terms]
 
 
 def _valid_lift(order, targets, slots, coeffs, assignment) -> Optional[List[Polynomial]]:

@@ -3,15 +3,18 @@
 A ``RingContext`` fixes variable names, a positive grading, and a coefficient
 field. Monomials are bare exponent vectors; orders are first-class values
 (permutation lex / degrevlex, weighted, matrix) validated at construction to
-be total, multiplicative, and global. Polynomials keep their term lists
-sorted strictly descending under an attached order; changing the order is an
-explicit conversion.
+be total, multiplicative, and global. Each order compiles its sort key once,
+at construction, into one function on exponent tuples (``exps_key``), so a
+comparison costs one call with no dispatch on the kind. Polynomials keep
+their term lists sorted strictly descending under an attached order;
+changing the order is an explicit conversion.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter, le, mul, neg
 from typing import Iterable, Optional, Tuple
 
 from .errors import ContextMismatchError, ParseError
@@ -113,7 +116,7 @@ class Monomial:
         return Monomial(out)
 
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+        return all(map(le, self.exps, other.exps))
 
     def divide(self, other: "Monomial") -> "Monomial":
         """Quotient self / other; other must divide self."""
@@ -122,10 +125,10 @@ class Monomial:
         return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
+        return Monomial(tuple(map(max, self.exps, other.exps)))
 
     def gcd_is_one(self, other: "Monomial") -> bool:
-        return all(a == 0 or b == 0 for a, b in zip(self.exps, other.exps))
+        return not any(map(mul, self.exps, other.exps))
 
     def support(self) -> Tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.exps) if e > 0)
@@ -137,15 +140,27 @@ class Monomial:
         return all(e == 0 for e in self.exps)
 
 
+def _picker(idx):
+    """``e -> tuple(e[i] for i in idx)`` as one C call (the identity needs no copy)."""
+    if idx == tuple(range(len(idx))):
+        return tuple
+    return itemgetter(*idx)
+
+
 class MonomialOrder:
     """A total, multiplicative, global monomial order over a fixed context.
 
     Kinds: ``lex`` and ``degrevlex`` (permutation based), ``weighted``
     (nonnegative weight rows, lex tiebreak), ``matrix`` (integer rows,
     validated injective and global). Bigger sort key means bigger monomial.
+
+    The key is compiled once, when the order is built: ``exps_key`` maps a
+    bare exponent tuple to its key with no branching on the kind, and
+    ``sort_key`` applies it to a ``Monomial``. Pickling rebuilds the order
+    from its kind, context, permutation and rows.
     """
 
-    __slots__ = ("kind", "ctx", "perm", "rows")
+    __slots__ = ("kind", "ctx", "perm", "rows", "exps_key")
 
     def __init__(self, kind, ctx, perm=None, rows=None):
         self.kind = kind
@@ -153,6 +168,10 @@ class MonomialOrder:
         self.perm = perm
         self.rows = rows
         self._validate()
+        self.exps_key = self._compile()
+
+    def __reduce__(self):
+        return (MonomialOrder, (self.kind, self.ctx, self.perm, self.rows))
 
     @classmethod
     def lex(cls, ctx: RingContext, perm=None) -> "MonomialOrder":
@@ -200,20 +219,23 @@ class MonomialOrder:
         if any(len(row) != n for row in self.rows):
             raise ValueError("weight row length must match variable count")
 
-    def sort_key(self, m: Monomial):
-        e = m.exps
+    def _compile(self):
+        """The key on exponent tuples: one closure per kind, chosen here and not per call."""
         if self.kind == "lex":
-            return tuple(e[i] for i in self.perm)
+            return _picker(self.perm)
         if self.kind == "degrevlex":
+            backwards = _picker(self.perm[::-1])
             g = self.ctx.grading
-            key = [sum(e[i] * g[i] for i in range(len(e)))]
-            key.extend(-e[i] for i in reversed(self.perm))
-            return tuple(key)
+            if all(w == 1 for w in g):
+                return lambda e: (sum(e), *map(neg, backwards(e)))
+            return lambda e: (sum(map(mul, g, e)), *map(neg, backwards(e)))
+        rows = self.rows
         if self.kind == "weighted":
-            return tuple(
-                sum(w * x for w, x in zip(row, e)) for row in self.rows
-            ) + tuple(e)
-        return tuple(sum(w * x for w, x in zip(row, e)) for row in self.rows)
+            return lambda e: (*[sum(map(mul, r, e)) for r in rows], *e)
+        return lambda e: tuple([sum(map(mul, r, e)) for r in rows])
+
+    def sort_key(self, m: Monomial):
+        return self.exps_key(m.exps)
 
     def compare(self, a: Monomial, b: Monomial) -> int:
         ka, kb = self.sort_key(a), self.sort_key(b)
@@ -271,8 +293,9 @@ class Polynomial:
                 combined[mono] = combined[mono] + coeff
             else:
                 combined[mono] = coeff
+        key = order.exps_key
         kept = [(m, c) for m, c in combined.items() if c != zero]
-        kept.sort(key=lambda mc: order.sort_key(mc[0]), reverse=True)
+        kept.sort(key=lambda mc: key(mc[0].exps), reverse=True)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "terms", tuple(kept))
@@ -373,8 +396,9 @@ class Polynomial:
                     acc[m] = acc[m] + c
                 else:
                     acc[m] = c
+        key = self.order.exps_key
         kept = [(m, c) for m, c in acc.items() if c != zero]
-        kept.sort(key=lambda mc: self.order.sort_key(mc[0]), reverse=True)
+        kept.sort(key=lambda mc: key(mc[0].exps), reverse=True)
         return self._make(self.ctx, self.order, kept)
 
     __rmul__ = __mul__
@@ -444,7 +468,7 @@ class Polynomial:
         return total
 
     def with_order(self, order: MonomialOrder) -> "Polynomial":
-        if order == self.order:
+        if order is self.order or order == self.order:
             return self
         return Polynomial(self.ctx, order, self.terms)
 

@@ -20,6 +20,8 @@ from grodeg import (
     to_ideal,
 )
 
+from grodeg import complexes
+
 from conftest import ctx_n, ctx_xyz, random_complex, ref_homology_dims
 
 
@@ -133,6 +135,23 @@ class TestLink:
             link(OCTAHEDRON, (1, 4))
         with pytest.raises(ValueError, match=r"link of a facet is the empty complex"):
             link(TRIANGLE, (1, 2))
+
+
+    def test_report_links_match_checked_links(self):
+        """The unchecked links ``property_report`` uses equal the public ``link``."""
+        rng = random.Random(2011)
+        samples = [TRIANGLE, OCTAHEDRON, RP2, SimplicialComplex(7, RP2.facets)]
+        samples += [random_complex(rng, rng.randint(1, 8), max_facets=8) for _ in range(80)]
+        kinds = set()
+        for d in samples:
+            kinds.update(k for k, on in [("non-pure", not d.is_pure()), ("ghosts", d.ghost_vertices())] if on)
+            facets = set(d.facets)
+            faces = [f for f in d.all_faces() if f not in facets]
+            got = list(complexes._links_for_reisner(d))
+            assert got == [link(d, f).complex for f in faces], d.render()
+            for lk in got:
+                assert SimplicialComplex(lk.n, lk.facets) == lk  # passes every check
+        assert kinds == {"non-pure", "ghosts"}
 
 
 class TestIdealDictionary:

@@ -15,6 +15,7 @@ from grodeg import (
     MonomialOrder,
     Polynomial,
     PrimeField,
+    QQ,
     buchberger,
     cone_point_certificate,
     ideal_membership,
@@ -28,11 +29,15 @@ from grodeg import (
     to_ideal,
 )
 
+import grodeg.groebner as groebner_module
+
 from conftest import (
+    _ref_reduce,
     ctx_n,
     ctx_xyz,
     random_complex,
     random_path_reduce,
+    random_monomial,
     random_poly,
     ref_initial_monomials,
 )
@@ -99,6 +104,75 @@ class TestNormalForm:
             r = normal_form(f, divisors)
             for m, _ in r.terms:
                 assert not any(d.leading_monomial().divides(m) for d in divisors)
+
+
+def division_orders(ctx):
+    """Every order kind on three variables, some with shuffled permutations."""
+    return [
+        MonomialOrder.lex(ctx),
+        MonomialOrder.lex(ctx, perm=(2, 0, 1)),
+        MonomialOrder.degrevlex(ctx),
+        MonomialOrder.degrevlex(ctx, perm=(1, 2, 0)),
+        MonomialOrder.weighted(ctx, [(1, 2, 1)]),
+        MonomialOrder.matrix(ctx, [(1, 1, 1), (0, 0, -1), (0, -1, 0)]),
+    ]
+
+
+def ref_normal_form(f, divisors, order):
+    """The first-divisor division of ``conftest``, on inputs converted to ``order``."""
+    nonzero = [g.with_order(order) for g in divisors if not g.is_zero()]
+    return _ref_reduce(f.with_order(order), nonzero)
+
+
+class TestDivisionOracle:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
+    def test_matches_first_divisor_reference(self, field):
+        """Divisor lists that are not Groebner bases, so the remainder depends on
+        which divisor acts first; inputs often carry an order other than the one
+        dividing, and some divisors are zero."""
+        rng = random.Random(59 + field.characteristic())
+        ctx = ctx_xyz(field)
+        orders = division_orders(ctx)
+        list_order_matters = cancelled = 0
+        for trial in range(200):
+            order = orders[trial % len(orders)]
+            divisors = [
+                random_poly(rng, ctx, rng.choice(orders), 3, 2) for _ in range(rng.randint(2, 3))
+            ]
+            if trial % 4 == 0:
+                divisors.insert(rng.randrange(len(divisors) + 1), Polynomial.zero(ctx, order))
+            f = random_poly(rng, ctx, rng.choice(orders), 6, 4)
+            first = divisors[0]
+            if trial % 5 == 0 and not first.is_zero():
+                # a multiple of the first divisor cancels completely in one step
+                f = first.times_term(random_monomial(rng, ctx.n, 2), rng.choice([1, 2]))
+            got = normal_form(f, divisors, order)
+            want = ref_normal_form(f, divisors, order)
+            assert got.order == order and got.terms == want.terms, (f, divisors, order)
+            if trial % 5 == 0 and not first.is_zero():
+                assert got.is_zero()
+                cancelled += 1
+            if got != normal_form(f, divisors[::-1], order):
+                list_order_matters += 1
+        assert cancelled >= 20
+        assert list_order_matters >= 10
+
+    def test_s_polynomial_matches_generic_arithmetic(self):
+        rng = random.Random(67)
+        for field in (QQ, PrimeField(2), PrimeField(3)):
+            ctx = ctx_xyz(field)
+            orders = division_orders(ctx)
+            for trial in range(60):
+                f = random_poly(rng, ctx, orders[trial % len(orders)], 4, 3)
+                g = random_poly(rng, ctx, rng.choice(orders), 4, 3)
+                if f.is_zero() or g.is_zero():
+                    continue
+                fm, gm = f.monic(), g.with_order(f.order).monic()
+                lf, lg = fm.leading_monomial(), gm.leading_monomial()
+                l = lf.lcm(lg)
+                want = fm.times_term(l.divide(lf), 1) - gm.times_term(l.divide(lg), 1)
+                got = s_polynomial(f, g)
+                assert got.order == f.order and got.terms == want.terms
 
 
 class TestSPolynomial:
@@ -290,6 +364,42 @@ class TestBuchbergerProperties:
         with pytest.raises(DegreeCapExceeded):
             buchberger(gens, lex, degree_cap=4)
         assert buchberger(gens, lex, degree_cap=5).polys == buchberger(gens, lex).polys
+
+    def test_each_pair_is_ranked_once(self, minors, twisted, monkeypatch):
+        """One lcm per pair made, not one per pending pair at every selection."""
+        lcms = []
+        real_lcm = Monomial.lcm
+        monkeypatch.setattr(Monomial, "lcm", lambda a, b: lcms.append(1) or real_lcm(a, b))
+        s_polys, grown = [], []
+        real_s, real_nf = groebner_module.s_polynomial, groebner_module.normal_form
+
+        def s_spy(f, g):
+            s_polys.append(real_s(f, g))
+            return s_polys[-1]
+
+        def nf_spy(f, basis, order=None):
+            r = real_nf(f, basis, order)
+            if any(f is s for s in s_polys) and not r.is_zero():
+                grown.append(r)
+            return r
+
+        monkeypatch.setattr(groebner_module, "s_polynomial", s_spy)
+        monkeypatch.setattr(groebner_module, "normal_form", nf_spy)
+        rng = random.Random(71)
+        most_grown = 0
+        for ctx, _, gens, _ in (minors, twisted):
+            for _ in range(12):
+                perm = list(range(ctx.n))
+                rng.shuffle(perm)
+                kind = rng.choice(["lex", "degrevlex"])
+                for strategy in ("normal", "fifo"):
+                    lcms.clear()
+                    grown.clear()
+                    buchberger(gens, MonomialOrder(kind, ctx, perm=tuple(perm)), strategy=strategy)
+                    t = len(gens) + len(grown)
+                    assert len(lcms) == t * (t - 1) // 2
+                    most_grown = max(most_grown, len(grown))
+        assert most_grown >= 2  # some runs add S-remainders to the basis
 
     def test_unknown_strategy(self, twisted):
         ctx, lex, gens, _ = twisted

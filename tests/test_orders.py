@@ -5,9 +5,16 @@ import random
 
 import pytest
 
-from grodeg import Monomial, MonomialOrder, standard_context
+from grodeg import Monomial, MonomialOrder, buchberger, standard_context
 
-from conftest import ctx_n, ctx_xyz, random_monomial, ref_degrevlex_cmp, ref_lex_cmp
+from conftest import (
+    ctx_n,
+    ctx_xyz,
+    random_monomial,
+    random_poly,
+    ref_degrevlex_cmp,
+    ref_lex_cmp,
+)
 
 
 def mono(ctx, **exps):
@@ -235,3 +242,81 @@ class TestAccessorsAndRender:
         assert back == a
         m = random_monomial(random.Random(1), 3, 4)
         assert back.sort_key(m) == a.sort_key(m)
+
+        # every kind, with the compiled key rebuilt on the far side of a pickle,
+        # also when the order travels inside a polynomial or a basis
+        rng = random.Random(2)
+        for ctx, order in every_kind():
+            f = random_poly(rng, ctx, order, 5, 4)
+            B = buchberger([f], order)
+            back_order = pickle.loads(pickle.dumps(order))
+            back_f = pickle.loads(pickle.dumps(f))
+            back_B = pickle.loads(pickle.dumps(B))
+            assert back_order == order and back_f.order == order and back_B.order == order
+            assert back_f.terms == f.terms and back_B.polys == B.polys
+            for _ in range(20):
+                m = random_monomial(rng, ctx.n, 5)
+                key = order.sort_key(m)
+                assert back_order.sort_key(m) == key
+                assert back_f.order.sort_key(m) == key
+                assert back_B.order.sort_key(m) == key
+                assert all(g.order.sort_key(m) == key for g in back_B.polys)
+
+
+def every_kind():
+    """(context, order) for each kind, on one variable and on several, with a
+    non-standard grading for degrevlex."""
+    one = standard_context(("x",))
+    graded_one = standard_context(("x",), grading=(3,))
+    four = ctx_n(4)
+    graded = standard_context(("a", "b", "c", "d"), grading=(1, 3, 2, 1))
+    return [
+        (one, MonomialOrder.lex(one)),
+        (one, MonomialOrder.degrevlex(one)),
+        (graded_one, MonomialOrder.degrevlex(graded_one)),
+        (one, MonomialOrder.weighted(one, [(2,)])),
+        (one, MonomialOrder.matrix(one, [(5,)])),
+        (four, MonomialOrder.lex(four)),
+        (four, MonomialOrder.lex(four, perm=(2, 0, 3, 1))),
+        (four, MonomialOrder.degrevlex(four)),
+        (four, MonomialOrder.degrevlex(four, perm=(3, 1, 0, 2))),
+        (graded, MonomialOrder.degrevlex(graded)),
+        (graded, MonomialOrder.degrevlex(graded, perm=(1, 3, 2, 0))),
+        (four, MonomialOrder.weighted(four, [(0, 2, 1, 0), (1, 0, 0, 3)])),
+        (four, MonomialOrder.matrix(four, [(1, 1, 1, 1), (0, 0, 0, -1), (0, 0, -1, 0), (0, -1, 0, 0)])),
+        (four, MonomialOrder.matrix(four, [(2, 3, 1, 1), (1, 0, 0, 0), (0, 1, -1, 0), (0, 0, 1, -2)])),
+    ]
+
+
+def ref_rows_cmp(a, b, rows, tiebreak):
+    """Compare the row dot products in turn, then (weighted) the raw exponents."""
+    for row in rows:
+        da = sum(w * x for w, x in zip(row, a))
+        db = sum(w * x for w, x in zip(row, b))
+        if da != db:
+            return 1 if da > db else -1
+    if tiebreak:
+        return ref_lex_cmp(a, b, range(len(a)))
+    return 0
+
+
+def ref_cmp(order, a, b):
+    if order.kind == "lex":
+        return ref_lex_cmp(a, b, order.perm)
+    if order.kind == "degrevlex":
+        return ref_degrevlex_cmp(a, b, order.perm, order.ctx.grading)
+    return ref_rows_cmp(a, b, order.rows, order.kind == "weighted")
+
+
+class TestCompiledKeys:
+    def test_every_kind_matches_its_definition(self):
+        rng = random.Random(29)
+        for ctx, order in every_kind():
+            monos = [random_monomial(rng, ctx.n, 6) for _ in range(120)]
+            monos.append(Monomial.one(ctx.n))
+            for a, b in zip(monos, reversed(monos)):
+                want = ref_cmp(order, a.exps, b.exps)
+                assert order.compare(a, b) == want, (order, a, b)
+                ka, kb = order.sort_key(a), order.sort_key(b)
+                assert (ka > kb) - (ka < kb) == want
+                assert order.exps_key(a.exps) == ka

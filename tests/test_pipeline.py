@@ -682,6 +682,27 @@ class TestLiftOracle:
         assert len(res.lifts) == valid
         assert {lift.polys for lift in res.lifts} == set(expected)
 
+    @pytest.mark.parametrize(
+        "field,pool", [(PrimeField(3), (0, 1, 2)), (QQ, (2, 0, -1))], ids=["GF(3)", "QQ"]
+    )
+    def test_candidates_are_built_in_canonical_form(self, field, pool, monkeypatch):
+        """The trusted construction gives exactly the terms ``Polynomial`` would."""
+        built = []
+        original = pipeline._build_lift
+
+        def recording(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(pipeline, "_build_lift", recording)
+        drl = MonomialOrder.degrevlex(ctx_n(4, field))
+        res = lift_search(self.STAR, drl, pool=pool, budget=243)
+        assert res.exhaustive and len(built) == 243
+        assert all(g.order is drl and g.ctx is drl.ctx for polys in built for g in polys)
+        got = {tuple(g.terms for g in polys) for polys in built}
+        want = {tuple(g.terms for g in polys) for polys in lift_candidates(self.STAR, drl, pool)}
+        assert len(got) == 243 and got == want
+
     def test_sampled_five_cycle_has_no_valid_lift(self, monkeypatch):
         built = []
         original = pipeline._build_lift
