@@ -12,6 +12,11 @@ Four entry points:
 * ``count_points``: exact point counts of a plane curve over GF(p), with the
   trace and supersingularity flags when the curve is a smooth cubic.
 
+The coordinate-point Jacobians of ``analyze`` and ``lift_search`` come from
+one pass over each generator's terms that fills all n points at once
+(``_coordinate_points``); ``singularity.jacobian_rank_at`` serves any other
+point and is the reference the tests hold that pass to.
+
 Everything is deterministic: sampling is seeded, parallel runs pre-generate
 their work lists so worker count never changes the answer.
 """
@@ -37,7 +42,7 @@ from .errors import ScanBoundExceeded
 from .fields import Field, QQ, is_prime
 from .groebner import GroebnerBasis, MonomialIdeal, buchberger, initial_ideal
 from .groebner import normal_form, s_polynomial
-from .linalg import primitive_integers
+from .linalg import primitive_integers, rank_int, rank_mod_p
 from .ring import Monomial, MonomialOrder, Polynomial, RingContext
 from .singularity import (
     JacobianAnalysis,
@@ -45,11 +50,12 @@ from .singularity import (
     ProjPoint,
     SupportViolation,
     _checked_generators,
-    _jacobian_rank,
+    _classified,
+    _excluded_tails,
+    _exclusion_table,
     ci_obstruction,
     leafless_obstruction,
     lex_obstruction,
-    support_exclusions,
 )
 
 SCAN_VARIABLE_BOUND = 8
@@ -83,16 +89,52 @@ def _cohomology_dict(coh: CohomologyProfile) -> dict:
     }
 
 
-def _coordinate_points(gens, ctx: RingContext, delta: SimplicialComplex):
-    """Jacobian verdicts at every coordinate point, against the codimension of ``delta``.
+def _unit_points(ctx: RingContext) -> Tuple[ProjPoint, ...]:
+    """The coordinate points e_1, ..., e_n of the ring's projective space."""
+    return tuple(ProjPoint.coordinate(ctx.field, ctx.n, i) for i in range(ctx.n))
 
-    The generators are checked once, not once per point.
+
+def _coordinate_points(gens, units, codim: int) -> Tuple[JacobianAnalysis, ...]:
+    """Jacobian verdicts at every coordinate point (``units``, from
+    ``_unit_points``) against ``codim``, all from one pass over each generator's terms.
+
+    The generators have positive degree in the standard grading. At e_i a term
+    c*x^e of degree d is nonzero only when x^e = x_i^d, and its partials are
+    nonzero only when x^e = x_i^d (d*c in column i) or x^e = x_i^(d-1)*x_j (c in
+    column j). A linear term c*x_j is both at every point: it puts c in column j
+    of every row. Each generator is checked once and its coefficients read as
+    integers (primitive over QQ, residues over GF(p)); each point's matrix goes
+    to ``rank_int``/``rank_mod_p``. The result is ``jacobian_rank_at`` at each e_i.
     """
-    gens, _ = _checked_generators(gens)
-    codim = (ctx.n - 1) - delta.dim
+    gens, ctx = _checked_generators(gens)
+    n, p = ctx.n, ctx.field.characteristic()
+    off = [False] * n  # off[i]: some generator does not vanish at e_i
+    per_gen = []  # per generator, its Jacobian row at each point
+    for g in gens:
+        rows = [{} for _ in range(n)]
+        d = sum(g.terms[0][0].exps) if g.terms else 0
+        hits = [(m.exps, c) for m, c in g.terms if max(m.exps) >= d - 1]
+        ints = [c.v for _, c in hits] if p else primitive_integers([c for _, c in hits])
+        for (e, _), c in zip(hits, ints):
+            if d == 1:
+                j = e.index(1)
+                off[j] = True
+                for row in rows:
+                    row[j] = c
+            elif d in e:  # a nonzero value at e_i
+                i = e.index(d)
+                off[i] = True
+                rows[i][i] = d * c
+            else:
+                i = e.index(d - 1)
+                j = e.index(1, i + 1) if d == 2 else e.index(1)
+                rows[i][j] = c
+                if d == 2:  # x_i*x_j is also x_j^(d-1)*x_i
+                    rows[j][i] = c
+        per_gen.append(rows)
     return tuple(
-        _jacobian_rank(gens, ctx, ProjPoint.coordinate(ctx.field, ctx.n, i), codim)
-        for i in range(ctx.n)
+        _classified(point, not off[i], rank_mod_p(m, p) if p else rank_int(m), codim)
+        for i, (point, m) in enumerate(zip(units, zip(*per_gen)))
     )
 
 
@@ -228,7 +270,7 @@ def _degeneration_report(gens, order: MonomialOrder, B: GroebnerBasis, producing
     points: Tuple[JacobianAnalysis, ...] = ()
     obstructions: List[ObstructionVerdict] = []
     if standard and B.polys:
-        points = _coordinate_points(B, ctx, delta)
+        points = _coordinate_points(B, _unit_points(ctx), (ctx.n - 1) - delta.dim)
         obstructions.append(ci_obstruction(B))
         if delta.dim == 1 and not delta.ghost_vertices():
             obstructions.append(leafless_obstruction(B, delta))
@@ -414,6 +456,26 @@ class ValidLift:
         }
 
 
+def _lift_of(order, targets, slots, coeffs, units, codim, table, assignment) -> Optional[ValidLift]:
+    """The finished ``ValidLift`` of one assignment, or None when it is not valid.
+
+    ``units`` and ``codim`` are the search's coordinate points and expected
+    codimension, ``table`` its support-exclusion table (None outside the
+    one-dimensional setting).
+    """
+    polys = _valid_lift(order, targets, slots, coeffs, assignment)
+    if polys is None:
+        return None
+    if not polys:
+        return ValidLift((), (), ())
+    violations: Tuple[SupportViolation, ...] = ()
+    if table is not None:
+        # valid: the monic candidates, by decreasing lead, are the reduced basis
+        basis = sorted(polys, key=lambda g: order.sort_key(g.leading_monomial()), reverse=True)
+        violations = tuple(_excluded_tails(basis, table))
+    return ValidLift(tuple(polys), _coordinate_points(polys, units, codim), violations)
+
+
 @dataclass(frozen=True)
 class LiftSearchResult:
     delta: SimplicialComplex
@@ -482,6 +544,9 @@ def lift_search(
     reduces to zero against it (Buchberger's criterion), so it is already the
     reduced basis. Valid lifts get Jacobian verdicts at all coordinate points,
     plus the tail-support exclusion checks in the one-dimensional setting.
+    The coordinate points and the exclusion table are built once per search;
+    each worker (``workers`` > 1) returns finished ``ValidLift``s, so the
+    Jacobians and the support scan are spread with the validity checks.
     """
     ctx = order.ctx
     if ctx.n != delta.n:
@@ -523,22 +588,13 @@ def lift_search(
         draws = [tuple(rng.randrange(len(coeffs)) for _ in slots) for _ in range(budget)]
     assignments = list(dict.fromkeys(draws))
 
-    run = partial(_valid_lift, order, targets, slots, coeffs)
-    checked = _ordered_map(run, assignments, workers)
-
-    lifts = []
-    check_supports = delta.dim == 1 and not delta.ghost_vertices()
-    for polys in checked:
-        if polys is None:
-            continue
-        points = _coordinate_points(polys, ctx, delta) if polys else ()
-        violations: Tuple[SupportViolation, ...] = ()
-        if check_supports and polys:
-            # valid: the monic candidates, by decreasing lead, are the reduced basis
-            basis = sorted(polys, key=lambda g: order.sort_key(g.leading_monomial()), reverse=True)
-            B = GroebnerBasis(tuple(basis), order, ctx)
-            violations = tuple(support_exclusions(B, delta))
-        lifts.append(ValidLift(tuple(polys), points, violations))
+    units = _unit_points(ctx)
+    codim = (ctx.n - 1) - delta.dim
+    table = None
+    if delta.dim == 1 and not delta.ghost_vertices():
+        table = _exclusion_table(order, delta, targets, M)
+    run = partial(_lift_of, order, targets, slots, coeffs, units, codim, table)
+    lifts = [lift for lift in _ordered_map(run, assignments, workers) if lift is not None]
 
     return LiftSearchResult(
         delta, order, tuple(coeffs), budget, seed, exhaustive, space,

@@ -11,6 +11,12 @@ reduced Groebner bases produced upstream. The three certificates:
   rank at most n-3 < n-2, again for every lift.
 - ``lex_obstruction``: purely combinatorial; if every vertex has more link
   vertices than dim of the complex, no lex order admits a smooth lift.
+
+``jacobian_rank_at`` takes any point. ``support_exclusions`` is two parts: a
+table from each leading monomial to its forbidden tails, built after the
+setting is checked (``_exclusion_table``), and a scan of one basis against it
+(``_excluded_tails``). The table depends only on the order, the complex and
+the leading monomials, so a lift search builds it once for all its lifts.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .complexes import SimplicialComplex, to_ideal
 from .errors import ContextMismatchError
-from .groebner import GroebnerBasis, initial_ideal
+from .groebner import GroebnerBasis, MonomialIdeal, initial_ideal
 from .linalg import rank_exact
 from .ring import Monomial, Polynomial
 
@@ -148,7 +154,11 @@ def _jacobian_rank(gens, ctx, point: ProjPoint, expected_codim: int) -> Jacobian
         if (value % p if p else value) != 0:
             on_scheme = False
         matrix.append(row)
-    rank = rank_exact(matrix, ctx.field)
+    return _classified(point, on_scheme, rank_exact(matrix, ctx.field), expected_codim)
+
+
+def _classified(point: ProjPoint, on_scheme: bool, rank: int, expected_codim: int) -> JacobianAnalysis:
+    """The verdict at a point from its membership and Jacobian rank."""
     if not on_scheme:
         verdict = "off_scheme"
     elif rank < expected_codim:
@@ -247,20 +257,25 @@ class SupportViolation:
         return {"rule": self.rule, "generator": self.generator, "monomial": self.monomial}
 
 
-def _check_dim1_setting(B: GroebnerBasis, delta: SimplicialComplex):
-    _require_standard_grading(B.ctx)
-    if B.ctx.n != delta.n:
+def _check_dim1_setting(ctx, delta: SimplicialComplex, leads, nonfaces: Optional[MonomialIdeal] = None):
+    """Reject anything but bases with leading monomials ``leads`` over a
+    one-dimensional complex without ghost vertices whose non-face ideal they
+    generate. ``nonfaces`` is that ideal when the caller already has it."""
+    _require_standard_grading(ctx)
+    if ctx.n != delta.n:
         raise ValueError("complex and ring have different vertex counts")
     if delta.dim != 1:
         raise ValueError("this certificate is for one-dimensional complexes")
     if delta.ghost_vertices():
         raise ValueError("ghost vertices present (the ideal contains linear forms)")
-    if not initial_ideal(B).same_monomials(to_ideal(delta, B.ctx)):
+    if nonfaces is None:
+        nonfaces = to_ideal(delta, ctx)
+    if not MonomialIdeal.from_monomials(ctx, leads).same_monomials(nonfaces):
         raise ValueError("initial ideal of the basis is not the non-face ideal of the complex")
 
 
-def _top_vertex_data(B: GroebnerBasis, delta: SimplicialComplex):
-    desc = _variable_rank_order(B.order)
+def _top_vertex_data(order, delta: SimplicialComplex):
+    desc = _variable_rank_order(order)
     v1 = desc[0]  # 0-based variable index of the largest variable
     vertex = v1 + 1
     pos = {v: k for k, v in enumerate(desc)}
@@ -279,8 +294,18 @@ def support_exclusions(B: GroebnerBasis, delta: SimplicialComplex) -> List[Suppo
     x1^(d-1)*xl for non-neighbors l, x1^(d-1)*x{2,3} when 1 is outside the
     non-face, and x1^2*x{2,3} for degree-3 generators containing 1.
     """
-    _check_dim1_setting(B, delta)
-    v1, vertex, neighbors = _top_vertex_data(B, delta)
+    return _excluded_tails(B.polys, _exclusion_table(B.order, delta, B.leading_monomials()))
+
+
+def _exclusion_table(order, delta: SimplicialComplex, leads, nonfaces: Optional[MonomialIdeal] = None):
+    """Check the setting (``_check_dim1_setting``), then map each of ``leads``
+    to its forbidden tails as ``(rule, monomial)`` pairs.
+
+    The table depends only on the order, ``delta`` and the leads, so one table
+    serves every basis with those leads (every valid lift of one search).
+    """
+    _check_dim1_setting(order.ctx, delta, leads, nonfaces)
+    v1, vertex, neighbors = _top_vertex_data(order, delta)
     link_top = neighbors[: 2]  # the lemma constrains the two largest link vertices
     non_neighbors = [u for u in range(1, delta.n + 1) if u != vertex and u not in neighbors]
 
@@ -290,12 +315,10 @@ def support_exclusions(B: GroebnerBasis, delta: SimplicialComplex) -> List[Suppo
             exps[var] += e
         return Monomial(tuple(exps))
 
-    violations = []
-    for g in B.polys:
-        lead = g.leading_monomial()
+    table = {}
+    for lead in leads:
         face = tuple(v + 1 for v in lead.support())
         d = lead.degree()
-        tails = {m for m, _ in g.terms[1:]}
         targets = [("pure_power_of_top_variable", mono([(v1, d)]))]
         for l in non_neighbors:
             targets.append(("top_variable_times_non_neighbor", mono([(v1, d - 1), (l - 1, 1)])))
@@ -305,17 +328,27 @@ def support_exclusions(B: GroebnerBasis, delta: SimplicialComplex) -> List[Suppo
         if vertex in face and d == 3:
             for a in link_top:
                 targets.append(("degree3_top_variable_squared", mono([(v1, 2), (a - 1, 1)])))
-        for rule, m in targets:
+        table[lead] = tuple(targets)
+    return table
+
+
+def _excluded_tails(polys, table) -> List[SupportViolation]:
+    """The forbidden tails that ``polys`` contain, in basis order, read from
+    ``table`` (``_exclusion_table`` of their leads)."""
+    violations = []
+    for g in polys:
+        tails = {m for m, _ in g.terms[1:]}
+        for rule, m in table[g.leading_monomial()]:
             if m in tails:
-                violations.append(SupportViolation(rule, g.render(), B.ctx.render_monomial(m)))
+                violations.append(SupportViolation(rule, g.render(), g.ctx.render_monomial(m)))
     return violations
 
 
 def leafless_obstruction(B: GroebnerBasis, delta: SimplicialComplex) -> ObstructionVerdict:
     """Rank bound n-3 at the top variable's coordinate point when it is not a leaf."""
-    _check_dim1_setting(B, delta)
+    table = _exclusion_table(B.order, delta, B.leading_monomials())
     kind = "leafless_vertex"
-    v1, vertex, neighbors = _top_vertex_data(B, delta)
+    v1, vertex, neighbors = _top_vertex_data(B.order, delta)
     n = delta.n
     names = B.ctx.names
     if len(neighbors) < 2:
@@ -326,7 +359,7 @@ def leafless_obstruction(B: GroebnerBasis, delta: SimplicialComplex) -> Obstruct
             f"vertex {vertex} (variable {names[v1]}) is a leaf or isolated",
             {"vertex": vertex, "link_size": len(neighbors)},
         )
-    violations = support_exclusions(B, delta)
+    violations = _excluded_tails(B.polys, table)
     point = ProjPoint.coordinate(B.ctx.field, n, v1)
     codim = n - 2
     analysis = jacobian_rank_at(B, point, codim)

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from grodeg import (
     MonomialOrder,
     Polynomial,
     PrimeField,
+    ProjPoint,
     QQ,
     ScanBoundExceeded,
     SimplicialComplex,
@@ -29,6 +31,7 @@ from grodeg import (
     count_points,
     ideal_digest,
     initial_ideal,
+    jacobian_rank_at,
     lift_search,
     link,
     parse_polynomial,
@@ -728,6 +731,58 @@ class TestLiftOracle:
         assert json.loads(capsys.readouterr().out)["valid_lift_count"] == 32
 
 
+class TestCoordinatePointsOracle:
+    """The one-pass coordinate-point Jacobians against ``jacobian_rank_at``."""
+
+    N = 4
+
+    def random_gen(self, rng, ctx, order):
+        """A nonzero form of degree 1-4 (or p), mostly x_i^d and x_i^(d-1)*x_j terms."""
+        p = ctx.field.characteristic()
+        # degree p puts exponents divisible by p (x^2 over GF(2), x^5 over GF(5)) into the rows
+        d = rng.choice((1, 2, 3, 4, p) if p else (1, 2, 3, 4))
+        while True:
+            terms = []
+            for _ in range(rng.randint(1, 4)):
+                i, j = rng.sample(range(self.N), 2)
+                exps = [0] * self.N
+                shape = rng.randrange(5)
+                if shape == 0:
+                    exps[i] = d
+                elif shape < 3:
+                    exps[i], exps[j] = d - 1, 1
+                else:
+                    for _ in range(d):
+                        exps[rng.randrange(self.N)] += 1
+                if p:
+                    c = rng.randrange(1, p)
+                else:
+                    c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3, 4]))
+                terms.append((Monomial(tuple(exps)), c))
+            g = Polynomial(ctx, order, terms)
+            if not g.is_zero():
+                return g
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=str)
+    def test_matches_jacobian_rank_at(self, field):
+        rng = random.Random(f"coordinate-points-{field.render()}")
+        ctx = ctx_n(self.N, field)
+        order = MonomialOrder.degrevlex(ctx)
+        units = pipeline._unit_points(ctx)
+        verdicts = set()
+        for _ in range(150):
+            gens = [self.random_gen(rng, ctx, order) for _ in range(rng.randint(2, 4))]
+            codim = rng.randint(1, len(gens))
+            got = pipeline._coordinate_points(gens, units, codim)
+            want = tuple(
+                jacobian_rank_at(gens, ProjPoint.coordinate(field, self.N, i), codim)
+                for i in range(self.N)
+            )
+            assert got == want, [g.render() for g in gens]
+            verdicts.update(a.verdict for a in got)
+        assert verdicts == {"off_scheme", "singular", "smooth"}
+
+
 class TestCountPoints:
     # (p, count, trace, smooth, supersingular, hasse_ok)
     FERMAT_TABLE = [
@@ -945,14 +1000,22 @@ class TestNoWorkTwice:
     def test_lift_search_completes_no_candidate(self, monkeypatch):
         calls = count_calls(monkeypatch, "buchberger", module="groebner")
         four_cycle = SimplicialComplex.from_facets(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-        drl = MonomialOrder.degrevlex(ctx_n(4))
-        res = lift_search(four_cycle, drl, budget=60, seed=3)
-        assert res.tried == 60 and len(res.lifts) > 0
-        assert calls == []
-        # the support checks read the candidate as its own reduced basis
-        for lift in res.lifts:
-            B = buchberger(lift.polys, drl)  # this module's name is not wrapped
-            assert tuple(support_exclusions(B, four_cycle)) == lift.support_violations
+        for field in (QQ, PrimeField(3)):
+            drl = MonomialOrder.degrevlex(ctx_n(4, field))
+            res = lift_search(four_cycle, drl, budget=60, seed=3)
+            assert res.tried == 60 and len(res.lifts) > 0
+            assert calls == []
+            # the search's one exclusion table reads the candidate as its own reduced basis
+            for lift in res.lifts:
+                B = buchberger(lift.polys, drl)  # this module's name is not wrapped
+                assert tuple(support_exclusions(B, four_cycle)) == lift.support_violations
+
+    def test_lift_search_builds_the_non_face_ideal_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "to_ideal")
+        four_cycle = SimplicialComplex.from_facets(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        res = lift_search(four_cycle, MonomialOrder.degrevlex(ctx_n(4)), budget=60, seed=3)
+        assert len(res.lifts) > 1
+        assert len(calls) == 1
 
     def test_lift_search_checks_each_distinct_draw_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "_valid_lift", module="pipeline")
@@ -1039,11 +1102,16 @@ _SPAWN_SCRIPT = textwrap.dedent(
     f = parse_polynomial("x^3 + y^3 + z^3", ctx, MonomialOrder.degrevlex(ctx))
     cycle = SimplicialComplex.from_facets(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     drl = MonomialOrder.degrevlex(standard_context(("x1", "x2", "x3", "x4")))
+    octahedron = SimplicialComplex.from_facets(6, [
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 2, 5), (2, 3, 6), (3, 4, 6), (4, 5, 6), (2, 5, 6),
+    ])
+    drl6 = MonomialOrder.degrevlex(standard_context(tuple(f"x{i}" for i in range(1, 7))))
     out = {}
     for workers in (1, 2):
         scan = scan_orders([f], family="both", workers=workers)
         lifts = lift_search(cycle, drl, budget=40, seed=5, workers=workers)
-        out[workers] = json.dumps(to_jsonable([scan, lifts]), sort_keys=True)
+        octa = lift_search(octahedron, drl6, pool=(-1, 1), budget=20, seed=1, workers=workers)
+        out[workers] = json.dumps(to_jsonable([scan, lifts, octa]), sort_keys=True)
     print(json.dumps([multiprocessing.get_start_method(), out[1], out[2]]))
     """
 )
