@@ -7,8 +7,8 @@ void complex and the empty complex {()} are rejected. Reduced cohomology is
 computed from exact ranks of the coboundary matrices of the augmented cochain
 complex, faces ordered lexicographically, standard alternating signs; the
 matrices are built as sparse rows for ``linalg``'s sparse elimination.
-``property_report`` examines each distinct link once: links are keyed by their
-relabelled facets in a set that lives for one report.
+``property_report`` applies Reisner's criterion by recursion on vertex links,
+judging each distinct relabelled link once per report.
 """
 
 from __future__ import annotations
@@ -131,14 +131,9 @@ def link(delta: SimplicialComplex, face) -> Link:
     face = tuple(sorted(set(face)))
     if not delta.has_face(face):
         raise ValueError(f"{face} is not a face")
-    fs = set(face)
-    facet_sets = [frozenset(set(g) - fs) for g in delta.facets if fs <= set(g)]
-    if facet_sets == [frozenset()]:
+    if face in delta.facets:
         raise ValueError("link of a facet is the empty complex {()}")
-    old = sorted(set().union(*facet_sets))
-    relabel = {v: i + 1 for i, v in enumerate(old)}
-    new_facets = [tuple(sorted(relabel[v] for v in g)) for g in facet_sets]
-    return Link(SimplicialComplex.from_facets(len(old), new_facets), tuple(old))
+    return Link(*_relabelled_link(delta, face))
 
 
 def complex_from_squarefree_ideal(M: MonomialIdeal) -> SimplicialComplex:
@@ -273,8 +268,9 @@ def is_strongly_connected(delta: SimplicialComplex) -> bool:
     return len(seen) == len(facets)
 
 
-def _relabelled_link(delta: SimplicialComplex, face: Tuple[int, ...]) -> SimplicialComplex:
-    """``link(delta, face).complex`` for a face of ``delta`` that is not a facet, unchecked.
+def _relabelled_link(delta: SimplicialComplex, face: Tuple[int, ...]):
+    """The link of a face of ``delta`` that is not a facet, unchecked, relabelled
+    to 1..m, and its vertex map.
 
     The sets g minus face, over the facets g containing the face, are nonempty,
     distinct and pairwise incomparable, so they are the link's facets as they
@@ -289,35 +285,37 @@ def _relabelled_link(delta: SimplicialComplex, face: Tuple[int, ...]) -> Simplic
     lk = object.__new__(SimplicialComplex)
     object.__setattr__(lk, "n", len(old))
     object.__setattr__(lk, "facets", tuple(tuple([relabel[v] for v in r]) for r in rests))
-    return lk
+    return lk, tuple(old)
 
 
-def _links_for_reisner(delta: SimplicialComplex):
-    """Relabelled links of all nonempty faces, facets excluded."""
-    facets = set(delta.facets)
-    for face in delta.all_faces():
-        if face not in facets:  # a facet's link {()} imposes no condition
-            yield _relabelled_link(delta, face)
+def _vertex_link_verdicts(delta: SimplicialComplex, field: Field, memo: dict):
+    """Whether every vertex link of ``delta`` is Cohen-Macaulay, and whether every
+    one is normal; ``memo`` maps each relabelled link to its own two verdicts."""
+    links_cm = links_normal = True
+    for v in delta.vertices():
+        if (v,) in delta.facets:
+            continue  # its link {()} imposes no condition
+        lk = _relabelled_link(delta, (v,))[0]
+        if lk not in memo:
+            cm, normal = _vertex_link_verdicts(lk, field, memo)
+            memo[lk] = (
+                not any(reduced_cohomology(lk, field).dims[: lk.dim]) and cm,
+                normal and is_strongly_connected(lk),
+            )
+        links_cm &= memo[lk][0]
+        links_normal &= memo[lk][1]
+    return links_cm, links_normal
 
 
 def property_report(delta: SimplicialComplex, field: Field = QQ) -> ComplexPropertyReport:
+    """Reisner's criterion by vertex links, as lk_{lk v}(G) = lk(G + v): delta is
+    Cohen-Macaulay iff H~_i(delta) = 0 for i < dim delta and every vertex link is;
+    Buchsbaum iff pure and every vertex link is Cohen-Macaulay; normal iff
+    strongly connected and every vertex link is normal."""
     own = reduced_cohomology(delta, field)
     pure = delta.is_pure()
     strongly_connected = is_strongly_connected(delta)
-    cm = not any(own.dims[: delta.dim])
-    buchsbaum = pure  # Buchsbaum complexes are pure
-    normal = strongly_connected
-    # Links that are the same complex after relabelling give the same verdicts,
-    # so each distinct one is examined once per report.
-    seen = set()
-    for lk in _links_for_reisner(delta):
-        if lk in seen:
-            continue
-        seen.add(lk)
-        if any(reduced_cohomology(lk, field).dims[: lk.dim]):
-            cm = buchsbaum = False
-        if normal and not is_strongly_connected(lk):
-            normal = False
+    links_cm, links_normal = _vertex_link_verdicts(delta, field, {})
     facet_sets = [set(f) for f in delta.facets]
     counts = {}
     for v in delta.vertices():
@@ -327,9 +325,9 @@ def property_report(delta: SimplicialComplex, field: Field = QQ) -> ComplexPrope
     return ComplexPropertyReport(
         pure=pure,
         strongly_connected=strongly_connected,
-        normal=normal,
-        cohen_macaulay=cm,
-        buchsbaum=buchsbaum,
+        normal=strongly_connected and links_normal,
+        cohen_macaulay=links_cm and not any(own.dims[: delta.dim]),
+        buchsbaum=pure and links_cm,
         acyclic=own.is_acyclic(),
         negative_a_invariant_given_cm=own.dims[delta.dim] == 0,
         leaves=leaves,

@@ -115,10 +115,8 @@ def _parse_order(payload: str, ctx: RingContext, lineno: int, col: int) -> Monom
             perm = tuple(ctx.index_of(nm) for nm in names)
             return MonomialOrder(kind, ctx, perm=perm)
         if kind in ("weighted", "matrix"):
-            rows = []
-            for _, row_text in _split_tracking(rest, ";"):
-                rows.append(tuple(int(w) for w in row_text.split(",")))
-            return MonomialOrder(kind, ctx, rows=tuple(rows))
+            rows = tuple(tuple(int(w) for w in row.split(",")) for row in rest.split(";"))
+            return MonomialOrder(kind, ctx, rows=rows)
     except KeyError as e:
         raise ParseError(e.args[0], lineno, col) from None
     except ValueError as e:
@@ -128,7 +126,7 @@ def _parse_order(payload: str, ctx: RingContext, lineno: int, col: int) -> Monom
 
 def _parse_facets(payload: str, n_hint: Optional[int], lineno: int, col: int) -> SimplicialComplex:
     groups = []
-    for _, chunk in _split_tracking(payload, ";"):
+    for chunk in payload.split(";"):
         if not chunk.strip():
             continue
         try:
@@ -183,25 +181,25 @@ def parse_job(text: str) -> JobSpec:
             payload_col = indent + len(head) + 1
         if keyword in entries:
             raise ParseError(f"duplicate {keyword} line", lineno, 1)
-        entries[keyword] = (lineno, payload_col, payload.strip(), payload, indent)
+        entries[keyword] = (lineno, payload_col, payload.strip(), payload)
 
     known = {
         "ring", "order", "ideal", "facets", "field", "family", "pool", "format",
     } | set(_INT_PARAMS)
-    for keyword, (lineno, col, _, _, _) in entries.items():
+    for keyword, (lineno, col, _, _) in entries.items():
         if keyword not in known:
             raise ParseError(f"unknown directive {keyword!r}", lineno, 1)
 
     ctx = None
     if "ring" in entries:
-        lineno, col, payload, _, _ = entries["ring"]
+        lineno, col, payload, _ = entries["ring"]
         ctx = _parse_ring(payload, lineno, col + 1)
 
     ints = {}
     for name, minimum in _INT_PARAMS.items():
         if name not in entries:
             continue
-        lineno, col, payload, _, _ = entries[name]
+        lineno, col, payload, _ = entries[name]
         try:
             value = int(payload)
         except ValueError:
@@ -212,14 +210,14 @@ def parse_job(text: str) -> JobSpec:
 
     order = None
     if "order" in entries:
-        lineno, col, payload, _, _ = entries["order"]
+        lineno, col, payload, _ = entries["order"]
         if ctx is None:
             raise ParseError("order line needs a ring line", lineno, 1)
         order = _parse_order(payload, ctx, lineno, col + 1)
 
     ideal = None
     if "ideal" in entries:
-        lineno, col, _, payload_raw, indent = entries["ideal"]
+        lineno, col, _, payload_raw = entries["ideal"]
         if ctx is None:
             raise ParseError("ideal line needs a ring line", lineno, 1)
         carrier = order if order is not None else MonomialOrder.degrevlex(ctx)
@@ -236,15 +234,15 @@ def parse_job(text: str) -> JobSpec:
 
     delta = None
     if "facets" in entries:
-        lineno, col, _, payload_raw, _ = entries["facets"]
+        lineno, col, _, payload_raw = entries["facets"]
         delta = _parse_facets(payload_raw, ints.get("vertices"), lineno, col + 1)
     elif "vertices" in entries:
-        lineno, col, _, _, _ = entries["vertices"]
+        lineno, col, _, _ = entries["vertices"]
         raise ParseError("vertices without a facets line", lineno, 1)
 
     field = None
     if "field" in entries:
-        lineno, col, payload, _, _ = entries["field"]
+        lineno, col, payload, _ = entries["field"]
         try:
             field = field_from_string(payload)
         except ParseError as e:
@@ -252,21 +250,21 @@ def parse_job(text: str) -> JobSpec:
 
     family = None
     if "family" in entries:
-        lineno, col, payload, _, _ = entries["family"]
+        lineno, col, payload, _ = entries["family"]
         if payload not in _FAMILIES:
             raise ParseError(f"family must be one of {', '.join(_FAMILIES)}", lineno, col + 1)
         family = payload
 
     fmt = None
     if "format" in entries:
-        lineno, col, payload, _, _ = entries["format"]
+        lineno, col, payload, _ = entries["format"]
         if payload not in _FORMATS:
             raise ParseError(f"format must be one of {', '.join(_FORMATS)}", lineno, col + 1)
         fmt = payload
 
     pool = None
     if "pool" in entries:
-        lineno, col, payload, _, _ = entries["pool"]
+        lineno, col, payload, _ = entries["pool"]
         pool = parse_pool(payload, lineno, col + 1)
 
     return JobSpec(

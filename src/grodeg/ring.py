@@ -508,7 +508,6 @@ class _Tokenizer:
         self.text = text
         self.line = line
         self.col_offset = col_offset
-        self.pos = 0
         self.tokens = []
         self._scan()
         self.i = 0

@@ -20,8 +20,6 @@ from grodeg import (
     to_ideal,
 )
 
-from grodeg import complexes
-
 from conftest import ctx_n, ctx_xyz, random_complex, ref_homology_dims
 
 
@@ -138,7 +136,9 @@ class TestLink:
 
 
     def test_report_links_match_checked_links(self):
-        """The unchecked links ``property_report`` uses equal the public ``link``."""
+        """``link`` builds its complex unchecked; it equals the normalizing
+        construction below on every face, ``()`` included, and passes the
+        strict constructor."""
         rng = random.Random(2011)
         samples = [TRIANGLE, OCTAHEDRON, RP2, SimplicialComplex(7, RP2.facets)]
         samples += [random_complex(rng, rng.randint(1, 8), max_facets=8) for _ in range(80)]
@@ -146,11 +146,14 @@ class TestLink:
         for d in samples:
             kinds.update(k for k, on in [("non-pure", not d.is_pure()), ("ghosts", d.ghost_vertices())] if on)
             facets = set(d.facets)
-            faces = [f for f in d.all_faces() if f not in facets]
-            got = list(complexes._links_for_reisner(d))
-            assert got == [link(d, f).complex for f in faces], d.render()
-            for lk in got:
-                assert SimplicialComplex(lk.n, lk.facets) == lk  # passes every check
+            for face in [()] + [f for f in d.all_faces() if f not in facets]:
+                rests = [frozenset(g) - set(face) for g in d.facets if set(face) <= set(g)]
+                old = sorted(set().union(*rests))
+                relabel = {v: i + 1 for i, v in enumerate(old)}
+                want = SimplicialComplex.from_facets(len(old), [[relabel[v] for v in r] for r in rests])
+                lk = link(d, face)
+                assert (lk.complex, lk.vertex_map) == (want, tuple(old)), (d.render(), face)
+                assert SimplicialComplex(lk.complex.n, lk.complex.facets) == lk.complex
         assert kinds == {"non-pure", "ghosts"}
 
 
@@ -357,6 +360,10 @@ class TestPropertyReport:
         assert not rep.pure
         assert not rep.buchsbaum  # Buchsbaum complexes are pure
         assert rep.free_faces == ((2,), (3,))  # the facet (1,) is not free
+        # (1,) is a ridge of the edge alone, yet it lies in the triangle too
+        rep = property_report(SimplicialComplex.from_facets(4, [(1, 2), (1, 3, 4)]), QQ)
+        assert not rep.pure and not rep.buchsbaum
+        assert rep.free_faces == ((2,), (1, 3), (1, 4), (3, 4))
 
     def test_non_pure_triangle_with_tail(self):
         delta = SimplicialComplex.from_facets(4, [(1, 2, 3), (3, 4)])

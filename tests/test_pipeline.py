@@ -35,6 +35,7 @@ from grodeg import (
     lift_search,
     link,
     parse_polynomial,
+    property_report,
     scan_orders,
     standard_context,
     support_exclusions,
@@ -1089,6 +1090,27 @@ class TestNoWorkTwice:
         report = analyze([P(CUBIC, ctx, MonomialOrder.lex(ctx))], MonomialOrder.lex(ctx))
         assert report.coordinate_points[0].verdict == "singular"
         assert calls == []
+
+
+def cross_polytope(k):
+    """Boundary of the k-fold cross-polytope; vertices i and i + k are antipodal."""
+    signs = itertools.product((0, 1), repeat=k)
+    return SimplicialComplex.from_facets(2 * k, [[i + 1 + c * k for i, c in enumerate(s)] for s in signs])
+
+
+class TestCrossPolytopeBoundary:
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_report_recurses_over_vertex_links(self, monkeypatch, k):
+        """One of the paper's proven cases; the report walks the k nested
+        cross-polytope links, not the 3^k - 1 - 2^k non-facet faces."""
+        built = count_calls(monkeypatch, "_relabelled_link")
+        cross = cross_polytope(k)
+        for field in (QQ, PrimeField(2)):
+            built.clear()
+            rep = property_report(cross, field)
+            assert rep.cohen_macaulay and rep.buchsbaum and rep.normal
+            assert not rep.acyclic
+            assert len(built) <= k * (k + 1)
 
 
 _SPAWN_SCRIPT = textwrap.dedent(
