@@ -20,13 +20,17 @@ Grammar (one directive per line, ``#`` starts a comment, blank lines skipped):
     format json
 
 Directives may appear in any order in the file; each may appear once.
-``render_job`` writes the canonical form, and parse(render(parse(text)))
-equals parse(text).
+``ring``, ``order``, ``ideal``, ``vertices`` and ``facets`` depend on each
+other and are read one by one. Every other directive is a one-value setting
+described once in ``SETTINGS``: how its payload is parsed and checked, and
+how its value is written back. The command line parses and checks its flags
+with the same entries. ``render_job`` writes the canonical form, and
+parse(render(parse(text))) equals parse(text).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -36,14 +40,60 @@ from .fields import Field, field_from_string
 from .pipeline import _FAMILIES
 from .ring import MonomialOrder, Polynomial, RingContext, parse_polynomial
 
-_INT_PARAMS = {
-    "vertices": 1,
-    "budget": 1,
-    "prime": 2,
-    "workers": 1,
-    "seed": None,  # any integer
+
+def _integer(minimum=None):
+    """Parse rule for an integer setting held to ``minimum``, if any."""
+
+    def parse(text: str, name: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ParseError(f"{name} wants an integer, got {text!r}") from None
+        if minimum is not None and value < minimum:
+            raise ParseError(f"{name} must be >= {minimum}")
+        return value
+
+    return parse
+
+
+def _one_of(choices):
+    """Parse rule for a setting that takes one of ``choices``."""
+
+    def parse(text: str, name: str) -> str:
+        if text not in choices:
+            raise ParseError(f"{name} must be one of {', '.join(choices)}")
+        return text
+
+    return parse
+
+
+def parse_pool(text: str) -> Tuple[Fraction, ...]:
+    """Comma-separated rationals."""
+    values = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        try:
+            values.append(Fraction(chunk))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad pool entry {chunk!r}") from None
+    return tuple(values)
+
+
+# The one-value settings in canonical order, each as (parse, render).
+# ``parse(text, name)`` returns the value or raises a ParseError without a
+# position that calls the setting ``name`` (a flag passes its own spelling);
+# ``render(value)`` is the directive's payload.
+SETTINGS = {
+    "field": (lambda text, name: field_from_string(text), lambda field: field.render()),
+    "family": (_one_of(tuple(_FAMILIES)), str),
+    "pool": (lambda text, name: parse_pool(text), lambda pool: ",".join(map(str, pool))),
+    "prime": (_integer(2), str),
+    "budget": (_integer(1), str),
+    "seed": (_integer(), str),
+    "workers": (_integer(1), str),
+    "format": (_one_of(("json", "text")), str),
 }
-_FORMATS = ("json", "text")
+_STRUCTURE = ("ring", "order", "ideal", "vertices", "facets")
 
 
 @dataclass(frozen=True)
@@ -72,215 +122,112 @@ class JobSpec:
         return None
 
 
-def _split_tracking(payload: str, sep: str):
-    """Chunks of payload split on sep, with each chunk's 0-based start offset."""
-    pos = 0
-    for chunk in payload.split(sep):
-        yield pos, chunk
-        pos += len(chunk) + len(sep)
-
-
-def _parse_ring(payload: str, lineno: int, col: int) -> RingContext:
+def _parse_ring(payload: str) -> RingContext:
     tokens = payload.split()
     if len(tokens) not in (2, 4):
-        raise ParseError("ring wants: ring <field> <names> [grading <weights>]", lineno, col)
-    try:
-        field = field_from_string(tokens[0])
-    except ParseError as e:
-        raise ParseError(str(e), lineno, col) from None
+        raise ParseError("ring wants: ring <field> <names> [grading <weights>]")
+    field = field_from_string(tokens[0])
     names = tuple(s.strip() for s in tokens[1].split(","))
-    grading = None
+    grading = (1,) * len(names)
     if len(tokens) == 4:
         if tokens[2] != "grading":
-            raise ParseError(f"expected 'grading', got {tokens[2]!r}", lineno, col)
+            raise ParseError(f"expected 'grading', got {tokens[2]!r}")
         try:
             grading = tuple(int(w) for w in tokens[3].split(","))
         except ValueError:
-            raise ParseError(f"bad grading {tokens[3]!r}", lineno, col) from None
-    try:
-        return RingContext(names, grading if grading is not None else (1,) * len(names), field)
-    except ValueError as e:
-        raise ParseError(str(e), lineno, col) from None
+            raise ParseError(f"bad grading {tokens[3]!r}") from None
+    return RingContext(names, grading, field)
 
 
-def _parse_order(payload: str, ctx: RingContext, lineno: int, col: int) -> MonomialOrder:
+def _parse_order(payload: str, ctx: RingContext) -> MonomialOrder:
     head, _, rest = payload.partition(" ")
     kind = head.strip()
     rest = rest.strip()
     if not rest:
-        raise ParseError("order wants a kind and a specification", lineno, col)
-    try:
-        if kind in ("lex", "degrevlex"):
-            names = [s.strip() for s in rest.split(">")]
-            perm = tuple(ctx.index_of(nm) for nm in names)
-            return MonomialOrder(kind, ctx, perm=perm)
-        if kind in ("weighted", "matrix"):
-            rows = tuple(tuple(int(w) for w in row.split(",")) for row in rest.split(";"))
-            return MonomialOrder(kind, ctx, rows=rows)
-    except KeyError as e:
-        raise ParseError(e.args[0], lineno, col) from None
-    except ValueError as e:
-        raise ParseError(str(e), lineno, col) from None
-    raise ParseError(f"unknown order kind {kind!r}", lineno, col)
+        raise ParseError("order wants a kind and a specification")
+    if kind in ("lex", "degrevlex"):
+        try:
+            perm = tuple(ctx.index_of(s.strip()) for s in rest.split(">"))
+        except KeyError as e:
+            raise ParseError(e.args[0]) from None
+        return MonomialOrder(kind, ctx, perm=perm)
+    if kind in ("weighted", "matrix"):
+        rows = tuple(tuple(int(w) for w in row.split(",")) for row in rest.split(";"))
+        return MonomialOrder(kind, ctx, rows=rows)
+    raise ParseError(f"unknown order kind {kind!r}")
 
 
-def _parse_facets(payload: str, n_hint: Optional[int], lineno: int, col: int) -> SimplicialComplex:
+def _parse_facets(payload: str, n_hint: Optional[int]) -> SimplicialComplex:
     groups = []
     for chunk in payload.split(";"):
         if not chunk.strip():
             continue
         try:
-            verts = tuple(int(v) for v in chunk.split())
+            groups.append(tuple(int(v) for v in chunk.split()))
         except ValueError:
-            raise ParseError(f"bad facet {chunk.strip()!r}", lineno, col) from None
-        groups.append(verts)
+            raise ParseError(f"bad facet {chunk.strip()!r}") from None
     if not groups:
-        raise ParseError("no facets given", lineno, col)
+        raise ParseError("no facets given")
     biggest = max((max(f) for f in groups if f), default=0)
     if any(v < 1 for f in groups for v in f):
-        raise ParseError("facet vertices must be >= 1", lineno, col)
+        raise ParseError("facet vertices must be >= 1")
     n = n_hint if n_hint is not None else biggest
     if biggest > n:
-        raise ParseError(f"facet vertex {biggest} exceeds vertices {n}", lineno, col)
-    try:
-        return SimplicialComplex.from_facets(n, groups)
-    except ValueError as e:
-        raise ParseError(str(e), lineno, col) from None
-
-
-def parse_pool(text: str, lineno: Optional[int] = None, col: Optional[int] = None):
-    """Comma-separated rationals; errors carry the given position, if any."""
-    values = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        try:
-            values.append(Fraction(chunk))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad pool entry {chunk!r}", lineno, col) from None
-    return tuple(values)
+        raise ParseError(f"facet vertex {biggest} exceeds vertices {n}")
+    return SimplicialComplex.from_facets(n, groups)
 
 
 def parse_job(text: str) -> JobSpec:
     """Parse a job file into a ``JobSpec``; errors carry line and column."""
-    entries = {}
+    entries = {}  # keyword -> (line, 0-based column of the payload, payload)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
         stripped = line.lstrip()
-        indent = len(line) - len(stripped)
-        if stripped.startswith("ideal:"):
-            keyword, payload = "ideal", stripped[len("ideal:") :]
-            payload_col = indent + len("ideal:")
-        elif stripped.startswith("facets:"):
-            keyword, payload = "facets", stripped[len("facets:") :]
-            payload_col = indent + len("facets:")
-        else:
-            head, _, payload = stripped.partition(" ")
-            keyword = head
-            payload_col = indent + len(head) + 1
+        if not stripped:
+            continue
+        sep = ":" if stripped.startswith(("ideal:", "facets:")) else " "
+        keyword, _, payload = stripped.partition(sep)
         if keyword in entries:
             raise ParseError(f"duplicate {keyword} line", lineno, 1)
-        entries[keyword] = (lineno, payload_col, payload.strip(), payload)
-
-    known = {
-        "ring", "order", "ideal", "facets", "field", "family", "pool", "format",
-    } | set(_INT_PARAMS)
-    for keyword, (lineno, col, _, _) in entries.items():
-        if keyword not in known:
+        if keyword not in SETTINGS and keyword not in _STRUCTURE:
             raise ParseError(f"unknown directive {keyword!r}", lineno, 1)
+        entries[keyword] = (lineno, len(line) - len(stripped) + len(keyword) + 1, payload)
 
-    ctx = None
-    if "ring" in entries:
-        lineno, col, payload, _ = entries["ring"]
-        ctx = _parse_ring(payload, lineno, col + 1)
-
-    ints = {}
-    for name, minimum in _INT_PARAMS.items():
-        if name not in entries:
-            continue
-        lineno, col, payload, _ = entries[name]
+    def located(keyword, parse, *args):
+        """``parse(payload, *args)`` for the keyword's line, None without one;
+        a ValueError becomes a ParseError at the payload's first column."""
+        if keyword not in entries:
+            return None
+        lineno, col, payload = entries[keyword]
         try:
-            value = int(payload)
-        except ValueError:
-            raise ParseError(f"{name} wants an integer, got {payload!r}", lineno, col + 1) from None
-        if minimum is not None and value < minimum:
-            raise ParseError(f"{name} must be >= {minimum}", lineno, col + 1)
-        ints[name] = value
+            return parse(payload.strip(), *args)
+        except ValueError as e:
+            raise ParseError(str(e), lineno, col + 1) from None
 
-    order = None
-    if "order" in entries:
-        lineno, col, payload, _ = entries["order"]
-        if ctx is None:
-            raise ParseError("order line needs a ring line", lineno, 1)
-        order = _parse_order(payload, ctx, lineno, col + 1)
+    settings = {name: located(name, parse, name) for name, (parse, _) in SETTINGS.items()}
+    ctx = located("ring", _parse_ring)
+    for keyword in ("order", "ideal"):
+        if keyword in entries and ctx is None:
+            raise ParseError(f"{keyword} line needs a ring line", entries[keyword][0], 1)
+    spec = JobSpec(ctx=ctx, order=located("order", _parse_order, ctx), **settings)
 
     ideal = None
     if "ideal" in entries:
-        lineno, col, _, payload_raw = entries["ideal"]
-        if ctx is None:
-            raise ParseError("ideal line needs a ring line", lineno, 1)
-        carrier = order if order is not None else MonomialOrder.degrevlex(ctx)
-        polys = []
-        for off, chunk in _split_tracking(payload_raw, ";"):
-            if not chunk.strip():
-                continue
-            polys.append(
-                parse_polynomial(chunk, ctx, carrier, line=lineno, col_offset=col + off)
-            )
+        lineno, col, payload = entries["ideal"]
+        carrier = spec.carrier_order()
+        polys, offset = [], col
+        for chunk in payload.split(";"):
+            if chunk.strip():
+                polys.append(parse_polynomial(chunk, ctx, carrier, line=lineno, col_offset=offset))
+            offset += len(chunk) + 1
         if not polys:
             raise ParseError("ideal line has no polynomials", lineno, col + 1)
         ideal = tuple(polys)
 
-    delta = None
-    if "facets" in entries:
-        lineno, col, _, payload_raw = entries["facets"]
-        delta = _parse_facets(payload_raw, ints.get("vertices"), lineno, col + 1)
-    elif "vertices" in entries:
-        lineno, col, _, _ = entries["vertices"]
-        raise ParseError("vertices without a facets line", lineno, 1)
-
-    field = None
-    if "field" in entries:
-        lineno, col, payload, _ = entries["field"]
-        try:
-            field = field_from_string(payload)
-        except ParseError as e:
-            raise ParseError(str(e), lineno, col + 1) from None
-
-    family = None
-    if "family" in entries:
-        lineno, col, payload, _ = entries["family"]
-        if payload not in _FAMILIES:
-            raise ParseError(f"family must be one of {', '.join(_FAMILIES)}", lineno, col + 1)
-        family = payload
-
-    fmt = None
-    if "format" in entries:
-        lineno, col, payload, _ = entries["format"]
-        if payload not in _FORMATS:
-            raise ParseError(f"format must be one of {', '.join(_FORMATS)}", lineno, col + 1)
-        fmt = payload
-
-    pool = None
-    if "pool" in entries:
-        lineno, col, payload, _ = entries["pool"]
-        pool = parse_pool(payload, lineno, col + 1)
-
-    return JobSpec(
-        ctx=ctx,
-        order=order,
-        ideal=ideal,
-        delta=delta,
-        field=field,
-        family=family,
-        pool=pool,
-        budget=ints.get("budget"),
-        seed=ints.get("seed"),
-        prime=ints.get("prime"),
-        workers=ints.get("workers"),
-        format=fmt,
-    )
+    n = located("vertices", _integer(1), "vertices")
+    if n is not None and "facets" not in entries:
+        raise ParseError("vertices without a facets line", entries["vertices"][0], 1)
+    return replace(spec, ideal=ideal, delta=located("facets", _parse_facets, n))
 
 
 def render_job(spec: JobSpec) -> str:
@@ -295,16 +242,8 @@ def render_job(spec: JobSpec) -> str:
     if spec.delta is not None:
         lines.append(f"vertices {spec.delta.n}")
         lines.append(spec.delta.render())
-    if spec.field is not None:
-        lines.append(f"field {spec.field.render()}")
-    if spec.family is not None:
-        lines.append(f"family {spec.family}")
-    if spec.pool is not None:
-        lines.append("pool " + ",".join(str(c) for c in spec.pool))
-    for name in ("prime", "budget", "seed", "workers"):
+    for name, (_, render) in SETTINGS.items():
         value = getattr(spec, name)
         if value is not None:
-            lines.append(f"{name} {value}")
-    if spec.format is not None:
-        lines.append(f"format {spec.format}")
+            lines.append(f"{name} {render(value)}")
     return "\n".join(lines) + "\n"

@@ -592,7 +592,7 @@ def lift_search(
     codim = (ctx.n - 1) - delta.dim
     table = None
     if delta.dim == 1 and not delta.ghost_vertices():
-        table = _exclusion_table(order, delta, targets, M)
+        table = _exclusion_table(order, delta, targets)
     run = partial(_lift_of, order, targets, slots, coeffs, units, codim, table)
     lifts = [lift for lift in _ordered_map(run, assignments, workers) if lift is not None]
 

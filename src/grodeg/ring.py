@@ -406,9 +406,13 @@ class Polynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.constant(self.ctx, self.order, 1)
-        for _ in range(k):
-            result = result * self
+        result, square = Polynomial.constant(self.ctx, self.order, 1), self
+        while k:
+            if k & 1:
+                result = result * square
+            k >>= 1
+            if k:
+                square = square * square
         return result
 
     def times_term(self, mono: Monomial, coeff) -> "Polynomial":
@@ -602,6 +606,8 @@ class _PolyParser:
             ekind, evalue, ecol = self.toks.next()
             if ekind != "int":
                 raise ParseError("exponent must be a nonnegative integer", self.toks.line, ecol)
+            if int(evalue) >= MAX_EXPONENT:
+                raise ParseError(f"exponent must be below {MAX_EXPONENT}", self.toks.line, ecol)
             return base ** int(evalue)
         return base
 
@@ -630,7 +636,12 @@ def parse_polynomial(text: str, ctx: RingContext, order: MonomialOrder, *, line:
     """Parse ``x*y*z + y^3 + z^3`` style text. Operators: + - * / ^ and parentheses.
 
     No implicit multiplication; ``/`` only with a nonzero constant divisor.
+    An exponent that overflows (``MAX_EXPONENT``) is a ParseError at the
+    first character of the polynomial.
     """
     if not text.strip():
         raise ParseError("empty polynomial", line, col_offset + 1)
-    return _PolyParser(_Tokenizer(text, line, col_offset), ctx, order).parse()
+    try:
+        return _PolyParser(_Tokenizer(text, line, col_offset), ctx, order).parse()
+    except OverflowError as e:
+        raise ParseError(str(e), line, col_offset + len(text) - len(text.lstrip()) + 1) from None

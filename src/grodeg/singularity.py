@@ -12,11 +12,13 @@ reduced Groebner bases produced upstream. The three certificates:
 - ``lex_obstruction``: purely combinatorial; if every vertex has more link
   vertices than dim of the complex, no lex order admits a smooth lift.
 
-``jacobian_rank_at`` takes any point. ``support_exclusions`` is two parts: a
-table from each leading monomial to its forbidden tails, built after the
-setting is checked (``_exclusion_table``), and a scan of one basis against it
-(``_excluded_tails``). The table depends only on the order, the complex and
-the leading monomials, so a lift search builds it once for all its lifts.
+``jacobian_rank_at`` takes any point. ``support_exclusions`` checks the
+setting (``_check_dim1_setting``) and is then two parts: a table from each
+leading monomial to its forbidden tails (``_exclusion_table``), and a scan of
+one basis against it (``_excluded_tails``). The table depends only on the
+order, the complex and the leading monomials, so a lift search, whose own
+non-face generators are the leads, builds it once for all its lifts and
+skips the check.
 """
 
 from __future__ import annotations
@@ -257,10 +259,10 @@ class SupportViolation:
         return {"rule": self.rule, "generator": self.generator, "monomial": self.monomial}
 
 
-def _check_dim1_setting(ctx, delta: SimplicialComplex, leads, nonfaces: Optional[MonomialIdeal] = None):
+def _check_dim1_setting(ctx, delta: SimplicialComplex, leads):
     """Reject anything but bases with leading monomials ``leads`` over a
     one-dimensional complex without ghost vertices whose non-face ideal they
-    generate. ``nonfaces`` is that ideal when the caller already has it."""
+    generate."""
     _require_standard_grading(ctx)
     if ctx.n != delta.n:
         raise ValueError("complex and ring have different vertex counts")
@@ -268,9 +270,7 @@ def _check_dim1_setting(ctx, delta: SimplicialComplex, leads, nonfaces: Optional
         raise ValueError("this certificate is for one-dimensional complexes")
     if delta.ghost_vertices():
         raise ValueError("ghost vertices present (the ideal contains linear forms)")
-    if nonfaces is None:
-        nonfaces = to_ideal(delta, ctx)
-    if not MonomialIdeal.from_monomials(ctx, leads).same_monomials(nonfaces):
+    if not MonomialIdeal.from_monomials(ctx, leads).same_monomials(to_ideal(delta, ctx)):
         raise ValueError("initial ideal of the basis is not the non-face ideal of the complex")
 
 
@@ -294,18 +294,23 @@ def support_exclusions(B: GroebnerBasis, delta: SimplicialComplex) -> List[Suppo
     x1^(d-1)*xl for non-neighbors l, x1^(d-1)*x{2,3} when 1 is outside the
     non-face, and x1^2*x{2,3} for degree-3 generators containing 1.
     """
-    return _excluded_tails(B.polys, _exclusion_table(B.order, delta, B.leading_monomials()))
+    leads = B.leading_monomials()
+    _check_dim1_setting(B.ctx, delta, leads)
+    return _excluded_tails(B.polys, _exclusion_table(B.order, delta, leads))
 
 
-def _exclusion_table(order, delta: SimplicialComplex, leads, nonfaces: Optional[MonomialIdeal] = None):
-    """Check the setting (``_check_dim1_setting``), then map each of ``leads``
-    to its forbidden tails as ``(rule, monomial)`` pairs.
+def _exclusion_table(order, delta: SimplicialComplex, leads):
+    """Map each of ``leads`` to its forbidden tails as ``(rule, monomial)``
+    pairs, for a setting that ``_check_dim1_setting`` accepts.
 
     The table depends only on the order, ``delta`` and the leads, so one table
     serves every basis with those leads (every valid lift of one search).
     """
-    _check_dim1_setting(order.ctx, delta, leads, nonfaces)
-    v1, vertex, neighbors = _top_vertex_data(order, delta)
+    return _tails_table(delta, leads, *_top_vertex_data(order, delta))
+
+
+def _tails_table(delta: SimplicialComplex, leads, v1, vertex, neighbors):
+    """``_exclusion_table`` from the top vertex data (``_top_vertex_data``)."""
     link_top = neighbors[: 2]  # the lemma constrains the two largest link vertices
     non_neighbors = [u for u in range(1, delta.n + 1) if u != vertex and u not in neighbors]
 
@@ -346,7 +351,8 @@ def _excluded_tails(polys, table) -> List[SupportViolation]:
 
 def leafless_obstruction(B: GroebnerBasis, delta: SimplicialComplex) -> ObstructionVerdict:
     """Rank bound n-3 at the top variable's coordinate point when it is not a leaf."""
-    table = _exclusion_table(B.order, delta, B.leading_monomials())
+    leads = B.leading_monomials()
+    _check_dim1_setting(B.ctx, delta, leads)
     kind = "leafless_vertex"
     v1, vertex, neighbors = _top_vertex_data(B.order, delta)
     n = delta.n
@@ -359,7 +365,7 @@ def leafless_obstruction(B: GroebnerBasis, delta: SimplicialComplex) -> Obstruct
             f"vertex {vertex} (variable {names[v1]}) is a leaf or isolated",
             {"vertex": vertex, "link_size": len(neighbors)},
         )
-    violations = _excluded_tails(B.polys, table)
+    violations = _excluded_tails(B.polys, _tails_table(delta, leads, v1, vertex, neighbors))
     point = ProjPoint.coordinate(B.ctx.field, n, v1)
     codim = n - 2
     analysis = jacobian_rank_at(B, point, codim)

@@ -1,11 +1,12 @@
 """Job-file parsing, canonical rendering, report formatting, and the CLI."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from grodeg import MonomialOrder, PrimeField, QQ, to_jsonable
+from grodeg import MonomialOrder, PrimeField, QQ, pipeline, to_jsonable
 from grodeg.cli import main
 from grodeg.errors import ParseError
 from grodeg.jobs import JobSpec, parse_job, render_job
@@ -94,6 +95,22 @@ class TestParseJob:
             spec = parse_job(text)
             assert parse_job(render_job(spec)) == spec
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "seed -3\n",
+            "pool -1/2,3\n",
+            "field GF(2)\n",
+            "family degrevlex\n",
+            "format text\n",
+            "vertices 5\nfacets: 1 2; 2 3\n",  # vertices 4 and 5 are ghosts
+        ],
+    )
+    def test_each_directive_roundtrips_on_its_own(self, text):
+        spec = parse_job(text)
+        assert render_job(spec) == text
+        assert parse_job(render_job(spec)) == spec
+
 
 BAD_JOBS = [
     ("ring QQ x,y\nring QQ x,y\n", "duplicate ring line", 2, 1),
@@ -124,6 +141,8 @@ BAD_JOBS = [
     ("ring QQ x,y,z\nideal: x*y - q^2\n", "unknown variable 'q'", 2, 14),
     ("ring QQ x,y,z\nideal: x^2 - y*z ; x*w\n", "unknown variable 'w'", 2, 22),
     ("field GF(6)\n", "GF modulus must be prime, got 6", 1, 7),
+    ("ring QQ x,y\nideal: x^2147483648\n", "exponent must be below 2147483648", 2, 10),
+    ("ring QQ x,y\nideal: (x^46341)^46341\n", "exponent overflow", 2, 8),
 ]
 
 
@@ -250,6 +269,24 @@ class TestCLI:
         rc, out, _ = run_cli(["point-count", "--prime", "5"], FERMAT_JOB)
         assert payload == out.encode("utf-8")
 
+    def test_unwritable_output_file_is_a_usage_error(self, run_cli, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        rc, out, err = run_cli(
+            ["point-count", "--prime", "5", "--out", str(target)], FERMAT_JOB
+        )
+        assert rc == 2
+        assert out == ""
+        assert err == f"grodeg: cannot write {target}: No such file or directory\n"
+
+    @pytest.mark.parametrize("ideal", ["x^2147483648", "(x^46341)^46341"])
+    def test_huge_exponents_fail_fast(self, run_cli, ideal):
+        start = time.perf_counter()
+        rc, out, err = run_cli(["point-count", "--prime", "5"], f"ring QQ x,y,z\nideal: {ideal}\n")
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("grodeg: exponent ")
+
     def test_runs_are_byte_identical(self, run_cli):
         job = "facets: 1 2; 2 3; 1 3\npool -1,1\nbudget 20\n"
         first = run_cli(["lift-search"], job)
@@ -266,6 +303,41 @@ class TestCLI:
         rc, out, _ = run_cli(["lift-search", "--seed", "9"], job)
         assert rc == 0
         assert json.loads(out)["seed"] == 9
+
+    def test_budget_and_pool_flags_beat_the_job_file(self, run_cli):
+        job = TRIANGLE_JOB + "pool -1,1\nbudget 20\n"
+        rc, out, _ = run_cli(["lift-search", "--budget", "7", "--pool", "1,2,3"], job)
+        assert rc == 0
+        d = json.loads(out)
+        assert d["budget"] == 7
+        assert d["pool"] == ["1", "2", "3"]
+
+    def test_jobs_flag_beats_the_job_file(self, run_cli, monkeypatch):
+        seen = []
+        real = pipeline.scan_orders
+
+        def spy(gens, **kwargs):
+            seen.append(kwargs.pop("workers"))
+            return real(gens, **kwargs)
+
+        monkeypatch.setattr(pipeline, "scan_orders", spy)
+        rc, _, _ = run_cli(["scan-orders", "--jobs", "3"], FERMAT_JOB + "workers 2\n")
+        assert rc == 0
+        assert seen == [3]
+
+    def test_unset_settings_are_left_to_the_library(self, run_cli, monkeypatch):
+        seen = []
+        real = pipeline.lift_search
+
+        def spy(delta, order, **kwargs):
+            seen.append(kwargs)
+            return real(delta, order, **kwargs)
+
+        monkeypatch.setattr(pipeline, "lift_search", spy)
+        rc, out, _ = run_cli(["lift-search"], TRIANGLE_JOB)
+        assert rc == 0
+        assert seen == [{}]
+        assert json.loads(out)["budget"] == pipeline.DEFAULT_BUDGET
 
     def test_scan_family_flag_beats_the_job_file(self, run_cli):
         job = FERMAT_JOB + "family both\n"
@@ -367,6 +439,21 @@ class TestCLI:
     )
     def test_flags_below_the_directive_minimum(self, run_cli, argv, job, message):
         rc, out, err = run_cli(argv, job)
+        assert rc == 2
+        assert out == ""
+        assert err == f"grodeg: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["point-count", "--prime", "p"], "--prime wants an integer, got 'p'"),
+            (["analyze", "--format", "yaml"], "--format must be one of json, text"),
+            (["scan-orders", "--family", "grlex"], "--family must be one of lex, degrevlex, both"),
+            (["complex", "--field", "GF(4)"], "GF modulus must be prime, got 4"),
+        ],
+    )
+    def test_flags_are_checked_by_their_directive_rule(self, run_cli, argv, message):
+        rc, out, err = run_cli(argv, FERMAT_JOB)
         assert rc == 2
         assert out == ""
         assert err == f"grodeg: {message}\n"

@@ -198,6 +198,16 @@ class TestArithmetic:
                 assert lm == f.leading_monomial().mul(g.leading_monomial())
                 assert lc == f.leading_coefficient() * g.leading_coefficient()
 
+    @pytest.mark.parametrize("field", [None, PrimeField(3)])
+    def test_power_equals_repeated_product(self, field):
+        ctx = ctx_xyz(field)
+        order = MonomialOrder.degrevlex(ctx)
+        f = P("x + 2*y - z", ctx, order)
+        product = Polynomial.constant(ctx, order, 1)
+        for k in range(10):
+            assert f ** k == product
+            product = product * f
+
     def test_negative_power_rejected(self, xyz):
         ctx, lex = xyz
         with pytest.raises(ValueError, match="negative polynomial power"):
