@@ -166,10 +166,29 @@ _HANDLERS = {
 }
 
 
+def _glue_pool(argv) -> list:
+    """``--pool -1,1`` as ``--pool=-1,1``.
+
+    argparse takes a word that starts with ``-`` and is not a plain number for
+    an option, and a pool often starts with a negative entry.
+    """
+    words, rest = [], iter(argv)
+    for word in rest:
+        if word == "--":
+            words.append(word)
+            words.extend(rest)
+        elif word == "--pool":
+            value = next(rest, None)
+            words.append(word if value is None else f"{word}={value}")
+        else:
+            words.append(word)
+    return words
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_pool(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return int(e.code or 0)
     try:

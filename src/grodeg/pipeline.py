@@ -27,7 +27,7 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import (
@@ -447,33 +447,60 @@ class ValidLift:
         on = [a for a in self.coordinate_points if a.on_scheme]
         return bool(on) and all(a.verdict == "singular" for a in on)
 
-    def as_dict(self, field) -> dict:
+    def as_dict(self, field, points=None) -> dict:
+        """``points``, when given, are the coordinate-point entries already rendered."""
+        if points is None:
+            points = [a.as_dict(field) for a in self.coordinate_points]
         return {
             "generators": [g.render() for g in self.polys],
-            "coordinate_points": [a.as_dict(field) for a in self.coordinate_points],
+            "coordinate_points": points,
             "singular_at_every_scheme_point": self.singular_at_every_scheme_point(),
             "support_violations": [v.as_dict() for v in self.support_violations],
         }
 
 
-def _lift_of(order, targets, slots, coeffs, units, codim, table, assignment) -> Optional[ValidLift]:
-    """The finished ``ValidLift`` of one assignment, or None when it is not valid.
+@dataclass
+class _LiftCheck:
+    """One search's ``assignment -> ValidLift or None`` (None when not valid).
 
-    ``units`` and ``codim`` are the search's coordinate points and expected
-    codimension, ``table`` its support-exclusion table (None outside the
-    one-dimensional setting).
+    ``codim`` is the expected codimension. The coordinate points and the
+    support-exclusion table serve valid lifts only, so each is built at the
+    first valid lift, and never in a search where no candidate is valid. Each
+    chunk of work sent to a ``--jobs`` worker carries its own pickled copy,
+    which builds them for itself.
     """
-    polys = _valid_lift(order, targets, slots, coeffs, assignment)
-    if polys is None:
+
+    order: MonomialOrder
+    delta: SimplicialComplex
+    targets: List[Monomial]
+    slots: list
+    coeffs: list
+    codim: int
+
+    @cached_property
+    def units(self) -> Tuple[ProjPoint, ...]:
+        return _unit_points(self.order.ctx)
+
+    @cached_property
+    def table(self):
+        """The support-exclusion table, or None outside the one-dimensional setting."""
+        if self.delta.dim == 1 and not self.delta.ghost_vertices():
+            return _exclusion_table(self.order, self.delta, self.targets)
         return None
-    if not polys:
-        return ValidLift((), (), ())
-    violations: Tuple[SupportViolation, ...] = ()
-    if table is not None:
-        # valid: the monic candidates, by decreasing lead, are the reduced basis
-        basis = sorted(polys, key=lambda g: order.sort_key(g.leading_monomial()), reverse=True)
-        violations = tuple(_excluded_tails(basis, table))
-    return ValidLift(tuple(polys), _coordinate_points(polys, units, codim), violations)
+
+    def __call__(self, assignment) -> Optional[ValidLift]:
+        order = self.order
+        polys = _valid_lift(order, self.targets, self.slots, self.coeffs, assignment)
+        if polys is None:
+            return None
+        if not polys:
+            return ValidLift((), (), ())
+        violations: Tuple[SupportViolation, ...] = ()
+        if self.table is not None:
+            # valid: the monic candidates, by decreasing lead, are the reduced basis
+            basis = sorted(polys, key=lambda g: order.sort_key(g.leading_monomial()), reverse=True)
+            violations = tuple(_excluded_tails(basis, self.table))
+        return ValidLift(tuple(polys), _coordinate_points(polys, self.units, self.codim), violations)
 
 
 @dataclass(frozen=True)
@@ -502,9 +529,23 @@ class LiftSearchResult:
         )
 
     def as_dict(self) -> dict:
+        """The report; each distinct coordinate-point entry is one shared dict.
+
+        A lift's i-th coordinate point is e_i, so an entry is fixed by i and the
+        verdict's values, and the entries hardly vary within one search.
+        """
         ctx = self.order.ctx
         field = ctx.field
         top = self.top_variable()
+        entries = {}
+
+        def entry(i, a: JacobianAnalysis) -> dict:
+            key = (i, a.on_scheme, a.rank, a.expected_codim, a.verdict)
+            d = entries.get(key)
+            if d is None:
+                d = entries[key] = a.as_dict(field)
+            return d
+
         return {
             "facets": self.delta.render(),
             "ring": ctx.render(),
@@ -520,7 +561,10 @@ class LiftSearchResult:
             "top_variable": ctx.names[top],
             "valid_lift_count": len(self.lifts),
             "lifts_singular_at_top_point": self.lifts_singular_at_top_point(),
-            "valid_lifts": [lift.as_dict(field) for lift in self.lifts],
+            "valid_lifts": [
+                lift.as_dict(field, [entry(i, a) for i, a in enumerate(lift.coordinate_points)])
+                for lift in self.lifts
+            ],
         }
 
 
@@ -544,9 +588,10 @@ def lift_search(
     reduces to zero against it (Buchberger's criterion), so it is already the
     reduced basis. Valid lifts get Jacobian verdicts at all coordinate points,
     plus the tail-support exclusion checks in the one-dimensional setting.
-    The coordinate points and the exclusion table are built once per search;
-    each worker (``workers`` > 1) returns finished ``ValidLift``s, so the
-    Jacobians and the support scan are spread with the validity checks.
+    The coordinate points and the exclusion table are built at the first
+    valid lift, once per search (once per chunk of work with ``workers`` > 1);
+    each worker returns finished ``ValidLift``s, so the Jacobians and the
+    support scan are spread with the validity checks.
     """
     ctx = order.ctx
     if ctx.n != delta.n:
@@ -588,12 +633,7 @@ def lift_search(
         draws = [tuple(rng.randrange(len(coeffs)) for _ in slots) for _ in range(budget)]
     assignments = list(dict.fromkeys(draws))
 
-    units = _unit_points(ctx)
-    codim = (ctx.n - 1) - delta.dim
-    table = None
-    if delta.dim == 1 and not delta.ghost_vertices():
-        table = _exclusion_table(order, delta, targets)
-    run = partial(_lift_of, order, targets, slots, coeffs, units, codim, table)
+    run = _LiftCheck(order, delta, targets, slots, coeffs, (ctx.n - 1) - delta.dim)
     lifts = [lift for lift in _ordered_map(run, assignments, workers) if lift is not None]
 
     return LiftSearchResult(

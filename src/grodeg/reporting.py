@@ -1,14 +1,20 @@
 """Render result objects to bytes: canonical JSON or plain text.
 
-JSON output is byte-stable: ``indent=2, sort_keys=True``, UTF-8, trailing
-newline. The text format is a plain indented key/value listing with the same
-key ordering; neither format ever emits color codes.
+JSON output is byte-stable and equals ``json.dumps(to_jsonable(obj),
+indent=2, sort_keys=True)`` plus a trailing newline, UTF-8 (in fact ASCII).
+It is written in one recursive pass straight from the ``as_dict`` data, with
+no intermediate copy: keys are sorted, strings quoted by the ``json`` module's
+own ASCII escaper, and a dict that occurs more than once in one report (a
+lift search shares its coordinate-point entries) is encoded once. Floats are
+refused, since no result carries one. The text format is a plain indented
+key/value listing with the same key ordering, built from ``to_jsonable``;
+neither format ever emits color codes.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 
 def to_jsonable(obj):
@@ -24,6 +30,66 @@ def to_jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     return str(obj)
+
+
+def _plain(obj):
+    """One step of ``to_jsonable`` for what ``_json`` has no fast path for."""
+    if hasattr(obj, "as_dict"):
+        return obj.as_dict()
+    if isinstance(obj, dict):
+        return {str(k): v for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return list(obj)
+    if isinstance(obj, float):
+        raise TypeError(f"cannot render the float {obj!r}: results hold exact values only")
+    return str(obj)
+
+
+def _json(obj, pad: str, memo: dict) -> str:
+    """The JSON text of ``obj`` whose line starts with ``pad``.
+
+    ``memo`` maps the ``id`` of each dict encoded so far to the dict, its pad
+    and its text, and holds every value ``_plain`` made. Holding them keeps
+    their ids from being reused by a later object during the call.
+    """
+    t = type(obj)
+    if t is str:
+        return _quote(obj)
+    if t is int:
+        return repr(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    inner = pad + "  "
+    if t is dict:
+        seen = memo.get(id(obj))
+        if seen is not None and seen[1] == pad:
+            return seen[2]
+        if not obj:
+            return "{}"
+        if all(type(k) is str for k in obj):
+            items = sorted(obj.items())
+        else:
+            items = sorted({str(k): v for k, v in obj.items()}.items())
+        sep = ",\n" + inner
+        text = "{\n" + inner + sep.join(
+            [_quote(k) + ": " + (_quote(v) if type(v) is str else _json(v, inner, memo)) for k, v in items]
+        ) + "\n" + pad + "}"
+        memo[id(obj)] = (obj, pad, text)
+        return text
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        sep = ",\n" + inner
+        return "[\n" + inner + sep.join(
+            [_quote(v) if type(v) is str else _json(v, inner, memo) for v in obj]
+        ) + "\n" + pad + "]"
+    plain = _plain(obj)
+    memo[id(plain)] = (plain, None, None)  # alive until the call ends
+    return _json(plain, pad, memo)
 
 
 def _scalar(v) -> str:
@@ -72,9 +138,8 @@ def _text_lines(data, indent: int):
 
 def render_report(obj, fmt: str = "json") -> bytes:
     """Bytes of the report in the requested format."""
-    data = to_jsonable(obj)
     if fmt == "json":
-        return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        return (_json(obj, "", {}) + "\n").encode("ascii")
     if fmt == "text":
-        return ("\n".join(_text_lines(data, 0)) + "\n").encode("utf-8")
+        return ("\n".join(_text_lines(to_jsonable(obj), 0)) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r} (want json or text)")

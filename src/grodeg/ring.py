@@ -22,11 +22,19 @@ from .fields import Field, QQ
 from .linalg import rank_int
 
 MAX_EXPONENT = 2**31
+# A power over QQ whose leading coefficient would need more bits than this is
+# refused by the parser; the bound keeps every such coefficient well inside the
+# 4300 decimal digits Python prints by default.
+MAX_COEFFICIENT_BITS = 2**13
 
 
 @dataclass(frozen=True)
 class RingContext:
-    """Variable names, positive integer grading, coefficient field."""
+    """Variable names, positive integer grading, coefficient field.
+
+    Each context keeps the text of every monomial it has rendered, keyed by
+    exponent vector; the cache takes no part in equality or hashing.
+    """
 
     names: Tuple[str, ...]
     grading: Tuple[int, ...]
@@ -44,6 +52,7 @@ class RingContext:
             raise ValueError("grading length must match variable count")
         if any(g < 1 for g in self.grading):
             raise ValueError("grading must be positive")
+        object.__setattr__(self, "_monomial_text", {})
 
     @property
     def n(self) -> int:
@@ -56,13 +65,16 @@ class RingContext:
             raise KeyError(f"unknown variable {name!r}") from None
 
     def render_monomial(self, m: "Monomial") -> str:
-        parts = []
-        for name, e in zip(self.names, m.exps):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
+        text = self._monomial_text.get(m.exps)
+        if text is None:
+            parts = []
+            for name, e in zip(self.names, m.exps):
+                if e == 1:
+                    parts.append(name)
+                elif e > 1:
+                    parts.append(f"{name}^{e}")
+            text = self._monomial_text[m.exps] = "*".join(parts) if parts else "1"
+        return text
 
     def render(self) -> str:
         base = f"{self.field.render()} {','.join(self.names)}"
@@ -482,22 +494,22 @@ class Polynomial:
     def render(self) -> str:
         if not self.terms:
             return "0"
-        field = self.ctx.field
+        scalar, monomial = self.ctx.field.render_scalar, self.ctx.render_monomial
         out = []
-        for idx, (m, c) in enumerate(self.terms):
-            text = field.render_scalar(c)
-            negative = text.startswith("-")
+        for m, c in self.terms:
+            text = scalar(c)
+            negative = text[0] == "-"
             mag = text[1:] if negative else text
-            if m.is_one():
+            mono = monomial(m)  # "1" only for the constant monomial
+            if mono == "1":
                 body = mag
             elif mag == "1":
-                body = self.ctx.render_monomial(m)
+                body = mono
             else:
-                body = f"{mag}*{self.ctx.render_monomial(m)}"
-            if idx == 0:
-                out.append(f"-{body}" if negative else body)
-            else:
-                out.append(f"- {body}" if negative else f"+ {body}")
+                body = mag + "*" + mono
+            out.append(("- " if negative else "+ ") + body)
+        first = out[0]
+        out[0] = "-" + first[2:] if first[0] == "-" else first[2:]
         return " ".join(out)
 
     def __repr__(self):
@@ -606,9 +618,20 @@ class _PolyParser:
             ekind, evalue, ecol = self.toks.next()
             if ekind != "int":
                 raise ParseError("exponent must be a nonnegative integer", self.toks.line, ecol)
-            if int(evalue) >= MAX_EXPONENT:
+            k = int(evalue)
+            if k >= MAX_EXPONENT:
                 raise ParseError(f"exponent must be below {MAX_EXPONENT}", self.toks.line, ecol)
-            return base ** int(evalue)
+            if base.terms and not self.ctx.field.characteristic():
+                # lc^k is the leading coefficient of base^k: its height is at most H^k
+                c = base.terms[0][1]
+                height = max(abs(c.numerator), c.denominator)
+                if k * (height - 1).bit_length() > MAX_COEFFICIENT_BITS:
+                    raise ParseError(
+                        f"power too large: a coefficient would pass {MAX_COEFFICIENT_BITS} bits",
+                        self.toks.line,
+                        ecol,
+                    )
+            return base ** k
         return base
 
     def atom(self) -> Polynomial:
@@ -636,8 +659,11 @@ def parse_polynomial(text: str, ctx: RingContext, order: MonomialOrder, *, line:
     """Parse ``x*y*z + y^3 + z^3`` style text. Operators: + - * / ^ and parentheses.
 
     No implicit multiplication; ``/`` only with a nonzero constant divisor.
-    An exponent that overflows (``MAX_EXPONENT``) is a ParseError at the
-    first character of the polynomial.
+    An exponent of ``MAX_EXPONENT`` or more, or one that would take a rational
+    coefficient past ``MAX_COEFFICIENT_BITS`` (height H to the k-th power
+    counts k*ceil(log2 H) bits), is a ParseError at the exponent. A product of
+    exponents that overflows is a ParseError at the first character of the
+    polynomial.
     """
     if not text.strip():
         raise ParseError("empty polynomial", line, col_offset + 1)

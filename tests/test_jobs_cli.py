@@ -143,6 +143,7 @@ BAD_JOBS = [
     ("field GF(6)\n", "GF modulus must be prime, got 6", 1, 7),
     ("ring QQ x,y\nideal: x^2147483648\n", "exponent must be below 2147483648", 2, 10),
     ("ring QQ x,y\nideal: (x^46341)^46341\n", "exponent overflow", 2, 8),
+    ("ring QQ x,y\nideal: x + 3^4000000*y\n", "power too large", 2, 14),
 ]
 
 
@@ -278,14 +279,22 @@ class TestCLI:
         assert out == ""
         assert err == f"grodeg: cannot write {target}: No such file or directory\n"
 
-    @pytest.mark.parametrize("ideal", ["x^2147483648", "(x^46341)^46341"])
-    def test_huge_exponents_fail_fast(self, run_cli, ideal):
+    @pytest.mark.parametrize(
+        "ideal,error",
+        [
+            ("x^2147483648", "exponent must be below"),
+            ("(x^46341)^46341", "exponent overflow"),
+            ("3^4000000*x", "power too large"),
+        ],
+        ids=["x^2147483648", "(x^46341)^46341", "3^4000000*x"],
+    )
+    def test_huge_exponents_fail_fast(self, run_cli, ideal, error):
         start = time.perf_counter()
         rc, out, err = run_cli(["point-count", "--prime", "5"], f"ring QQ x,y,z\nideal: {ideal}\n")
         assert time.perf_counter() - start < 1.0
         assert rc == 2
         assert out == ""
-        assert err.startswith("grodeg: exponent ")
+        assert err.startswith(f"grodeg: {error}")
 
     def test_runs_are_byte_identical(self, run_cli):
         job = "facets: 1 2; 2 3; 1 3\npool -1,1\nbudget 20\n"
@@ -311,6 +320,14 @@ class TestCLI:
         d = json.loads(out)
         assert d["budget"] == 7
         assert d["pool"] == ["1", "2", "3"]
+
+    @pytest.mark.parametrize("pool", ["-1,1", "-2,-1,1,2", "-1/2,3"])
+    def test_pool_flag_value_may_start_with_a_minus(self, run_cli, pool):
+        spaced = run_cli(["lift-search", "--pool", pool], TRIANGLE_JOB)
+        joined = run_cli(["lift-search", f"--pool={pool}"], TRIANGLE_JOB)
+        assert spaced == joined
+        assert spaced[0] == 0
+        assert json.loads(spaced[1])["pool"] == pool.split(",")
 
     def test_jobs_flag_beats_the_job_file(self, run_cli, monkeypatch):
         seen = []

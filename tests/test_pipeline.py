@@ -1018,6 +1018,18 @@ class TestNoWorkTwice:
         assert len(res.lifts) > 1
         assert len(calls) == 1
 
+    def test_lift_search_builds_points_and_table_at_the_first_valid_lift(self, monkeypatch):
+        units = count_calls(monkeypatch, "_unit_points", module="pipeline")
+        tables = count_calls(monkeypatch, "_exclusion_table", module="pipeline")
+        five_cycle = SimplicialComplex.from_facets(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+        res = lift_search(five_cycle, MonomialOrder.degrevlex(ctx_n(5)), budget=10, seed=4)
+        assert res.tried == 10 and res.lifts == ()
+        assert units == [] and tables == []
+        four_cycle = SimplicialComplex.from_facets(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        res = lift_search(four_cycle, MonomialOrder.degrevlex(ctx_n(4)), budget=60, seed=3)
+        assert len(res.lifts) > 1
+        assert len(units) == len(tables) == 1
+
     def test_lift_search_checks_each_distinct_draw_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "_valid_lift", module="pipeline")
         triangle = SimplicialComplex.from_facets(3, [(1, 2), (1, 3), (2, 3)])

@@ -140,6 +140,28 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"unexpected '\)'"):
             P("x y", ctx, lex) if False else P(")", ctx, lex)
 
+    @pytest.mark.parametrize(
+        "text,column",
+        [("3^4000000*x", 3), ("x + (3*y)^5000", 11), ("2^8193", 3), ("(1/2)^8193*x", 7), ("(2^64)^200", 8)],
+    )
+    def test_powers_with_huge_coefficients_are_refused_at_the_exponent(self, xyz, text, column):
+        ctx, lex = xyz
+        with pytest.raises(ParseError, match="power too large: a coefficient would pass 8192 bits") as exc:
+            P(text, ctx, lex)
+        assert exc.value.column == column
+
+    def test_moderate_powers_still_parse(self, xyz):
+        ctx, lex = xyz
+        assert P("2^64*x", ctx, lex).terms[0][1] == 2**64
+        assert P("2^8192", ctx, lex).terms[0][1] == 2**8192
+        assert P("(1/2)^8192*x", ctx, lex).terms[0][1] == Fraction(1, 2**8192)
+        assert P("x^100000", ctx, lex).render() == "x^100000"
+        assert P("(-1)^100001*y", ctx, lex).render() == "-y"
+
+    def test_powers_over_gf_p_have_no_coefficient_bound(self):
+        ctx = standard_context(("x", "y"), PrimeField(5))
+        assert P("3^4000000*x", ctx, MonomialOrder.lex(ctx)).render() == "x"
+
     def test_no_implicit_multiplication(self, xyz):
         ctx, lex = xyz
         with pytest.raises(ParseError):
