@@ -29,6 +29,7 @@ from dataclasses import replace
 from . import pipeline
 from .errors import ParseError, ResourceLimitError
 from .fields import QQ
+from .groebner import DEFAULT_DEGREE_CAP
 from .jobs import SETTINGS, JobSpec, parse_job
 from .reporting import render_report
 from .ring import MonomialOrder, standard_context
@@ -45,7 +46,7 @@ def _common_flags(sub: argparse.ArgumentParser):
                      help="seed for sampled searches")
     sub.add_argument("--degree-cap", type=int, default=None, metavar="D",
                      help="abort basis completion beyond this degree in analyze "
-                     f"and scan-orders (default {pipeline.DEFAULT_DEGREE_CAP})")
+                     f"and scan-orders (default {DEFAULT_DEGREE_CAP})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -191,6 +191,14 @@ class CohomologyProfile:
     def is_acyclic(self) -> bool:
         return all(d == 0 for d in self.dims)
 
+    def as_dict(self) -> dict:
+        return {
+            "field": self.field.render(),
+            "dims": list(self.dims),
+            "reduced_euler_characteristic": self.reduced_euler,
+            "acyclic": self.is_acyclic(),
+        }
+
 
 def _coboundary_matrix(lower: List[Tuple[int, ...]], upper: List[Tuple[int, ...]]):
     """Sparse rows ``{column: ±1}`` of the coboundary from i-cochains to (i+1)-cochains."""

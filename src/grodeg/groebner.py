@@ -8,8 +8,8 @@ Buchberger applies the coprime-lead and chain criteria and supports two
 pair-selection strategies, ``normal`` (smallest lcm degree first) and
 ``fifo``; each pair is ranked once, when it is made, and both produce the
 same reduced basis, which is the canonical object everything downstream
-consumes. A degree cap (default 40) aborts runaway completions with
-``DegreeCapExceeded``.
+consumes. A degree cap (``DEFAULT_DEGREE_CAP`` unless given) aborts runaway
+completions with ``DegreeCapExceeded``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from typing import Optional, Tuple
 
 from .errors import ContextMismatchError, DegreeCapExceeded
 from .fields import QQ, PrimeField
-from .linalg import primitive_integers
 from .ring import Monomial, MonomialOrder, Polynomial, RingContext
+
+DEFAULT_DEGREE_CAP = 40
 
 
 def _split_lead(g: Polynomial, order: MonomialOrder):
@@ -157,7 +158,7 @@ def _pair_key(a: int, b: int):
     return (a, b) if a < b else (b, a)
 
 
-def buchberger(gens, order: MonomialOrder, *, degree_cap: int = 40, strategy: str = "normal") -> GroebnerBasis:
+def buchberger(gens, order: MonomialOrder, *, degree_cap: int = DEFAULT_DEGREE_CAP, strategy: str = "normal") -> GroebnerBasis:
     """Complete the generators to the reduced Groebner basis under order.
 
     Each pair is ranked once, when it is made, and waits in a heap: ``normal``
@@ -260,7 +261,7 @@ def _fresh_tag_name(names) -> str:
     return tag
 
 
-def is_variable_regular(B: GroebnerBasis, i: int, *, degree_cap: int = 40) -> bool:
+def is_variable_regular(B: GroebnerBasis, i: int, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
     """Whether x_i is a nonzerodivisor on the quotient ring, via (I : x_i) = I.
 
     The quotient ideal is computed with a tag variable t: the t-free part of
@@ -325,7 +326,7 @@ class ModPReduction:
     initial_ideal_stable: bool
 
 
-def reduce_mod_p(B: GroebnerBasis, p: int, *, degree_cap: int = 40) -> ModPReduction:
+def reduce_mod_p(B: GroebnerBasis, p: int, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> ModPReduction:
     """Reduce rational generators mod p after clearing each to primitive integer form.
 
     A denominator divisible by p is a bad-prime error. The result also says
@@ -340,8 +341,7 @@ def reduce_mod_p(B: GroebnerBasis, p: int, *, degree_cap: int = 40) -> ModPReduc
 
     images = []
     for g in B.polys:
-        ints = primitive_integers([c for _, c in g.terms], p)
-        images.append(Polynomial(gf_ctx, gf_order, zip(g.support_monomials(), ints)))
+        images.append(Polynomial(gf_ctx, gf_order, [(Monomial(e), c) for e, c in g.integer_terms(p)]))
 
     basis_p = buchberger(images, gf_order, degree_cap=degree_cap)
     stable = initial_ideal(B).same_monomials(initial_ideal(basis_p))

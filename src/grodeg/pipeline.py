@@ -14,8 +14,9 @@ Four entry points:
 
 The coordinate-point Jacobians of ``analyze`` and ``lift_search`` come from
 one pass over each generator's terms that fills all n points at once
-(``_coordinate_points``); ``singularity.jacobian_rank_at`` serves any other
-point and is the reference the tests hold that pass to.
+(``_coordinate_points``). Any other point goes to the one evaluator of
+``singularity``, which serves ``jacobian_rank_at`` (the reference the tests
+hold that pass to) and the singular points of ``count_points``.
 
 Everything is deterministic: sampling is seeded, parallel runs pre-generate
 their work lists so worker count never changes the answer.
@@ -31,7 +32,6 @@ from functools import cached_property, partial
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import (
-    CohomologyProfile,
     ComplexPropertyReport,
     SimplicialComplex,
     complex_from_squarefree_ideal,
@@ -39,10 +39,10 @@ from .complexes import (
     to_ideal,
 )
 from .errors import ScanBoundExceeded
-from .fields import Field, QQ, is_prime
-from .groebner import GroebnerBasis, MonomialIdeal, buchberger, initial_ideal
+from .fields import Field, PrimeField, QQ, is_prime
+from .groebner import DEFAULT_DEGREE_CAP, GroebnerBasis, MonomialIdeal, buchberger, initial_ideal
 from .groebner import normal_form, s_polynomial
-from .linalg import primitive_integers, rank_int, rank_mod_p
+from .linalg import rank_int, rank_mod_p
 from .ring import Monomial, MonomialOrder, Polynomial, RingContext
 from .singularity import (
     JacobianAnalysis,
@@ -51,15 +51,16 @@ from .singularity import (
     SupportViolation,
     _checked_generators,
     _classified,
+    _dim1_setting,
     _excluded_tails,
     _exclusion_table,
+    _jacobian_at,
     ci_obstruction,
     leafless_obstruction,
     lex_obstruction,
 )
 
 SCAN_VARIABLE_BOUND = 8
-DEFAULT_DEGREE_CAP = 40
 DEFAULT_BUDGET = 200
 DEFAULT_POOL_QQ = (-2, -1, 1, 2)
 
@@ -80,15 +81,6 @@ def ideal_digest(ctx: RingContext, gens) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _cohomology_dict(coh: CohomologyProfile) -> dict:
-    return {
-        "field": coh.field.render(),
-        "dims": list(coh.dims),
-        "reduced_euler_characteristic": coh.reduced_euler,
-        "acyclic": coh.is_acyclic(),
-    }
-
-
 def _unit_points(ctx: RingContext) -> Tuple[ProjPoint, ...]:
     """The coordinate points e_1, ..., e_n of the ring's projective space."""
     return tuple(ProjPoint.coordinate(ctx.field, ctx.n, i) for i in range(ctx.n))
@@ -103,8 +95,8 @@ def _coordinate_points(gens, units, codim: int) -> Tuple[JacobianAnalysis, ...]:
     nonzero only when x^e = x_i^d (d*c in column i) or x^e = x_i^(d-1)*x_j (c in
     column j). A linear term c*x_j is both at every point: it puts c in column j
     of every row. Each generator is checked once and its coefficients read as
-    integers (primitive over QQ, residues over GF(p)); each point's matrix goes
-    to ``rank_int``/``rank_mod_p``. The result is ``jacobian_rank_at`` at each e_i.
+    integers (``Polynomial.integer_terms``); each point's matrix goes to
+    ``rank_int``/``rank_mod_p``. The result is ``jacobian_rank_at`` at each e_i.
     """
     gens, ctx = _checked_generators(gens)
     n, p = ctx.n, ctx.field.characteristic()
@@ -112,10 +104,11 @@ def _coordinate_points(gens, units, codim: int) -> Tuple[JacobianAnalysis, ...]:
     per_gen = []  # per generator, its Jacobian row at each point
     for g in gens:
         rows = [{} for _ in range(n)]
-        d = sum(g.terms[0][0].exps) if g.terms else 0
-        hits = [(m.exps, c) for m, c in g.terms if max(m.exps) >= d - 1]
-        ints = [c.v for _, c in hits] if p else primitive_integers([c for _, c in hits])
-        for (e, _), c in zip(hits, ints):
+        terms = g.integer_terms()
+        d = sum(terms[0][0]) if terms else 0
+        for e, c in terms:
+            if max(e) < d - 1:  # nonzero at no e_i, with all its partials
+                continue
             if d == 1:
                 j = e.index(1)
                 off[j] = True
@@ -138,7 +131,7 @@ def _coordinate_points(gens, units, codim: int) -> Tuple[JacobianAnalysis, ...]:
     )
 
 
-def _conjecture_summary(field, props: ComplexPropertyReport, points) -> dict:
+def _conjecture_summary(props: ComplexPropertyReport, points) -> dict:
     """Three-valued verdicts for the Cohen-Macaulay conjectures.
 
     ``consistent`` means the conclusion holds, or some hypothesis is provably
@@ -157,7 +150,7 @@ def _conjecture_summary(field, props: ComplexPropertyReport, points) -> dict:
         refuted.append("not_buchsbaum")
     for a in points:
         if a.verdict == "singular":
-            refuted.append(f"singular_coordinate_point {a.point.render(field)}")
+            refuted.append(f"singular_coordinate_point {a.point.render()}")
     probe = any(a.on_scheme for a in points)
 
     def verdict(conclusion: bool) -> str:
@@ -226,9 +219,9 @@ class DegenerationReport:
             return out
         out["facets"] = self.delta.render()
         out["complex"] = self.properties.as_dict()
-        out["cohomology"] = _cohomology_dict(self.properties.cohomology)
+        out["cohomology"] = self.properties.cohomology.as_dict()
         out["necessary_conditions"] = self.necessary_conditions()
-        out["coordinate_points"] = [a.as_dict(ctx.field) for a in self.coordinate_points]
+        out["coordinate_points"] = [a.as_dict() for a in self.coordinate_points]
         out["obstructions"] = [o.as_dict() for o in self.obstructions]
         out["conjectures"] = self.conjectures
         return out
@@ -272,10 +265,10 @@ def _degeneration_report(gens, order: MonomialOrder, B: GroebnerBasis, producing
     if standard and B.polys:
         points = _coordinate_points(B, _unit_points(ctx), (ctx.n - 1) - delta.dim)
         obstructions.append(ci_obstruction(B))
-        if delta.dim == 1 and not delta.ghost_vertices():
+        if _dim1_setting(delta):
             obstructions.append(leafless_obstruction(B, delta))
     obstructions.append(lex_obstruction(delta))
-    conjectures = _conjecture_summary(ctx.field, props, points)
+    conjectures = _conjecture_summary(props, points)
 
     return DegenerationReport(
         digest, order, polys, B, M, True,
@@ -343,7 +336,6 @@ def scan_orders(
     gens,
     *,
     family: str = "both",
-    bound: int = SCAN_VARIABLE_BOUND,
     workers: int = 1,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> List[DegenerationReport]:
@@ -351,7 +343,7 @@ def scan_orders(
 
     Each distinct initial ideal yields one full report whose
     ``producing_orders`` lists every order that realized it, in scan order.
-    The scan refuses to run past ``bound`` variables (factorial blowup).
+    The scan refuses to run past ``SCAN_VARIABLE_BOUND`` variables (factorial blowup).
 
     A reduced basis G is kept once found. If every g in G keeps its leading
     monomial under a new order C, marked division by G sends every element of
@@ -368,9 +360,9 @@ def scan_orders(
     if not gens:
         raise ValueError("order scan needs at least one generator")
     ctx = gens[0].ctx
-    if ctx.n > bound:
+    if ctx.n > SCAN_VARIABLE_BOUND:
         raise ScanBoundExceeded(
-            f"scanning {ctx.n} variables means {ctx.n}! permutations; the bound is {bound}"
+            f"scanning {ctx.n} variables means {ctx.n}! permutations; the bound is {SCAN_VARIABLE_BOUND}"
         )
     kinds = _FAMILIES.get(family)
     if kinds is None:
@@ -447,10 +439,10 @@ class ValidLift:
         on = [a for a in self.coordinate_points if a.on_scheme]
         return bool(on) and all(a.verdict == "singular" for a in on)
 
-    def as_dict(self, field, points=None) -> dict:
+    def as_dict(self, points=None) -> dict:
         """``points``, when given, are the coordinate-point entries already rendered."""
         if points is None:
-            points = [a.as_dict(field) for a in self.coordinate_points]
+            points = [a.as_dict() for a in self.coordinate_points]
         return {
             "generators": [g.render() for g in self.polys],
             "coordinate_points": points,
@@ -484,7 +476,7 @@ class _LiftCheck:
     @cached_property
     def table(self):
         """The support-exclusion table, or None outside the one-dimensional setting."""
-        if self.delta.dim == 1 and not self.delta.ghost_vertices():
+        if _dim1_setting(self.delta):
             return _exclusion_table(self.order, self.delta, self.targets)
         return None
 
@@ -543,7 +535,7 @@ class LiftSearchResult:
             key = (i, a.on_scheme, a.rank, a.expected_codim, a.verdict)
             d = entries.get(key)
             if d is None:
-                d = entries[key] = a.as_dict(field)
+                d = entries[key] = a.as_dict()
             return d
 
         return {
@@ -562,7 +554,7 @@ class LiftSearchResult:
             "valid_lift_count": len(self.lifts),
             "lifts_singular_at_top_point": self.lifts_singular_at_top_point(),
             "valid_lifts": [
-                lift.as_dict(field, [entry(i, a) for i, a in enumerate(lift.coordinate_points)])
+                lift.as_dict([entry(i, a) for i, a in enumerate(lift.coordinate_points)])
                 for lift in self.lifts
             ],
         }
@@ -685,28 +677,15 @@ def count_points(f: Polynomial, p: int) -> PointCountResult:
         raise ValueError("point counting needs a nonzero homogeneous form")
 
     char = ctx.field.characteristic()
-    if char == p:
-        ints = [c.v for _, c in f.terms]
-    elif char == 0:
-        ints = primitive_integers([c for _, c in f.terms], p)
-    else:
+    if char not in (0, p):
         raise ValueError(f"curve lives over GF({char}), cannot reduce mod {p}")
-    terms = [(m.exps, c % p) for (m, _), c in zip(f.terms, ints) if c % p]
+    terms = [(e, c % p) for e, c in f.integer_terms(p) if c % p]
     if not terms:
         raise ValueError(f"bad prime {p}: the form vanishes identically mod {p}")
-    partials = []
-    for j in range(3):
-        rows = []
-        for e, c in terms:
-            if e[j]:
-                low = list(e)
-                low[j] -= 1
-                rows.append((tuple(low), c * e[j] % p))
-        partials.append([(e, c) for e, c in rows if c])
 
-    def value(terms_, x, y, z):
+    def value(x, y, z):
         total = 0
-        for (a, b, c_), co in terms_:
+        for (a, b, c_), co in terms:
             total += co * pow(x, a, p) * pow(y, b, p) * pow(z, c_, p)
         return total % p
 
@@ -718,25 +697,19 @@ def count_points(f: Polynomial, p: int) -> PointCountResult:
         points.append((0, 1, z))
     points.append((0, 0, 1))
 
-    on_curve = [pt for pt in points if value(terms, *pt) == 0]
-    singular = [
-        pt
-        for pt in on_curve
-        if all(value(partials[j], *pt) == 0 for j in range(3))
-    ]
+    on_curve = [pt for pt in points if value(*pt) == 0]
+    # singular: every partial vanishes, a Jacobian of rank 0
+    singular = [pt for pt in on_curve if _jacobian_at([terms], pt, p)[1] == 0]
     count = len(on_curve)
     trace = p + 1 - count
     smooth = not singular
     elliptic = smooth and degree == 3
     supersingular = (trace % p == 0) if elliptic else None
     hasse_ok = (trace * trace <= 4 * p) if elliptic else None
-
-    def render_pt(pt):
-        return "[" + ":".join(str(c) for c in pt) + "]"
-
+    gf = PrimeField(p)
     return PointCountResult(
         f.render(), p, count, trace, smooth,
-        tuple(render_pt(pt) for pt in singular), supersingular, hasse_ok,
+        tuple(ProjPoint.make(gf, pt).render() for pt in singular), supersingular, hasse_ok,
     )
 
 
@@ -756,7 +729,7 @@ class ComplexReport:
             "dim": self.delta.dim,
             "f_vector": list(self.delta.f_vector()),
             "properties": self.properties.as_dict(),
-            "cohomology": _cohomology_dict(self.properties.cohomology),
+            "cohomology": self.properties.cohomology.as_dict(),
             "lex_obstruction": self.lex.as_dict(),
         }
 

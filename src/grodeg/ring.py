@@ -14,18 +14,22 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import comb
 from operator import itemgetter, le, mul, neg
 from typing import Iterable, Optional, Tuple
 
 from .errors import ContextMismatchError, ParseError
 from .fields import Field, QQ
-from .linalg import rank_int
+from .linalg import primitive_integers, rank_int
 
 MAX_EXPONENT = 2**31
 # A power over QQ whose leading coefficient would need more bits than this is
 # refused by the parser; the bound keeps every such coefficient well inside the
 # 4300 decimal digits Python prints by default.
 MAX_COEFFICIENT_BITS = 2**13
+# The parser multiplies out at most this many pairs of terms for one
+# polynomial, so every line it accepts parses in well under a second.
+MAX_TERM_PAIRS = 2**15
 
 
 @dataclass(frozen=True)
@@ -491,6 +495,15 @@ class Polynomial:
     def support_monomials(self):
         return tuple(m for m, _ in self.terms)
 
+    def integer_terms(self, p: int = 0):
+        """The terms as ``(exponents, integer)`` pairs: residues over GF(p), and
+        over QQ the coefficients cleared by ``primitive_integers``. With a prime
+        ``p`` to reduce them by, a denominator that ``p`` divides raises."""
+        if self.ctx.field.characteristic():
+            return [(m.exps, c.v) for m, c in self.terms]
+        ints = primitive_integers([c for _, c in self.terms], p)
+        return [(m.exps, c) for (m, _), c in zip(self.terms, ints)]
+
     def render(self) -> str:
         if not self.terms:
             return "0"
@@ -561,6 +574,14 @@ class _PolyParser:
         self.toks = tokens
         self.ctx = ctx
         self.order = order
+        self.pairs = 0  # term pairs multiplied out so far
+
+    def spend(self, pairs: int, what: str, col: int):
+        """Count ``pairs`` more term pairs; past ``MAX_TERM_PAIRS`` it is a ParseError at ``col``."""
+        self.pairs += pairs
+        if self.pairs > MAX_TERM_PAIRS:
+            message = f"{what} too large: the polynomial would multiply out more than {MAX_TERM_PAIRS} pairs of terms"
+            raise ParseError(message, self.toks.line, col)
 
     def parse(self) -> Polynomial:
         p = self.expr()
@@ -588,6 +609,7 @@ class _PolyParser:
                 self.toks.next()
                 q = self.unary()
                 if value == "*":
+                    self.spend(len(p.terms) * len(q.terms), "product", col)
                     p = p * q
                 else:
                     if q.terms and len(q.terms) == 1 and q.terms[0][0].is_one():
@@ -631,6 +653,7 @@ class _PolyParser:
                         self.toks.line,
                         ecol,
                     )
+            self.spend(_power_pairs(len(base.terms), k), "power", ecol)
             return base ** k
         return base
 
@@ -655,15 +678,34 @@ class _PolyParser:
         raise ParseError(f"unexpected {value!r}", self.toks.line, col)
 
 
+def _power_pairs(t: int, k: int) -> int:
+    """An upper bound on the term pairs that ``Polynomial.__pow__``'s square and
+    multiply takes for the k-th power of t terms (the j-th power has at most
+    C(j+t-1, t-1) terms); the count stops once past ``MAX_TERM_PAIRS``."""
+    size = lambda j: comb(j + t - 1, t - 1) if t else 0
+    pairs, done, square = 0, 0, 1  # the result so far is base^done
+    while k and pairs <= MAX_TERM_PAIRS:
+        if k & 1:
+            pairs += size(done) * size(square)
+            done += square
+        k >>= 1
+        if k:
+            pairs += size(square) ** 2
+            square *= 2
+    return pairs
+
+
 def parse_polynomial(text: str, ctx: RingContext, order: MonomialOrder, *, line: int = 1, col_offset: int = 0) -> Polynomial:
     """Parse ``x*y*z + y^3 + z^3`` style text. Operators: + - * / ^ and parentheses.
 
     No implicit multiplication; ``/`` only with a nonzero constant divisor.
     An exponent of ``MAX_EXPONENT`` or more, or one that would take a rational
     coefficient past ``MAX_COEFFICIENT_BITS`` (height H to the k-th power
-    counts k*ceil(log2 H) bits), is a ParseError at the exponent. A product of
-    exponents that overflows is a ParseError at the first character of the
-    polynomial.
+    counts k*ceil(log2 H) bits), is a ParseError at the exponent. So is a power
+    or product that would take the term pairs multiplied out for the whole
+    polynomial past ``MAX_TERM_PAIRS`` (the k-th power of t terms has at most
+    C(k+t-1, t-1) terms), at the exponent or the ``*``. A product of exponents
+    that overflows is a ParseError at the first character of the polynomial.
     """
     if not text.strip():
         raise ParseError("empty polynomial", line, col_offset + 1)

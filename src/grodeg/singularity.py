@@ -12,32 +12,36 @@ reduced Groebner bases produced upstream. The three certificates:
 - ``lex_obstruction``: purely combinatorial; if every vertex has more link
   vertices than dim of the complex, no lex order admits a smooth lift.
 
-``jacobian_rank_at`` takes any point. ``support_exclusions`` checks the
+``jacobian_rank_at`` takes any point; it and ``pipeline.count_points`` share
+one integer evaluator (``_jacobian_at``). ``support_exclusions`` checks the
 setting (``_check_dim1_setting``) and is then two parts: a table from each
 leading monomial to its forbidden tails (``_exclusion_table``), and a scan of
 one basis against it (``_excluded_tails``). The table depends only on the
 order, the complex and the leading monomials, so a lift search, whose own
 non-face generators are the leads, builds it once for all its lifts and
-skips the check.
+skips the check. ``leafless_obstruction`` reads its violations from
+``support_exclusions``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import SimplicialComplex, to_ideal
 from .errors import ContextMismatchError
+from .fields import Field
 from .groebner import GroebnerBasis, MonomialIdeal, initial_ideal
-from .linalg import rank_exact
+from .linalg import primitive_integers, rank_int, rank_mod_p
 from .ring import Monomial, Polynomial
 
 
 @dataclass(frozen=True)
 class ProjPoint:
-    """Projective point, canonically scaled: first nonzero coordinate is 1."""
+    """Projective point over ``field``, canonically scaled: first nonzero coordinate is 1."""
 
     coords: Tuple
+    field: Field
 
     @staticmethod
     def make(field, coords) -> "ProjPoint":
@@ -45,17 +49,17 @@ class ProjPoint:
         pivot = next((v for v in vals if v != field.zero), None)
         if pivot is None:
             raise ValueError("projective point needs a nonzero coordinate")
-        return ProjPoint(tuple(v / pivot for v in vals))
+        return ProjPoint(tuple(v / pivot for v in vals), field)
 
     @staticmethod
     def coordinate(field, n: int, i: int) -> "ProjPoint":
         if not 0 <= i < n:
             raise ValueError(f"coordinate index {i} out of range")
         one, zero = field.one, field.zero
-        return ProjPoint(tuple(one if j == i else zero for j in range(n)))
+        return ProjPoint(tuple(one if j == i else zero for j in range(n)), field)
 
-    def render(self, field) -> str:
-        return "[" + ":".join(field.render_scalar(c) for c in self.coords) + "]"
+    def render(self) -> str:
+        return "[" + ":".join(self.field.render_scalar(c) for c in self.coords) + "]"
 
 
 @dataclass(frozen=True)
@@ -66,9 +70,9 @@ class JacobianAnalysis:
     expected_codim: int
     verdict: str  # "off_scheme" | "singular" | "smooth"
 
-    def as_dict(self, field) -> dict:
+    def as_dict(self) -> dict:
         return {
-            "point": self.point.render(field),
+            "point": self.point.render(),
             "on_scheme": self.on_scheme,
             "rank": self.rank,
             "expected_codim": self.expected_codim,
@@ -77,32 +81,28 @@ class JacobianAnalysis:
         }
 
 
-def _gens_of(basis_or_gens):
-    if isinstance(basis_or_gens, GroebnerBasis):
-        return list(basis_or_gens.polys)
-    return list(basis_or_gens)
-
-
 def jacobian_rank_at(basis_or_gens, point, expected_codim: int) -> JacobianAnalysis:
     """Exact Jacobian rank at a projective point, classified against codimension.
 
-    One pass over each generator's terms fills its value and its Jacobian row:
-    a term c*x^e adds c*e_j*x^(e-unit_j) to column j. Terms that vanish at the
-    point together with all their partials are skipped: two support variables
-    at zero coordinates, or one with exponent >= 2. At a coordinate point e_i
-    only the x_i^d and x_i^(d-1)*x_j terms are read.
+    A point over another field, or a plain coordinate sequence, is taken into
+    the generators' field first. A rational point is cleared to primitive
+    integers, which scales every value and partial by a nonzero constant.
     """
     gens, ctx = _checked_generators(basis_or_gens)
-    if not isinstance(point, ProjPoint):
-        point = ProjPoint.make(ctx.field, point)
+    if not (isinstance(point, ProjPoint) and point.field == ctx.field):
+        point = ProjPoint.make(ctx.field, getattr(point, "coords", point))
     if len(point.coords) != ctx.n:
         raise ValueError("point has the wrong number of coordinates")
-    return _jacobian_rank(gens, ctx, point, expected_codim)
+    p = ctx.field.characteristic()
+    x = [c.v for c in point.coords] if p else primitive_integers(point.coords)
+    on_scheme, rank = _jacobian_at([g.integer_terms() for g in gens], x, p)
+    return _classified(point, on_scheme, rank, expected_codim)
 
 
 def _checked_generators(basis_or_gens):
     """The generators and their ring, once they pass the checks every Jacobian needs."""
-    gens: List[Polynomial] = _gens_of(basis_or_gens)
+    is_basis = isinstance(basis_or_gens, GroebnerBasis)
+    gens: List[Polynomial] = list(basis_or_gens.polys if is_basis else basis_or_gens)
     if not gens:
         raise ValueError("no generators")
     ctx = gens[0].ctx
@@ -115,48 +115,47 @@ def _checked_generators(basis_or_gens):
     return gens, ctx
 
 
-def _jacobian_rank(gens, ctx, point: ProjPoint, expected_codim: int) -> JacobianAnalysis:
-    """``jacobian_rank_at`` without its checks: the generators come from
-    ``_checked_generators`` and the point has ``ctx.n`` coordinates."""
-    coords = [ctx.field.of(c) for c in point.coords]
+def _jacobian_at(gens_terms, x, p: int) -> Tuple[bool, int]:
+    """Whether every generator vanishes at the integer point ``x``, and the rank
+    of the Jacobian there, over QQ (``p == 0``) or GF(p).
 
-    # Over GF(p) the arithmetic runs on plain integers, reduced mod p only when
-    # the value is tested and the rank taken; over QQ it runs on Fractions.
-    p = ctx.field.characteristic()
-    if p:
-        coords = [c.v for c in coords]
-    inverse = [(pow(x, -1, p) if p else 1 / x) if x else 0 for x in coords]
+    Each generator is given as its ``Polynomial.integer_terms``. One pass over
+    its terms fills its value and its Jacobian row: a term c*x^e adds
+    c*e_j*x^(e-unit_j) to column j, an exact integer quotient of its value by
+    x_j. Terms that vanish at the point together with all their partials are
+    skipped: two support variables at zero coordinates, or one with exponent
+    >= 2. Values and rows are reduced mod p only when tested and ranked.
+    """
     on_scheme = True
     matrix = []
-    for g in gens:
+    for terms in gens_terms:
         value = 0
         row = {}  # column -> partial derivative at the point
-        for m, c in g.terms:
-            t = c.v if p else c
+        for e, t in terms:
             hole = None  # the one support variable at a zero coordinate, if any
-            for k, e in enumerate(m.exps):
-                if not e:
+            for k, ek in enumerate(e):
+                if not ek:
                     continue
-                x = coords[k]
-                if x:
-                    if x != 1:
-                        t = t * x**e
-                elif e > 1 or hole is not None:
+                xk = x[k]
+                if xk:
+                    if xk != 1:
+                        t = t * xk**ek
+                elif ek > 1 or hole is not None:
                     break
                 else:
                     hole = k
             else:
                 if hole is None:
                     value += t
-                    for k, e in enumerate(m.exps):
-                        if e:
-                            row[k] = row.get(k, 0) + e * t * inverse[k]
+                    for k, ek in enumerate(e):
+                        if ek:
+                            row[k] = row.get(k, 0) + ek * t // x[k]
                 else:
                     row[hole] = row.get(hole, 0) + t
-        if (value % p if p else value) != 0:
+        if value % p if p else value:
             on_scheme = False
         matrix.append(row)
-    return _classified(point, on_scheme, rank_exact(matrix, ctx.field), expected_codim)
+    return on_scheme, rank_mod_p(matrix, p) if p else rank_int(matrix)
 
 
 def _classified(point: ProjPoint, on_scheme: bool, rank: int, expected_codim: int) -> JacobianAnalysis:
@@ -179,13 +178,7 @@ class ObstructionVerdict:
     witness: Dict
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "applicable": self.applicable,
-            "certified": self.certified,
-            "reason": self.reason,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def _require_standard_grading(ctx):
@@ -239,7 +232,7 @@ def ci_obstruction(B: GroebnerBasis) -> ObstructionVerdict:
     names = B.ctx.names
     witness = {
         "blocks": [[names[v] for v in blk] for blk in ordered],
-        "point": point.render(B.ctx.field),
+        "point": point.render(),
         "distinguished_variable": names[top_var],
         "rank": analysis.rank,
         "codim": codim,
@@ -256,7 +249,13 @@ class SupportViolation:
     monomial: str
 
     def as_dict(self) -> dict:
-        return {"rule": self.rule, "generator": self.generator, "monomial": self.monomial}
+        return asdict(self)
+
+
+def _dim1_setting(delta: SimplicialComplex) -> bool:
+    """Whether ``delta`` is one-dimensional without ghost vertices: the setting
+    of ``leafless_obstruction`` and ``support_exclusions``."""
+    return delta.dim == 1 and not delta.ghost_vertices()
 
 
 def _check_dim1_setting(ctx, delta: SimplicialComplex, leads):
@@ -306,33 +305,24 @@ def _exclusion_table(order, delta: SimplicialComplex, leads):
     The table depends only on the order, ``delta`` and the leads, so one table
     serves every basis with those leads (every valid lift of one search).
     """
-    return _tails_table(delta, leads, *_top_vertex_data(order, delta))
-
-
-def _tails_table(delta: SimplicialComplex, leads, v1, vertex, neighbors):
-    """``_exclusion_table`` from the top vertex data (``_top_vertex_data``)."""
+    v1, vertex, neighbors = _top_vertex_data(order, delta)
     link_top = neighbors[: 2]  # the lemma constrains the two largest link vertices
     non_neighbors = [u for u in range(1, delta.n + 1) if u != vertex and u not in neighbors]
-
-    def mono(pairs) -> Monomial:
-        exps = [0] * delta.n
-        for var, e in pairs:
-            exps[var] += e
-        return Monomial(tuple(exps))
-
+    x = lambda u: Monomial.variable(u - 1, delta.n)  # the variable of vertex u
+    top = x(vertex)
     table = {}
     for lead in leads:
         face = tuple(v + 1 for v in lead.support())
         d = lead.degree()
-        targets = [("pure_power_of_top_variable", mono([(v1, d)]))]
+        targets = [("pure_power_of_top_variable", top.pow(d))]
         for l in non_neighbors:
-            targets.append(("top_variable_times_non_neighbor", mono([(v1, d - 1), (l - 1, 1)])))
+            targets.append(("top_variable_times_non_neighbor", top.pow(d - 1).mul(x(l))))
         if vertex not in face:
             for a in link_top:
-                targets.append(("top_variable_times_top_link_vertex", mono([(v1, d - 1), (a - 1, 1)])))
+                targets.append(("top_variable_times_top_link_vertex", top.pow(d - 1).mul(x(a))))
         if vertex in face and d == 3:
             for a in link_top:
-                targets.append(("degree3_top_variable_squared", mono([(v1, 2), (a - 1, 1)])))
+                targets.append(("degree3_top_variable_squared", top.pow(2).mul(x(a))))
         table[lead] = tuple(targets)
     return table
 
@@ -351,8 +341,7 @@ def _excluded_tails(polys, table) -> List[SupportViolation]:
 
 def leafless_obstruction(B: GroebnerBasis, delta: SimplicialComplex) -> ObstructionVerdict:
     """Rank bound n-3 at the top variable's coordinate point when it is not a leaf."""
-    leads = B.leading_monomials()
-    _check_dim1_setting(B.ctx, delta, leads)
+    violations = support_exclusions(B, delta)  # checks the setting first
     kind = "leafless_vertex"
     v1, vertex, neighbors = _top_vertex_data(B.order, delta)
     n = delta.n
@@ -365,7 +354,6 @@ def leafless_obstruction(B: GroebnerBasis, delta: SimplicialComplex) -> Obstruct
             f"vertex {vertex} (variable {names[v1]}) is a leaf or isolated",
             {"vertex": vertex, "link_size": len(neighbors)},
         )
-    violations = _excluded_tails(B.polys, _tails_table(delta, leads, v1, vertex, neighbors))
     point = ProjPoint.coordinate(B.ctx.field, n, v1)
     codim = n - 2
     analysis = jacobian_rank_at(B, point, codim)
@@ -384,7 +372,7 @@ def leafless_obstruction(B: GroebnerBasis, delta: SimplicialComplex) -> Obstruct
         "vertex": vertex,
         "distinguished_variable": names[v1],
         "link_size": len(neighbors),
-        "point": point.render(B.ctx.field),
+        "point": point.render(),
         "rank": analysis.rank,
         "rank_bound": bound,
         "codim": codim,

@@ -144,6 +144,8 @@ BAD_JOBS = [
     ("ring QQ x,y\nideal: x^2147483648\n", "exponent must be below 2147483648", 2, 10),
     ("ring QQ x,y\nideal: (x^46341)^46341\n", "exponent overflow", 2, 8),
     ("ring QQ x,y\nideal: x + 3^4000000*y\n", "power too large", 2, 14),
+    ("ring QQ x,y,z\nideal: (x+y+z)^300\n", "power too large: the polynomial would multiply", 2, 16),
+    ("ring QQ x,y,z\nideal: x ; (x+y+z)^20*(x+y+z)^20\n", "product too large", 2, 22),
 ]
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import grodeg
 from grodeg import cli, pipeline
+from grodeg.linalg import primitive_integers
 
 from grodeg import (
     DegreeCapExceeded,
@@ -904,6 +905,80 @@ class TestCountPoints:
         f = P("x^2*z", ctx, MonomialOrder.degrevlex(ctx))
         with pytest.raises(ValueError, match="point counting requires the standard grading"):
             count_points(f, 5)
+
+
+def textbook_point_count(f, p):
+    """(count, singular points) of the plane curve f over GF(p), or None when
+    f vanishes mod p: built partial derivatives, evaluated over GF(p) at every
+    point of P^2(F_p). A rational f is reduced from its primitive integral form."""
+    F = PrimeField(p)
+    ctx = ctx_xyz(F)
+    coeffs = [c for _, c in f.terms]
+    ints = coeffs if f.ctx.field.characteristic() else primitive_integers(coeffs)
+    g = Polynomial(ctx, MonomialOrder.degrevlex(ctx), [(m, F.of(c)) for (m, _), c in zip(f.terms, ints)])
+    if g.is_zero():
+        return None
+    partials = [g.partial_derivative(j) for j in range(3)]
+    points = [(1, y, z) for y in range(p) for z in range(p)] + [(0, 1, z) for z in range(p)] + [(0, 0, 1)]
+    on_curve = [pt for pt in points if g.evaluate(pt) == F.zero]
+    singular = [pt for pt in on_curve if all(d.evaluate(pt) == F.zero for d in partials)]
+    return len(on_curve), tuple("[" + ":".join(map(str, pt)) + "]" for pt in singular)
+
+
+class TestCountPointsOracle:
+    """``count_points`` (count and singular points) against the textbook route."""
+
+    PRIMES = (2, 3, 5, 7)
+
+    def random_curve(self, rng, ctx, order):
+        """A random plane curve of degree 1-4, or a product of random lines."""
+        field = ctx.field
+
+        def scalar():
+            c = rng.choice([-3, -2, -1, 1, 2, 3, 0])
+            # denominators 11 and 13 are units mod every prime tried
+            return Fraction(c, rng.choice([1, 1, 11, 13])) if not field.characteristic() else c
+
+        if rng.random() < 0.3:
+            f = Polynomial.constant(ctx, order, 1)
+            for _ in range(rng.randint(2, 4)):
+                f = f * Polynomial(ctx, order, [(Monomial.variable(i, 3), scalar()) for i in range(3)])
+            return f
+        d = rng.randint(1, 4)
+        monos = [Monomial((a, b, d - a - b)) for a in range(d + 1) for b in range(d + 1 - a)]
+        return Polynomial(ctx, order, [(m, scalar()) for m in rng.sample(monos, rng.randint(1, len(monos)))])
+
+    def curves(self):
+        rng = random.Random(29)
+        for field in (QQ,) + tuple(PrimeField(p) for p in self.PRIMES):
+            ctx = ctx_xyz(field)
+            order = MonomialOrder.degrevlex(ctx)
+            fixed = ["y^2*z - x^3", "x*y*(x - y)*(x + y - z)", "x^3 + y^3 + z^3", "x^2 - y^2"]
+            yield from (P(t, ctx, order) for t in fixed)
+            for _ in range(25):
+                yield self.random_curve(rng, ctx, order)
+
+    def test_matches_the_textbook_route(self):
+        checked = singular = 0
+        for f in self.curves():
+            char = f.ctx.field.characteristic()
+            for p in (char,) if char else self.PRIMES:
+                want = None if f.is_zero() else textbook_point_count(f, p)
+                if want is None:
+                    with pytest.raises(ValueError, match="needs a nonzero|vanishes identically"):
+                        count_points(f, p)
+                    continue
+                r = count_points(f, p)
+                assert (r.count, r.singular_points) == want, (f.render(), p)
+                assert r.smooth == (not r.singular_points)
+                checked += 1
+                singular += bool(r.singular_points)
+        assert checked > 200 and singular > 50
+
+    def test_every_point_is_singular_when_every_partial_vanishes(self):
+        ctx = ctx_xyz(PrimeField(3))
+        r = count_points(P("x^3 + y^3 + z^3", ctx, MonomialOrder.degrevlex(ctx)), 3)
+        assert (r.count, r.singular_points) == (4, ("[1:0:2]", "[1:1:1]", "[1:2:0]", "[0:1:2]"))
 
 
 class TestAnalyzeComplex:

@@ -3,6 +3,7 @@
 import pickle
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -17,6 +18,8 @@ from grodeg import (
     parse_polynomial,
     standard_context,
 )
+
+from grodeg.ring import MAX_TERM_PAIRS, _power_pairs
 
 from conftest import ctx_n, ctx_xyz, random_poly
 
@@ -157,6 +160,50 @@ class TestParsing:
         assert P("(1/2)^8192*x", ctx, lex).terms[0][1] == Fraction(1, 2**8192)
         assert P("x^100000", ctx, lex).render() == "x^100000"
         assert P("(-1)^100001*y", ctx, lex).render() == "-y"
+
+    @pytest.mark.parametrize(
+        "text,column,what",
+        [
+            ("(x+y+z)^300", 9, "power"),
+            ("(x+y+z)^40", 9, "power"),
+            ("x + (y+z)^2*(x+y+z)^60", 21, "power"),
+            ("(x+y+z)^20*(x+y+z)^20", 11, "product"),
+            ("(x+y+z)^10*(x+y+z)^10*(x+y+z)^10*(x+y+z)^10", 33, "product"),
+        ],
+    )
+    def test_term_pair_work_is_bounded(self, xyz, text, column, what):
+        ctx, lex = xyz
+        with pytest.raises(ParseError, match=f"{what} too large: .* more than {MAX_TERM_PAIRS} pairs") as exc:
+            P(text, ctx, lex)
+        assert exc.value.column == column
+
+    def test_large_powers_within_the_term_pair_bound_parse(self, xyz):
+        ctx, lex = xyz
+        f = P("(x+y)^200", ctx, lex)
+        assert len(f.terms) == 201 and f.terms[100][1] == comb(200, 100)
+        assert len(P("(x+y+z)^16*(x+y+z)^16", ctx, lex).terms) == comb(34, 2)
+
+    @pytest.mark.parametrize("field", [None, PrimeField(3)], ids=["QQ", "GF3"])
+    def test_power_pair_count_bounds_the_work(self, monkeypatch, field):
+        """``_power_pairs`` is at least the term pairs ``__pow__`` multiplies."""
+        pairs = []
+        original = Polynomial.__mul__
+
+        def counted(a, b):
+            if isinstance(b, Polynomial):
+                pairs.append(len(a.terms) * len(b.terms))
+            return original(a, b)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        rng = random.Random(17)
+        ctx = ctx_xyz(field)
+        order = MonomialOrder.degrevlex(ctx)
+        for _ in range(40):
+            base = random_poly(rng, ctx, order, nterms=5, maxdeg=2)
+            k = rng.randint(0, 9)
+            pairs.clear()
+            base ** k
+            assert sum(pairs) <= _power_pairs(len(base.terms), k), (base.render(), k)
 
     def test_powers_over_gf_p_have_no_coefficient_bound(self):
         ctx = standard_context(("x", "y"), PrimeField(5))

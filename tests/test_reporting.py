@@ -141,3 +141,69 @@ def test_text_bytes_of_a_corpus_lift_report_are_pinned(tmp_path):
     assert hashlib.sha256(text).hexdigest() == (
         "750e82f283e0b02148db3a2a239b9c7f9fb5413bff2e21c3e4afbcfe004927ed"
     )
+
+
+
+RESULT_TYPES = (
+    "CohomologyProfile",
+    "ComplexPropertyReport",
+    "ComplexReport",
+    "DegenerationReport",
+    "JacobianAnalysis",
+    "LiftSearchResult",
+    "ObstructionVerdict",
+    "PointCountResult",
+    "SupportViolation",
+    "ValidLift",
+)
+
+
+@pytest.fixture(scope="module")
+def exported_results():
+    """One instance of every result type the package exports, by type name."""
+    from grodeg import (
+        MonomialOrder,
+        PrimeField,
+        SimplicialComplex,
+        SupportViolation,
+        analyze,
+        analyze_complex,
+        count_points,
+        lift_search,
+        parse_polynomial,
+        property_report,
+        reduced_cohomology,
+        standard_context,
+    )
+
+    ctx = standard_context(("x1", "x2", "x3", "x4"))
+    drl = MonomialOrder.degrevlex(ctx)
+    square = SimplicialComplex.from_facets(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    gens = [parse_polynomial(t, ctx, drl) for t in ("x1*x3 + x4^2", "x2*x4 + x3*x4")]
+    report = analyze(gens, drl)
+    search = lift_search(square, drl, budget=20, seed=1)
+    xyz = standard_context(("x", "y", "z"))
+    cubic = parse_polynomial("y^2*z - x^3 - x*z^2", xyz, MonomialOrder.degrevlex(xyz))
+    results = {
+        "DegenerationReport": report,
+        "LiftSearchResult": search,
+        "ValidLift": search.lifts[0],
+        "JacobianAnalysis": report.coordinate_points[0],
+        "ObstructionVerdict": report.obstructions[0],
+        "SupportViolation": SupportViolation("top_variable_times_non_neighbor", "x2*x3 + x1*x4", "x1*x4"),
+        "ComplexReport": analyze_complex(square, PrimeField(2)),
+        "ComplexPropertyReport": property_report(square),
+        "CohomologyProfile": reduced_cohomology(square),
+        "PointCountResult": count_points(cubic, 7),
+    }
+    assert sorted(results) == sorted(RESULT_TYPES)
+    return results
+
+
+@pytest.mark.parametrize("name", RESULT_TYPES)
+def test_every_exported_result_renders(exported_results, name):
+    result = exported_results[name]
+    assert type(result).__name__ == name
+    assert isinstance(to_jsonable(result), dict)  # its own fields, not its repr
+    assert render_report(result) == oracle(result)
+    assert render_report(result, "text")

@@ -19,6 +19,7 @@ from grodeg import (
     jacobian_rank_at,
     leafless_obstruction,
     lex_obstruction,
+    lift_search,
     parse_polynomial,
     standard_context,
     support_exclusions,
@@ -44,7 +45,8 @@ def gb(texts, ctx, order, **kw):
 class TestProjPoint:
     def test_scaling(self):
         p = ProjPoint.make(QQ, (0, 2, 4))
-        assert p.render(QQ) == "[0:1:2]"
+        assert p.render() == "[0:1:2]"
+        assert p.field == QQ
         assert p == ProjPoint.make(QQ, (0, 1, 2))
         assert ProjPoint.make(QQ, (3, 0, 0)) == ProjPoint.coordinate(QQ, 3, 0)
 
@@ -57,7 +59,8 @@ class TestProjPoint:
     def test_gf_points(self):
         F = PrimeField(5)
         p = ProjPoint.make(F, (2, 3, 0))
-        assert p.render(F) == "[1:4:0]"  # scaled by 2^-1 = 3
+        assert p.render() == "[1:4:0]"  # scaled by 2^-1 = 3
+        assert p.field == F and p != ProjPoint.make(QQ, (1, 4, 0))
 
 
 class TestJacobian:
@@ -147,7 +150,7 @@ class TestJacobian:
         ctx = ctx_xyz()
         lex = MonomialOrder.lex(ctx)
         B = gb(["x*y*z + y^3 + z^3"], ctx, lex)
-        d = jacobian_rank_at(B, ProjPoint.coordinate(QQ, 3, 0), 1).as_dict(QQ)
+        d = jacobian_rank_at(B, ProjPoint.coordinate(QQ, 3, 0), 1).as_dict()
         assert d == {
             "point": "[1:0:0]",
             "on_scheme": True,
@@ -493,6 +496,52 @@ class TestLeaflessObstruction:
         assert v.witness["distinguished_variable"] == "x3"
         assert v.witness["point"] == "[0:0:1]"
         assert v.certified
+
+    def one_dimensional_cases(self):
+        """The fixed one-dimensional bases of this file, then seeded lifts of
+        cycles (the lifts' reduced bases) over QQ and GF(3)."""
+        ctx4 = ctx_n(4)
+        drl4 = MonomialOrder.degrevlex(ctx4)
+
+        def basis(texts, ctx, order):
+            return GroebnerBasis(tuple(P(t, ctx, order) for t in texts), order, ctx)
+
+        cases = [
+            (gb(["x1*x3 + x4^2", "x2*x4 + x3*x4"], ctx4, drl4), delta_of(4, [(1, 2), (1, 4), (2, 3), (3, 4)])),
+            (gb(["x1*x2*x3"], ctx_n(3), MonomialOrder.degrevlex(ctx_n(3))), delta_of(3, [(1, 2), (1, 3), (2, 3)])),
+            (basis(("x1*x4", "x2*x3 + x1*x4", "x3*x4"), ctx4, drl4), delta_of(4, [(1, 2), (1, 3), (2, 4)])),
+            (basis(("x1*x2", "x2*x3 + x1*x4", "x1*x3*x4"), ctx4, drl4), delta_of(4, [(1, 3), (1, 4), (2, 4), (3, 4)])),
+            (
+                gb(["x1*x2*x3"], ctx_n(3), MonomialOrder.lex(ctx_n(3), perm=(2, 0, 1))),
+                delta_of(3, [(1, 2), (1, 3), (2, 3)]),
+            ),
+        ]
+        ctx6 = ctx_n(6)
+        drl6 = MonomialOrder.degrevlex(ctx6)
+        quads = ["x1*x2", "x1*x3", "x1*x4", "x2*x5", "x2*x6", "x3*x5", "x3*x6", "x4*x5", "x4*x6"]
+        cases.append((
+            basis(quads + ["x2*x3*x4 + x1^2*x5", "x1*x5*x6"], ctx6, drl6),
+            delta_of(6, [(1, 5), (1, 6), (2, 3), (2, 4), (3, 4), (5, 6)]),
+        ))
+        for n, seed in ((3, 5), (4, 3), (6, 11)):
+            cycle = delta_of(n, [(i, i % n + 1) for i in range(1, n + 1)])
+            for field in (QQ, PrimeField(3)):
+                drl = MonomialOrder.degrevlex(ctx_n(n, field))
+                for lift in lift_search(cycle, drl, budget=40, seed=seed).lifts[:5]:
+                    cases.append((buchberger(list(lift.polys), drl), cycle))
+        return cases
+
+    def test_witness_violations_are_the_support_exclusions(self):
+        applicable = violated = 0
+        for B, delta in self.one_dimensional_cases():
+            v = leafless_obstruction(B, delta)
+            if not v.applicable:
+                continue
+            applicable += 1
+            expected = [x.as_dict() for x in support_exclusions(B, delta)]
+            violated += bool(expected)
+            assert v.witness["support_violations"] == expected, B.render_polys()
+        assert applicable > 10 and violated >= 2
 
 
 class TestLexObstruction:
