@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import comb
 from operator import itemgetter, le, mul, neg
 from typing import Iterable, Optional, Tuple
 
@@ -422,14 +421,7 @@ class Polynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial power")
-        result, square = Polynomial.constant(self.ctx, self.order, 1), self
-        while k:
-            if k & 1:
-                result = result * square
-            k >>= 1
-            if k:
-                square = square * square
-        return result
+        return _power(self, k, mul)
 
     def times_term(self, mono: Monomial, coeff) -> "Polynomial":
         """Multiply by coeff * mono. Sort order is preserved (multiplicativity)."""
@@ -576,12 +568,13 @@ class _PolyParser:
         self.order = order
         self.pairs = 0  # term pairs multiplied out so far
 
-    def spend(self, pairs: int, what: str, col: int):
-        """Count ``pairs`` more term pairs; past ``MAX_TERM_PAIRS`` it is a ParseError at ``col``."""
-        self.pairs += pairs
+    def times(self, p: Polynomial, q: Polynomial, what: str, col: int) -> Polynomial:
+        """p*q, counting its term pairs; past ``MAX_TERM_PAIRS`` it is a ParseError at ``col``."""
+        self.pairs += len(p.terms) * len(q.terms)
         if self.pairs > MAX_TERM_PAIRS:
             message = f"{what} too large: the polynomial would multiply out more than {MAX_TERM_PAIRS} pairs of terms"
             raise ParseError(message, self.toks.line, col)
+        return p * q
 
     def parse(self) -> Polynomial:
         p = self.expr()
@@ -609,8 +602,7 @@ class _PolyParser:
                 self.toks.next()
                 q = self.unary()
                 if value == "*":
-                    self.spend(len(p.terms) * len(q.terms), "product", col)
-                    p = p * q
+                    p = self.times(p, q, "product", col)
                 else:
                     if q.terms and len(q.terms) == 1 and q.terms[0][0].is_one():
                         p = p * (self.ctx.field.one / q.terms[0][1])
@@ -653,8 +645,7 @@ class _PolyParser:
                         self.toks.line,
                         ecol,
                     )
-            self.spend(_power_pairs(len(base.terms), k), "power", ecol)
-            return base ** k
+            return _power(base, k, lambda a, b: self.times(a, b, "power", ecol))
         return base
 
     def atom(self) -> Polynomial:
@@ -678,21 +669,16 @@ class _PolyParser:
         raise ParseError(f"unexpected {value!r}", self.toks.line, col)
 
 
-def _power_pairs(t: int, k: int) -> int:
-    """An upper bound on the term pairs that ``Polynomial.__pow__``'s square and
-    multiply takes for the k-th power of t terms (the j-th power has at most
-    C(j+t-1, t-1) terms); the count stops once past ``MAX_TERM_PAIRS``."""
-    size = lambda j: comb(j + t - 1, t - 1) if t else 0
-    pairs, done, square = 0, 0, 1  # the result so far is base^done
-    while k and pairs <= MAX_TERM_PAIRS:
+def _power(base: Polynomial, k: int, times) -> Polynomial:
+    """base^k by square and multiply, each product taken by ``times``."""
+    result, square = Polynomial.constant(base.ctx, base.order, 1), base
+    while k:
         if k & 1:
-            pairs += size(done) * size(square)
-            done += square
+            result = times(result, square)
         k >>= 1
         if k:
-            pairs += size(square) ** 2
-            square *= 2
-    return pairs
+            square = times(square, square)
+    return result
 
 
 def parse_polynomial(text: str, ctx: RingContext, order: MonomialOrder, *, line: int = 1, col_offset: int = 0) -> Polynomial:
@@ -703,9 +689,8 @@ def parse_polynomial(text: str, ctx: RingContext, order: MonomialOrder, *, line:
     coefficient past ``MAX_COEFFICIENT_BITS`` (height H to the k-th power
     counts k*ceil(log2 H) bits), is a ParseError at the exponent. So is a power
     or product that would take the term pairs multiplied out for the whole
-    polynomial past ``MAX_TERM_PAIRS`` (the k-th power of t terms has at most
-    C(k+t-1, t-1) terms), at the exponent or the ``*``. A product of exponents
-    that overflows is a ParseError at the first character of the polynomial.
+    polynomial past ``MAX_TERM_PAIRS``, at the exponent or the ``*``. A product
+    of exponents that overflows is a ParseError at the first character.
     """
     if not text.strip():
         raise ParseError("empty polynomial", line, col_offset + 1)

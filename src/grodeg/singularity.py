@@ -122,12 +122,14 @@ def _jacobian_at(gens_terms, x, p: int) -> Tuple[bool, int]:
     Each generator is given as its ``Polynomial.integer_terms``. One pass over
     its terms fills its value and its Jacobian row: a term c*x^e adds
     c*e_j*x^(e-unit_j) to column j, an exact integer quotient of its value by
-    x_j. Terms that vanish at the point together with all their partials are
-    skipped: two support variables at zero coordinates, or one with exponent
-    >= 2. Values and rows are reduced mod p only when tested and ranked.
+    x_j (over GF(p), a product with the inverse of x_j, every power reduced mod
+    p as it is taken). Terms that vanish at the point together with all their
+    partials are skipped: two support variables at zero coordinates, or one
+    with exponent >= 2.
     """
     on_scheme = True
     matrix = []
+    inverse = [pow(v, -1, p) if v else 0 for v in x] if p else None
     for terms in gens_terms:
         value = 0
         row = {}  # column -> partial derivative at the point
@@ -139,7 +141,7 @@ def _jacobian_at(gens_terms, x, p: int) -> Tuple[bool, int]:
                 xk = x[k]
                 if xk:
                     if xk != 1:
-                        t = t * xk**ek
+                        t = t * pow(xk, ek, p) % p if p else t * xk**ek
                 elif ek > 1 or hole is not None:
                     break
                 else:
@@ -149,7 +151,7 @@ def _jacobian_at(gens_terms, x, p: int) -> Tuple[bool, int]:
                     value += t
                     for k, ek in enumerate(e):
                         if ek:
-                            row[k] = row.get(k, 0) + ek * t // x[k]
+                            row[k] = row.get(k, 0) + (ek * t * inverse[k] % p if p else ek * t // x[k])
                 else:
                     row[hole] = row.get(hole, 0) + t
         if value % p if p else value:
@@ -265,10 +267,9 @@ def _check_dim1_setting(ctx, delta: SimplicialComplex, leads):
     _require_standard_grading(ctx)
     if ctx.n != delta.n:
         raise ValueError("complex and ring have different vertex counts")
-    if delta.dim != 1:
-        raise ValueError("this certificate is for one-dimensional complexes")
-    if delta.ghost_vertices():
-        raise ValueError("ghost vertices present (the ideal contains linear forms)")
+    if not _dim1_setting(delta):
+        raise ValueError("this certificate is for one-dimensional complexes" if delta.dim != 1
+                         else "ghost vertices present (the ideal contains linear forms)")
     if not MonomialIdeal.from_monomials(ctx, leads).same_monomials(to_ideal(delta, ctx)):
         raise ValueError("initial ideal of the basis is not the non-face ideal of the complex")
 

@@ -298,6 +298,15 @@ class TestCLI:
         assert out == ""
         assert err.startswith(f"grodeg: {error}")
 
+    def test_huge_exponents_count_fast(self, run_cli):
+        """Singular points over GF(p) are found with every power reduced mod p."""
+        start = time.perf_counter()
+        rc, out, _ = run_cli(["point-count", "--prime", "5"], "ring QQ x,y,z\nideal: x^2147483647 + y^2147483647\n")
+        assert time.perf_counter() - start < 1.0
+        assert rc == 0
+        d = json.loads(out)
+        assert (d["projective_points"], d["singular_points"]) == (6, ["[0:0:1]"])
+
     def test_runs_are_byte_identical(self, run_cli):
         job = "facets: 1 2; 2 3; 1 3\npool -1,1\nbudget 20\n"
         first = run_cli(["lift-search"], job)
