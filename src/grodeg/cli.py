@@ -27,12 +27,13 @@ import sys
 from dataclasses import replace
 
 from . import pipeline
+from .complexes import vertex_context
 from .errors import ParseError, ResourceLimitError
 from .fields import QQ
 from .groebner import DEFAULT_DEGREE_CAP
 from .jobs import SETTINGS, JobSpec, parse_job
 from .reporting import render_report
-from .ring import MonomialOrder, standard_context
+from .ring import MonomialOrder
 
 
 def _common_flags(sub: argparse.ArgumentParser):
@@ -139,8 +140,7 @@ def _cmd_lift_search(args, spec: JobSpec):
             raise ParseError("ring and facets disagree about the number of vertices")
         order = spec.carrier_order()
     else:
-        field = spec.field if spec.field is not None else QQ
-        ctx = standard_context([f"x{i}" for i in range(1, spec.delta.n + 1)], field)
+        ctx = vertex_context(spec.delta.n, spec.field if spec.field is not None else QQ)
         order = MonomialOrder.degrevlex(ctx)
     return pipeline.lift_search(
         spec.delta,

@@ -157,12 +157,17 @@ def complex_from_squarefree_ideal(M: MonomialIdeal) -> SimplicialComplex:
     return SimplicialComplex.from_facets(n, candidates)
 
 
+def vertex_context(n: int, field: Field = QQ) -> RingContext:
+    """The ring x1..xn of a complex on n vertices, vertex i as variable xi."""
+    return standard_context([f"x{i}" for i in range(1, n + 1)], field)
+
+
 def to_ideal(delta: SimplicialComplex, ctx: Optional[RingContext] = None) -> MonomialIdeal:
-    """Square-free ideal generated by the minimal non-faces."""
+    """Square-free ideal generated by the minimal non-faces, in ``ctx`` (``vertex_context`` by default)."""
     if ctx is None:
-        ctx = standard_context([f"x{i}" for i in range(1, delta.n + 1)], QQ)
+        ctx = vertex_context(delta.n)
     if ctx.n != delta.n:
-        raise ValueError("ring has a different number of variables than the complex")
+        raise ValueError("complex and ring have different vertex counts")
     gens = []
     max_size = min(delta.n, delta.dim + 2)
     for size in range(1, max_size + 1):

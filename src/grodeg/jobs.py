@@ -38,7 +38,7 @@ from .complexes import SimplicialComplex
 from .errors import ParseError
 from .fields import Field, field_from_string
 from .pipeline import _FAMILIES
-from .ring import MonomialOrder, Polynomial, RingContext, parse_polynomial
+from .ring import MonomialOrder, Polynomial, RingContext, parse_polynomial, standard_context
 
 
 def _integer(minimum=None):
@@ -128,7 +128,7 @@ def _parse_ring(payload: str) -> RingContext:
         raise ParseError("ring wants: ring <field> <names> [grading <weights>]")
     field = field_from_string(tokens[0])
     names = tuple(s.strip() for s in tokens[1].split(","))
-    grading = (1,) * len(names)
+    grading = None  # the standard grading
     if len(tokens) == 4:
         if tokens[2] != "grading":
             raise ParseError(f"expected 'grading', got {tokens[2]!r}")
@@ -136,7 +136,7 @@ def _parse_ring(payload: str) -> RingContext:
             grading = tuple(int(w) for w in tokens[3].split(","))
         except ValueError:
             raise ParseError(f"bad grading {tokens[3]!r}") from None
-    return RingContext(names, grading, field)
+    return standard_context(names, field, grading)
 
 
 def _parse_order(payload: str, ctx: RingContext) -> MonomialOrder:

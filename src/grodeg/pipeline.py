@@ -49,12 +49,13 @@ from .singularity import (
     ObstructionVerdict,
     ProjPoint,
     SupportViolation,
-    _checked_generators,
     _classified,
     _dim1_setting,
     _excluded_tails,
     _exclusion_table,
     _jacobian_at,
+    _require_homogeneous,
+    _require_standard_grading,
     ci_obstruction,
     leafless_obstruction,
     lex_obstruction,
@@ -90,16 +91,17 @@ def _coordinate_points(gens, units, codim: int) -> Tuple[JacobianAnalysis, ...]:
     """Jacobian verdicts at every coordinate point (``units``, from
     ``_unit_points``) against ``codim``, all from one pass over each generator's terms.
 
-    The generators have positive degree in the standard grading. At e_i a term
-    c*x^e of degree d is nonzero only when x^e = x_i^d, and its partials are
-    nonzero only when x^e = x_i^d (d*c in column i) or x^e = x_i^(d-1)*x_j (c in
-    column j). A linear term c*x_j is both at every point: it puts c in column j
-    of every row. Each generator is checked once and its coefficients read as
-    integers (``Polynomial.integer_terms``); each point's matrix goes to
+    Precondition, which the callers establish: the generators lie in the ring
+    of ``units``, of the standard grading, each homogeneous of positive degree
+    (``analyze`` and ``scan_orders`` check their input; a lift candidate is
+    built from monomials of one degree). At e_i a term c*x^e of degree d is
+    nonzero only when x^e = x_i^d, and its partials only when x^e = x_i^d (d*c
+    in column i) or x^e = x_i^(d-1)*x_j (c in column j). A linear term c*x_j
+    is both at every point: it puts c in column j of every row. Coefficients
+    are read by ``Polynomial.integer_terms``; each point's matrix goes to
     ``rank_int``/``rank_mod_p``. The result is ``jacobian_rank_at`` at each e_i.
     """
-    gens, ctx = _checked_generators(gens)
-    n, p = ctx.n, ctx.field.characteristic()
+    n, p = len(units), units[0].field.characteristic()
     off = [False] * n  # off[i]: some generator does not vanish at e_i
     per_gen = []  # per generator, its Jacobian row at each point
     for g in gens:
@@ -227,16 +229,9 @@ class DegenerationReport:
         return out
 
 
-def _check_homogeneous(gens, order: MonomialOrder):
-    for g in gens:
-        homogeneous, _ = g.is_homogeneous()
-        if not homogeneous:
-            raise ValueError(f"inhomogeneous generator: {g.with_order(order).render()}")
-
-
 def analyze(gens, order: MonomialOrder, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> DegenerationReport:
     """Degenerate a homogeneous ideal along one order and report everything."""
-    _check_homogeneous(gens, order)
+    _require_homogeneous(gens)
     B = buchberger(gens, order, degree_cap=degree_cap)
     return _degeneration_report(gens, order, B, (order.render(),))
 
@@ -259,11 +254,10 @@ def _degeneration_report(gens, order: MonomialOrder, B: GroebnerBasis, producing
     delta = complex_from_squarefree_ideal(M)
     props = property_report(delta, ctx.field)
 
-    standard = all(g == 1 for g in ctx.grading)
     points: Tuple[JacobianAnalysis, ...] = ()
     obstructions: List[ObstructionVerdict] = []
-    if standard and B.polys:
-        points = _coordinate_points(B, _unit_points(ctx), (ctx.n - 1) - delta.dim)
+    if ctx.standard and B.polys:
+        points = _coordinate_points(B.polys, _unit_points(ctx), (ctx.n - 1) - delta.dim)
         obstructions.append(ci_obstruction(B))
         if _dim1_setting(delta):
             obstructions.append(leafless_obstruction(B, delta))
@@ -367,13 +361,13 @@ def scan_orders(
     kinds = _FAMILIES.get(family)
     if kinds is None:
         raise ValueError(f"unknown order family {family!r} (want lex, degrevlex, or both)")
+    _require_homogeneous(gens)
 
     orders = [
         MonomialOrder(kind, ctx, perm=perm)
         for kind in kinds
         for perm in itertools.permutations(range(ctx.n))
     ]
-    _check_homogeneous(gens, orders[0])
     size = -(-len(orders) // max(1, workers))
     slices = [orders[i : i + size] for i in range(0, len(orders), size)]
     scanned = _ordered_map(partial(_scan_slice, gens, degree_cap), slices, workers)
@@ -485,8 +479,6 @@ class _LiftCheck:
         polys = _valid_lift(order, self.targets, self.slots, self.coeffs, assignment)
         if polys is None:
             return None
-        if not polys:
-            return ValidLift((), (), ())
         violations: Tuple[SupportViolation, ...] = ()
         if self.table is not None:
             # valid: the monic candidates, by decreasing lead, are the reduced basis
@@ -586,10 +578,8 @@ def lift_search(
     support scan are spread with the validity checks.
     """
     ctx = order.ctx
-    if ctx.n != delta.n:
-        raise ValueError("complex and ring have different vertex counts")
-    if any(g != 1 for g in ctx.grading):
-        raise ValueError("lift search requires the standard grading")
+    M = to_ideal(delta, ctx)  # which checks the vertex count
+    _require_standard_grading(ctx, "lift search requires")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     field = ctx.field
@@ -601,7 +591,6 @@ def lift_search(
     if not coeffs:
         raise ValueError("empty coefficient pool")
 
-    M = to_ideal(delta, ctx)
     targets = list(M.gens)
     tails_of: List[List[Monomial]] = []
     for t in targets:
@@ -670,8 +659,7 @@ def count_points(f: Polynomial, p: int) -> PointCountResult:
     ctx = f.ctx
     if ctx.n != 3:
         raise ValueError("point counting is for plane curves in three variables")
-    if any(g != 1 for g in ctx.grading):
-        raise ValueError("point counting requires the standard grading")
+    _require_standard_grading(ctx, "point counting requires")
     homogeneous, degree = f.is_homogeneous()
     if not homogeneous or f.is_zero():
         raise ValueError("point counting needs a nonzero homogeneous form")

@@ -22,9 +22,9 @@ from .fields import Field, QQ
 from .linalg import primitive_integers, rank_int
 
 MAX_EXPONENT = 2**31
-# A power over QQ whose leading coefficient would need more bits than this is
-# refused by the parser; the bound keeps every such coefficient well inside the
-# 4300 decimal digits Python prints by default.
+# A product, quotient or power over QQ with a coefficient of height above
+# 2^MAX_COEFFICIENT_BITS is refused by the parser; the bound keeps every such
+# coefficient well inside the 4300 decimal digits Python prints by default.
 MAX_COEFFICIENT_BITS = 2**13
 # The parser multiplies out at most this many pairs of terms for one
 # polynomial, so every line it accepts parses in well under a second.
@@ -61,6 +61,11 @@ class RingContext:
     def n(self) -> int:
         return len(self.names)
 
+    @property
+    def standard(self) -> bool:
+        """Whether the grading is the standard one: every variable has degree 1."""
+        return all(g == 1 for g in self.grading)
+
     def index_of(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -81,7 +86,7 @@ class RingContext:
 
     def render(self) -> str:
         base = f"{self.field.render()} {','.join(self.names)}"
-        if any(g != 1 for g in self.grading):
+        if not self.standard:
             base += f" grading {','.join(str(g) for g in self.grading)}"
         return base
 
@@ -240,9 +245,9 @@ class MonomialOrder:
             return _picker(self.perm)
         if self.kind == "degrevlex":
             backwards = _picker(self.perm[::-1])
-            g = self.ctx.grading
-            if all(w == 1 for w in g):
+            if self.ctx.standard:
                 return lambda e: (sum(e), *map(neg, backwards(e)))
+            g = self.ctx.grading
             return lambda e: (sum(map(mul, g, e)), *map(neg, backwards(e)))
         rows = self.rows
         if self.kind == "weighted":
@@ -567,14 +572,22 @@ class _PolyParser:
         self.ctx = ctx
         self.order = order
         self.pairs = 0  # term pairs multiplied out so far
+        self.rational = not ctx.field.characteristic()  # coefficients are bounded over QQ only
 
-    def times(self, p: Polynomial, q: Polynomial, what: str, col: int) -> Polynomial:
-        """p*q, counting its term pairs; past ``MAX_TERM_PAIRS`` it is a ParseError at ``col``."""
-        self.pairs += len(p.terms) * len(q.terms)
-        if self.pairs > MAX_TERM_PAIRS:
-            message = f"{what} too large: the polynomial would multiply out more than {MAX_TERM_PAIRS} pairs of terms"
-            raise ParseError(message, self.toks.line, col)
-        return p * q
+    def times(self, p: Polynomial, q, what: str, col: int) -> Polynomial:
+        """p*q; a ParseError at ``col`` past ``MAX_TERM_PAIRS`` (a polynomial ``q``
+        is charged its term pairs) or, over QQ, past ``MAX_COEFFICIENT_BITS``."""
+        if isinstance(q, Polynomial):
+            self.pairs += len(p.terms) * len(q.terms)
+            if self.pairs > MAX_TERM_PAIRS:
+                self.too_large(what, f"the polynomial would multiply out more than {MAX_TERM_PAIRS} pairs of terms", col)
+        r = p * q
+        if self.rational and any(_height_bits(c) > MAX_COEFFICIENT_BITS for _, c in r.terms):
+            self.too_large(what, f"a coefficient would pass {MAX_COEFFICIENT_BITS} bits", col)
+        return r
+
+    def too_large(self, what: str, why: str, col: int):
+        raise ParseError(f"{what} too large: {why}", self.toks.line, col)
 
     def parse(self) -> Polynomial:
         p = self.expr()
@@ -603,17 +616,11 @@ class _PolyParser:
                 q = self.unary()
                 if value == "*":
                     p = self.times(p, q, "product", col)
+                elif len(q.terms) == 1 and q.terms[0][0].is_one():
+                    p = self.times(p, self.ctx.field.one / q.terms[0][1], "quotient", col)
                 else:
-                    if q.terms and len(q.terms) == 1 and q.terms[0][0].is_one():
-                        p = p * (self.ctx.field.one / q.terms[0][1])
-                    elif q.is_zero():
-                        raise ParseError("division by zero", self.toks.line, col)
-                    else:
-                        raise ParseError(
-                            "division is only allowed by a nonzero constant",
-                            self.toks.line,
-                            col,
-                        )
+                    why = "division by zero" if q.is_zero() else "division is only allowed by a nonzero constant"
+                    raise ParseError(why, self.toks.line, col)
             else:
                 return p
 
@@ -635,16 +642,9 @@ class _PolyParser:
             k = int(evalue)
             if k >= MAX_EXPONENT:
                 raise ParseError(f"exponent must be below {MAX_EXPONENT}", self.toks.line, ecol)
-            if base.terms and not self.ctx.field.characteristic():
-                # lc^k is the leading coefficient of base^k: its height is at most H^k
-                c = base.terms[0][1]
-                height = max(abs(c.numerator), c.denominator)
-                if k * (height - 1).bit_length() > MAX_COEFFICIENT_BITS:
-                    raise ParseError(
-                        f"power too large: a coefficient would pass {MAX_COEFFICIENT_BITS} bits",
-                        self.toks.line,
-                        ecol,
-                    )
+            # over QQ, lc^k is the leading coefficient of base^k: its height is at most H^k
+            if self.rational and base.terms and k * _height_bits(base.terms[0][1]) > MAX_COEFFICIENT_BITS:
+                self.too_large("power", f"a coefficient would pass {MAX_COEFFICIENT_BITS} bits", ecol)
             return _power(base, k, lambda a, b: self.times(a, b, "power", ecol))
         return base
 
@@ -669,6 +669,11 @@ class _PolyParser:
         raise ParseError(f"unexpected {value!r}", self.toks.line, col)
 
 
+def _height_bits(c) -> int:
+    """ceil(log2 H) for the height H = max(|numerator|, denominator) of a rational."""
+    return (max(abs(c.numerator), c.denominator) - 1).bit_length()
+
+
 def _power(base: Polynomial, k: int, times) -> Polynomial:
     """base^k by square and multiply, each product taken by ``times``."""
     result, square = Polynomial.constant(base.ctx, base.order, 1), base
@@ -685,12 +690,14 @@ def parse_polynomial(text: str, ctx: RingContext, order: MonomialOrder, *, line:
     """Parse ``x*y*z + y^3 + z^3`` style text. Operators: + - * / ^ and parentheses.
 
     No implicit multiplication; ``/`` only with a nonzero constant divisor.
-    An exponent of ``MAX_EXPONENT`` or more, or one that would take a rational
-    coefficient past ``MAX_COEFFICIENT_BITS`` (height H to the k-th power
-    counts k*ceil(log2 H) bits), is a ParseError at the exponent. So is a power
-    or product that would take the term pairs multiplied out for the whole
-    polynomial past ``MAX_TERM_PAIRS``, at the exponent or the ``*``. A product
-    of exponents that overflows is a ParseError at the first character.
+    An exponent of ``MAX_EXPONENT`` or more, or one whose power's leading
+    coefficient would pass ``MAX_COEFFICIENT_BITS`` (height H to the k-th
+    power counts k*ceil(log2 H) bits), is a ParseError at the exponent. So is
+    a power, product or quotient over QQ with any coefficient of height past
+    ``2^MAX_COEFFICIENT_BITS``, or that would take the term pairs multiplied
+    out for the whole polynomial past ``MAX_TERM_PAIRS``, at the exponent, the
+    ``*`` or the ``/``. A product of exponents that overflows is a ParseError
+    at the first character.
     """
     if not text.strip():
         raise ParseError("empty polynomial", line, col_offset + 1)

@@ -1,7 +1,9 @@
 """Jacobian analysis at rational points and smoothing obstruction certificates.
 
-Everything here assumes the standard grading (checked) and works with honest
-reduced Groebner bases produced upstream. The three certificates:
+Each public entry checks its own input: ``jacobian_rank_at`` takes homogeneous
+generators over one ring in any grading, the certificates on a basis require
+the standard grading, and the leafless ones the setting below. All work with
+honest reduced Groebner bases produced upstream. The three certificates:
 
 - ``ci_obstruction``: a square-free complete-intersection initial ideal whose
   generator degrees use every variable forces a singular point at the
@@ -33,7 +35,7 @@ from .errors import ContextMismatchError
 from .fields import Field
 from .groebner import GroebnerBasis, MonomialIdeal, initial_ideal
 from .linalg import primitive_integers, rank_int, rank_mod_p
-from .ring import Monomial, Polynomial
+from .ring import Monomial
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,13 @@ def jacobian_rank_at(basis_or_gens, point, expected_codim: int) -> JacobianAnaly
     the generators' field first. A rational point is cleared to primitive
     integers, which scales every value and partial by a nonzero constant.
     """
-    gens, ctx = _checked_generators(basis_or_gens)
+    gens = list(basis_or_gens.polys if isinstance(basis_or_gens, GroebnerBasis) else basis_or_gens)
+    if not gens:
+        raise ValueError("no generators")
+    ctx = gens[0].ctx
+    if any(g.ctx != ctx for g in gens):
+        raise ContextMismatchError("generators over different ring contexts")
+    _require_homogeneous(gens)
     if not (isinstance(point, ProjPoint) and point.field == ctx.field):
         point = ProjPoint.make(ctx.field, getattr(point, "coords", point))
     if len(point.coords) != ctx.n:
@@ -99,20 +107,17 @@ def jacobian_rank_at(basis_or_gens, point, expected_codim: int) -> JacobianAnaly
     return _classified(point, on_scheme, rank, expected_codim)
 
 
-def _checked_generators(basis_or_gens):
-    """The generators and their ring, once they pass the checks every Jacobian needs."""
-    is_basis = isinstance(basis_or_gens, GroebnerBasis)
-    gens: List[Polynomial] = list(basis_or_gens.polys if is_basis else basis_or_gens)
-    if not gens:
-        raise ValueError("no generators")
-    ctx = gens[0].ctx
+def _require_homogeneous(gens):
+    """Raise on the first generator that is not homogeneous (the zero polynomial is)."""
     for g in gens:
-        if g.ctx != ctx:
-            raise ContextMismatchError("generators over different ring contexts")
-        homogeneous, _ = g.is_homogeneous()
-        if not homogeneous:
+        if not g.is_homogeneous()[0]:
             raise ValueError(f"inhomogeneous generator: {g.render()}")
-    return gens, ctx
+
+
+def _require_standard_grading(ctx, what: str):
+    """Raise ``<what> the standard grading``, as in ``lift search requires``, unless ``ctx`` has it."""
+    if not ctx.standard:
+        raise ValueError(f"{what} the standard grading")
 
 
 def _jacobian_at(gens_terms, x, p: int) -> Tuple[bool, int]:
@@ -183,11 +188,6 @@ class ObstructionVerdict:
         return asdict(self)
 
 
-def _require_standard_grading(ctx):
-    if any(g != 1 for g in ctx.grading):
-        raise ValueError("obstruction certificates require the standard grading")
-
-
 def _variable_rank_order(order):
     """Variable indices sorted descending under the order."""
     n = order.ctx.n
@@ -197,7 +197,7 @@ def _variable_rank_order(order):
 
 def ci_obstruction(B: GroebnerBasis) -> ObstructionVerdict:
     """Complete-intersection certificate at the distinguished coordinate point."""
-    _require_standard_grading(B.ctx)
+    _require_standard_grading(B.ctx, "obstruction certificates require")
     kind = "complete_intersection"
     M = initial_ideal(B)
     n = B.ctx.n
@@ -264,13 +264,12 @@ def _check_dim1_setting(ctx, delta: SimplicialComplex, leads):
     """Reject anything but bases with leading monomials ``leads`` over a
     one-dimensional complex without ghost vertices whose non-face ideal they
     generate."""
-    _require_standard_grading(ctx)
-    if ctx.n != delta.n:
-        raise ValueError("complex and ring have different vertex counts")
+    _require_standard_grading(ctx, "obstruction certificates require")
+    nonfaces = to_ideal(delta, ctx)  # which checks the vertex count
     if not _dim1_setting(delta):
         raise ValueError("this certificate is for one-dimensional complexes" if delta.dim != 1
                          else "ghost vertices present (the ideal contains linear forms)")
-    if not MonomialIdeal.from_monomials(ctx, leads).same_monomials(to_ideal(delta, ctx)):
+    if not MonomialIdeal.from_monomials(ctx, leads).same_monomials(nonfaces):
         raise ValueError("initial ideal of the basis is not the non-face ideal of the complex")
 
 

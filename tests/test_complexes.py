@@ -178,7 +178,7 @@ class TestIdealDictionary:
     def test_custom_context(self):
         ctx = ctx_xyz()
         assert to_ideal(TRIANGLE, ctx).render_gens() == ("x*y*z",)
-        with pytest.raises(ValueError, match="different number of variables"):
+        with pytest.raises(ValueError, match="complex and ring have different vertex counts"):
             to_ideal(TRIANGLE, ctx_n(4))
 
     def test_from_squarefree_ideal(self):

@@ -144,6 +144,7 @@ BAD_JOBS = [
     ("ring QQ x,y\nideal: x^2147483648\n", "exponent must be below 2147483648", 2, 10),
     ("ring QQ x,y\nideal: (x^46341)^46341\n", "exponent overflow", 2, 8),
     ("ring QQ x,y\nideal: x + 3^4000000*y\n", "power too large", 2, 14),
+    ("ring QQ x,y\nideal: (x + 2^8000*y)^2\n", "power too large: a coefficient would pass", 2, 23),
     ("ring QQ x,y,z\nideal: (x+y+z)^300\n", "power too large: the polynomial would multiply", 2, 16),
     ("ring QQ x,y,z\nideal: x ; (x+y+z)^20*(x+y+z)^20\n", "product too large", 2, 22),
 ]
@@ -287,8 +288,9 @@ class TestCLI:
             ("x^2147483648", "exponent must be below"),
             ("(x^46341)^46341", "exponent overflow"),
             ("3^4000000*x", "power too large"),
+            ("(x + 2^8000*y)^2", "power too large"),
         ],
-        ids=["x^2147483648", "(x^46341)^46341", "3^4000000*x"],
+        ids=["x^2147483648", "(x^46341)^46341", "3^4000000*x", "(x + 2^8000*y)^2"],
     )
     def test_huge_exponents_fail_fast(self, run_cli, ideal, error):
         start = time.perf_counter()

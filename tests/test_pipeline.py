@@ -362,6 +362,17 @@ class TestAnalyzeEdgeCases:
         assert d["obstructions"][0]["applicable"] is False
         assert d["conjectures"]["hypothesis_refuted_by"] == []
 
+    def test_weighted_grading_has_no_coordinate_points(self):
+        ctx = standard_context(("x", "y", "z"), grading=(1, 1, 2))
+        drl = MonomialOrder.degrevlex(ctx)
+        d = to_jsonable(analyze([P("x*y - z", ctx, drl)], drl).as_dict())
+        assert d["ring"] == "QQ x,y,z grading 1,1,2"
+        assert d["initial_ideal"] == ["x*y"]
+        assert d["squarefree"] is True
+        assert d["facets"] == "facets: 1 3; 2 3"
+        assert d["coordinate_points"] == []
+        assert [o["kind"] for o in d["obstructions"]] == ["lex_link"]
+
     def test_inhomogeneous_generator_is_rejected(self):
         ctx = ctx_xyz()
         lex = MonomialOrder.lex(ctx)
@@ -609,6 +620,18 @@ class TestLiftSearch:
         d = to_jsonable(res.as_dict())
         assert d["pool"] == ["2", "-2"]
         assert d["candidate_space"] == 16
+
+    @pytest.mark.parametrize("facet", [(1,), (1, 2), (1, 2, 3)])
+    def test_a_full_simplex_has_one_empty_lift(self, facet):
+        drl = MonomialOrder.degrevlex(ctx_n(len(facet)))
+        res = lift_search(SimplicialComplex.from_facets(len(facet), [facet]), drl)
+        assert (res.space, res.tried, res.targets) == (1, 1, ())
+        assert [lift.as_dict() for lift in res.lifts] == [{
+            "generators": [],
+            "coordinate_points": [],
+            "singular_at_every_scheme_point": False,
+            "support_violations": [],
+        }]
 
     def test_vertex_count_mismatch(self):
         ctx = ctx_n(4)
@@ -1146,7 +1169,7 @@ class TestNoWorkTwice:
         assert len(reports) > 10
         assert len(calls) == len(reports)
 
-    def test_coordinate_points_check_each_generator_once(self, monkeypatch):
+    def test_lift_search_checks_no_homogeneity(self, monkeypatch):
         calls = []
         original = Polynomial.is_homogeneous
 
@@ -1158,7 +1181,7 @@ class TestNoWorkTwice:
         drl = MonomialOrder.degrevlex(ctx_n(6))
         res = lift_search(OCTAHEDRON, drl, pool=(-1, 1), budget=20, seed=1)
         assert res.lifts and all(len(lift.coordinate_points) == 6 for lift in res.lifts)
-        assert len(calls) == sum(len(lift.polys) for lift in res.lifts)
+        assert calls == []
 
     @pytest.mark.parametrize("method", ["partial_derivative", "evaluate"])
     def test_jacobian_builds_and_evaluates_no_polynomial(self, monkeypatch, method):

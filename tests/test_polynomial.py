@@ -153,11 +153,23 @@ class TestParsing:
             P(text, ctx, lex)
         assert exc.value.column == column
 
+    @pytest.mark.parametrize(
+        "text,column,what",
+        [("(x + 2^8000*y)^2", 16, "power"), ("2^8000*2^8000*x", 7, "product"), ("x/2^8000/2^8000", 9, "quotient")],
+    )
+    def test_every_coefficient_is_bounded(self, xyz, text, column, what):
+        ctx, lex = xyz
+        with pytest.raises(ParseError, match=f"{what} too large: a coefficient would pass 8192 bits") as exc:
+            P(text, ctx, lex)
+        assert exc.value.column == column
+
     def test_moderate_powers_still_parse(self, xyz):
         ctx, lex = xyz
         assert P("2^64*x", ctx, lex).terms[0][1] == 2**64
         assert P("2^8192", ctx, lex).terms[0][1] == 2**8192
         assert P("(1/2)^8192*x", ctx, lex).terms[0][1] == Fraction(1, 2**8192)
+        assert P("2^4096*2^4096*x", ctx, lex).terms[0][1] == 2**8192
+        assert P("x/2^8192", ctx, lex).terms[0][1] == Fraction(1, 2**8192)
         assert P("x^100000", ctx, lex).render() == "x^100000"
         assert P("(-1)^100001*y", ctx, lex).render() == "-y"
 
