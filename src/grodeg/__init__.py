@@ -32,7 +32,6 @@ from .errors import (
 from .fields import Field, GFElement, PrimeField, QQ, RationalField, field_from_string, is_prime
 from .groebner import (
     GroebnerBasis,
-    ModPReduction,
     MonomialIdeal,
     buchberger,
     cone_point_certificate,
@@ -40,7 +39,6 @@ from .groebner import (
     initial_ideal,
     is_variable_regular,
     normal_form,
-    reduce_mod_p,
     s_polynomial,
 )
 from .jobs import JobSpec, parse_job, render_job
@@ -95,7 +93,6 @@ __all__ = [
     "JobSpec",
     "LiftSearchResult",
     "Link",
-    "ModPReduction",
     "Monomial",
     "MonomialIdeal",
     "MonomialOrder",
@@ -136,7 +133,6 @@ __all__ = [
     "parse_job",
     "parse_polynomial",
     "property_report",
-    "reduce_mod_p",
     "reduced_cohomology",
     "render_job",
     "render_report",

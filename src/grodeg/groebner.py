@@ -21,7 +21,6 @@ from operator import add, le, sub
 from typing import Optional, Tuple
 
 from .errors import ContextMismatchError, DegreeCapExceeded
-from .fields import QQ, PrimeField
 from .ring import Monomial, MonomialOrder, Polynomial, RingContext
 
 DEFAULT_DEGREE_CAP = 40
@@ -316,33 +315,3 @@ def cone_point_certificate(B: GroebnerBasis, i: int) -> bool:
     if not 0 <= i < B.ctx.n:
         raise ValueError(f"variable index {i} out of range")
     return all(g.exps[i] == 0 for g in M.gens)
-
-
-@dataclass(frozen=True)
-class ModPReduction:
-    prime: int
-    generators: Tuple[Polynomial, ...]
-    basis_mod_p: GroebnerBasis
-    initial_ideal_stable: bool
-
-
-def reduce_mod_p(B: GroebnerBasis, p: int, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> ModPReduction:
-    """Reduce rational generators mod p after clearing each to primitive integer form.
-
-    A denominator divisible by p is a bad-prime error. The result also says
-    whether the reduced basis mod p has the same initial monomials as the one
-    over the rationals.
-    """
-    if B.ctx.field != QQ:
-        raise ValueError("reduce_mod_p expects a basis over QQ")
-    gf = PrimeField(p)
-    gf_ctx = RingContext(B.ctx.names, B.ctx.grading, gf)
-    gf_order = MonomialOrder(B.order.kind, gf_ctx, B.order.perm, B.order.rows)
-
-    images = []
-    for g in B.polys:
-        images.append(Polynomial(gf_ctx, gf_order, [(Monomial(e), c) for e, c in g.integer_terms(p)]))
-
-    basis_p = buchberger(images, gf_order, degree_cap=degree_cap)
-    stable = initial_ideal(B).same_monomials(initial_ideal(basis_p))
-    return ModPReduction(p, tuple(images), basis_p, stable)

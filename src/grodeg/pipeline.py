@@ -8,7 +8,9 @@ Four entry points:
 * ``scan_orders``: the same ideal over every permutation order of a family,
   deduplicated by initial ideal.
 * ``lift_search``: enumerate or sample homogeneous lifts of a non-face ideal
-  and test each valid one for singularities at the coordinate points.
+  and test each valid one for singularities at the coordinate points. The
+  lift criterion is solved once per search, as equations in the tail
+  coefficients (``_stratum_equations``); each candidate is an evaluation.
 * ``count_points``: exact point counts of a plane curve over GF(p), with the
   trace and supersingularity flags when the curve is a smooth cubic.
 
@@ -29,6 +31,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, partial
+from operator import add, le, sub
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import (
@@ -41,7 +44,6 @@ from .complexes import (
 from .errors import ScanBoundExceeded
 from .fields import Field, PrimeField, QQ, is_prime
 from .groebner import DEFAULT_DEGREE_CAP, GroebnerBasis, MonomialIdeal, buchberger, initial_ideal
-from .groebner import normal_form, s_polynomial
 from .linalg import rank_int, rank_mod_p
 from .ring import Monomial, MonomialOrder, Polynomial, RingContext
 from .singularity import (
@@ -407,18 +409,87 @@ def _build_lift(order, targets, slots, coeffs, assignment):
     return [Polynomial._make(order.ctx, order, ts) for ts in terms]
 
 
-def _valid_lift(order, targets, slots, coeffs, assignment) -> Optional[List[Polynomial]]:
-    """The candidate's polynomials when it is a valid lift, else None."""
-    # Buchberger's criterion decides validity exactly because the candidates are
-    # reduced by construction: monic, the minimal non-faces as leads, tails outside
-    # the non-face ideal. Homogeneous division never raises the degree: no cap needed.
-    polys = _build_lift(order, targets, slots, coeffs, assignment)
-    valid = all(
-        f.leading_monomial().gcd_is_one(g.leading_monomial())
-        or normal_form(s_polynomial(f, g), polys, order).is_zero()
-        for f, g in itertools.combinations(polys, 2)
-    )
-    return polys if valid else None
+def _stratum_equations(order, targets, slots) -> tuple:
+    """The lift criterion of one search: equations in the tail coefficients a_s.
+
+    Candidate i is t_i plus a_s*m_s over its slots s ``(i, m_s)``: monic, with
+    lead t_i. Buchberger's criterion decides validity exactly because the
+    candidates are reduced by construction (monic, the minimal non-faces as
+    leads, tails outside the non-face ideal), and homogeneous division never
+    raises the degree, so no cap is needed. Each S-pair of non-coprime leads is
+    divided by the candidates, in target order, with the first-divisor rule of
+    ``groebner.normal_form``, once for the whole search. The leads are monic,
+    so which candidate takes a term depends on its monomial alone: the division
+    is linear, and each term's coefficient is -sum(c_k * a_s) over the terms k
+    that were reduced onto it through a tail slot s. Together the remainder
+    coefficients cut out the Groebner stratum of the non-face ideal, over QQ
+    and over every GF(p); one equation is one remainder term.
+
+    The equations are kept in this factored form, as each S-pair's division
+    trace: a tuple of steps ``(((k, s), ...), is_remainder)`` in the order the
+    terms are taken. Reduced terms are numbered from 2 in that order; 0 and 1
+    stand for the lcm of the pair's leads, with coefficients 1 and -1, taken
+    by the pair's two candidates, so the trace divides minus the S-polynomial.
+    The trace is as long as one division; expanded into monomials in the a_s,
+    the equations of a 6-vertex complex with cubic non-faces reach 600000 terms.
+    """
+    key = order.exps_key
+    reducers = [(t.exps, []) for t in targets]
+    for s, (ti, m) in enumerate(slots):
+        reducers[ti][1].append((m.exps, s))
+    live = {}  # order key -> (exponents, the (term, slot) pairs reduced onto it)
+
+    def take(k, e, lead, tail):
+        """Term k, at exponents e, is reduced by the candidate of ``lead``."""
+        shift = tuple(map(sub, e, lead))
+        for m, s in tail:
+            te = tuple(map(add, m, shift))
+            live.setdefault(key(te), (te, []))[1].append((k, s))
+
+    programs = []
+    for f, g in itertools.combinations(reducers, 2):
+        if not any(map(min, f[0], g[0])):
+            continue  # coprime leads
+        lcm = tuple(map(max, f[0], g[0]))
+        take(0, lcm, *f)
+        take(1, lcm, *g)
+        steps, k = [], 2
+        while live:
+            e, preds = live.pop(max(live))
+            for lead, tail in reducers:
+                if all(map(le, lead, e)):
+                    take(k, e, lead, tail)
+                    k += 1
+                    steps.append((tuple(preds), False))
+                    break
+            else:
+                steps.append((tuple(preds), True))
+        programs.append(tuple(steps))
+    return tuple(programs)
+
+
+def _valid_lift(equations, values, p, assignment) -> bool:
+    """Whether the candidate ``assignment`` is a valid lift: every stratum
+    equation (``_stratum_equations``) vanishes at its tail coefficients.
+
+    ``values`` holds the pool as Python numbers: residues over GF(p), integers
+    or fractions over QQ, where ``p`` is 0. Each S-pair's trace is replayed on
+    them, and the check stops at the first remainder term that is not zero.
+    """
+    vals = [values[a] for a in assignment]
+    for steps in equations:
+        coeffs = [1, -1]
+        for preds, last in steps:
+            c = 0
+            for k, s in preds:
+                c -= coeffs[k] * vals[s]
+            if p:
+                c %= p
+            if not last:
+                coeffs.append(c)
+            elif c:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -449,11 +520,14 @@ class ValidLift:
 class _LiftCheck:
     """One search's ``assignment -> ValidLift or None`` (None when not valid).
 
-    ``codim`` is the expected codimension. The coordinate points and the
-    support-exclusion table serve valid lifts only, so each is built at the
-    first valid lift, and never in a search where no candidate is valid. Each
-    chunk of work sent to a ``--jobs`` worker carries its own pickled copy,
-    which builds them for itself.
+    ``equations`` are the search's stratum equations (``_stratum_equations``),
+    built once by ``lift_search``; each chunk of work sent to a ``--jobs``
+    worker carries them in its pickled copy. A candidate is checked by
+    evaluating them (``_valid_lift``), and its polynomials are built only when
+    it is valid. ``codim`` is the expected codimension. The coordinate points
+    and the support-exclusion table serve valid lifts only, so each is built
+    at the first valid lift, and never in a search where no candidate is
+    valid; a worker's copy builds them for itself.
     """
 
     order: MonomialOrder
@@ -462,6 +536,15 @@ class _LiftCheck:
     slots: list
     coeffs: list
     codim: int
+    equations: tuple
+
+    @cached_property
+    def scalars(self) -> Tuple[int, list]:
+        """The characteristic p, and the pool as the numbers ``_valid_lift`` evaluates at."""
+        p = self.order.ctx.field.characteristic()
+        if p:
+            return p, [c.v for c in self.coeffs]
+        return 0, [c.numerator if c.denominator == 1 else c for c in self.coeffs]
 
     @cached_property
     def units(self) -> Tuple[ProjPoint, ...]:
@@ -475,10 +558,11 @@ class _LiftCheck:
         return None
 
     def __call__(self, assignment) -> Optional[ValidLift]:
-        order = self.order
-        polys = _valid_lift(order, self.targets, self.slots, self.coeffs, assignment)
-        if polys is None:
+        p, values = self.scalars
+        if not _valid_lift(self.equations, values, p, assignment):
             return None
+        order = self.order
+        polys = _build_lift(order, self.targets, self.slots, self.coeffs, assignment)
         violations: Tuple[SupportViolation, ...] = ()
         if self.table is not None:
             # valid: the monic candidates, by decreasing lead, are the reduced basis
@@ -570,12 +654,16 @@ def lift_search(
     size fits the budget, otherwise ``budget`` seeded-random draws, each distinct
     one checked once. A lift is valid when every S-pair with non-coprime leads
     reduces to zero against it (Buchberger's criterion), so it is already the
-    reduced basis. Valid lifts get Jacobian verdicts at all coordinate points,
-    plus the tail-support exclusion checks in the one-dimensional setting.
-    The coordinate points and the exclusion table are built at the first
-    valid lift, once per search (once per chunk of work with ``workers`` > 1);
-    each worker returns finished ``ValidLift``s, so the Jacobians and the
-    support scan are spread with the validity checks.
+    reduced basis. The candidates share their leads and tail monomials, so the
+    S-pairs are divided once per search, with the tail coefficients as
+    unknowns (``_stratum_equations``), and each candidate is checked by
+    evaluating the remainder coefficients at its own (``_valid_lift``). Only
+    valid candidates are built as polynomials. They get Jacobian verdicts at
+    all coordinate points, plus the tail-support exclusion checks in the
+    one-dimensional setting. The coordinate points and the exclusion table are
+    built at the first valid lift, once per search (once per chunk of work
+    with ``workers`` > 1); each worker returns finished ``ValidLift``s, so the
+    Jacobians and the support scan are spread with the validity checks.
     """
     ctx = order.ctx
     M = to_ideal(delta, ctx)  # which checks the vertex count
@@ -614,7 +702,8 @@ def lift_search(
         draws = [tuple(rng.randrange(len(coeffs)) for _ in slots) for _ in range(budget)]
     assignments = list(dict.fromkeys(draws))
 
-    run = _LiftCheck(order, delta, targets, slots, coeffs, (ctx.n - 1) - delta.dim)
+    equations = _stratum_equations(order, targets, slots)
+    run = _LiftCheck(order, delta, targets, slots, coeffs, (ctx.n - 1) - delta.dim, equations)
     lifts = [lift for lift in _ordered_map(run, assignments, workers) if lift is not None]
 
     return LiftSearchResult(

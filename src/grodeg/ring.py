@@ -12,6 +12,7 @@ changing the order is an explicit conversion.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from operator import itemgetter, le, mul, neg
@@ -26,6 +27,7 @@ MAX_EXPONENT = 2**31
 # 2^MAX_COEFFICIENT_BITS is refused by the parser; the bound keeps every such
 # coefficient well inside the 4300 decimal digits Python prints by default.
 MAX_COEFFICIENT_BITS = 2**13
+_LOG2_10 = math.log2(10)
 # The parser multiplies out at most this many pairs of terms for one
 # polynomial, so every line it accepts parses in well under a second.
 MAX_TERM_PAIRS = 2**15
@@ -639,7 +641,8 @@ class _PolyParser:
             ekind, evalue, ecol = self.toks.next()
             if ekind != "int":
                 raise ParseError("exponent must be a nonnegative integer", self.toks.line, ecol)
-            k = int(evalue)
+            evalue = _digits(evalue)
+            k = MAX_EXPONENT if len(evalue) > 10 else int(evalue)  # 2^31 has 10 digits
             if k >= MAX_EXPONENT:
                 raise ParseError(f"exponent must be below {MAX_EXPONENT}", self.toks.line, ecol)
             # over QQ, lc^k is the leading coefficient of base^k: its height is at most H^k
@@ -651,6 +654,9 @@ class _PolyParser:
     def atom(self) -> Polynomial:
         kind, value, col = self.toks.next()
         if kind == "int":
+            value = _digits(value)
+            if (len(value) - 1) * _LOG2_10 > MAX_COEFFICIENT_BITS:  # k digits make at least 10^(k-1)
+                self.too_large("literal", f"a coefficient would pass {MAX_COEFFICIENT_BITS} bits", col)
             return Polynomial.constant(self.ctx, self.order, int(value))
         if kind == "name":
             try:
@@ -667,6 +673,12 @@ class _PolyParser:
         if kind == "end":
             raise ParseError("unexpected end of input", self.toks.line, col)
         raise ParseError(f"unexpected {value!r}", self.toks.line, col)
+
+
+def _digits(token: str) -> str:
+    """An integer token without leading zeros, so that its length bounds its
+    value before ``int()`` reads it (which refuses 4300 digits or more)."""
+    return token.lstrip("0") or "0"
 
 
 def _height_bits(c) -> int:
@@ -696,8 +708,9 @@ def parse_polynomial(text: str, ctx: RingContext, order: MonomialOrder, *, line:
     a power, product or quotient over QQ with any coefficient of height past
     ``2^MAX_COEFFICIENT_BITS``, or that would take the term pairs multiplied
     out for the whole polynomial past ``MAX_TERM_PAIRS``, at the exponent, the
-    ``*`` or the ``/``. A product of exponents that overflows is a ParseError
-    at the first character.
+    ``*`` or the ``/``. So is an integer literal of k digits, over any field,
+    when (k-1)*log2(10) passes ``MAX_COEFFICIENT_BITS``, at the literal. A
+    product of exponents that overflows is a ParseError at the first character.
     """
     if not text.strip():
         raise ParseError("empty polynomial", line, col_offset + 1)

@@ -8,10 +8,11 @@ library is a real check and not a tautology.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
-from grodeg import Monomial, Polynomial, SimplicialComplex, standard_context
+from grodeg import Monomial, Polynomial, SimplicialComplex, normal_form, s_polynomial, standard_context
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +237,24 @@ def ref_homology_dims(delta: SimplicialComplex, p=0):
     for i in range(delta.dim + 1):
         dims.append(len(chains[i + 1]) - ranks[i] - ranks[i + 1])
     return tuple(dims)
+
+
+# ---------------------------------------------------------------------------
+# lift criterion by division, candidate by candidate
+
+
+def ref_valid_lift(polys, order):
+    """Buchberger's criterion for one lift candidate, with numbers.
+
+    A candidate is monic, its leads are the minimal non-faces and its tails lie
+    outside the non-face ideal, so it is the reduced basis exactly when every
+    S-pair of non-coprime leads divides to zero by the candidate itself.
+    """
+    return all(
+        f.leading_monomial().gcd_is_one(g.leading_monomial())
+        or normal_form(s_polynomial(f, g), polys, order).is_zero()
+        for f, g in itertools.combinations(polys, 2)
+    )
 
 
 # ---------------------------------------------------------------------------

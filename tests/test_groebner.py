@@ -1,4 +1,4 @@
-"""Buchberger, reduced bases, mod-p reduction, regular elements."""
+"""Buchberger, reduced bases, regular elements."""
 
 import pickle
 import random
@@ -9,7 +9,6 @@ import pytest
 from grodeg import (
     ContextMismatchError,
     DegreeCapExceeded,
-    GroebnerBasis,
     Monomial,
     MonomialIdeal,
     MonomialOrder,
@@ -23,7 +22,6 @@ from grodeg import (
     is_variable_regular,
     normal_form,
     parse_polynomial,
-    reduce_mod_p,
     s_polynomial,
     standard_context,
     to_ideal,
@@ -530,72 +528,3 @@ class TestConePointCertificate:
         _, _, _, B = twisted
         with pytest.raises(ValueError, match="square-free initial ideal"):
             cone_point_certificate(B, 0)
-
-
-class TestReduceModP:
-    def test_twisted_cubic_good_prime(self, twisted):
-        _, _, _, B = twisted
-        red = reduce_mod_p(B, 5)
-        assert red.prime == 5
-        assert red.initial_ideal_stable
-        assert [g.render() for g in red.basis_mod_p.polys] == [
-            "x^2 + 4*y*z",
-            "x*y + 4*z^2",
-            "x*z^2 + 4*y^2*z",
-            "y^3*z + 4*z^4",
-        ]
-        assert red.generators == tuple(red.basis_mod_p.polys)
-
-    def test_minors_stable(self, minors):
-        _, _, _, B = minors
-        assert reduce_mod_p(B, 7).initial_ideal_stable
-
-    def test_bad_prime_from_denominator(self):
-        ctx = ctx_xyz()
-        lex = MonomialOrder.lex(ctx)
-        B = buchberger([P("x^2 + y^2/7", ctx, lex)], lex)
-        with pytest.raises(
-            ValueError, match="bad prime 7: denominator of coefficient 1/7 vanishes"
-        ):
-            reduce_mod_p(B, 7)
-        assert reduce_mod_p(B, 5).initial_ideal_stable
-
-    def test_hand_built_non_monic_basis_can_lose_the_lead(self):
-        ctx = standard_context(("x", "y"))
-        drl = MonomialOrder.degrevlex(ctx)
-        f = P("2*x + y", ctx, drl)
-        B = GroebnerBasis((f,), drl, ctx)
-        red = reduce_mod_p(B, 2)
-        assert [g.render() for g in red.generators] == ["y"]
-        assert not red.initial_ideal_stable
-
-    def test_rejects_gf_input(self):
-        ctx = ctx_xyz(PrimeField(5))
-        lex = MonomialOrder.lex(ctx)
-        B = buchberger([P("x*y", ctx, lex)], lex)
-        with pytest.raises(ValueError, match="expects a basis over QQ"):
-            reduce_mod_p(B, 7)
-
-    def test_library_bases_always_stable_at_good_primes(self):
-        """Reduced monic bases keep their initial ideal at any prime that does
-        not divide a coefficient denominator."""
-        rng = random.Random(61)
-        ctx = ctx_xyz()
-        stable_checked = 0
-        for _ in range(40):
-            order = rng.choice([MonomialOrder.lex(ctx), MonomialOrder.degrevlex(ctx)])
-            gens = [random_poly(rng, ctx, order, 3, 3) for _ in range(2)]
-            try:
-                B = buchberger(gens, order, degree_cap=12)
-            except DegreeCapExceeded:
-                continue
-            if not B.is_proper() or B.is_zero_ideal():
-                continue
-            for p in (2, 3, 5, 7):
-                try:
-                    red = reduce_mod_p(B, p)
-                except ValueError:
-                    continue  # bad prime for these denominators
-                assert red.initial_ideal_stable, (B.render_polys(), p)
-                stable_checked += 1
-        assert stable_checked >= 40

@@ -147,6 +147,12 @@ BAD_JOBS = [
     ("ring QQ x,y\nideal: (x + 2^8000*y)^2\n", "power too large: a coefficient would pass", 2, 23),
     ("ring QQ x,y,z\nideal: (x+y+z)^300\n", "power too large: the polynomial would multiply", 2, 16),
     ("ring QQ x,y,z\nideal: x ; (x+y+z)^20*(x+y+z)^20\n", "product too large", 2, 22),
+    # integer tokens past Python's 4300-digit int() limit
+    *(
+        pytest.param(f"ring {k} x,y\nideal: {'7' * 5000}*x\n", "literal too large: a coefficient would pass 8192 bits", 2, 8, id=f"7...7*x-{k}")
+        for k in ("QQ", "GF(5)")
+    ),
+    pytest.param(f"ring QQ x,y\nideal: x^{'1' * 5000}\n", "exponent must be below 2147483648", 2, 10, id="x^1...1"),
 ]
 
 
@@ -289,8 +295,10 @@ class TestCLI:
             ("(x^46341)^46341", "exponent overflow"),
             ("3^4000000*x", "power too large"),
             ("(x + 2^8000*y)^2", "power too large"),
+            ("7" * 5000 + "*x", "literal too large"),
+            ("x^" + "1" * 5000, "exponent must be below"),
         ],
-        ids=["x^2147483648", "(x^46341)^46341", "3^4000000*x", "(x + 2^8000*y)^2"],
+        ids=["x^2147483648", "(x^46341)^46341", "3^4000000*x", "(x + 2^8000*y)^2", "7...7*x", "x^1...1"],
     )
     def test_huge_exponents_fail_fast(self, run_cli, ideal, error):
         start = time.perf_counter()

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -48,8 +49,10 @@ from conftest import (
     brute_projective_count,
     ctx_n,
     ctx_xyz,
+    random_complex,
     random_homogeneous_poly,
     ref_initial_monomials,
+    ref_valid_lift,
 )
 
 
@@ -683,6 +686,26 @@ def lift_candidates(delta, order, coeffs):
         yield tuple(Polynomial(ctx, order, ts) for ts in terms)
 
 
+@pytest.fixture
+def checked(monkeypatch):
+    """The ``(check, distinct assignments)`` of each lift search the test runs."""
+    seen = []
+    original = pipeline._ordered_map
+
+    def recording(fn, items, workers):
+        if isinstance(fn, pipeline._LiftCheck):
+            seen.append((fn, items))
+        return original(fn, items, workers)
+
+    monkeypatch.setattr(pipeline, "_ordered_map", recording)
+    return seen
+
+
+def candidates(run, assignments):
+    """The polynomials of each candidate a search checked, in checking order."""
+    return [tuple(pipeline._build_lift(run.order, run.targets, run.slots, run.coeffs, a)) for a in assignments]
+
+
 class TestLiftOracle:
     """Lift verdicts against the criterion-free completion in conftest."""
 
@@ -713,47 +736,89 @@ class TestLiftOracle:
     @pytest.mark.parametrize(
         "field,pool", [(PrimeField(3), (0, 1, 2)), (QQ, (2, 0, -1))], ids=["GF(3)", "QQ"]
     )
-    def test_candidates_are_built_in_canonical_form(self, field, pool, monkeypatch):
+    def test_candidates_are_built_in_canonical_form(self, field, pool, checked):
         """The trusted construction gives exactly the terms ``Polynomial`` would."""
-        built = []
-        original = pipeline._build_lift
-
-        def recording(*args):
-            built.append(original(*args))
-            return built[-1]
-
-        monkeypatch.setattr(pipeline, "_build_lift", recording)
         drl = MonomialOrder.degrevlex(ctx_n(4, field))
         res = lift_search(self.STAR, drl, pool=pool, budget=243)
-        assert res.exhaustive and len(built) == 243
+        assert res.exhaustive
+        built = candidates(*checked[0])
+        assert len(built) == 243
         assert all(g.order is drl and g.ctx is drl.ctx for polys in built for g in polys)
         got = {tuple(g.terms for g in polys) for polys in built}
         want = {tuple(g.terms for g in polys) for polys in lift_candidates(self.STAR, drl, pool)}
         assert len(got) == 243 and got == want
 
-    def test_sampled_five_cycle_has_no_valid_lift(self, monkeypatch):
-        built = []
-        original = pipeline._build_lift
-
-        def recording(*args):
-            polys = original(*args)
-            built.append(polys)
-            return polys
-
-        monkeypatch.setattr(pipeline, "_build_lift", recording)
+    def test_sampled_five_cycle_has_no_valid_lift(self, monkeypatch, checked):
+        built = count_calls(monkeypatch, "_build_lift", module="pipeline")
         cycle = SimplicialComplex.from_facets(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
         drl = MonomialOrder.degrevlex(ctx_n(5, PrimeField(2)))
         res = lift_search(cycle, drl, budget=30, seed=4)
         assert not res.exhaustive and res.tried == 30 and res.lifts == ()
-        assert built
+        assert built == []  # no candidate is valid, so none is built
+        drawn = candidates(*checked[0])
+        assert drawn
         targets = sorted(t.exps for t in res.targets)
-        assert all(ref_initial_monomials(c, drl) != targets for c in built)
+        assert not any(ref_valid_lift(c, drl) for c in drawn)
+        assert all(ref_initial_monomials(c, drl) != targets for c in drawn)
 
     def test_degree_cap_does_not_change_lift_verdicts(self, tmp_path, capsys):
         job = tmp_path / "path.job"
         job.write_text("facets: 1 2; 2 3; 3 4\nfield GF(2)\nbudget 256\n")
         assert cli.main(["lift-search", str(job), "--degree-cap", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["valid_lift_count"] == 32
+
+
+BOWTIE = SimplicialComplex.from_facets(5, [(1, 2, 3), (3, 4, 5)])
+
+
+class TestStratumEquationsOracle:
+    """The stratum equations against dividing every S-pair of each candidate
+    (``ref_valid_lift``), candidate by candidate, in checking order."""
+
+    @staticmethod
+    def agree(res, checked, order):
+        drawn = candidates(*checked[-1])
+        want = [c for c in drawn if ref_valid_lift(c, order)]
+        assert [lift.polys for lift in res.lifts] == want
+        return len(drawn), len(want)
+
+    @pytest.mark.parametrize(
+        "delta,field,pool,space,valid",
+        [
+            (TestLiftOracle.PATH, PrimeField(2), (0, 1), 256, 32),
+            (TestLiftOracle.STAR, PrimeField(3), (0, 1, 2), 243, 27),
+            (TestLiftOracle.STAR, QQ, (-1, 0, 1), 243, 23),
+            (TestLiftOracle.STAR, QQ, (0, Fraction(1, 2), -1), 243, None),
+            (BOWTIE, PrimeField(2), (0, 1), 65536, 64),
+        ],
+        ids=["path-GF(2)", "star-GF(3)", "star-QQ", "star-QQ-half", "bowtie-GF(2)"],
+    )
+    def test_every_candidate_of_an_exhaustive_space(self, checked, delta, field, pool, space, valid):
+        drl = MonomialOrder.degrevlex(ctx_n(delta.n, field))
+        res = lift_search(delta, drl, pool=pool, budget=space)
+        assert res.exhaustive
+        tried, found = self.agree(res, checked, drl)
+        assert tried == space
+        assert 0 < found < space if valid is None else found == valid
+
+    def test_seeded_random_complexes(self, checked):
+        """Non-pure and ghost-vertex complexes, both orders, three fields, and a
+        QQ pool with 0 and 1/2."""
+        rng = random.Random(29)
+        tried = found = ghosts = non_pure = 0
+        for k in range(15):
+            n = rng.randint(4, 6)
+            delta = random_complex(rng, n, max_facets=5)
+            perm = tuple(rng.sample(range(n), n))
+            ghosts += len({v for f in delta.facets for v in f}) < n
+            non_pure += len({len(f) for f in delta.facets}) > 1
+            for field, pool in [(QQ, None), (QQ, (0, Fraction(1, 2), -1)), (PrimeField(2), None), (PrimeField(3), None)]:
+                for kind in ("lex", "degrevlex"):
+                    order = MonomialOrder(kind, ctx_n(n, field), perm=perm)
+                    res = lift_search(delta, order, pool=pool, budget=24, seed=k)
+                    t, f = self.agree(res, checked, order)
+                    tried, found = tried + t, found + f
+        assert ghosts and non_pure and 0 < found < tried
 
 
 class TestCoordinatePointsOracle:
@@ -1130,12 +1195,33 @@ class TestNoWorkTwice:
 
     def test_lift_search_checks_each_distinct_draw_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "_valid_lift", module="pipeline")
+        built = count_calls(monkeypatch, "_build_lift", module="pipeline")
         triangle = SimplicialComplex.from_facets(3, [(1, 2), (1, 3), (2, 3)])
         drl = MonomialOrder.degrevlex(ctx_n(3))
         res = lift_search(triangle, drl, pool=(-2, -1, 1, 2), budget=200)
         assert res.tried == 200
         assignments = [args[-1] for args in calls]
         assert len(assignments) == len(set(assignments)) == len(res.lifts) == 133
+        # where some draws are not valid, only the valid ones are built
+        calls.clear()
+        built.clear()
+        drl = MonomialOrder.degrevlex(ctx_n(4, PrimeField(2)))
+        res = lift_search(TestLiftOracle.PATH, drl, pool=(0, 1), budget=256)
+        assignments = [args[-1] for args in calls]
+        assert res.tried == len(assignments) == len(set(assignments)) == 256
+        assert len({args[-1] for args in built}) == len(built) == len(res.lifts) == 32
+
+    def test_lift_search_builds_its_equations_once(self, monkeypatch, checked):
+        calls = count_calls(monkeypatch, "_stratum_equations", module="pipeline")
+        five_cycle = SimplicialComplex.from_facets(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+        for workers in (1, 2):
+            calls.clear()
+            res = lift_search(five_cycle, MonomialOrder.degrevlex(ctx_n(5)), budget=40, seed=4, workers=workers)
+            assert res.tried == 40 and res.lifts == ()
+            assert len(calls) == 1
+        # a worker's pickled copy carries the equations; it does not build them
+        run = checked[-1][0]
+        assert run.equations and pickle.loads(pickle.dumps(run)).equations == run.equations
 
     def test_lift_search_builds_each_valid_lift_once(self, monkeypatch):
         built = count_calls(monkeypatch, "_build_lift", module="pipeline")
@@ -1227,8 +1313,8 @@ _SPAWN_SCRIPT = textwrap.dedent(
     """
     import json, multiprocessing
     multiprocessing.set_start_method("spawn")
-    from grodeg import (MonomialOrder, SimplicialComplex, lift_search, parse_polynomial,
-                        scan_orders, standard_context, to_jsonable)
+    from grodeg import (QQ, MonomialOrder, PrimeField, SimplicialComplex, lift_search,
+                        parse_polynomial, scan_orders, standard_context, to_jsonable)
 
     ctx = standard_context(("x", "y", "z"))
     f = parse_polynomial("x^3 + y^3 + z^3", ctx, MonomialOrder.degrevlex(ctx))
@@ -1238,12 +1324,16 @@ _SPAWN_SCRIPT = textwrap.dedent(
         (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 2, 5), (2, 3, 6), (3, 4, 6), (4, 5, 6), (2, 5, 6),
     ])
     drl6 = MonomialOrder.degrevlex(standard_context(tuple(f"x{i}" for i in range(1, 7))))
+    five = SimplicialComplex.from_facets(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    names5 = tuple(f"x{i}" for i in range(1, 6))
+    drl5 = [MonomialOrder.degrevlex(standard_context(names5, field=k)) for k in (QQ, PrimeField(3))]
     out = {}
     for workers in (1, 2):
         scan = scan_orders([f], family="both", workers=workers)
         lifts = lift_search(cycle, drl, budget=40, seed=5, workers=workers)
         octa = lift_search(octahedron, drl6, pool=(-1, 1), budget=20, seed=1, workers=workers)
-        out[workers] = json.dumps(to_jsonable([scan, lifts, octa]), sort_keys=True)
+        fives = [lift_search(five, o, budget=40, seed=2, workers=workers) for o in drl5]
+        out[workers] = json.dumps(to_jsonable([scan, lifts, octa, fives]), sort_keys=True)
     print(json.dumps([multiprocessing.get_start_method(), out[1], out[2]]))
     """
 )
