@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import pipeline
 from .complexes import vertex_context
@@ -32,6 +31,7 @@ from .errors import ParseError, ResourceLimitError
 from .fields import QQ
 from .groebner import DEFAULT_DEGREE_CAP
 from .jobs import SETTINGS, JobSpec, parse_job
+from .records import replace
 from .reporting import render_report
 from .ring import MonomialOrder
 

@@ -13,45 +13,42 @@ judging each distinct relabelled link once per report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 from .fields import QQ, Field
 from .groebner import MonomialIdeal
 from .linalg import rank_int, rank_mod_p
+from .records import Record
 from .ring import Monomial, RingContext, standard_context
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """Facets as sorted vertex tuples (1-based), canonically ordered."""
 
-    n: int
-    facets: Tuple[Tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, facets: Tuple[Tuple[int, ...], ...]):
+        if n < 1:
             raise ValueError("complex needs at least one vertex slot")
-        if not self.facets:
+        if not facets:
             raise ValueError("the void complex is rejected")
-        if self.facets == ((),):
+        if facets == ((),):
             raise ValueError("the empty complex {()} is rejected")
         seen = set()
-        for f in self.facets:
+        for f in facets:
             if list(f) != sorted(set(f)):
                 raise ValueError(f"facet {f} is not a sorted duplicate-free tuple")
-            if f and not (1 <= f[0] and f[-1] <= self.n):
-                raise ValueError(f"facet {f} has vertices outside 1..{self.n}")
+            if f and not (1 <= f[0] and f[-1] <= n):
+                raise ValueError(f"facet {f} has vertices outside 1..{n}")
             seen.add(frozenset(f))
-        if len(seen) != len(self.facets):
+        if len(seen) != len(facets):
             raise ValueError("duplicate facets")
         for f in seen:
             for g in seen:
                 if f < g:
                     raise ValueError("a facet contains another")
-        if list(self.facets) != sorted(self.facets):
+        if list(facets) != sorted(facets):
             raise ValueError("facets not canonically sorted")
+        self.__dict__.update(n=n, facets=facets)
 
     @classmethod
     def from_facets(cls, n: int, facets) -> "SimplicialComplex":
@@ -120,10 +117,11 @@ class SimplicialComplex:
         return "facets: " + "; ".join(" ".join(str(v) for v in f) for f in self.facets)
 
 
-@dataclass(frozen=True)
-class Link:
-    complex: SimplicialComplex
-    vertex_map: Tuple[int, ...]  # new label i+1 -> original vertex vertex_map[i]
+class Link(Record):
+    """A link relabelled to 1..m; ``vertex_map[i]`` is the original vertex of label i + 1."""
+
+    def __init__(self, complex: SimplicialComplex, vertex_map: Tuple[int, ...]):
+        self.__dict__.update(complex=complex, vertex_map=vertex_map)
 
 
 def link(delta: SimplicialComplex, face) -> Link:
@@ -185,13 +183,11 @@ def to_ideal(delta: SimplicialComplex, ctx: Optional[RingContext] = None) -> Mon
     return MonomialIdeal.from_monomials(ctx, monos)
 
 
-@dataclass(frozen=True)
-class CohomologyProfile:
+class CohomologyProfile(Record):
     """dims[i] = dim of reduced cohomology in degree i, for i = 0 .. dim."""
 
-    field: Field
-    dims: Tuple[int, ...]
-    reduced_euler: int
+    def __init__(self, field: Field, dims: Tuple[int, ...], reduced_euler: int):
+        self.__dict__.update(field=field, dims=dims, reduced_euler=reduced_euler)
 
     def is_acyclic(self) -> bool:
         return all(d == 0 for d in self.dims)
@@ -231,20 +227,22 @@ def reduced_cohomology(delta: SimplicialComplex, field: Field = QQ) -> Cohomolog
     return CohomologyProfile(field, dims, euler)
 
 
-@dataclass(frozen=True)
-class ComplexPropertyReport:
-    pure: bool
-    strongly_connected: bool
-    normal: bool
-    cohen_macaulay: bool
-    buchsbaum: bool
-    acyclic: bool
-    negative_a_invariant_given_cm: bool
-    leaves: Tuple[int, ...]
-    free_faces: Tuple[Tuple[int, ...], ...]
-    cone_points: Tuple[int, ...]
-    ghost_vertices: Tuple[int, ...]
-    cohomology: CohomologyProfile  # of the complex itself; not part of as_dict
+class ComplexPropertyReport(Record):
+    """Combinatorial verdicts on a complex; ``cohomology``, the complex's own, is not part of ``as_dict``."""
+
+    def __init__(
+        self, pure: bool, strongly_connected: bool, normal: bool, cohen_macaulay: bool,
+        buchsbaum: bool, acyclic: bool, negative_a_invariant_given_cm: bool,
+        leaves: Tuple[int, ...], free_faces: Tuple[Tuple[int, ...], ...],
+        cone_points: Tuple[int, ...], ghost_vertices: Tuple[int, ...], cohomology: CohomologyProfile,
+    ):
+        self.__dict__.update(
+            pure=pure, strongly_connected=strongly_connected, normal=normal,
+            cohen_macaulay=cohen_macaulay, buchsbaum=buchsbaum, acyclic=acyclic,
+            negative_a_invariant_given_cm=negative_a_invariant_given_cm, leaves=leaves,
+            free_faces=free_faces, cone_points=cone_points, ghost_vertices=ghost_vertices,
+            cohomology=cohomology,
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -296,8 +294,7 @@ def _relabelled_link(delta: SimplicialComplex, face: Tuple[int, ...]):
     old = sorted(set().union(*rests))
     relabel = {v: i + 1 for i, v in enumerate(old)}
     lk = object.__new__(SimplicialComplex)
-    object.__setattr__(lk, "n", len(old))
-    object.__setattr__(lk, "facets", tuple(tuple([relabel[v] for v in r]) for r in rests))
+    lk.__dict__.update(n=len(old), facets=tuple(tuple([relabel[v] for v in r]) for r in rests))
     return lk, tuple(old)
 
 

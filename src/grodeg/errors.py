@@ -12,6 +12,12 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+def clipped(text: str) -> str:
+    """``text`` cut to its first 20 characters and an ellipsis, so that an
+    error message that echoes input stays short."""
+    return text if len(text) <= 20 else text[:20] + "…"
+
+
 class FieldMismatchError(ValueError):
     """Arithmetic attempted between scalars of different fields."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import FieldMismatchError, ParseError
+from .errors import FieldMismatchError, ParseError, clipped
 
 MAX_PRIME = 2**31
 
@@ -231,8 +231,8 @@ def field_from_string(text: str) -> Field:
         return QQ
     if s.startswith("GF(") and s.endswith(")"):
         body = s[3:-1].strip()
-        if not body.lstrip("-").isdigit():
-            raise ParseError(f"bad GF modulus {body!r}")
+        if not body.lstrip("-").isdigit() or len(body) > 20:  # int() refuses 4300 digits
+            raise ParseError(f"bad GF modulus {clipped(body)!r}")
         try:
             return PrimeField(int(body))
         except ValueError as e:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from operator import add, le, sub
 from typing import Optional, Tuple
 
 from .errors import ContextMismatchError, DegreeCapExceeded
+from .records import Record
 from .ring import Monomial, MonomialOrder, Polynomial, RingContext
 
 DEFAULT_DEGREE_CAP = 40
@@ -97,13 +97,11 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial._make(f.ctx, order, [(Monomial(e), c) for e, c in kept])
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Record):
     """Reduced, monic basis sorted by decreasing leading monomial."""
 
-    polys: Tuple[Polynomial, ...]
-    order: MonomialOrder
-    ctx: RingContext
+    def __init__(self, polys: Tuple[Polynomial, ...], order: MonomialOrder, ctx: RingContext):
+        self.__dict__.update(polys=polys, order=order, ctx=ctx)
 
     def leading_monomials(self) -> Tuple[Monomial, ...]:
         return tuple(g.leading_monomial() for g in self.polys)
@@ -121,12 +119,11 @@ class GroebnerBasis:
         return tuple(g.render() for g in self.polys)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """Minimal monomial generators, canonically sorted by (degree, exponents)."""
 
-    ctx: RingContext
-    gens: Tuple[Monomial, ...]
+    def __init__(self, ctx: RingContext, gens: Tuple[Monomial, ...]):
+        self.__dict__.update(ctx=ctx, gens=gens)
 
     @staticmethod
     def from_monomials(ctx: RingContext, monomials) -> "MonomialIdeal":

@@ -30,14 +30,14 @@ parse(render(parse(text))) equals parse(text).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple
 
 from .complexes import SimplicialComplex
-from .errors import ParseError
+from .errors import ParseError, clipped
 from .fields import Field, field_from_string
 from .pipeline import _FAMILIES
+from .records import Record, replace
 from .ring import MonomialOrder, Polynomial, RingContext, parse_polynomial, standard_context
 
 
@@ -45,6 +45,8 @@ def _integer(minimum=None):
     """Parse rule for an integer setting held to ``minimum``, if any."""
 
     def parse(text: str, name: str) -> int:
+        if len(text) > 20:  # no setting needs more, and int() refuses 4300 digits
+            raise ParseError(f"{name} wants at most 20 digits, got {clipped(text)!r}")
         try:
             value = int(text)
         except ValueError:
@@ -75,7 +77,7 @@ def parse_pool(text: str) -> Tuple[Fraction, ...]:
         try:
             values.append(Fraction(chunk))
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad pool entry {chunk!r}") from None
+            raise ParseError(f"bad pool entry {clipped(chunk)!r}") from None
     return tuple(values)
 
 
@@ -96,22 +98,21 @@ SETTINGS = {
 _STRUCTURE = ("ring", "order", "ideal", "vertices", "facets")
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(Record):
     """Parsed job file. Only the directives that appeared are non-None."""
 
-    ctx: Optional[RingContext] = None
-    order: Optional[MonomialOrder] = None
-    ideal: Optional[Tuple[Polynomial, ...]] = None
-    delta: Optional[SimplicialComplex] = None
-    field: Optional[Field] = None
-    family: Optional[str] = None
-    pool: Optional[Tuple[Fraction, ...]] = None
-    budget: Optional[int] = None
-    seed: Optional[int] = None
-    prime: Optional[int] = None
-    workers: Optional[int] = None
-    format: Optional[str] = None
+    def __init__(
+        self, ctx: Optional[RingContext] = None, order: Optional[MonomialOrder] = None,
+        ideal: Optional[Tuple[Polynomial, ...]] = None, delta: Optional[SimplicialComplex] = None,
+        field: Optional[Field] = None, family: Optional[str] = None,
+        pool: Optional[Tuple[Fraction, ...]] = None, budget: Optional[int] = None,
+        seed: Optional[int] = None, prime: Optional[int] = None, workers: Optional[int] = None,
+        format: Optional[str] = None,
+    ):
+        self.__dict__.update(
+            ctx=ctx, order=order, ideal=ideal, delta=delta, field=field, family=family,
+            pool=pool, budget=budget, seed=seed, prime=prime, workers=workers, format=format,
+        )
 
     def carrier_order(self) -> Optional[MonomialOrder]:
         """The explicit order, or a degrevlex placeholder when none was given."""
@@ -135,7 +136,7 @@ def _parse_ring(payload: str) -> RingContext:
         try:
             grading = tuple(int(w) for w in tokens[3].split(","))
         except ValueError:
-            raise ParseError(f"bad grading {tokens[3]!r}") from None
+            raise ParseError(f"bad grading {clipped(tokens[3])!r}") from None
     return standard_context(names, field, grading)
 
 
@@ -165,7 +166,7 @@ def _parse_facets(payload: str, n_hint: Optional[int]) -> SimplicialComplex:
         try:
             groups.append(tuple(int(v) for v in chunk.split()))
         except ValueError:
-            raise ParseError(f"bad facet {chunk.strip()!r}") from None
+            raise ParseError(f"bad facet {clipped(chunk.strip())!r}") from None
     if not groups:
         raise ParseError("no facets given")
     biggest = max((max(f) for f in groups if f), default=0)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import add, le, sub
 from typing import Dict, List, Optional, Tuple
@@ -45,6 +44,7 @@ from .errors import ScanBoundExceeded
 from .fields import Field, PrimeField, QQ, is_prime
 from .groebner import DEFAULT_DEGREE_CAP, GroebnerBasis, MonomialIdeal, buchberger, initial_ideal
 from .linalg import rank_int, rank_mod_p
+from .records import Record
 from .ring import Monomial, MonomialOrder, Polynomial, RingContext
 from .singularity import (
     JacobianAnalysis,
@@ -171,8 +171,7 @@ def _conjecture_summary(props: ComplexPropertyReport, points) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class DegenerationReport:
+class DegenerationReport(Record):
     """Everything ``analyze`` learns about one (ideal, order) pair.
 
     The combinatorial fields are ``None`` when the initial ideal is not
@@ -180,18 +179,19 @@ class DegenerationReport:
     analyze, so downstream fields are simply absent from ``as_dict``.
     """
 
-    digest: str
-    order: MonomialOrder
-    generators: Tuple[Polynomial, ...]
-    basis: GroebnerBasis
-    initial: MonomialIdeal
-    squarefree: bool
-    delta: Optional[SimplicialComplex]
-    properties: Optional[ComplexPropertyReport]
-    coordinate_points: Tuple[JacobianAnalysis, ...]
-    obstructions: Tuple[ObstructionVerdict, ...]
-    conjectures: Optional[Dict[str, object]]
-    producing_orders: Tuple[str, ...]
+    def __init__(
+        self, digest: str, order: MonomialOrder, generators: Tuple[Polynomial, ...],
+        basis: GroebnerBasis, initial: MonomialIdeal, squarefree: bool,
+        delta: Optional[SimplicialComplex], properties: Optional[ComplexPropertyReport],
+        coordinate_points: Tuple[JacobianAnalysis, ...], obstructions: Tuple[ObstructionVerdict, ...],
+        conjectures: Optional[Dict[str, object]], producing_orders: Tuple[str, ...],
+    ):
+        self.__dict__.update(
+            digest=digest, order=order, generators=generators, basis=basis, initial=initial,
+            squarefree=squarefree, delta=delta, properties=properties,
+            coordinate_points=coordinate_points, obstructions=obstructions,
+            conjectures=conjectures, producing_orders=producing_orders,
+        )
 
     @property
     def ctx(self) -> RingContext:
@@ -386,12 +386,12 @@ def scan_orders(
     ]
 
 
-def _monomials_of_degree(n: int, d: int):
+def _exponents_of_degree(n: int, d: int):
     for combo in itertools.combinations_with_replacement(range(n), d):
         exps = [0] * n
         for i in combo:
             exps[i] += 1
-        yield Monomial(tuple(exps))
+        yield tuple(exps)
 
 
 def _build_lift(order, targets, slots, coeffs, assignment):
@@ -492,13 +492,16 @@ def _valid_lift(equations, values, p, assignment) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ValidLift:
+class ValidLift(Record):
     """One lift whose reduced basis is exactly the candidate set."""
 
-    polys: Tuple[Polynomial, ...]
-    coordinate_points: Tuple[JacobianAnalysis, ...]
-    support_violations: Tuple[SupportViolation, ...]
+    def __init__(
+        self, polys: Tuple[Polynomial, ...], coordinate_points: Tuple[JacobianAnalysis, ...],
+        support_violations: Tuple[SupportViolation, ...],
+    ):
+        self.__dict__.update(
+            polys=polys, coordinate_points=coordinate_points, support_violations=support_violations
+        )
 
     def singular_at_every_scheme_point(self) -> bool:
         on = [a for a in self.coordinate_points if a.on_scheme]
@@ -516,8 +519,7 @@ class ValidLift:
         }
 
 
-@dataclass
-class _LiftCheck:
+class _LiftCheck(Record):
     """One search's ``assignment -> ValidLift or None`` (None when not valid).
 
     ``equations`` are the search's stratum equations (``_stratum_equations``),
@@ -530,13 +532,16 @@ class _LiftCheck:
     valid; a worker's copy builds them for itself.
     """
 
-    order: MonomialOrder
-    delta: SimplicialComplex
-    targets: List[Monomial]
-    slots: list
-    coeffs: list
-    codim: int
-    equations: tuple
+    __hash__ = None
+
+    def __init__(
+        self, order: MonomialOrder, delta: SimplicialComplex, targets: List[Monomial], slots: list,
+        coeffs: list, codim: int, equations: tuple,
+    ):
+        self.__dict__.update(
+            order=order, delta=delta, targets=targets, slots=slots, coeffs=coeffs, codim=codim,
+            equations=equations,
+        )
 
     @cached_property
     def scalars(self) -> Tuple[int, list]:
@@ -571,19 +576,17 @@ class _LiftCheck:
         return ValidLift(tuple(polys), _coordinate_points(polys, self.units, self.codim), violations)
 
 
-@dataclass(frozen=True)
-class LiftSearchResult:
-    delta: SimplicialComplex
-    order: MonomialOrder
-    pool: Tuple
-    budget: int
-    seed: int
-    exhaustive: bool
-    space: int
-    tried: int
-    targets: Tuple[Monomial, ...]
-    empty_tail_targets: Tuple[Monomial, ...]
-    lifts: Tuple[ValidLift, ...]
+class LiftSearchResult(Record):
+    def __init__(
+        self, delta: SimplicialComplex, order: MonomialOrder, pool: Tuple, budget: int, seed: int,
+        exhaustive: bool, space: int, tried: int, targets: Tuple[Monomial, ...],
+        empty_tail_targets: Tuple[Monomial, ...], lifts: Tuple[ValidLift, ...],
+    ):
+        self.__dict__.update(
+            delta=delta, order=order, pool=pool, budget=budget, seed=seed, exhaustive=exhaustive,
+            space=space, tried=tried, targets=targets, empty_tail_targets=empty_tail_targets,
+            lifts=lifts,
+        )
 
     def top_variable(self) -> int:
         return self.order.greatest_variable()
@@ -680,16 +683,19 @@ def lift_search(
         raise ValueError("empty coefficient pool")
 
     targets = list(M.gens)
+    key = order.exps_key
+    leads = [t.exps for t in targets]
     tails_of: List[List[Monomial]] = []
     for t in targets:
-        d = t.degree()
+        # exponents below t and outside the non-face ideal; a Monomial only for those
+        top = key(t.exps)
         tails = [
-            m
-            for m in _monomials_of_degree(ctx.n, d)
-            if order.compare(m, t) < 0 and not M.contains(m)
+            e
+            for e in _exponents_of_degree(ctx.n, t.degree())
+            if key(e) < top and not any(all(map(le, g, e)) for g in leads)
         ]
-        tails.sort(key=order.sort_key, reverse=True)
-        tails_of.append(tails)
+        tails.sort(key=key, reverse=True)
+        tails_of.append([Monomial(e) for e in tails])
     empty = tuple(t for t, tails in zip(targets, tails_of) if not tails)
     slots = [(ti, m) for ti, tails in enumerate(tails_of) for m in tails]
 
@@ -712,16 +718,15 @@ def lift_search(
     )
 
 
-@dataclass(frozen=True)
-class PointCountResult:
-    curve: str
-    prime: int
-    count: int
-    trace: int
-    smooth: bool
-    singular_points: Tuple[str, ...]
-    supersingular: Optional[bool]
-    hasse_ok: Optional[bool]
+class PointCountResult(Record):
+    def __init__(
+        self, curve: str, prime: int, count: int, trace: int, smooth: bool,
+        singular_points: Tuple[str, ...], supersingular: Optional[bool], hasse_ok: Optional[bool],
+    ):
+        self.__dict__.update(
+            curve=curve, prime=prime, count=count, trace=trace, smooth=smooth,
+            singular_points=singular_points, supersingular=supersingular, hasse_ok=hasse_ok,
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -790,14 +795,13 @@ def count_points(f: Polynomial, p: int) -> PointCountResult:
     )
 
 
-@dataclass(frozen=True)
-class ComplexReport:
+class ComplexReport(Record):
     """Standalone combinatorial analysis of one complex over one field."""
 
-    delta: SimplicialComplex
-    field: Field
-    properties: ComplexPropertyReport
-    lex: ObstructionVerdict
+    def __init__(
+        self, delta: SimplicialComplex, field: Field, properties: ComplexPropertyReport, lex: ObstructionVerdict
+    ):
+        self.__dict__.update(delta=delta, field=field, properties=properties, lex=lex)
 
     def as_dict(self) -> dict:
         return {

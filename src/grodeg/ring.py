@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from operator import itemgetter, le, mul, neg
 from typing import Iterable, Optional, Tuple
 
 from .errors import ContextMismatchError, ParseError
 from .fields import Field, QQ
 from .linalg import primitive_integers, rank_int
+from .records import Record
 
 MAX_EXPONENT = 2**31
 # A product, quotient or power over QQ with a coefficient of height above
@@ -33,31 +33,26 @@ _LOG2_10 = math.log2(10)
 MAX_TERM_PAIRS = 2**15
 
 
-@dataclass(frozen=True)
-class RingContext:
+class RingContext(Record):
     """Variable names, positive integer grading, coefficient field.
 
     Each context keeps the text of every monomial it has rendered, keyed by
     exponent vector; the cache takes no part in equality or hashing.
     """
 
-    names: Tuple[str, ...]
-    grading: Tuple[int, ...]
-    field: Field
-
-    def __post_init__(self):
-        if not self.names:
+    def __init__(self, names: Tuple[str, ...], grading: Tuple[int, ...], field: Field):
+        if not names:
             raise ValueError("ring needs at least one variable")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        for name in self.names:
+        for name in names:
             if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
                 raise ValueError(f"bad variable name {name!r}")
-        if len(self.grading) != len(self.names):
+        if len(grading) != len(names):
             raise ValueError("grading length must match variable count")
-        if any(g < 1 for g in self.grading):
+        if any(g < 1 for g in grading):
             raise ValueError("grading must be positive")
-        object.__setattr__(self, "_monomial_text", {})
+        self.__dict__.update(names=names, grading=grading, field=field, _monomial_text={})
 
     @property
     def n(self) -> int:
@@ -99,15 +94,26 @@ def standard_context(names, field=QQ, grading=None) -> RingContext:
     return RingContext(names, grading, field)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """Exponent vector. Exponents are kept below 2^31; overflow is an error."""
 
-    exps: Tuple[int, ...]
+    __slots__ = ("exps",)
 
-    def __post_init__(self):
-        if any(e < 0 or e >= MAX_EXPONENT for e in self.exps):
+    def __init__(self, exps: Tuple[int, ...]):
+        if exps and (min(exps) < 0 or max(exps) >= MAX_EXPONENT):
             raise OverflowError("exponent out of 32-bit range")
+        _set_exps(self, exps)
+
+    def __eq__(self, other):
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return self.exps == other.exps
+
+    def __hash__(self):
+        return hash((self.exps,))
+
+    def __reduce__(self):
+        return Monomial, (self.exps,)
 
     @staticmethod
     def one(n: int) -> "Monomial":
@@ -161,6 +167,8 @@ class Monomial:
     def is_one(self) -> bool:
         return all(e == 0 for e in self.exps)
 
+
+_set_exps = Monomial.exps.__set__  # the slot's own setter, past the refusing __setattr__
 
 def _picker(idx):
     """``e -> tuple(e[i] for i in idx)`` as one C call (the identity needs no copy)."""

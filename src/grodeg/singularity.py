@@ -27,7 +27,6 @@ skips the check. ``leafless_obstruction`` reads its violations from
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import SimplicialComplex, to_ideal
@@ -35,15 +34,15 @@ from .errors import ContextMismatchError
 from .fields import Field
 from .groebner import GroebnerBasis, MonomialIdeal, initial_ideal
 from .linalg import primitive_integers, rank_int, rank_mod_p
+from .records import Record, asdict
 from .ring import Monomial
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(Record):
     """Projective point over ``field``, canonically scaled: first nonzero coordinate is 1."""
 
-    coords: Tuple
-    field: Field
+    def __init__(self, coords: Tuple, field: Field):
+        self.__dict__.update(coords=coords, field=field)
 
     @staticmethod
     def make(field, coords) -> "ProjPoint":
@@ -64,13 +63,13 @@ class ProjPoint:
         return "[" + ":".join(self.field.render_scalar(c) for c in self.coords) + "]"
 
 
-@dataclass(frozen=True)
-class JacobianAnalysis:
-    point: ProjPoint
-    on_scheme: bool
-    rank: int
-    expected_codim: int
-    verdict: str  # "off_scheme" | "singular" | "smooth"
+class JacobianAnalysis(Record):
+    """The Jacobian at a point; ``verdict`` is ``off_scheme``, ``singular`` or ``smooth``."""
+
+    def __init__(self, point: ProjPoint, on_scheme: bool, rank: int, expected_codim: int, verdict: str):
+        self.__dict__.update(
+            point=point, on_scheme=on_scheme, rank=rank, expected_codim=expected_codim, verdict=verdict
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -176,13 +175,11 @@ def _classified(point: ProjPoint, on_scheme: bool, rank: int, expected_codim: in
     return JacobianAnalysis(point, on_scheme, rank, expected_codim, verdict)
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
-    kind: str
-    applicable: bool
-    certified: bool
-    reason: Optional[str]
-    witness: Dict
+class ObstructionVerdict(Record):
+    def __init__(self, kind: str, applicable: bool, certified: bool, reason: Optional[str], witness: Dict):
+        self.__dict__.update(
+            kind=kind, applicable=applicable, certified=certified, reason=reason, witness=witness
+        )
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -244,11 +241,9 @@ def ci_obstruction(B: GroebnerBasis) -> ObstructionVerdict:
     return ObstructionVerdict(kind, True, certified, reason, witness)
 
 
-@dataclass(frozen=True)
-class SupportViolation:
-    rule: str
-    generator: str
-    monomial: str
+class SupportViolation(Record):
+    def __init__(self, rule: str, generator: str, monomial: str):
+        self.__dict__.update(rule=rule, generator=generator, monomial=monomial)
 
     def as_dict(self) -> dict:
         return asdict(self)

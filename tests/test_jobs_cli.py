@@ -153,6 +153,12 @@ BAD_JOBS = [
         for k in ("QQ", "GF(5)")
     ),
     pytest.param(f"ring QQ x,y\nideal: x^{'1' * 5000}\n", "exponent must be below 2147483648", 2, 10, id="x^1...1"),
+    # and nowhere else: the message echoes at most 20 characters of a token
+    pytest.param(f"field GF({'7' * 5000})\n", f"bad GF modulus '{'7' * 20}…'", 1, 7, id="GF(7...7)"),
+    pytest.param(f"ring GF({'7' * 5000}) x,y\n", f"bad GF modulus '{'7' * 20}…'", 1, 6, id="ring-GF(7...7)"),
+    pytest.param(f"budget {'7' * 5000}\n", f"budget wants at most 20 digits, got '{'7' * 20}…'", 1, 8, id="budget-7...7"),
+    pytest.param(f"pool {'7' * 5000}\n", f"bad pool entry '{'7' * 20}…'", 1, 6, id="pool-7...7"),
+    pytest.param(f"facets: 1 {'7' * 5000}\n", f"bad facet '1 {'7' * 18}…'", 1, 8, id="facet-7...7"),
 ]
 
 
@@ -162,6 +168,7 @@ class TestParseJobErrors:
         with pytest.raises(ParseError) as exc:
             parse_job(text)
         assert message in str(exc.value)
+        assert len(str(exc.value)) < 120
         assert exc.value.line == line
         assert exc.value.column == column
 
@@ -485,6 +492,8 @@ class TestCLI:
         "argv,message",
         [
             (["point-count", "--prime", "p"], "--prime wants an integer, got 'p'"),
+            (["point-count", "--prime", "7" * 5000], f"--prime wants at most 20 digits, got '{'7' * 20}…'"),
+            (["complex", "--field", f"GF({'7' * 5000})"], f"bad GF modulus '{'7' * 20}…'"),
             (["analyze", "--format", "yaml"], "--format must be one of json, text"),
             (["scan-orders", "--family", "grlex"], "--family must be one of lex, degrevlex, both"),
             (["complex", "--field", "GF(4)"], "GF modulus must be prime, got 4"),

@@ -1,6 +1,5 @@
 """End-to-end pipeline tests: analyze, order scans, lift search, point counts."""
 
-import dataclasses
 import itertools
 import json
 import os
@@ -16,6 +15,7 @@ import pytest
 import grodeg
 from grodeg import cli, pipeline
 from grodeg.linalg import primitive_integers
+from grodeg.records import replace
 
 from grodeg import (
     DegreeCapExceeded,
@@ -523,7 +523,7 @@ class TestScanOracle:
             for r in reports:
                 alone = analyze(gens, r.order)
                 assert as_json(r) == as_json(
-                    dataclasses.replace(alone, producing_orders=r.producing_orders)
+                    replace(alone, producing_orders=r.producing_orders)
                 )
             by_order = {o: r for r in reports for o in r.producing_orders}
             for kind in ("lex", "degrevlex", rng.choice(("lex", "degrevlex"))):
