@@ -492,11 +492,11 @@ class TestCLI:
         "argv,message",
         [
             (["point-count", "--prime", "p"], "--prime wants an integer, got 'p'"),
-            (["point-count", "--prime", "7" * 5000], f"--prime wants at most 20 digits, got '{'7' * 20}…'"),
-            (["complex", "--field", f"GF({'7' * 5000})"], f"bad GF modulus '{'7' * 20}…'"),
             (["analyze", "--format", "yaml"], "--format must be one of json, text"),
             (["scan-orders", "--family", "grlex"], "--family must be one of lex, degrevlex, both"),
             (["complex", "--field", "GF(4)"], "GF modulus must be prime, got 4"),
+            (["point-count", "--prime", "7" * 5000], f"--prime wants at most 20 digits, got '{'7' * 20}…'"),
+            (["complex", "--field", f"GF({'7' * 5000})"], f"bad GF modulus '{'7' * 20}…'"),
         ],
     )
     def test_flags_are_checked_by_their_directive_rule(self, run_cli, argv, message):
