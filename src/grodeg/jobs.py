@@ -96,6 +96,7 @@ SETTINGS = {
     "format": (_one_of(("json", "text")), str),
 }
 _STRUCTURE = ("ring", "order", "ideal", "vertices", "facets")
+VERTEX_BOUND = 1000  # a complex's ring has one variable per vertex, ghosts included
 
 
 class JobSpec(Record):
@@ -140,6 +141,14 @@ def _parse_ring(payload: str) -> RingContext:
     return standard_context(names, field, grading)
 
 
+def _weight(text: str) -> int:
+    """One weight of a ``weighted`` or ``matrix`` order row."""
+    try:
+        return _integer()(text, "weight")
+    except ParseError:
+        raise ParseError(f"bad weight {clipped(text)!r}") from None
+
+
 def _parse_order(payload: str, ctx: RingContext) -> MonomialOrder:
     head, _, rest = payload.partition(" ")
     kind = head.strip()
@@ -153,7 +162,7 @@ def _parse_order(payload: str, ctx: RingContext) -> MonomialOrder:
             raise ParseError(e.args[0]) from None
         return MonomialOrder(kind, ctx, perm=perm)
     if kind in ("weighted", "matrix"):
-        rows = tuple(tuple(int(w) for w in row.split(",")) for row in rest.split(";"))
+        rows = tuple(tuple(_weight(w.strip()) for w in row.split(",")) for row in rest.split(";"))
         return MonomialOrder(kind, ctx, rows=rows)
     raise ParseError(f"unknown order kind {kind!r}")
 
@@ -175,6 +184,8 @@ def _parse_facets(payload: str, n_hint: Optional[int]) -> SimplicialComplex:
     n = n_hint if n_hint is not None else biggest
     if biggest > n:
         raise ParseError(f"facet vertex {biggest} exceeds vertices {n}")
+    if n > VERTEX_BOUND:
+        raise ParseError(f"{n} vertices exceed the bound of {VERTEX_BOUND}")
     return SimplicialComplex.from_facets(n, groups)
 
 

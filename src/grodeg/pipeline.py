@@ -45,7 +45,7 @@ from .fields import Field, PrimeField, QQ, is_prime
 from .groebner import DEFAULT_DEGREE_CAP, GroebnerBasis, MonomialIdeal, buchberger, initial_ideal
 from .linalg import rank_int, rank_mod_p
 from .records import Record
-from .ring import Monomial, MonomialOrder, Polynomial, RingContext
+from .ring import Monomial, MonomialOrder, Polynomial, RingContext, render_chain
 from .singularity import (
     JacobianAnalysis,
     ObstructionVerdict,
@@ -235,11 +235,12 @@ def analyze(gens, order: MonomialOrder, *, degree_cap: int = DEFAULT_DEGREE_CAP)
     """Degenerate a homogeneous ideal along one order and report everything."""
     _require_homogeneous(gens)
     B = buchberger(gens, order, degree_cap=degree_cap)
-    return _degeneration_report(gens, order, B, (order.render(),))
+    return _degeneration_report(gens, B, (order.render(),))
 
 
-def _degeneration_report(gens, order: MonomialOrder, B: GroebnerBasis, producing_orders) -> DegenerationReport:
-    """The report of homogeneous ``gens`` whose reduced basis under ``order`` is ``B``."""
+def _degeneration_report(gens, B: GroebnerBasis, producing_orders) -> DegenerationReport:
+    """The report of homogeneous ``gens`` whose reduced basis under ``B.order`` is ``B``."""
+    order = B.order
     ctx = order.ctx
     polys = tuple(g.with_order(order) for g in gens)
     digest = ideal_digest(ctx, polys)
@@ -295,35 +296,71 @@ _FAMILIES = {
 }
 
 
-def _keeps_marking(B: GroebnerBasis, order: MonomialOrder) -> bool:
-    """Whether every element of ``B`` still has its marked leading monomial under ``order``."""
-    key = order.exps_key
+def _differences(B: GroebnerBasis) -> set:
+    """Each lead - tail exponent difference of ``B`` as two bitmasks: the
+    variables where the lead is larger, and those where the tail is larger."""
+    diffs = set()
     for g in B.polys:
-        lead = key(g.terms[0][0].exps)
-        if any(key(m.exps) > lead for m, _ in g.terms[1:]):
-            return False
-    return True
+        lead = g.terms[0][0].exps
+        for m, _ in g.terms[1:]:
+            up = down = 0
+            for i, (a, b) in enumerate(zip(lead, m.exps)):
+                if a > b:
+                    up |= 1 << i
+                elif a < b:
+                    down |= 1 << i
+            diffs.add((up, down))
+    return diffs
 
 
-def _scan_slice(gens, degree_cap, orders):
+def _cone(B: GroebnerBasis, kinds) -> List[Tuple[str, tuple]]:
+    """Every ``(kind, perm)`` of ``kinds`` under which ``B`` keeps its marking.
+
+    One variable decides each difference (see ``scan_orders``), so
+    permutations are walked by prefix, by reversed suffix for degrevlex. A
+    subtree is dropped at the first difference decided against ``B`` and
+    claimed whole once every difference is decided for it.
+    """
+    cone = []
+
+    def walk(kind, chosen, free, pending):
+        if not pending:
+            for rest in itertools.permutations(free):
+                perm = chosen + rest
+                cone.append((kind, perm if kind == "lex" else perm[::-1]))
+            return
+        for v in free:
+            bit = 1 << v
+            if not any(against & bit for _, against in pending):
+                left = tuple(u for u in free if u != v)
+                walk(kind, chosen + (v,), left, [d for d in pending if not d[0] & bit])
+
+    diffs = _differences(B)
+    for kind in kinds:
+        pending = diffs if kind == "lex" else {(down, up) for up, down in diffs}
+        walk(kind, (), tuple(range(B.ctx.n)), list(pending))
+    return cone
+
+
+def _scan_slice(gens, degree_cap, kinds, orders):
     """The reduced bases of ``gens`` under ``orders``, each distinct one completed once.
 
-    Returns the bases completed, in order of completion, and for each order
-    the index of its basis among them. Bases are tried most recently hit
-    first; a basis that keeps its marking under an order is that order's
-    reduced basis (see ``scan_orders``), so only the misses are completed.
+    ``orders`` are ``(kind, perm)`` pairs of ``kinds``. Returns the bases
+    completed, in order of completion, and for each order the index of its
+    basis among them. A completed basis claims its cone (see ``scan_orders``),
+    so an order is completed only when no kept basis has claimed it.
     """
+    ctx = gens[0].ctx
     bases: List[GroebnerBasis] = []
-    recent: List[int] = []
+    owner: Dict[Tuple[str, tuple], int] = {}
     which = []
-    for order in orders:
-        k = next((k for k in recent if _keeps_marking(bases[k], order)), None)
+    for kind, perm in orders:
+        k = owner.get((kind, perm))
         if k is None:
             k = len(bases)
-            bases.append(buchberger(gens, order, degree_cap=degree_cap))
-        else:
-            recent.remove(k)
-        recent.insert(0, k)
+            B = buchberger(gens, MonomialOrder(kind, ctx, perm=perm), degree_cap=degree_cap)
+            bases.append(B)
+            owner.update(dict.fromkeys(_cone(B, kinds), k))
         which.append(k)
     return bases, which
 
@@ -347,10 +384,20 @@ def scan_orders(
     C as well and in_C(I) = in(G): nothing is completed. Conversely the reduced
     basis is fixed by the initial ideal (its tails are standard monomials), so
     an order with an initial ideal already seen always finds its basis kept.
-    The scan therefore completes once per distinct initial ideal, or once per
-    ideal and worker when ``workers`` > 1 (each worker scans one contiguous
-    slice of the orders), and ``degree_cap`` bounds only those completions.
-    Each report is built from the basis of the first order that produced it.
+    The orders under which G keeps its marking form one cone of the Groebner
+    fan, and G claims all of its permutation orders when it is completed.
+    Each lead - tail difference of G is decided by one variable: under lex
+    the first of the permutation in its support, for the side with the larger
+    exponent. Under degrevlex the generators are homogeneous (this is
+    checked), so every element of G is homogeneous in the ring's grading,
+    lead and tail have the same degree, and the last variable of the
+    permutation in the support decides, for the side with the smaller
+    exponent. Distinct reduced bases have disjoint cones, so each order has
+    one owner and the scan is one lookup per order. It completes at the first
+    unclaimed order, once per distinct initial ideal, or once per ideal and
+    worker when ``workers`` > 1 (each worker scans one contiguous slice of
+    the orders), and ``degree_cap`` bounds only those completions. Each
+    report is built from the basis of the first order that produced it.
     """
     gens = list(gens)
     if not gens:
@@ -365,25 +412,18 @@ def scan_orders(
         raise ValueError(f"unknown order family {family!r} (want lex, degrevlex, or both)")
     _require_homogeneous(gens)
 
-    orders = [
-        MonomialOrder(kind, ctx, perm=perm)
-        for kind in kinds
-        for perm in itertools.permutations(range(ctx.n))
-    ]
+    orders = [(kind, perm) for kind in kinds for perm in itertools.permutations(range(ctx.n))]
     size = -(-len(orders) // max(1, workers))
     slices = [orders[i : i + size] for i in range(0, len(orders), size)]
-    scanned = _ordered_map(partial(_scan_slice, gens, degree_cap), slices, workers)
+    scanned = _ordered_map(partial(_scan_slice, gens, degree_cap, kinds), slices, workers)
 
-    # initial ideal -> (its first order, the basis that order completed, producing orders)
-    groups: Dict[tuple, Tuple[MonomialOrder, GroebnerBasis, List[str]]] = {}
+    # initial ideal -> (the basis its first order completed, producing orders)
+    groups: Dict[tuple, Tuple[GroebnerBasis, List[str]]] = {}
     for chunk, (bases, which) in zip(slices, scanned):
         keys = [tuple(m.exps for m in initial_ideal(B).gens) for B in bases]
-        for order, k in zip(chunk, which):
-            groups.setdefault(keys[k], (order, bases[k], []))[2].append(order.render())
-    return [
-        _degeneration_report(gens, order, B, tuple(producers))
-        for order, B, producers in groups.values()
-    ]
+        for (kind, perm), k in zip(chunk, which):
+            groups.setdefault(keys[k], (bases[k], []))[1].append(render_chain(kind, ctx.names, perm))
+    return [_degeneration_report(gens, B, tuple(producers)) for B, producers in groups.values()]
 
 
 def _exponents_of_degree(n: int, d: int):

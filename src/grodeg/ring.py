@@ -177,6 +177,11 @@ def _picker(idx):
     return itemgetter(*idx)
 
 
+def render_chain(kind: str, names, perm) -> str:
+    """A permutation order as the job grammar writes it: ``lex x>z>y``."""
+    return f"{kind} {'>'.join(names[i] for i in perm)}"
+
+
 class MonomialOrder:
     """A total, multiplicative, global monomial order over a fixed context.
 
@@ -286,8 +291,7 @@ class MonomialOrder:
 
     def render(self) -> str:
         if self.kind in ("lex", "degrevlex"):
-            chain = ">".join(self.ctx.names[i] for i in self.perm)
-            return f"{self.kind} {chain}"
+            return render_chain(self.kind, self.ctx.names, self.perm)
         rows = " ; ".join(",".join(str(w) for w in row) for row in self.rows)
         return f"{self.kind} {rows}"
 

@@ -94,6 +94,20 @@ def ref_degrevlex_cmp(a, b, perm, grading=None):
     return 0
 
 
+def ref_keeps_marking(B, kind, perm):
+    """Whether every element of the basis ``B`` still has its marked leading
+    monomial under the permutation order ``(kind, perm)``, term by term."""
+    if kind == "lex":
+        cmp = lambda a, b: ref_lex_cmp(a, b, perm)
+    else:
+        cmp = lambda a, b: ref_degrevlex_cmp(a, b, perm, B.ctx.grading)
+    for g in B.polys:
+        lead = g.terms[0][0].exps
+        if any(cmp(m.exps, lead) > 0 for m, _ in g.terms[1:]):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # seeded random generators
 

@@ -159,6 +159,11 @@ BAD_JOBS = [
     pytest.param(f"budget {'7' * 5000}\n", f"budget wants at most 20 digits, got '{'7' * 20}…'", 1, 8, id="budget-7...7"),
     pytest.param(f"pool {'7' * 5000}\n", f"bad pool entry '{'7' * 20}…'", 1, 6, id="pool-7...7"),
     pytest.param(f"facets: 1 {'7' * 5000}\n", f"bad facet '1 {'7' * 18}…'", 1, 8, id="facet-7...7"),
+    # the vertex count is bounded whether it is given or implied
+    ("facets: 1 2; 2 99999999\n", "99999999 vertices exceed the bound of 1000", 1, 8),
+    ("vertices 99999999\nfacets: 1 2\n", "99999999 vertices exceed the bound of 1000", 2, 8),
+    pytest.param(f"ring QQ x,y\norder weighted {'7' * 5000},1\n", f"bad weight '{'7' * 20}…'", 2, 7, id="weight-7...7"),
+    ("ring QQ x,y\norder weighted a,1\n", "bad weight 'a'", 2, 7),
 ]
 
 

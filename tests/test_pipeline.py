@@ -14,6 +14,7 @@ import pytest
 
 import grodeg
 from grodeg import cli, pipeline
+from grodeg.groebner import DEFAULT_DEGREE_CAP
 from grodeg.linalg import primitive_integers
 from grodeg.records import replace
 
@@ -52,6 +53,7 @@ from conftest import (
     random_complex,
     random_homogeneous_poly,
     ref_initial_monomials,
+    ref_keeps_marking,
     ref_valid_lift,
 )
 
@@ -1255,6 +1257,18 @@ class TestNoWorkTwice:
         assert len(reports) > 10
         assert len(calls) == len(reports)
 
+    def test_scan_of_the_2x3_minors_completes_at_each_first_producing_order(self, monkeypatch):
+        calls = count_calls(monkeypatch, "buchberger", module="groebner")
+        ctx = ctx_n(6)
+        drl = MonomialOrder.degrevlex(ctx)
+        gens = [P(t, ctx, drl) for t in ("x1*x5 - x2*x4", "x1*x6 - x3*x4", "x2*x6 - x3*x5")]
+        reports = scan_orders(gens, family="both", workers=1)
+        assert sum(len(r.producing_orders) for r in reports) == 1440
+        assert len(calls) == len(reports) == 6
+        assert [a[1].render() for a in calls] == [r.producing_orders[0] for r in reports]
+        two = scan_orders(gens, family="both", workers=2)
+        assert [as_json(r) for r in two] == [as_json(r) for r in reports]
+
     def test_lift_search_checks_no_homogeneity(self, monkeypatch):
         calls = []
         original = Polynomial.is_homogeneous
@@ -1371,3 +1385,41 @@ def test_importing_the_cli_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def random_graded_poly(rng, ctx, order, deg, nterms=4):
+    """Nonzero polynomial homogeneous of degree ``deg`` in the ring's grading."""
+    w = ctx.grading
+    monos = [
+        e for e in itertools.product(*(range(deg // g + 1) for g in w))
+        if sum(a * g for a, g in zip(e, w)) == deg
+    ]
+    while True:
+        picked = rng.sample(monos, min(nterms, len(monos)))
+        terms = [(Monomial(e), rng.choice((-3, -2, -1, 1, 2, 3))) for e in picked]
+        p = Polynomial(ctx, order, terms)
+        if not p.is_zero():
+            return p
+
+
+class TestConeCover:
+    """The permutation orders each completed basis claims in a scan, against
+    the term-by-term marking check of ``conftest``."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
+    def test_each_order_is_owned_by_the_one_basis_that_keeps_its_marking(self, field):
+        rng = random.Random(f"cone-cover-{field.render()}")
+        kinds = ("lex", "degrevlex")
+        for n, grading in ((3, None), (4, None), (5, None), (4, (1, 2, 1, 3)), (3, (2, 1, 1))):
+            ctx = standard_context(tuple(f"x{i}" for i in range(1, n + 1)), field, grading)
+            drl = MonomialOrder.degrevlex(ctx)
+            degree = 2 if n == 5 else rng.randint(2, 3)  # keeps the completions over QQ small
+            gens = [random_graded_poly(rng, ctx, drl, degree) for _ in range(rng.randint(2, 3))]
+            orders = [(kind, perm) for kind in kinds for perm in itertools.permutations(range(n))]
+            bases, which = pipeline._scan_slice(gens, DEFAULT_DEGREE_CAP, kinds, orders)
+            cones = [pipeline._cone(B, kinds) for B in bases]
+            # the claims are disjoint and cover every order the scan reaches
+            assert sorted(o for cone in cones for o in cone) == sorted(orders)
+            for order, k in zip(orders, which):
+                assert [j for j, B in enumerate(bases) if ref_keeps_marking(B, *order)] == [k]
+                assert order in cones[k]
