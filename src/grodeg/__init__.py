@@ -34,10 +34,7 @@ from .groebner import (
     GroebnerBasis,
     MonomialIdeal,
     buchberger,
-    cone_point_certificate,
-    ideal_membership,
     initial_ideal,
-    is_variable_regular,
     normal_form,
     s_polynomial,
 )
@@ -114,16 +111,13 @@ __all__ = [
     "analyze_complex",
     "buchberger",
     "complex_from_squarefree_ideal",
-    "cone_point_certificate",
     "ci_obstruction",
     "count_points",
     "field_from_string",
     "ideal_digest",
-    "ideal_membership",
     "initial_ideal",
     "is_prime",
     "is_strongly_connected",
-    "is_variable_regular",
     "jacobian_rank_at",
     "leafless_obstruction",
     "lex_obstruction",

@@ -1,4 +1,4 @@
-"""Buchberger completion, reduced bases, initial ideals, and related tests.
+"""Buchberger completion, reduced bases and initial ideals.
 
 Division is deterministic: the reducer is always the first divisor in basis
 list order. It runs on exponent tuples: the live terms sit in a dict keyed
@@ -234,81 +234,3 @@ def _reduce_basis(basis, order: MonomialOrder) -> Tuple[Polynomial, ...]:
 
 def initial_ideal(B: GroebnerBasis) -> MonomialIdeal:
     return MonomialIdeal.from_monomials(B.ctx, B.leading_monomials())
-
-
-def ideal_membership(f: Polynomial, B: GroebnerBasis) -> bool:
-    return B.normal_form(f).is_zero()
-
-
-def _elimination_order(ext_ctx: RingContext) -> MonomialOrder:
-    """Matrix order: tag variable (column 0) first, graded revlex on the rest."""
-    n = ext_ctx.n - 1
-    rows = [tuple(1 if c == 0 else 0 for c in range(n + 1))]
-    rows.append((0,) + ext_ctx.grading[1:])
-    for col in range(n, 1, -1):
-        rows.append(tuple(-1 if c == col else 0 for c in range(n + 1)))
-    return MonomialOrder.matrix(ext_ctx, rows)
-
-
-def _fresh_tag_name(names) -> str:
-    tag = "t"
-    while tag in names:
-        tag = "_" + tag
-    return tag
-
-
-def is_variable_regular(B: GroebnerBasis, i: int, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
-    """Whether x_i is a nonzerodivisor on the quotient ring, via (I : x_i) = I.
-
-    The quotient ideal is computed with a tag variable t: the t-free part of
-    a Groebner basis of t*I + (1-t)*(x_i) under an elimination order
-    generates I intersect (x_i); dividing by x_i gives (I : x_i).
-    """
-    ctx = B.ctx
-    if not B.is_proper():
-        raise ValueError("basis generates the unit ideal")
-    if not 0 <= i < ctx.n:
-        raise ValueError(f"variable index {i} out of range")
-    xi = Polynomial.variable(ctx, B.order, i)
-    if ideal_membership(xi, B):
-        return False
-
-    tag = _fresh_tag_name(ctx.names)
-    ext_ctx = RingContext((tag,) + ctx.names, (1,) + ctx.grading, ctx.field)
-    ext_order = _elimination_order(ext_ctx)
-
-    def lift(g: Polynomial, tag_exp: int) -> Polynomial:
-        return Polynomial(
-            ext_ctx, ext_order, [(Monomial((tag_exp,) + m.exps), c) for m, c in g.terms]
-        )
-
-    t = Polynomial.variable(ext_ctx, ext_order, 0)
-    one_minus_t = Polynomial.constant(ext_ctx, ext_order, 1) - t
-    j_gens = [lift(g, 1) for g in B.polys]
-    j_gens.append(one_minus_t * lift(xi, 0))
-    basis_j = buchberger(j_gens, ext_order, degree_cap=degree_cap)
-
-    quotient = []
-    for g in basis_j.polys:
-        if any(m.exps[0] != 0 for m in g.support_monomials()):
-            continue
-        terms = []
-        for m, c in g.terms:
-            exps = m.exps[1:]
-            if exps[i] == 0:
-                raise RuntimeError("eliminated generator not divisible by the variable")
-            lowered = list(exps)
-            lowered[i] -= 1
-            terms.append((Monomial(tuple(lowered)), c))
-        quotient.append(Polynomial(ctx, B.order, terms))
-    return all(ideal_membership(q, B) for q in quotient)
-
-
-def cone_point_certificate(B: GroebnerBasis, i: int) -> bool:
-    """With a square-free initial ideal: x_i divides no minimal generator."""
-    M = initial_ideal(B)
-    if not M.is_squarefree():
-        raise ValueError("cone point certificate needs a square-free initial ideal")
-    if not 0 <= i < B.ctx.n:
-        raise ValueError(f"variable index {i} out of range")
-    return all(g.exps[i] == 0 for g in M.gens)

@@ -70,11 +70,14 @@ def _one_of(choices):
 
 
 def parse_pool(text: str) -> Tuple[Fraction, ...]:
-    """Comma-separated rationals."""
+    """Comma-separated rationals of at most 20 characters, with no exponent
+    part: ``Fraction('1e10000000')`` alone builds a 33-million-bit integer."""
     values = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         try:
+            if len(chunk) > 20 or "e" in chunk.lower():
+                raise ValueError
             values.append(Fraction(chunk))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad pool entry {clipped(chunk)!r}") from None

@@ -40,7 +40,7 @@ from .complexes import (
     property_report,
     to_ideal,
 )
-from .errors import ScanBoundExceeded
+from .errors import ResourceLimitError, ScanBoundExceeded
 from .fields import Field, PrimeField, QQ, is_prime
 from .groebner import DEFAULT_DEGREE_CAP, GroebnerBasis, MonomialIdeal, buchberger, initial_ideal
 from .linalg import rank_int, rank_mod_p
@@ -64,6 +64,7 @@ from .singularity import (
 )
 
 SCAN_VARIABLE_BOUND = 8
+POINT_COUNT_PRIME_BOUND = 1024  # count_points walks all p^2 + p + 1 points
 DEFAULT_BUDGET = 200
 DEFAULT_POOL_QQ = (-2, -1, 1, 2)
 
@@ -784,10 +785,15 @@ class PointCountResult(Record):
 def count_points(f: Polynomial, p: int) -> PointCountResult:
     """Count projective points of a plane curve over GF(p), exactly.
 
-    Works for any nonzero homogeneous ternary form; the trace ``p + 1 - N``
-    is always reported, while the supersingularity and Hasse-bound fields are
-    filled only when the reduction is a smooth cubic (the elliptic case).
+    Works for any nonzero homogeneous ternary form and any prime p up to
+    ``POINT_COUNT_PRIME_BOUND``; the trace ``p + 1 - N`` is always reported,
+    while the supersingularity and Hasse-bound fields are filled only when
+    the reduction is a smooth cubic (the elliptic case).
     """
+    if p > POINT_COUNT_PRIME_BOUND:
+        raise ResourceLimitError(
+            f"counting points mod {p} walks p^2 + p + 1 points; the bound is p <= {POINT_COUNT_PRIME_BOUND}"
+        )
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     ctx = f.ctx

@@ -379,7 +379,7 @@ def leafless_obstruction(B: GroebnerBasis, delta: SimplicialComplex) -> Obstruct
     return ObstructionVerdict(kind, True, certified, reason, witness)
 
 
-def lex_obstruction(delta: SimplicialComplex, order=None) -> ObstructionVerdict:
+def lex_obstruction(delta: SimplicialComplex) -> ObstructionVerdict:
     """No lex order admits a smooth lift when every vertex has a big link.
 
     The largest variable's coordinate point can be smooth only when its link
@@ -388,8 +388,6 @@ def lex_obstruction(delta: SimplicialComplex, order=None) -> ObstructionVerdict:
     orders at once. When inapplicable, the free faces are reported as the
     escape hatch.
     """
-    if order is not None and order.kind != "lex":
-        raise ValueError("lex obstruction applies to lex orders")
     kind = "lex_link"
     if delta.ghost_vertices():
         return ObstructionVerdict(

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from scratch against the textbook
 definitions (plain Gaussian elimination, first-difference comparators,
-criterion-free completion, brute-force counting) so that agreement with the
-library is a real check and not a tautology.
+criterion-free completion, quotient ideals by elimination, brute-force
+counting) so that agreement with the library is a real check and not a
+tautology.
 """
 
 from __future__ import annotations
@@ -12,7 +13,18 @@ import itertools
 import random
 from fractions import Fraction
 
-from grodeg import Monomial, Polynomial, SimplicialComplex, normal_form, s_polynomial, standard_context
+from grodeg import (
+    Monomial,
+    MonomialOrder,
+    Polynomial,
+    RingContext,
+    SimplicialComplex,
+    buchberger,
+    normal_form,
+    s_polynomial,
+    standard_context,
+)
+from grodeg.groebner import DEFAULT_DEGREE_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +228,74 @@ def random_path_reduce(rng: random.Random, p, basis):
         m, c = p.terms[t_idx]
         glm, glc = g.leading_term()
         p = p - g.times_term(m.divide(glm), c / glc)
+
+
+# ---------------------------------------------------------------------------
+# regular variables by elimination (the quotient ideal I : x_i)
+
+
+def _elimination_order(ext_ctx: RingContext) -> MonomialOrder:
+    """Matrix order: tag variable (column 0) first, graded revlex on the rest."""
+    n = ext_ctx.n - 1
+    rows = [tuple(1 if c == 0 else 0 for c in range(n + 1))]
+    rows.append((0,) + ext_ctx.grading[1:])
+    for col in range(n, 1, -1):
+        rows.append(tuple(-1 if c == col else 0 for c in range(n + 1)))
+    return MonomialOrder.matrix(ext_ctx, rows)
+
+
+def _fresh_tag_name(names) -> str:
+    tag = "t"
+    while tag in names:
+        tag = "_" + tag
+    return tag
+
+
+def ref_is_variable_regular(B, i: int, *, degree_cap: int = DEFAULT_DEGREE_CAP) -> bool:
+    """Whether x_i is a nonzerodivisor on the quotient ring, via (I : x_i) = I.
+
+    The quotient ideal is computed with a tag variable t: the t-free part of
+    a Groebner basis of t*I + (1-t)*(x_i) under an elimination order
+    generates I intersect (x_i); dividing by x_i gives (I : x_i).
+    """
+    ctx = B.ctx
+    if not B.is_proper():
+        raise ValueError("basis generates the unit ideal")
+    if not 0 <= i < ctx.n:
+        raise ValueError(f"variable index {i} out of range")
+    xi = Polynomial.variable(ctx, B.order, i)
+    if B.normal_form(xi).is_zero():
+        return False
+
+    tag = _fresh_tag_name(ctx.names)
+    ext_ctx = RingContext((tag,) + ctx.names, (1,) + ctx.grading, ctx.field)
+    ext_order = _elimination_order(ext_ctx)
+
+    def lift(g: Polynomial, tag_exp: int) -> Polynomial:
+        return Polynomial(
+            ext_ctx, ext_order, [(Monomial((tag_exp,) + m.exps), c) for m, c in g.terms]
+        )
+
+    t = Polynomial.variable(ext_ctx, ext_order, 0)
+    one_minus_t = Polynomial.constant(ext_ctx, ext_order, 1) - t
+    j_gens = [lift(g, 1) for g in B.polys]
+    j_gens.append(one_minus_t * lift(xi, 0))
+    basis_j = buchberger(j_gens, ext_order, degree_cap=degree_cap)
+
+    quotient = []
+    for g in basis_j.polys:
+        if any(m.exps[0] != 0 for m in g.support_monomials()):
+            continue
+        terms = []
+        for m, c in g.terms:
+            exps = m.exps[1:]
+            if exps[i] == 0:
+                raise RuntimeError("eliminated generator not divisible by the variable")
+            lowered = list(exps)
+            lowered[i] -= 1
+            terms.append((Monomial(tuple(lowered)), c))
+        quotient.append(Polynomial(ctx, B.order, terms))
+    return all(B.normal_form(q).is_zero() for q in quotient)
 
 
 # ---------------------------------------------------------------------------

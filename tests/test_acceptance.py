@@ -152,8 +152,6 @@ class TestAcceptance:
             edge = to_jsonable(lex_obstruction(SimplicialComplex.from_facets(2, [(1, 2)])).as_dict())
             assert edge["applicable"] is False
             assert edge["witness"]["free_faces"] == [[1], [2]]
-            with pytest.raises(ValueError, match="lex obstruction applies to lex orders"):
-                lex_obstruction(tri, MonomialOrder.degrevlex(ctx_n(3)))
 
     def test_c6_cohomology_suite(self, criterion):
         with criterion("C6", "cohomology: zoo values, field sensitivity, Euler identity", 30.0):

@@ -1,4 +1,4 @@
-"""Buchberger, reduced bases, regular elements."""
+"""Buchberger, reduced bases, cone points and the regular-variable oracle."""
 
 import pickle
 import random
@@ -16,12 +16,11 @@ from grodeg import (
     PrimeField,
     QQ,
     buchberger,
-    cone_point_certificate,
-    ideal_membership,
+    complex_from_squarefree_ideal,
     initial_ideal,
-    is_variable_regular,
     normal_form,
     parse_polynomial,
+    property_report,
     s_polynomial,
     standard_context,
     to_ideal,
@@ -38,6 +37,7 @@ from conftest import (
     random_monomial,
     random_poly,
     ref_initial_monomials,
+    ref_is_variable_regular,
 )
 
 
@@ -258,12 +258,10 @@ class TestBuchbergerFrozen:
 
     def test_membership_frozen(self, twisted):
         ctx, lex, gens, B = twisted
-        assert ideal_membership(P("y^3*z - z^4", ctx, lex), B)
-        assert ideal_membership(
-            P("(x^2 - y*z)*(x + y) - (x*y - z^2)*z", ctx, lex), B
-        )
-        assert not ideal_membership(P("x", ctx, lex), B)
-        assert not ideal_membership(P("1", ctx, lex), B)
+        assert B.normal_form(P("y^3*z - z^4", ctx, lex)).is_zero()
+        assert B.normal_form(P("(x^2 - y*z)*(x + y) - (x*y - z^2)*z", ctx, lex)).is_zero()
+        assert not B.normal_form(P("x", ctx, lex)).is_zero()
+        assert not B.normal_form(P("1", ctx, lex)).is_zero()
 
 
 class TestBuchbergerProperties:
@@ -448,40 +446,38 @@ class TestGroebnerBasisContainer:
         assert back.render_polys() == B.render_polys()
 
 
+def cone_points(B):
+    """``property_report(Δ).cone_points`` for B's square-free initial ideal,
+    checked against the generators: vertex i+1 is a cone point exactly when
+    x_i divides no minimal generator of in(I)."""
+    M = initial_ideal(B)
+    points = property_report(complex_from_squarefree_ideal(M)).cone_points
+    assert points == tuple(i + 1 for i in range(B.ctx.n) if all(g.exps[i] == 0 for g in M.gens))
+    return points
+
+
 class TestVariableRegular:
+    """The elimination oracle ``ref_is_variable_regular``."""
+
     def test_minors_quotient_is_a_domain(self, minors):
         # every variable is regular mod the minors ideal, but only the two
-        # vertices lying in all facets of the degeneration get a certificate
+        # vertices lying in all facets of the degeneration are cone points
         _, _, _, B = minors
         for i in range(6):
-            assert is_variable_regular(B, i)
-        assert [cone_point_certificate(B, i) for i in range(6)] == [
-            True, False, False, False, False, True,
-        ]
+            assert ref_is_variable_regular(B, i)
+        assert cone_points(B) == (1, 6)
 
     def test_small_monomial_cases(self):
         ctx = standard_context(("x", "y"))
         lex = MonomialOrder.lex(ctx)
-        assert not is_variable_regular(buchberger([P("x*y", ctx, lex)], lex), 0)
-        assert is_variable_regular(buchberger([P("y", ctx, lex)], lex), 0)
-        assert is_variable_regular(buchberger([], lex), 0)
+        assert not ref_is_variable_regular(buchberger([P("x*y", ctx, lex)], lex), 0)
+        assert ref_is_variable_regular(buchberger([P("y", ctx, lex)], lex), 0)
+        assert ref_is_variable_regular(buchberger([], lex), 0)
 
     def test_variable_in_ideal_not_regular(self):
         ctx = standard_context(("x", "y"))
         lex = MonomialOrder.lex(ctx)
-        assert not is_variable_regular(buchberger([P("x", ctx, lex)], lex), 0)
-
-    def test_unit_ideal_rejected(self):
-        ctx = ctx_xyz()
-        lex = MonomialOrder.lex(ctx)
-        B = buchberger([P("1", ctx, lex)], lex)
-        with pytest.raises(ValueError, match="unit ideal"):
-            is_variable_regular(B, 0)
-
-    def test_index_range(self, minors):
-        _, _, _, B = minors
-        with pytest.raises(ValueError):
-            is_variable_regular(B, 6)
+        assert not ref_is_variable_regular(buchberger([P("x", ctx, lex)], lex), 0)
 
     def test_matches_cone_points_on_stanley_reisner_ideals(self):
         """For a face ideal, x_v is regular exactly when v lies in every facet."""
@@ -496,35 +492,30 @@ class TestVariableRegular:
                 Polynomial(ctx, drl, [(m, 1)]) for m in ideal.gens
             ]
             B = buchberger(gens, drl)
+            points = cone_points(B)
             for v in range(1, n + 1):
                 expected = all(v in f for f in delta.facets)
-                assert is_variable_regular(B, v - 1) == expected, (
+                assert ref_is_variable_regular(B, v - 1) == expected, (
                     delta.render(),
                     v,
                 )
-                assert cone_point_certificate(B, v - 1) == expected
+                assert (v in points) == expected
 
 
 class TestConePointCertificate:
+    """The cone-point certificate, as ``property_report(Δ).cone_points``."""
+
     def test_frozen(self, minors):
         _, _, _, B = minors
-        assert cone_point_certificate(B, 0)
-        assert cone_point_certificate(B, 5)
-        assert not cone_point_certificate(B, 1)
+        assert cone_points(B) == (1, 6)
 
     def test_triangle_has_no_cone_point(self):
         ctx = ctx_xyz()
         lex = MonomialOrder.lex(ctx)
         B = buchberger([P("x*y*z", ctx, lex)], lex)
-        for i in range(3):
-            assert not cone_point_certificate(B, i)
+        assert cone_points(B) == ()
 
     def test_zero_ideal_every_variable(self):
         ctx = ctx_xyz()
         B = buchberger([], MonomialOrder.lex(ctx))
-        assert all(cone_point_certificate(B, i) for i in range(3))
-
-    def test_requires_squarefree(self, twisted):
-        _, _, _, B = twisted
-        with pytest.raises(ValueError, match="square-free initial ideal"):
-            cone_point_certificate(B, 0)
+        assert cone_points(B) == (1, 2, 3)

@@ -164,6 +164,9 @@ BAD_JOBS = [
     ("vertices 99999999\nfacets: 1 2\n", "99999999 vertices exceed the bound of 1000", 2, 8),
     pytest.param(f"ring QQ x,y\norder weighted {'7' * 5000},1\n", f"bad weight '{'7' * 20}…'", 2, 7, id="weight-7...7"),
     ("ring QQ x,y\norder weighted a,1\n", "bad weight 'a'", 2, 7),
+    # Fraction() reads exponents and any length: 1e10000000 is a 33-million-bit integer
+    ("pool 1e10000000\n", "bad pool entry '1e10000000'", 1, 6),
+    pytest.param(f"pool 1,{'7' * 4000}\n", f"bad pool entry '{'7' * 20}…'", 1, 6, id="pool-4000-digits"),
 ]
 
 
@@ -443,6 +446,13 @@ class TestCLI:
         assert rc == 1
         assert err == "grodeg: 4 is not prime\n"
 
+    def test_prime_past_the_bound_is_a_resource_limit(self, run_cli):
+        start = time.perf_counter()
+        rc, out, err = run_cli(["point-count", "--prime", "1000003"], FERMAT_JOB)
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (3, "")
+        assert err == "grodeg: counting points mod 1000003 walks p^2 + p + 1 points; the bound is p <= 1024\n"
+
     def test_missing_prime_is_a_usage_error(self, run_cli):
         rc, _, err = run_cli(["point-count"], FERMAT_JOB)
         assert rc == 2
@@ -502,6 +512,7 @@ class TestCLI:
             (["complex", "--field", "GF(4)"], "GF modulus must be prime, got 4"),
             (["point-count", "--prime", "7" * 5000], f"--prime wants at most 20 digits, got '{'7' * 20}…'"),
             (["complex", "--field", f"GF({'7' * 5000})"], f"bad GF modulus '{'7' * 20}…'"),
+            (["lift-search", "--pool", "1e10000000"], "bad pool entry '1e10000000'"),
         ],
     )
     def test_flags_are_checked_by_their_directive_rule(self, run_cli, argv, message):

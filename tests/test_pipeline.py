@@ -53,6 +53,7 @@ from conftest import (
     random_complex,
     random_homogeneous_poly,
     ref_initial_monomials,
+    ref_is_variable_regular,
     ref_keeps_marking,
     ref_valid_lift,
 )
@@ -873,6 +874,35 @@ class TestCoordinatePointsOracle:
             assert got == want, [g.render() for g in gens]
             verdicts.update(a.verdict for a in got)
         assert verdicts == {"off_scheme", "singular", "smooth"}
+
+
+class TestBayerStillman:
+    """Under degrevlex, the last variable is regular on S/I iff it is on S/in(I)
+    (Bayer & Stillman, Invent. Math. 1987). A valid lift's in(I) is the
+    non-face ideal, so the elimination oracle on the lift must agree with the
+    cone-point test on the complex."""
+
+    COMPLEXES = [
+        (4, [(1, 2), (2, 3), (3, 4), (1, 4)]),  # the 4-cycle: no cone point
+        (4, [(1, 2, 4), (2, 3, 4)]),  # cone points 2 and 4
+        (3, [(1, 2), (1, 3), (2, 3)]),  # the triangle boundary: none
+        (3, [(1, 3), (2, 3)]),  # cone point 3
+    ]
+
+    def test_last_variable_regular_iff_cone_point(self):
+        verdicts = []
+        for n, facets in self.COMPLEXES:
+            delta = SimplicialComplex.from_facets(n, facets)
+            drl = MonomialOrder.degrevlex(ctx_n(n))
+            cone = n in property_report(delta).cone_points
+            lifts = lift_search(delta, drl, pool=(-1, 1), budget=12, seed=3).lifts[:4]
+            assert lifts, facets
+            for lift in lifts:
+                assert ref_is_variable_regular(buchberger(lift.polys, drl), n - 1) == cone, (
+                    [g.render() for g in lift.polys]
+                )
+                verdicts.append(cone)
+        assert len(verdicts) >= 12 and True in verdicts and False in verdicts
 
 
 class TestCountPoints:

@@ -1,5 +1,6 @@
-"""The benchmark's tracer wraps library functions by name; a rename must not
-break ``bench/run.py --trace 1`` unnoticed."""
+"""Names that other code reaches as strings. The benchmark's tracer wraps
+library functions by name, so a rename must not break ``bench/run.py --trace
+1`` unnoticed; and ``grodeg.__all__`` must not keep a deleted name."""
 
 import importlib
 import importlib.util
@@ -21,3 +22,11 @@ def test_every_traced_function_resolves(monkeypatch):
         if not callable(getattr(importlib.import_module(f"grodeg.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_every_public_name_resolves_once():
+    import grodeg
+
+    missing = [name for name in grodeg.__all__ if not hasattr(grodeg, name)]
+    assert missing == []
+    assert len(set(grodeg.__all__)) == len(grodeg.__all__)
