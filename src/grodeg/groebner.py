@@ -1,14 +1,16 @@
 """Buchberger completion, reduced bases and initial ideals.
 
-Division is deterministic: the reducer is always the first divisor in basis
-list order. It runs on exponent tuples: the live terms sit in a dict keyed
-by the order's compiled key, each step removes the largest and adds the
-shifted divisor tail, and only the remainder is built as a ``Polynomial``.
-Buchberger applies the coprime-lead and chain criteria and supports two
-pair-selection strategies, ``normal`` (smallest lcm degree first) and
-``fifo``; each pair is ranked once, when it is made, and both produce the
-same reduced basis, which is the canonical object everything downstream
-consumes. A degree cap (``DEFAULT_DEGREE_CAP`` unless given) aborts runaway
+Division is one loop on exponent tuples: the live terms sit in a dict keyed
+by the order's compiled key, and each step removes the largest and adds the
+shifted tail of the first reducer, in table order, whose lead divides it.
+A table entry is ``(lead exponents, [(exponents, coefficient), ...])``, its
+tail scaled to lead coefficient 1. A completion keeps one table: an element
+is made monic once, when it joins; an S-pair writes its shifted tails
+straight into the live dict; the lcm and the coprime-lead and chain criteria
+read lead tuples; inter-reduction runs on the table, and only the reduced
+basis becomes ``Polynomial`` values. Each pair is ranked once, ``normal``
+(smallest lcm degree first) or ``fifo``; both give the same reduced basis,
+and a degree cap (``DEFAULT_DEGREE_CAP`` unless given) aborts runaway
 completions with ``DegreeCapExceeded``.
 """
 
@@ -16,53 +18,37 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from operator import add, le, sub
+from operator import add, le, mul, sub
 from typing import Optional, Tuple
 
 from .errors import ContextMismatchError, DegreeCapExceeded
 from .records import Record
-from .ring import Monomial, MonomialOrder, Polynomial, RingContext
+from .ring import MAX_EXPONENT, Monomial, MonomialOrder, Polynomial, RingContext
 
 DEFAULT_DEGREE_CAP = 40
 
 
-def _split_lead(g: Polynomial, order: MonomialOrder):
-    """``((lead monomial, lead coefficient), other terms)`` of nonzero g under order."""
-    terms = g.terms
-    k = 0
-    if g.order is not order and g.order != order:
-        key = order.exps_key
-        k = max(range(len(terms)), key=lambda t: key(terms[t][0].exps))
-    return terms[k], terms[:k] + terms[k + 1 :]
-
-
-def normal_form(f: Polynomial, basis, order: Optional[MonomialOrder] = None) -> Polynomial:
-    """Remainder of f under multivariate division by the listed polynomials.
-
-    The live terms sit in a dict keyed by their order key, so each step takes
-    the largest key and adds the shifted divisor tail term by term; only the
-    remainder becomes a ``Polynomial``.
-    """
-    order = order or f.order
+def _entry(g: Polynomial, order: MonomialOrder):
+    """Table entry of nonzero g under order; a non-monic g has its tail scaled once."""
     key = order.exps_key
-    ctx = f.ctx
-    reducers = []
-    for g in basis:
-        if g.ctx is not ctx and g.ctx != ctx:
-            raise ContextMismatchError("divisor over a different ring context")
-        if g.terms:
-            (lm, lc), tail = _split_lead(g, order)
-            reducers.append((lm.exps, lc, tail))
-    live = {key(m.exps): (m.exps, c) for m, c in f.terms}
+    same = g.order is order or g.order == order
+    lm, lc = g.terms[0] if same else max(g.terms, key=lambda mc: key(mc[0].exps))
+    tail = [(m.exps, c) for m, c in g.terms if m is not lm]
+    return lm.exps, tail if lc == g.ctx.field.one else [(e, c / lc) for e, c in tail]
+
+
+def _divide(live, table, key):
+    """Remainder of the live terms ``{key(e): (e, c)}`` under the table's entries,
+    as ``(e, c)`` pairs in decreasing order; empties ``live``."""
     remainder = []
     while live:
         e, c = live.pop(max(live))
-        for ge, gc, tail in reducers:
+        for ge, tail in table:
             if all(map(le, ge, e)):
                 q = tuple(map(sub, e, ge))
-                s = -c / gc
-                for m, tc in tail:
-                    te = tuple(map(add, m.exps, q))
+                s = -c
+                for te, tc in tail:
+                    te = tuple(map(add, te, q))
                     k = key(te)
                     old = live.get(k)
                     v = s * tc if old is None else old[1] + s * tc
@@ -72,29 +58,54 @@ def normal_form(f: Polynomial, basis, order: Optional[MonomialOrder] = None) -> 
                         del live[k]
                 break
         else:
-            remainder.append((Monomial(e), c))
-    return Polynomial._make(ctx, order, remainder)
+            remainder.append((e, c))
+    return remainder
+
+
+def _s_pair(f, g, l, key):
+    """Live terms of the S-polynomial of entries f and g whose leads have lcm l:
+    the monic leads cancel, and the tails are shifted up to l and subtracted."""
+    qf, qg = tuple(map(sub, l, f[0])), tuple(map(sub, l, g[0]))
+    live = {}
+    for e, c in f[1]:
+        e = tuple(map(add, e, qf))
+        live[key(e)] = (e, c)
+    for e, c in g[1]:
+        e = tuple(map(add, e, qg))
+        k = key(e)
+        old = live.get(k)
+        v = -c if old is None else old[1] - c
+        if v:
+            live[k] = (e, v)
+        else:
+            del live[k]
+    return live
+
+
+def _polynomial(ctx, order, terms) -> Polynomial:
+    """``Polynomial`` of ``(e, c)`` pairs in decreasing order, range-checked by ``Monomial``."""
+    return Polynomial._make(ctx, order, [(Monomial(e), c) for e, c in terms])
+
+
+def normal_form(f: Polynomial, basis, order: Optional[MonomialOrder] = None) -> Polynomial:
+    """Remainder of f under multivariate division by the listed polynomials."""
+    order = order or f.order
+    ctx, key = f.ctx, order.exps_key
+    if any(g.ctx is not ctx and g.ctx != ctx for g in basis):
+        raise ContextMismatchError("divisor over a different ring context")
+    table = [_entry(g, order) for g in basis if g.terms]
+    live = {key(m.exps): (m.exps, c) for m, c in f.terms}
+    return _polynomial(ctx, order, _divide(live, table, key))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial with monic normalization of both inputs."""
     if f.ctx != g.ctx:
         raise ContextMismatchError("S-polynomial of polynomials over different contexts")
-    order = f.order
-    one = f.ctx.field.one
-    (lf, cf), tf = _split_lead(f, order)
-    (lg, cg), tg = _split_lead(g, order)
-    l = tuple(map(max, lf.exps, lg.exps))
-    acc = {}
-    # the monic leads cancel; the tails are shifted up to the lcm and subtracted
-    for lead, c0, tail in ((lf, one / cf, tf), (lg, -one / cg, tg)):
-        q = tuple(map(sub, l, lead.exps))
-        for m, c in tail:
-            e = tuple(map(add, m.exps, q))
-            acc[e] = acc[e] + c * c0 if e in acc else c * c0
-    key = order.exps_key
-    kept = sorted(((e, c) for e, c in acc.items() if c), key=lambda ec: key(ec[0]), reverse=True)
-    return Polynomial._make(f.ctx, order, [(Monomial(e), c) for e, c in kept])
+    order, key = f.order, f.order.exps_key
+    ef, eg = _entry(f, order), _entry(g, order)
+    live = _s_pair(ef, eg, tuple(map(max, ef[0], eg[0])), key)
+    return _polynomial(f.ctx, order, _divide(live, (), key))
 
 
 class GroebnerBasis(Record):
@@ -105,9 +116,6 @@ class GroebnerBasis(Record):
 
     def leading_monomials(self) -> Tuple[Monomial, ...]:
         return tuple(g.leading_monomial() for g in self.polys)
-
-    def is_zero_ideal(self) -> bool:
-        return not self.polys
 
     def is_proper(self) -> bool:
         return all(not g.leading_monomial().is_one() for g in self.polys)
@@ -150,87 +158,86 @@ class MonomialIdeal(Record):
         return tuple(g.exps for g in self.gens) == tuple(g.exps for g in other.gens)
 
 
-def _pair_key(a: int, b: int):
-    return (a, b) if a < b else (b, a)
-
-
 def buchberger(gens, order: MonomialOrder, *, degree_cap: int = DEFAULT_DEGREE_CAP, strategy: str = "normal") -> GroebnerBasis:
     """Complete the generators to the reduced Groebner basis under order.
 
     Each pair is ranked once, when it is made, and waits in a heap: ``normal``
     ranks by (lcm degree, lcm key), ``fifo`` by creation; ties go by index.
+    Exponents stay below ``MAX_EXPONENT``, as in a ``Monomial``; with a positive
+    grading an exponent is at most its term's degree, which for an S-pair's
+    terms is at most the lcm's plus an element's ``excess`` (tail over lead).
     """
     if strategy not in ("normal", "fifo"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    ctx = order.ctx
-    grading = ctx.grading
-    key = order.sort_key
+    ctx, key = order.ctx, order.exps_key
+    one, grading = ctx.field.one, ctx.grading
+    degree = lambda e: sum(map(mul, e, grading))
     made = itertools.count()
-    basis, leads = [], []
+    table, leads, excess = [], [], []  # entries, their lead tuples, their excess
     pending = []  # heap of (rank, i, j, lcm of the leads), i < j
-    processed = set()
+    processed = set()  # each pair taken from the heap, both ways round
 
-    def add(g):
-        t = len(basis)
-        lt = g.leading_monomial()
-        basis.append(g)
-        leads.append(lt)
+    def add(lead, tail, top):
+        t = len(table)
+        table.append((lead, tail))
+        leads.append(lead)
+        excess.append(top - degree(lead))
         for k in range(t):
-            l = leads[k].lcm(lt)
-            rank = next(made) if strategy == "fifo" else (l.graded_degree(grading), key(l))
+            l = tuple(map(max, leads[k], lead))
+            rank = next(made) if strategy == "fifo" else (degree(l), key(l))
             heapq.heappush(pending, (rank, k, t, l))
 
     for g in gens:
         if g.ctx != ctx:
             raise ContextMismatchError("generator over a different ring context")
-        if not g.is_zero():
-            add(g.with_order(order).monic())
-    if not basis:
+        if g.terms:
+            add(*_entry(g, order), max(degree(m.exps) for m, _ in g.terms))
+    if not table:
         return GroebnerBasis((), order, ctx)
 
     while pending:
         _, i, j, l = heapq.heappop(pending)
-        processed.add((i, j))
-        if leads[i].gcd_is_one(leads[j]):
+        processed.update(((i, j), (j, i)))
+        if not any(map(mul, leads[i], leads[j])):
             continue
-        if any(
-            k != i and k != j
-            and leads[k].divides(l)
-            and _pair_key(i, k) in processed
-            and _pair_key(j, k) in processed
-            for k in range(len(basis))
+        if any(  # chain criterion; (i, k) and (j, k) processed implies k is neither i nor j
+            (i, k) in processed and (j, k) in processed and all(map(le, lk, l))
+            for k, lk in enumerate(leads)
         ):
             continue
-        if l.graded_degree(grading) > degree_cap:
-            raise DegreeCapExceeded(
-                f"S-pair lcm degree {l.graded_degree(grading)} exceeds cap {degree_cap}"
-            )
-        r = normal_form(s_polynomial(basis[i], basis[j]), basis, order)
-        if r.is_zero():
+        d = degree(l)
+        if d > degree_cap:
+            raise DegreeCapExceeded(f"S-pair lcm degree {d} exceeds cap {degree_cap}")
+        live = _s_pair(table[i], table[j], l, key)
+        if d + max(excess[i], excess[j]) >= MAX_EXPONENT:
+            _polynomial(ctx, order, live.values())  # raises where a Monomial would
+        r = _divide(live, table, key)
+        if not r:
             continue
-        if r.graded_degree() > degree_cap:
-            raise DegreeCapExceeded(
-                f"new basis element degree {r.graded_degree()} exceeds cap {degree_cap}"
-            )
-        add(r.monic())
+        d = max(degree(e) for e, _ in r)
+        if d >= MAX_EXPONENT:
+            _polynomial(ctx, order, r)  # likewise
+        if d > degree_cap:
+            raise DegreeCapExceeded(f"new basis element degree {d} exceeds cap {degree_cap}")
+        (lead, lc), tail = r[0], r[1:]
+        add(lead, tail if lc == one else [(e, c / lc) for e, c in tail], d)
 
-    return GroebnerBasis(_reduce_basis(basis, order), order, ctx)
-
-
-def _reduce_basis(basis, order: MonomialOrder) -> Tuple[Polynomial, ...]:
-    ascending = sorted(basis, key=lambda g: order.sort_key(g.leading_monomial()))
+    # inter-reduction: the minimal leads in ascending order, each tail reduced
+    # by the others; a lead is never divisible by another minimal lead
     minimal = []
-    for g in ascending:
-        lm = g.leading_monomial()
-        if not any(h.leading_monomial().divides(lm) for h in minimal):
-            minimal.append(g)
-    reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        reduced.append(normal_form(g, others, order).monic())
-    reduced.sort(key=lambda g: order.sort_key(g.leading_monomial()), reverse=True)
-    return tuple(reduced)
+    for entry in sorted(table, key=lambda entry: key(entry[0])):
+        if not any(all(map(le, h[0], entry[0])) for h in minimal):
+            minimal.append(entry)
+    polys = []
+    for idx, (lead, tail) in enumerate(minimal):
+        live = {key(e): (e, c) for e, c in tail}
+        r = _divide(live, minimal[:idx] + minimal[idx + 1 :], key)
+        polys.append(_polynomial(ctx, order, [(lead, one)] + r))
+    return GroebnerBasis(tuple(reversed(polys)), order, ctx)
 
 
 def initial_ideal(B: GroebnerBasis) -> MonomialIdeal:
-    return MonomialIdeal.from_monomials(B.ctx, B.leading_monomials())
+    """The initial ideal of B, built on first use and kept with the basis."""
+    if "_initial" not in B.__dict__:
+        B.__dict__["_initial"] = MonomialIdeal.from_monomials(B.ctx, B.leading_monomials())
+    return B._initial

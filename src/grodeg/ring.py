@@ -146,18 +146,6 @@ class Monomial(Record):
     def divides(self, other: "Monomial") -> bool:
         return all(map(le, self.exps, other.exps))
 
-    def divide(self, other: "Monomial") -> "Monomial":
-        """Quotient self / other; other must divide self."""
-        if not other.divides(self):
-            raise ValueError("inexact monomial division")
-        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(map(max, self.exps, other.exps)))
-
-    def gcd_is_one(self, other: "Monomial") -> bool:
-        return not any(map(mul, self.exps, other.exps))
-
     def support(self) -> Tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.exps) if e > 0)
 
@@ -499,9 +487,14 @@ class Polynomial:
         return total
 
     def with_order(self, order: MonomialOrder) -> "Polynomial":
+        """The same terms under order: already combined field elements, only re-sorted."""
         if order is self.order or order == self.order:
             return self
-        return Polynomial(self.ctx, order, self.terms)
+        if order.ctx != self.ctx:
+            raise ContextMismatchError("order belongs to a different ring context")
+        key = order.exps_key
+        terms = sorted(self.terms, key=lambda mc: key(mc[0].exps), reverse=True)
+        return self._make(self.ctx, order, terms)
 
     def support_monomials(self):
         return tuple(m for m, _ in self.terms)

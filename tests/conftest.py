@@ -25,6 +25,12 @@ from grodeg import (
     standard_context,
 )
 from grodeg.groebner import DEFAULT_DEGREE_CAP
+from hypothesis import settings
+
+# One bound for every fuzz suite: the same examples on every run, none stored
+# between runs, and no per-example deadline on a loaded machine.
+settings.register_profile("fuzz", derandomize=True, database=None, deadline=None, max_examples=150)
+FUZZ = settings.get_profile("fuzz")
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +174,19 @@ def random_complex(rng: random.Random, n, max_facets=6):
 
 
 # ---------------------------------------------------------------------------
-# criterion-free Buchberger (initial ideal oracle)
+# criterion-free Buchberger (initial ideal and reduced basis oracles)
+
+
+def _ref_quotient(a, b):
+    """The monomial a / b, for b dividing a."""
+    return Monomial(tuple(x - y for x, y in zip(a.exps, b.exps)))
+
+
+def ref_s_polynomial(f, g):
+    """x^(l - lead f) * f - x^(l - lead g) * g, l the lcm of the leads."""
+    lf, lg = f.leading_monomial(), g.leading_monomial()
+    l = Monomial(tuple(max(x, y) for x, y in zip(lf.exps, lg.exps)))
+    return f.times_term(_ref_quotient(l, lf), 1) - g.times_term(_ref_quotient(l, lg), 1)
 
 
 def _ref_reduce(p, basis):
@@ -179,7 +197,7 @@ def _ref_reduce(p, basis):
         for g in basis:
             glm, glc = g.leading_term()
             if glm.divides(lm):
-                p = p - g.times_term(lm.divide(glm), lc / glc)
+                p = p - g.times_term(_ref_quotient(lm, glm), lc / glc)
                 break
         else:
             remainder.append((lm, lc))
@@ -187,31 +205,43 @@ def _ref_reduce(p, basis):
     return Polynomial(p.ctx, p.order, remainder)
 
 
-def ref_initial_monomials(gens, order):
-    """Minimal generators of the initial ideal, via pair-exhaustive completion.
-
-    No product or chain criterion, no degree cap: only suitable for the small
-    inputs the tests feed it.
-    """
+def _ref_complete(gens, order):
+    """A Groebner basis by pair-exhaustive completion: no product or chain
+    criterion, no degree cap, so only suitable for the small inputs the tests
+    feed it."""
     basis = [g.with_order(order).monic() for g in gens if not g.is_zero()]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
     while pairs:
         i, j = pairs.pop()
-        f, g = basis[i], basis[j]
-        lf, lg = f.leading_monomial(), g.leading_monomial()
-        l = lf.lcm(lg)
-        s = f.times_term(l.divide(lf), 1) - g.times_term(l.divide(lg), 1)
-        r = _ref_reduce(s, basis)
+        r = _ref_reduce(ref_s_polynomial(basis[i], basis[j]), basis)
         if not r.is_zero():
             basis.append(r.monic())
             pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
+    return basis
+
+
+def _ref_minimal(basis):
+    """The elements whose lead no other lead divides; of equal leads, the first."""
     leads = [g.leading_monomial() for g in basis]
-    minimal = [
-        m
-        for m in leads
-        if not any(other != m and other.divides(m) for other in leads)
+    return [
+        g
+        for k, g in enumerate(basis)
+        if not any(h.divides(leads[k]) and (h != leads[k] or m < k) for m, h in enumerate(leads) if m != k)
     ]
-    return sorted(set(m.exps for m in minimal))
+
+
+def ref_initial_monomials(gens, order):
+    """Minimal generators of the initial ideal, via pair-exhaustive completion."""
+    return sorted(g.leading_monomial().exps for g in _ref_minimal(_ref_complete(gens, order)))
+
+
+def ref_reduced_basis(gens, order):
+    """The reduced Groebner basis: each minimal element of the pair-exhaustive
+    completion reduced by the others and made monic, sorted by decreasing lead.
+    It is unique, so any correct completion must give it term for term."""
+    minimal = _ref_minimal(_ref_complete(gens, order))
+    reduced = [_ref_reduce(g, [h for h in minimal if h is not g]).monic() for g in minimal]
+    return sorted(reduced, key=lambda g: order.sort_key(g.leading_monomial()), reverse=True)
 
 
 def random_path_reduce(rng: random.Random, p, basis):
@@ -227,7 +257,7 @@ def random_path_reduce(rng: random.Random, p, basis):
         t_idx, g = rng.choice(options)
         m, c = p.terms[t_idx]
         glm, glc = g.leading_term()
-        p = p - g.times_term(m.divide(glm), c / glc)
+        p = p - g.times_term(_ref_quotient(m, glm), c / glc)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +375,7 @@ def ref_valid_lift(polys, order):
     S-pair of non-coprime leads divides to zero by the candidate itself.
     """
     return all(
-        f.leading_monomial().gcd_is_one(g.leading_monomial())
+        not any(map(min, f.leading_monomial().exps, g.leading_monomial().exps))
         or normal_form(s_polynomial(f, g), polys, order).is_zero()
         for f, g in itertools.combinations(polys, 2)
     )

@@ -34,6 +34,7 @@ from conftest import (
     ctx_xyz,
     random_complex,
     ref_homology_dims,
+    ref_s_polynomial,
 )
 
 OCTAHEDRON_FACETS = [
@@ -70,12 +71,6 @@ def criterion(capsys):
 
 def P(text, ctx, order):
     return parse_polynomial(text, ctx, order)
-
-
-def spoly(f, g):
-    lf, lg = f.leading_monomial(), g.leading_monomial()
-    l = lf.lcm(lg)
-    return f.times_term(l.divide(lf), 1) - g.times_term(l.divide(lg), 1)
 
 
 class TestAcceptance:
@@ -221,7 +216,7 @@ class TestAcceptance:
                 polys = reference.polys
                 for i in range(len(polys)):
                     for j in range(i):
-                        assert reference.normal_form(spoly(polys[i], polys[j])).is_zero()
+                        assert reference.normal_form(ref_s_polynomial(polys[i], polys[j])).is_zero()
 
     def test_c9_order_scan(self, criterion):
         with criterion("C9", "Fermat scan: 12 orders collapse to 3 initial ideals", 5.0):
