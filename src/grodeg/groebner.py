@@ -105,7 +105,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     order, key = f.order, f.order.exps_key
     ef, eg = _entry(f, order), _entry(g, order)
     live = _s_pair(ef, eg, tuple(map(max, ef[0], eg[0])), key)
-    return _polynomial(f.ctx, order, _divide(live, (), key))
+    return _polynomial(f.ctx, order, sorted(live.values(), key=lambda ec: key(ec[0]), reverse=True))
 
 
 class GroebnerBasis(Record):
@@ -116,6 +116,9 @@ class GroebnerBasis(Record):
 
     def leading_monomials(self) -> Tuple[Monomial, ...]:
         return tuple(g.leading_monomial() for g in self.polys)
+
+    def is_zero_ideal(self) -> bool:
+        return not self.polys
 
     def is_proper(self) -> bool:
         return all(not g.leading_monomial().is_one() for g in self.polys)

@@ -146,6 +146,18 @@ class Monomial(Record):
     def divides(self, other: "Monomial") -> bool:
         return all(map(le, self.exps, other.exps))
 
+    def divide(self, other: "Monomial") -> "Monomial":
+        """Quotient self / other; other must divide self."""
+        if not other.divides(self):
+            raise ValueError("inexact monomial division")
+        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
+
+    def lcm(self, other: "Monomial") -> "Monomial":
+        return Monomial(tuple(map(max, self.exps, other.exps)))
+
+    def gcd_is_one(self, other: "Monomial") -> bool:
+        return not any(map(mul, self.exps, other.exps))
+
     def support(self) -> Tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.exps) if e > 0)
 

@@ -237,6 +237,7 @@ class TestBuchbergerFrozen:
         lex = MonomialOrder.lex(ctx)
         for gens in ([], [Polynomial.zero(ctx, lex)]):
             B = buchberger(gens, lex)
+            assert B.is_zero_ideal()
             assert B.is_proper()
             assert B.polys == ()
         assert initial_ideal(buchberger([], lex)).is_zero()
@@ -371,18 +372,33 @@ class TestBuchbergerProperties:
                 buchberger([f, g], lex, strategy=strategy)
 
     def test_each_pair_is_ranked_once(self, minors, twisted, monkeypatch):
-        """One heap push per pair made, not one per pending pair at every selection.
+        """One rank per pair made, not one per pending pair at every selection.
 
-        The spy sees each ranked pair ``(i, j)`` as it enters the heap. Element
-        t of the basis is paired with 0..t-1 when it joins, so the pushes of
-        a run whose basis grew to t elements (generators, then S-remainders)
-        are exactly the t(t-1)/2 pairs below t, each once.
+        Three spies: the heap sees each pair ``(rank, i, j, lcm)`` pushed; the
+        order's key sees each tuple it ranks; and a division of an S-pair's
+        terms with a nonzero remainder counts one element added to the basis.
+        With t = generators + those remainders, a run pushes exactly the
+        t(t-1)/2 pairs i < j < t, once each, and ranks each of their lcms
+        once: by the key under ``normal``, by creation under ``fifo``.
         """
-        pushed = []
-        real_push = groebner_module.heapq.heappush
-        monkeypatch.setattr(
-            groebner_module.heapq, "heappush", lambda h, item: pushed.append(item[1:3]) or real_push(h, item)
+        pushed, keyed, s_pairs, grown = [], [], [], []
+        real_push, real_s_pair, real_divide = (
+            groebner_module.heapq.heappush, groebner_module._s_pair, groebner_module._divide
         )
+
+        def s_pair_spy(*args):
+            s_pairs.append(real_s_pair(*args))
+            return s_pairs[-1]
+
+        def divide_spy(live, table, key):
+            r = real_divide(live, table, key)
+            if r and any(live is s for s in s_pairs):
+                grown.append(r)
+            return r
+
+        monkeypatch.setattr(groebner_module.heapq, "heappush", lambda h, item: pushed.append(item) or real_push(h, item))
+        monkeypatch.setattr(groebner_module, "_s_pair", s_pair_spy)
+        monkeypatch.setattr(groebner_module, "_divide", divide_spy)
         rng = random.Random(71)
         most_grown = 0
         for ctx, _, gens, _ in (minors, twisted):
@@ -391,13 +407,22 @@ class TestBuchbergerProperties:
                 rng.shuffle(perm)
                 kind = rng.choice(["lex", "degrevlex"])
                 for strategy in ("normal", "fifo"):
-                    pushed.clear()
-                    buchberger(gens, MonomialOrder(kind, ctx, perm=tuple(perm)), strategy=strategy)
-                    t = 1 + max(j for _, j in pushed)
-                    assert t >= len(gens)
-                    assert len(pushed) == t * (t - 1) // 2
-                    assert sorted(pushed) == list(itertools.combinations(range(t), 2))
-                    most_grown = max(most_grown, t - len(gens))
+                    for spied in (pushed, keyed, s_pairs, grown):
+                        spied.clear()
+                    order = MonomialOrder(kind, ctx, perm=tuple(perm))
+                    real_key = order.exps_key
+                    object.__setattr__(order, "exps_key", lambda e: keyed.append(e) or real_key(e))
+                    buchberger(gens, order, strategy=strategy)
+                    t = len(gens) + len(grown)
+                    assert sorted(item[1:3] for item in pushed) == list(itertools.combinations(range(t), 2))
+                    lcms = {id(item[3]) for item in pushed}  # pushed and keyed hold them, so ids stay unique
+                    ranked = sum(id(e) in lcms for e in keyed)
+                    if strategy == "normal":
+                        assert ranked == len(pushed)
+                    else:
+                        assert ranked == 0
+                        assert [item[0] for item in pushed] == list(range(len(pushed)))
+                    most_grown = max(most_grown, len(grown))
         assert most_grown >= 2  # some runs add S-remainders to the basis
 
     def test_unknown_strategy(self, twisted):
@@ -439,6 +464,7 @@ class TestGroebnerBasisContainer:
         ctx, lex, gens, B = twisted
         assert B.leading_monomials() == tuple(g.leading_monomial() for g in B.polys)
         assert B.normal_form(P("x^2", ctx, lex)) == P("y*z", ctx, lex)
+        assert not B.is_zero_ideal()
         assert B.is_proper()
 
     def test_pickle(self, minors):

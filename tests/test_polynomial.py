@@ -68,11 +68,15 @@ class TestMonomial:
     def test_basic_ops(self):
         a, b = Monomial((2, 1, 0)), Monomial((0, 1, 3))
         assert a.mul(b) == Monomial((2, 2, 3))
+        assert a.lcm(b) == Monomial((2, 1, 3))
         assert not a.divides(b)
         assert a.divides(a.mul(b))
+        assert a.mul(b).divide(b) == a
         assert a.pow(3) == Monomial((6, 3, 0))
         assert a.degree() == 3
         assert a.graded_degree((1, 2, 5)) == 4
+        assert Monomial((1, 0, 1)).gcd_is_one(Monomial((0, 2, 0)))
+        assert not a.gcd_is_one(b)
         assert a.support() == (0, 1)
         assert Monomial((1, 1, 0)).is_squarefree()
         assert not a.is_squarefree()
