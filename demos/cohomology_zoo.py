@@ -1,7 +1,8 @@
 """Reduced simplicial cohomology of a small zoo of complexes.
 
-Everything is computed by exact row reduction of coboundary matrices, so
-the dimensions are certificates rather than floating-point estimates. The
+Everything is exact: coreduction deletes cells paired by a ±1 incidence, and
+exact row reduction ranks the boundaries of the cells that survive, so the
+dimensions are certificates rather than floating-point estimates. The
 projective plane is the classic field-sensitive example: acyclic over the
 rationals, but not over GF(2).
 """

@@ -3,12 +3,13 @@ cohomology, and combinatorial property reports.
 
 Complexes are stored by their facets. Vertices missing from every facet are
 ghost vertices: permitted, flagged, excluded from leaf/cone bookkeeping. The
-void complex and the empty complex {()} are rejected. Reduced cohomology is
-computed from exact ranks of the coboundary matrices of the augmented cochain
-complex, faces ordered lexicographically, standard alternating signs; the
-matrices are built as sparse rows for ``linalg``'s sparse elimination.
-``property_report`` applies Reisner's criterion by recursion on vertex links,
-judging each distinct relabelled link once per report.
+void complex and the empty complex {()} are rejected. Faces and ridges are
+enumerated once per complex and kept with it, outside its fields. Reduced
+cohomology is computed by coreduction (Mrozek & Batko, "Coreduction homology
+algorithm", Discrete Comput. Geom. 2009), so ``linalg``'s sparse ranks see
+only the cells that survive it. ``property_report`` applies Reisner's
+criterion by recursion on vertex links, judging each distinct relabelled link
+once per report.
 """
 
 from __future__ import annotations
@@ -63,55 +64,59 @@ class SimplicialComplex(Record):
         return max(len(f) for f in self.facets) - 1
 
     def vertices(self) -> Tuple[int, ...]:
-        out = set()
-        for f in self.facets:
-            out.update(f)
-        return tuple(sorted(out))
+        return tuple(sorted(set().union(*self.facets)))
 
     def ghost_vertices(self) -> Tuple[int, ...]:
         present = set(self.vertices())
         return tuple(v for v in range(1, self.n + 1) if v not in present)
 
     def is_pure(self) -> bool:
-        sizes = {len(f) for f in self.facets}
-        return len(sizes) == 1
+        return len({len(f) for f in self.facets}) == 1
 
     def has_face(self, face) -> bool:
         fs = set(face)
         return any(fs <= set(g) for g in self.facets)
 
-    def faces_by_dim(self) -> List[List[Tuple[int, ...]]]:
-        """All faces grouped by dimension, each group sorted lexicographically."""
-        groups: List[set] = [set() for _ in range(self.dim + 1)]
-        for f in self.facets:
-            for size in range(1, len(f) + 1):
-                for sub in combinations(f, size):
-                    groups[size - 1].add(sub)
-        return [sorted(g) for g in groups]
+    def faces_by_dim(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        """All faces grouped by dimension, each group sorted lexicographically;
+        enumerated on first use and kept with the complex, not as a field."""
+        if "_faces" not in self.__dict__:
+            groups: List[set] = [set() for _ in range(self.dim + 1)]
+            for f in self.facets:
+                for size in range(1, len(f) + 1):
+                    groups[size - 1].update(combinations(f, size))
+            self.__dict__["_faces"] = tuple(tuple(sorted(g)) for g in groups)
+        return self._faces
 
     def all_faces(self) -> List[Tuple[int, ...]]:
         """Nonempty faces, ascending by dimension then lexicographic."""
-        out: List[Tuple[int, ...]] = []
-        for group in self.faces_by_dim():
-            out.extend(group)
-        return out
+        return [f for group in self.faces_by_dim() for f in group]
 
     def f_vector(self) -> Tuple[int, ...]:
         return tuple(len(g) for g in self.faces_by_dim())
 
     def free_faces(self) -> Tuple[Tuple[int, ...], ...]:
-        """Nonempty faces in exactly one facet, that facet one vertex larger.
-
-        Listed in ``all_faces`` order.
-        """
-        facet_sets = [set(g) for g in self.facets]
-        found = set()
-        for g in self.facets:
-            for k in range(len(g)):
-                f = g[:k] + g[k + 1 :]
-                if f and sum(1 for s in facet_sets if s.issuperset(f)) == 1:
-                    found.add(f)
+        """Nonempty faces in exactly one facet, that facet one vertex larger: the
+        ridges of one facet that no facet two or more vertices larger contains
+        ({1,3,4} contains the ridge (1,) of {1,2}). In ``all_faces`` order."""
+        small = min(len(g) for g in self.facets)
+        larger = [set(g) for g in self.facets if len(g) > small]
+        found = [
+            f for f, held in self._ridges().items()
+            if f and len(held) == 1 and not any(len(g) > len(f) + 1 and g.issuperset(f) for g in larger)
+        ]
         return tuple(sorted(found, key=lambda f: (len(f), f)))
+
+    def _ridges(self) -> Dict[Tuple[int, ...], List[int]]:
+        """Each ridge g - v of a facet g, mapped to the indices of the facets
+        holding it; built in one pass on first use and kept."""
+        if "_held" not in self.__dict__:
+            held: Dict[Tuple[int, ...], List[int]] = {}
+            for i, g in enumerate(self.facets):
+                for ridge in combinations(g, len(g) - 1):
+                    held.setdefault(ridge, []).append(i)
+            self.__dict__["_held"] = held
+        return self._held
 
     def render(self) -> str:
         return "facets: " + "; ".join(" ".join(str(v) for v in f) for f in self.facets)
@@ -201,28 +206,43 @@ class CohomologyProfile(Record):
         }
 
 
-def _coboundary_matrix(lower: List[Tuple[int, ...]], upper: List[Tuple[int, ...]]):
-    """Sparse rows ``{column: ±1}`` of the coboundary from i-cochains to (i+1)-cochains."""
-    col_of: Dict[Tuple[int, ...], int] = {f: j for j, f in enumerate(lower)}
-    return [
-        {col_of[g[:k] + g[k + 1 :]]: -1 if k % 2 else 1 for k in range(len(g))} for g in upper
-    ]
-
-
 def reduced_cohomology(delta: SimplicialComplex, field: Field = QQ) -> CohomologyProfile:
+    """By coreduction: while a live cell of the augmented complex has exactly one
+    live cell in its boundary, both are deleted. Their incidence is ±1, a unit
+    over every field, so the other boundaries become plain restrictions and the
+    homology is kept (Kaczynski, Mrozek & Slusarek, 1998). Ranks are taken only
+    of the survivors' boundaries; on a sphere one top cell survives, so none."""
     groups = delta.faces_by_dim()
-    d = delta.dim
-    f = [len(g) for g in groups]
-    p = field.characteristic()
-
-    # rank of each coboundary; degree -1 is the augmentation (all-ones column)
-    ranks = [1 if groups[0] else 0]
-    for i in range(d):
-        rows = _coboundary_matrix(groups[i], groups[i + 1])
-        ranks.append(rank_mod_p(rows, p) if p else rank_int(rows))
-    ranks.append(0)  # coboundary out of top degree
-
-    dims = tuple(f[i] - ranks[i + 1] - ranks[i] for i in range(d + 1))
+    cells = [()] + [f for group in groups for f in group]
+    index = {f: i for i, f in enumerate(cells)}
+    # combinations drop the last vertex first: signs (-1)^k scale rows by ±1
+    bd = [[]] + [[index[g] for g in combinations(f, len(f) - 1)] for f in cells[1:]]
+    cob: List[List[int]] = [[] for _ in cells]
+    for c, faces in enumerate(bd):
+        for b in faces:
+            cob[b].append(c)
+    live = [len(f) for f in cells]  # live boundary cells; below 0 once deleted
+    queue = list(range(1, len(groups[0]) + 1))  # the vertices
+    for a in queue:
+        if live[a] == 1:
+            for b in bd[a]:
+                if live[b] >= 0:
+                    break
+            live[a] = live[b] = -1
+            for c in cob[a] + cob[b]:
+                live[c] -= 1
+                if live[c] == 1:
+                    queue.append(c)
+    d, p = len(groups) - 1, field.characteristic()
+    kept, rows = [0] * (d + 2), [[] for _ in range(d + 2)]  # rows[i]: boundaries out of degree i
+    for c in range(1, len(cells)):
+        if live[c] >= 0:
+            i = len(cells[c]) - 1
+            kept[i] += 1
+            if live[c]:
+                rows[i].append({b: -1 if k % 2 else 1 for k, b in enumerate(bd[c]) if live[b] >= 0})
+    ranks = [(rank_mod_p(r, p) if p else rank_int(r)) if r else 0 for r in rows]
+    dims = tuple(kept[i] - ranks[i] - ranks[i + 1] for i in range(d + 1))
     euler = sum((-1) ** i * dims[i] for i in range(d + 1))
     return CohomologyProfile(field, dims, euler)
 
@@ -261,21 +281,17 @@ class ComplexPropertyReport(Record):
 
 
 def is_strongly_connected(delta: SimplicialComplex) -> bool:
-    """Every two facets joined by a chain with codimension-one intersections."""
-    if len(delta.facets) == 1:
-        return True
+    """Every two facets joined by a chain with codimension-one intersections,
+    walked through the facets that hold each ridge."""
     if not delta.is_pure():
         return False
-    facets = [set(f) for f in delta.facets]
-    size = len(facets[0])
-    seen = {0}
-    queue = [0]
-    while queue:
-        a = queue.pop()
-        for b in range(len(facets)):
-            if b not in seen and len(facets[a] & facets[b]) == size - 1:
-                seen.add(b)
-                queue.append(b)
+    held, facets = delta._ridges(), delta.facets
+    seen, stack = {0}, [0]
+    while stack:
+        g = facets[stack.pop()]
+        fresh = {b for ridge in combinations(g, len(g) - 1) for b in held[ridge]} - seen
+        seen |= fresh
+        stack += fresh
     return len(seen) == len(facets)
 
 
@@ -300,20 +316,21 @@ def _relabelled_link(delta: SimplicialComplex, face: Tuple[int, ...]):
 
 def _vertex_link_verdicts(delta: SimplicialComplex, field: Field, memo: dict):
     """Whether every vertex link of ``delta`` is Cohen-Macaulay, and whether every
-    one is normal; ``memo`` maps each relabelled link to its own two verdicts."""
+    one is normal; ``memo`` maps each relabelled link's facets to its own two verdicts."""
     links_cm = links_normal = True
     for v in delta.vertices():
         if (v,) in delta.facets:
             continue  # its link {()} imposes no condition
         lk = _relabelled_link(delta, (v,))[0]
-        if lk not in memo:
+        verdicts = memo.get(lk.facets)
+        if verdicts is None:
             cm, normal = _vertex_link_verdicts(lk, field, memo)
-            memo[lk] = (
+            verdicts = memo[lk.facets] = (
                 not any(reduced_cohomology(lk, field).dims[: lk.dim]) and cm,
                 normal and is_strongly_connected(lk),
             )
-        links_cm &= memo[lk][0]
-        links_normal &= memo[lk][1]
+        links_cm &= verdicts[0]
+        links_normal &= verdicts[1]
     return links_cm, links_normal
 
 
@@ -326,12 +343,9 @@ def property_report(delta: SimplicialComplex, field: Field = QQ) -> ComplexPrope
     pure = delta.is_pure()
     strongly_connected = is_strongly_connected(delta)
     links_cm, links_normal = _vertex_link_verdicts(delta, field, {})
-    facet_sets = [set(f) for f in delta.facets]
-    counts = {}
-    for v in delta.vertices():
-        counts[v] = sum(1 for f in facet_sets if v in f)
-    leaves = tuple(v for v in delta.vertices() if counts[v] == 1)
-    cone_points = tuple(v for v in delta.vertices() if counts[v] == len(facet_sets))
+    counts = {v: sum(v in f for f in delta.facets) for v in delta.vertices()}
+    leaves = tuple(v for v in counts if counts[v] == 1)
+    cone_points = tuple(v for v in counts if counts[v] == len(delta.facets))
     return ComplexPropertyReport(
         pure=pure,
         strongly_connected=strongly_connected,

@@ -1,4 +1,4 @@
-"""Exact rank computations shared by cohomology and Jacobian analyses.
+"""Exact rank computations shared by Jacobian and cohomology analyses.
 
 Every rank is taken by one sparse elimination (``_rank``): rows are
 ``{column: value}`` dicts (dense sequences are read as such), the sparsest row
@@ -8,10 +8,10 @@ new pivot. Over the rationals the entries stay integers: a unit pivot is
 subtracted as it is, any other pivot cross-multiplies (a nonzero scaling of
 the row, so the rank is unchanged) and the row is divided by its content.
 Over GF(p) entries are plain residues and pivots are scaled to lead with 1.
-Coboundary matrices have a few ±1 entries per row and almost only unit
-pivots (Dumas-Saunders-Villard, JSC 2001), so they stay small and integral.
-The same clearing to primitive integers (``primitive_integers``) turns
-rational rows into integer ones and maps rational polynomials to GF(p).
+The matrices are Jacobians at coordinate points and the boundaries that
+survive ``complexes``' coreduction (few ±1 entries a row, unit pivots). The
+same clearing to primitive integers (``primitive_integers``) turns rational
+rows into integer ones and maps rational polynomials to GF(p).
 """
 
 from __future__ import annotations

@@ -363,6 +363,36 @@ def ref_homology_dims(delta: SimplicialComplex, p=0):
     return tuple(dims)
 
 
+def _ref_faces(delta: SimplicialComplex):
+    """Nonempty faces, from every subset of every facet, by size then lexicographic."""
+    faces = {s for g in delta.facets for k in range(1, len(g) + 1) for s in itertools.combinations(g, k)}
+    return sorted(faces, key=lambda f: (len(f), f))
+
+
+def ref_free_faces(delta: SimplicialComplex):
+    """Faces lying in exactly one facet, that facet one vertex larger, by testing
+    every face against every facet."""
+    facets = [set(g) for g in delta.facets]
+    free = []
+    for face in _ref_faces(delta):
+        containing = [g for g in facets if set(face) <= g]
+        if len(containing) == 1 and len(containing[0]) == len(face) + 1:
+            free.append(face)
+    return tuple(free)
+
+
+def ref_strongly_connected(delta: SimplicialComplex):
+    """Pure, and every two facets joined by a chain of facets in which
+    neighbours share all but one vertex, by testing every pair of facets."""
+    facets = [set(g) for g in delta.facets]
+    if len({len(g) for g in facets}) > 1:
+        return False
+    reached = [facets[0]]
+    for g in reached:  # grows while it is walked
+        reached += [h for h in facets if h not in reached and len(g & h) == len(g) - 1]
+    return len(reached) == len(facets)
+
+
 # ---------------------------------------------------------------------------
 # lift criterion by division, candidate by candidate
 

@@ -1,9 +1,11 @@
 """Simplicial complexes: validation, links, cohomology, property reports."""
 
+import itertools
 import random
 
 import pytest
 
+import grodeg.complexes as complexes_module
 from grodeg import (
     Monomial,
     MonomialIdeal,
@@ -20,7 +22,9 @@ from grodeg import (
     to_ideal,
 )
 
-from conftest import ctx_n, ctx_xyz, random_complex, ref_homology_dims
+from conftest import (
+    ctx_n, ctx_xyz, random_complex, ref_free_faces, ref_homology_dims, ref_strongly_connected,
+)
 
 
 TRIANGLE = SimplicialComplex.from_facets(3, [(1, 2), (1, 3), (2, 3)])
@@ -40,8 +44,25 @@ RP2 = SimplicialComplex.from_facets(
         (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
     ],
 )
+# the 7-vertex torus: triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7
+TORUS = SimplicialComplex.from_facets(
+    7, [tuple(sorted((i + s) % 7 + 1 for s in t)) for i in range(7) for t in ((0, 1, 3), (0, 2, 3))]
+)
 BOWTIE = SimplicialComplex.from_facets(5, [(1, 2, 3), (3, 4, 5)])
 TWO_EDGES = SimplicialComplex.from_facets(4, [(1, 2), (3, 4)])
+
+
+def cross_polytope(n):
+    """Boundary of the cross-polytope on vertices 1..n (n even), a sphere of
+    dimension n/2 - 1: one vertex of each antipodal pair (2i-1, 2i) per facet."""
+    return SimplicialComplex.from_facets(n, itertools.product(*[(2 * i + 1, 2 * i + 2) for i in range(n // 2)]))
+
+
+def relabelled(delta, rng):
+    """The same complex with its vertex slots permuted at random."""
+    perm = list(range(1, delta.n + 1))
+    rng.shuffle(perm)
+    return SimplicialComplex.from_facets(delta.n, [[perm[v - 1] for v in f] for f in delta.facets])
 
 
 def suspension(delta):
@@ -251,6 +272,8 @@ class TestCohomology:
         assert reduced_cohomology(TWO_EDGES, QQ).dims == (1, 0)
         simplex = SimplicialComplex.from_facets(4, [(1, 2, 3, 4)])
         assert reduced_cohomology(simplex, QQ).dims == (0, 0, 0, 0)
+        for field in (QQ, PrimeField(2), PrimeField(3)):
+            assert reduced_cohomology(TORUS, field).dims == (0, 2, 1)
 
     def test_rp2_sees_the_field(self):
         assert reduced_cohomology(RP2, QQ).dims == (0, 0, 0)
@@ -287,6 +310,45 @@ class TestCohomology:
             from_f = sum((-1) ** j * fj for j, fj in enumerate(d.f_vector())) - 1
             from_dims = sum((-1) ** j * hj for j, hj in enumerate(prof.dims))
             assert prof.reduced_euler == from_f == from_dims, d.render()
+
+
+class TestCoreduction:
+    """Reduced cohomology by coreduction on spheres and relabelled complexes;
+    ``TestCohomologyOracle`` checks it against brute-force homology."""
+
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_cross_polytopes_are_spheres(self, p):
+        field = PrimeField(p) if p else QQ
+        for n in range(4, 14, 2):
+            sphere = (0,) * (n // 2 - 1) + (1,)
+            assert reduced_cohomology(cross_polytope(n), field).dims == sphere
+            if p or n <= 8:  # the brute-force rank over QQ takes seconds beyond
+                assert ref_homology_dims(cross_polytope(n), p) == sphere
+
+    def test_relabelling_keeps_the_dims(self):
+        """The coreduction visits cells in label order; the answer must not
+        depend on it."""
+        rng = random.Random(2031)
+        for d in TestCohomologyOracle.complexes() + [cross_polytope(8)]:
+            for field in (QQ, PrimeField(2)):
+                want = reduced_cohomology(d, field)
+                for _ in range(3):
+                    assert reduced_cohomology(relabelled(d, rng), field) == want, d.render()
+
+    def test_spheres_take_no_rank(self, monkeypatch):
+        """On a cross-polytope one top cell survives the coreduction, so no rank
+        is taken; RP2's torsion needs one."""
+        ranked = []
+        real_int, real_mod_p = complexes_module.rank_int, complexes_module.rank_mod_p
+        monkeypatch.setattr(complexes_module, "rank_int", lambda rows: ranked.append(rows) or real_int(rows))
+        monkeypatch.setattr(
+            complexes_module, "rank_mod_p", lambda rows, p: ranked.append(rows) or real_mod_p(rows, p)
+        )
+        for field in (QQ, PrimeField(2), PrimeField(3)):
+            assert reduced_cohomology(cross_polytope(8), field).dims == (0, 0, 0, 1)
+        assert ranked == []
+        assert reduced_cohomology(RP2, PrimeField(2)).dims == (0, 1, 1)
+        assert ranked
 
 
 class TestStrongConnectivity:
@@ -392,19 +454,36 @@ class TestPropertyReport:
                 assert rep.pure
             if rep.strongly_connected:
                 assert rep.pure
-            facets = [set(g) for g in d.facets]
-            free = []
-            for face in d.all_faces():
-                containing = [g for g in facets if set(face) <= g]
-                if len(containing) == 1 and len(containing[0]) == len(face) + 1:
-                    free.append(face)
-            assert rep.free_faces == tuple(free)
+            assert rep.free_faces == ref_free_faces(d) == d.free_faces(), d.render()
             if rep.cone_points:
                 assert rep.acyclic
             if d.dim == 1 and not d.ghost_vertices():
                 connected = reduced_cohomology(d, QQ).dims[0] == 0
                 assert rep.cohen_macaulay == connected
-            assert rep.strongly_connected == is_strongly_connected(d)
+            assert rep.strongly_connected == is_strongly_connected(d) == ref_strongly_connected(d), d.render()
+
+    def test_ridge_pass_matches_definitions(self):
+        """One ridge pass gives free faces and strong connectivity as their
+        brute-force definitions do, on 200 more random complexes and on
+        chains of facets."""
+        rng = random.Random(2029)
+        samples = [random_complex(rng, rng.randint(1, 8), max_facets=8) for _ in range(200)]
+        # walks that swap one vertex of a facet at a time: long chains of facets
+        for _ in range(40):
+            n, k = rng.randint(3, 9), rng.randint(1, 3)
+            walk = [rng.sample(range(1, n + 1), k)]
+            for _ in range(rng.randint(1, 12)):
+                g = list(walk[-1])
+                g[rng.randrange(k)] = rng.choice([v for v in range(1, n + 1) if v not in g])
+                walk.append(g)
+            samples.append(SimplicialComplex.from_facets(n, walk))
+        samples += [TORUS, RP2, BOWTIE] + [cross_polytope(n) for n in (4, 6, 8)]
+        kinds = set()
+        for d in samples:
+            kinds.add(("pure" if d.is_pure() else "non-pure", ref_strongly_connected(d)))
+            assert d.free_faces() == ref_free_faces(d), d.render()
+            assert is_strongly_connected(d) == ref_strongly_connected(d), d.render()
+        assert kinds == {("pure", True), ("pure", False), ("non-pure", False)}
 
 
 def ref_verdicts(delta, p):
@@ -435,8 +514,8 @@ def ref_verdicts(delta, p):
 
 
 class TestCohomologyOracle:
-    """Sparse ranks and the per-report link memo against brute-force homology
-    on non-pure, ghost-vertex and torsion complexes."""
+    """Coreduction, its sparse ranks and the per-report link memo against
+    brute-force homology on non-pure, ghost-vertex, torsion and torus complexes."""
 
     @staticmethod
     def complexes():
@@ -446,7 +525,7 @@ class TestCohomologyOracle:
             d = random_complex(rng, rng.randint(2, 7), max_facets=8)
             if not d.is_pure() or d.ghost_vertices() or len(out) % 3 == 0:
                 out.append(d)
-        return out
+        return out + [TORUS, SimplicialComplex(8, TORUS.facets)]
 
     @pytest.mark.parametrize("p", [0, 2, 3])
     def test_cohomology_and_reports(self, p):
