@@ -18,6 +18,10 @@ run, 2 for any parse or usage error (an ``--out`` file that cannot be written
 included), 3 when a resource cap stops the computation, 1 for other input
 errors. Output is plain text or JSON with no color codes, so NO_COLOR needs
 no handling.
+
+Each call builds one parser, the invoked subcommand's, from ``_COMMANDS``.
+The full tree, built from the same table, is only for root help and usage
+errors, so every help text, message and exit code is that of the full tree.
 """
 
 from __future__ import annotations
@@ -36,50 +40,33 @@ from .reporting import render_report
 from .ring import MonomialOrder
 
 
-def _common_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("jobfile", help="path to the job file")
-    sub.add_argument("--format", default=None, help="output format: json or text")
-    sub.add_argument("--out", metavar="FILE", default=None,
-                     help="write the report here instead of stdout")
-    sub.add_argument("--jobs", default=None, metavar="N",
-                     help="worker processes for scans and searches")
-    sub.add_argument("--seed", default=None,
-                     help="seed for sampled searches")
-    sub.add_argument("--degree-cap", type=int, default=None, metavar="D",
-                     help="abort basis completion beyond this degree in analyze "
-                     f"and scan-orders (default {DEFAULT_DEGREE_CAP})")
+def _add_flags(parser: argparse.ArgumentParser, command: str):
+    """The common flags, then ``command``'s own from ``_COMMANDS``."""
+    parser.add_argument("jobfile", help="path to the job file")
+    parser.add_argument("--format", default=None, help="output format: json or text")
+    parser.add_argument("--out", metavar="FILE", default=None,
+                        help="write the report here instead of stdout")
+    parser.add_argument("--jobs", default=None, metavar="N",
+                        help="worker processes for scans and searches")
+    parser.add_argument("--seed", default=None,
+                        help="seed for sampled searches")
+    parser.add_argument("--degree-cap", type=int, default=None, metavar="D",
+                        help="abort basis completion beyond this degree in analyze "
+                        f"and scan-orders (default {DEFAULT_DEGREE_CAP})")
+    for flag, metavar, text in _COMMANDS[command][2]:
+        parser.add_argument(flag, default=None, metavar=metavar, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The root parser with every subcommand: for root help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="grodeg",
         description="Groebner degenerations, Stanley-Reisner analysis, "
         "singularity obstructions, and point counts, all in exact arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="degenerate one ideal along one order")
-    _common_flags(p)
-
-    p = sub.add_parser("scan-orders", help="walk all permutation orders of a family")
-    _common_flags(p)
-    p.add_argument("--family", default=None, help=", ".join(pipeline._FAMILIES))
-
-    p = sub.add_parser("complex", help="analyze a simplicial complex directly")
-    _common_flags(p)
-    p.add_argument("--field", default=None, metavar="F",
-                   help="cohomology coefficients: QQ or GF(p)")
-
-    p = sub.add_parser("lift-search", help="search lifts of a non-face ideal")
-    _common_flags(p)
-    p.add_argument("--budget", default=None)
-    p.add_argument("--pool", default=None, metavar="CSV",
-                   help="tail coefficient pool, e.g. -2,-1,1,2")
-
-    p = sub.add_parser("point-count", help="count plane-curve points over GF(p)")
-    _common_flags(p)
-    p.add_argument("--prime", default=None)
-
+    for command, (text, _, _) in _COMMANDS.items():
+        _add_flags(sub.add_parser(command, help=text), command)
     return parser
 
 
@@ -158,12 +145,18 @@ def _cmd_point_count(args, spec: JobSpec):
     return pipeline.count_points(spec.ideal[0], spec.prime)
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "scan-orders": _cmd_scan_orders,
-    "complex": _cmd_complex,
-    "lift-search": _cmd_lift_search,
-    "point-count": _cmd_point_count,
+# Each subcommand's help line, handler and own flags as (flag, metavar, help).
+_COMMANDS = {
+    "analyze": ("degenerate one ideal along one order", _cmd_analyze, ()),
+    "scan-orders": ("walk all permutation orders of a family", _cmd_scan_orders,
+                    (("--family", None, ", ".join(pipeline._FAMILIES)),)),
+    "complex": ("analyze a simplicial complex directly", _cmd_complex,
+                (("--field", "F", "cohomology coefficients: QQ or GF(p)"),)),
+    "lift-search": ("search lifts of a non-face ideal", _cmd_lift_search,
+                    (("--budget", None, None),
+                     ("--pool", "CSV", "tail coefficient pool, e.g. -2,-1,1,2"))),
+    "point-count": ("count plane-curve points over GF(p)", _cmd_point_count,
+                    (("--prime", None, None),)),
 }
 
 
@@ -186,16 +179,28 @@ def _glue_pool(argv) -> list:
     return words
 
 
+def _parse_args(words: list) -> argparse.Namespace:
+    """Parse with the named subcommand's parser alone; the root parser is built
+    only when no subcommand is named or words are left over, for root errors."""
+    command = words[0] if words else None
+    if command in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"grodeg {command}")
+        _add_flags(parser, command)
+        args, rest = parser.parse_known_args(words[1:], argparse.Namespace(command=command))
+        if not rest:
+            return args
+    return build_parser().parse_args(words)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_glue_pool(sys.argv[1:] if argv is None else argv))
+        args = _parse_args(_glue_pool(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return int(e.code or 0)
     try:
         flags = _flag_settings(args)
         spec = replace(_read_job(args.jobfile), **flags)
-        result = _HANDLERS[args.command](args, spec)
+        result = _COMMANDS[args.command][1](args, spec)
         payload = render_report(result, **_given(fmt=spec.format))
         if args.out:
             try:
@@ -203,15 +208,9 @@ def main(argv=None) -> int:
                     fh.write(payload)
             except OSError as e:
                 raise ParseError(f"cannot write {args.out}: {e.strerror or e}") from None
-    except ParseError as e:
+    except (ResourceLimitError, ValueError) as e:
         print(f"grodeg: {e}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as e:
-        print(f"grodeg: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:
-        print(f"grodeg: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, ParseError) else 3 if isinstance(e, ResourceLimitError) else 1
     if not args.out:
         sys.stdout.write(payload.decode("utf-8"))
     return 0

@@ -117,9 +117,6 @@ class GroebnerBasis(Record):
     def leading_monomials(self) -> Tuple[Monomial, ...]:
         return tuple(g.leading_monomial() for g in self.polys)
 
-    def is_zero_ideal(self) -> bool:
-        return not self.polys
-
     def is_proper(self) -> bool:
         return all(not g.leading_monomial().is_one() for g in self.polys)
 

@@ -146,18 +146,6 @@ class Monomial(Record):
     def divides(self, other: "Monomial") -> bool:
         return all(map(le, self.exps, other.exps))
 
-    def divide(self, other: "Monomial") -> "Monomial":
-        """Quotient self / other; other must divide self."""
-        if not other.divides(self):
-            raise ValueError("inexact monomial division")
-        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(map(max, self.exps, other.exps)))
-
-    def gcd_is_one(self, other: "Monomial") -> bool:
-        return not any(map(mul, self.exps, other.exps))
-
     def support(self) -> Tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.exps) if e > 0)
 
@@ -387,9 +375,6 @@ class Polynomial:
             return self
         return self._make(self.ctx, self.order, [(m, c / lc) for m, c in self.terms])
 
-    def drop_leading(self) -> "Polynomial":
-        return self._make(self.ctx, self.order, self.terms[1:])
-
     def _check(self, other):
         if self.ctx != other.ctx:
             raise ContextMismatchError("polynomials over different ring contexts")
@@ -441,15 +426,6 @@ class Polynomial:
         if k < 0:
             raise ValueError("negative polynomial power")
         return _power(self, k, mul)
-
-    def times_term(self, mono: Monomial, coeff) -> "Polynomial":
-        """Multiply by coeff * mono. Sort order is preserved (multiplicativity)."""
-        coeff = self.ctx.field.of(coeff)
-        if coeff == self.ctx.field.zero:
-            return Polynomial.zero(self.ctx, self.order)
-        return self._make(
-            self.ctx, self.order, [(m.mul(mono), c * coeff) for m, c in self.terms]
-        )
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -507,9 +483,6 @@ class Polynomial:
         key = order.exps_key
         terms = sorted(self.terms, key=lambda mc: key(mc[0].exps), reverse=True)
         return self._make(self.ctx, order, terms)
-
-    def support_monomials(self):
-        return tuple(m for m, _ in self.terms)
 
     def integer_terms(self, p: int = 0):
         """The terms as ``(exponents, integer)`` pairs: residues over GF(p), and

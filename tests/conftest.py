@@ -182,11 +182,19 @@ def _ref_quotient(a, b):
     return Monomial(tuple(x - y for x, y in zip(a.exps, b.exps)))
 
 
+def ref_times_term(f, mono, coeff):
+    """coeff * mono * f, term by term through the constructor, which sorts and
+    drops zeros itself."""
+    coeff = f.ctx.field.of(coeff)
+    terms = [(Monomial(tuple(a + b for a, b in zip(m.exps, mono.exps))), c * coeff) for m, c in f.terms]
+    return Polynomial(f.ctx, f.order, terms)
+
+
 def ref_s_polynomial(f, g):
     """x^(l - lead f) * f - x^(l - lead g) * g, l the lcm of the leads."""
     lf, lg = f.leading_monomial(), g.leading_monomial()
     l = Monomial(tuple(max(x, y) for x, y in zip(lf.exps, lg.exps)))
-    return f.times_term(_ref_quotient(l, lf), 1) - g.times_term(_ref_quotient(l, lg), 1)
+    return ref_times_term(f, _ref_quotient(l, lf), 1) - ref_times_term(g, _ref_quotient(l, lg), 1)
 
 
 def _ref_reduce(p, basis):
@@ -197,11 +205,11 @@ def _ref_reduce(p, basis):
         for g in basis:
             glm, glc = g.leading_term()
             if glm.divides(lm):
-                p = p - g.times_term(_ref_quotient(lm, glm), lc / glc)
+                p = p - ref_times_term(g, _ref_quotient(lm, glm), lc / glc)
                 break
         else:
             remainder.append((lm, lc))
-            p = p.drop_leading()
+            p = Polynomial(p.ctx, p.order, p.terms[1:])
     return Polynomial(p.ctx, p.order, remainder)
 
 
@@ -257,7 +265,7 @@ def random_path_reduce(rng: random.Random, p, basis):
         t_idx, g = rng.choice(options)
         m, c = p.terms[t_idx]
         glm, glc = g.leading_term()
-        p = p - g.times_term(_ref_quotient(m, glm), c / glc)
+        p = p - ref_times_term(g, _ref_quotient(m, glm), c / glc)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +322,7 @@ def ref_is_variable_regular(B, i: int, *, degree_cap: int = DEFAULT_DEGREE_CAP) 
 
     quotient = []
     for g in basis_j.polys:
-        if any(m.exps[0] != 0 for m in g.support_monomials()):
+        if any(m.exps[0] != 0 for m, _ in g.terms):
             continue
         terms = []
         for m, c in g.terms:

@@ -1,12 +1,14 @@
 """Job-file parsing, canonical rendering, report formatting, and the CLI."""
 
+import argparse
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from grodeg import MonomialOrder, PrimeField, QQ, pipeline, to_jsonable
+from grodeg import MonomialOrder, PrimeField, QQ, cli, pipeline, to_jsonable
 from grodeg.cli import main
 from grodeg.errors import ParseError
 from grodeg.jobs import JobSpec, parse_job, render_job
@@ -536,3 +538,113 @@ class TestCLI:
         assert "\x1b" not in out
         assert "squarefree: true" in out
         assert "facets: 1 2; 1 3; 2 3" in out
+
+
+HELP_TEXTS = Path(__file__).parent / "data" / "help"
+COMMANDS = ("analyze", "scan-orders", "complex", "lift-search", "point-count")
+
+
+@pytest.mark.parametrize("command", (None,) + COMMANDS)
+def test_help_text_is_pinned(command, capsys, monkeypatch):
+    """Root and subcommand help, byte for byte; argparse wraps to ``COLUMNS``."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command is None else [command, "--help"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    name = "grodeg" if command is None else f"grodeg-{command}"
+    assert captured.out == (HELP_TEXTS / f"{name}.txt").read_text()
+    assert captured.err == ""
+
+
+def _parse_outcome(parse, words, capsys):
+    """What parsing ``words`` gives: the namespace or exit code, and the text."""
+    try:
+        outcome = ("namespace", vars(parse(words)))
+    except SystemExit as e:
+        outcome = ("exit", e.code)
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "a.job"],
+        ["scan-orders", "a.job", "--family", "lex", "--jobs", "2"],
+        ["complex", "a.job", "--field", "GF(2)", "--format", "text"],
+        ["lift-search", "a.job", "--budget", "5", "--seed", "3", "--pool", "1,2"],
+        ["point-count", "a.job", "--prime", "5", "--out", "r.json", "--degree-cap", "7"],
+        ["point-count", "a.job", "--pri", "5"],
+        ["complex", "a.job", "-h"],
+        ["analyze"],
+        ["lift-search", "--pool", "1,2"],
+        ["analyze", "a.job", "--bogus"],
+        ["analyze", "a.job", "--prime", "5"],
+        ["complex", "a.job", "b.job"],
+        ["--format", "json", "analyze", "a.job"],
+        ["frobnicate", "a.job"],
+        [],
+        ["-h"],
+        ["analyze", "--", "a.job"],
+        ["lift-search", "a.job", "--pool", "-1,1"],
+        ["lift-search", "a.job", "--pool"],
+        ["scan-orders", "a.job", "--degree-cap", "abc"],
+    ],
+    ids=lambda argv: " ".join(argv) or "(none)",
+)
+def test_subcommand_parser_matches_the_full_tree(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    words = cli._glue_pool(argv)
+    ours = _parse_outcome(cli._parse_args, words, capsys)
+    assert ours == _parse_outcome(cli.build_parser().parse_args, words, capsys)
+    if ours[0][0] == "exit" and ours[0][1] != 0:
+        assert ours[0][1] == 2 and ours[2].startswith("usage: grodeg")
+
+
+class TestParserPerCall:
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """The ``prog`` of each ``argparse.ArgumentParser`` constructed."""
+        progs = []
+        real = argparse.ArgumentParser.__init__
+
+        def spy(parser, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            real(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        return progs
+
+    @pytest.mark.parametrize(
+        "argv,job",
+        [
+            (["analyze"], FERMAT_JOB),
+            (["scan-orders", "--family", "lex"], FERMAT_JOB),
+            (["complex"], TRIANGLE_JOB),
+            (["lift-search", "--budget", "3"], TRIANGLE_JOB),
+            (["point-count", "--prime", "5"], FERMAT_JOB),
+        ],
+    )
+    def test_a_valid_call_builds_its_subcommand_parser_only(self, run_cli, built, argv, job):
+        assert run_cli(argv, job)[0] == 0
+        assert built == [f"grodeg {argv[0]}"]
+
+    def test_no_parser_is_kept_between_calls(self, run_cli, built):
+        for _ in range(2):
+            assert run_cli(["complex"], TRIANGLE_JOB)[0] == 0
+        assert built == ["grodeg complex"] * 2
+
+    @pytest.mark.parametrize(
+        "argv,first",
+        [
+            ([], []),
+            (["--help"], []),
+            (["frobnicate", "a.job"], []),
+            (["--format", "json", "complex", "a.job"], []),
+            (["complex", "a.job", "--bogus"], ["grodeg complex"]),
+        ],
+    )
+    def test_only_root_errors_build_the_root_parser(self, capsys, built, argv, first):
+        assert main(argv) == (0 if argv == ["--help"] else 2)
+        capsys.readouterr()
+        assert built == first + ["grodeg"] + [f"grodeg {command}" for command in COMMANDS]
