@@ -12,8 +12,9 @@ Common flags (after the subcommand): ``--format json|text``, ``--out FILE``,
 ``--jobs N`` for worker processes, ``--seed N``, ``--degree-cap N``. A flag
 that names a job setting (``--jobs`` names ``workers``) is parsed and
 checked by that setting's entry in ``jobs.SETTINGS`` and beats the job's
-line. A setting given by neither is not passed on, so each default lives
-once, in the library function's signature. Exit codes: 0 after a completed
+line; ``--degree-cap``, which names none, takes the same integer rule with a
+minimum of 1. A setting given by neither is not passed on, so each default
+lives once, in the library function's signature. Exit codes: 0 after a completed
 run, 2 for any parse or usage error (an ``--out`` file that cannot be written
 included), 3 when a resource cap stops the computation, 1 for other input
 errors. Output is plain text or JSON with no color codes, so NO_COLOR needs
@@ -34,7 +35,7 @@ from .complexes import vertex_context
 from .errors import ParseError, ResourceLimitError
 from .fields import QQ
 from .groebner import DEFAULT_DEGREE_CAP
-from .jobs import SETTINGS, JobSpec, parse_job
+from .jobs import SETTINGS, JobSpec, _integer, parse_job
 from .records import replace
 from .reporting import render_report
 from .ring import MonomialOrder
@@ -50,7 +51,7 @@ def _add_flags(parser: argparse.ArgumentParser, command: str):
                         help="worker processes for scans and searches")
     parser.add_argument("--seed", default=None,
                         help="seed for sampled searches")
-    parser.add_argument("--degree-cap", type=int, default=None, metavar="D",
+    parser.add_argument("--degree-cap", default=None, metavar="D",
                         help="abort basis completion beyond this degree in analyze "
                         f"and scan-orders (default {DEFAULT_DEGREE_CAP})")
     for flag, metavar, text in _COMMANDS[command][2]:
@@ -199,6 +200,8 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         flags = _flag_settings(args)
+        if args.degree_cap is not None:
+            args.degree_cap = _integer(1)(args.degree_cap, "--degree-cap")
         spec = replace(_read_job(args.jobfile), **flags)
         result = _COMMANDS[args.command][1](args, spec)
         payload = render_report(result, **_given(fmt=spec.format))

@@ -88,17 +88,13 @@ class SimplicialComplex(Record):
             self.__dict__["_faces"] = tuple(tuple(sorted(g)) for g in groups)
         return self._faces
 
-    def all_faces(self) -> List[Tuple[int, ...]]:
-        """Nonempty faces, ascending by dimension then lexicographic."""
-        return [f for group in self.faces_by_dim() for f in group]
-
     def f_vector(self) -> Tuple[int, ...]:
         return tuple(len(g) for g in self.faces_by_dim())
 
     def free_faces(self) -> Tuple[Tuple[int, ...], ...]:
         """Nonempty faces in exactly one facet, that facet one vertex larger: the
         ridges of one facet that no facet two or more vertices larger contains
-        ({1,3,4} contains the ridge (1,) of {1,2}). In ``all_faces`` order."""
+        ({1,3,4} contains the ridge (1,) of {1,2}). By size, then lexicographically."""
         small = min(len(g) for g in self.facets)
         larger = [set(g) for g in self.facets if len(g) > small]
         found = [

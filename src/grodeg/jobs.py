@@ -137,9 +137,9 @@ def _parse_ring(payload: str) -> RingContext:
     if len(tokens) == 4:
         if tokens[2] != "grading":
             raise ParseError(f"expected 'grading', got {tokens[2]!r}")
-        try:
-            grading = tuple(int(w) for w in tokens[3].split(","))
-        except ValueError:
+        try:  # RingContext refuses a weight below 1
+            grading = tuple(_integer()(w, "grading") for w in tokens[3].split(","))
+        except ParseError:
             raise ParseError(f"bad grading {clipped(tokens[3])!r}") from None
     return standard_context(names, field, grading)
 

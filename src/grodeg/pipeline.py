@@ -630,7 +630,7 @@ class LiftSearchResult(Record):
         )
 
     def top_variable(self) -> int:
-        return self.order.greatest_variable()
+        return self.order.variables_descending()[0]
 
     def lifts_singular_at_top_point(self) -> int:
         top = self.top_variable()

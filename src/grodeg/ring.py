@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 from operator import itemgetter, le, mul, neg
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 from .errors import ContextMismatchError, ParseError
 from .fields import Field, QQ
@@ -260,22 +260,11 @@ class MonomialOrder:
     def sort_key(self, m: Monomial):
         return self.exps_key(m.exps)
 
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        ka, kb = self.sort_key(a), self.sort_key(b)
-        if ka < kb:
-            return -1
-        if ka > kb:
-            return 1
-        return 0
-
-    def greatest_variable(self) -> int:
-        """Index of the largest variable under this order."""
+    def variables_descending(self) -> Tuple[int, ...]:
+        """The variable indices, largest first under this order."""
         n = self.ctx.n
-        return max(range(n), key=lambda i: self.sort_key(Monomial.variable(i, n)))
-
-    def smallest_variable(self) -> int:
-        n = self.ctx.n
-        return min(range(n), key=lambda i: self.sort_key(Monomial.variable(i, n)))
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        return tuple(sorted(range(n), key=lambda i: self.exps_key(units[i]), reverse=True))
 
     def render(self) -> str:
         if self.kind in ("lex", "degrevlex"):
@@ -369,12 +358,6 @@ class Polynomial:
     def leading_coefficient(self):
         return self.leading_term()[1]
 
-    def monic(self) -> "Polynomial":
-        lm, lc = self.leading_term()
-        if lc == self.ctx.field.one:
-            return self
-        return self._make(self.ctx, self.order, [(m, c / lc) for m, c in self.terms])
-
     def _check(self, other):
         if self.ctx != other.ctx:
             raise ContextMismatchError("polynomials over different ring contexts")
@@ -435,12 +418,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ctx.names, frozenset(self.terms)))
 
-    def graded_degree(self) -> Optional[int]:
-        if not self.terms:
-            return None
-        g = self.ctx.grading
-        return max(m.graded_degree(g) for m, _ in self.terms)
-
     def is_homogeneous(self):
         """(True, degree) when all terms share one graded degree; (True, None) for 0."""
         if not self.terms:
@@ -450,29 +427,6 @@ class Polynomial:
         if len(degs) == 1:
             return True, degs.pop()
         return False, None
-
-    def partial_derivative(self, i: int) -> "Polynomial":
-        out = []
-        for m, c in self.terms:
-            e = m.exps[i]
-            if e > 0:
-                lowered = list(m.exps)
-                lowered[i] = e - 1
-                out.append((Monomial(tuple(lowered)), c * self.ctx.field.of(e)))
-        return Polynomial(self.ctx, self.order, out)
-
-    def evaluate(self, point):
-        if len(point) != self.ctx.n:
-            raise ValueError(f"point has {len(point)} coordinates, ring has {self.ctx.n}")
-        coords = [self.ctx.field.of(x) for x in point]
-        total = self.ctx.field.zero
-        for m, c in self.terms:
-            val = c
-            for x, e in zip(coords, m.exps):
-                if e:
-                    val = val * x**e
-            total = total + val
-        return total
 
     def with_order(self, order: MonomialOrder) -> "Polynomial":
         """The same terms under order: already combined field elements, only re-sorted."""

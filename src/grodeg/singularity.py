@@ -185,13 +185,6 @@ class ObstructionVerdict(Record):
         return asdict(self)
 
 
-def _variable_rank_order(order):
-    """Variable indices sorted descending under the order."""
-    n = order.ctx.n
-    key = lambda i: order.sort_key(Monomial.variable(i, n))
-    return sorted(range(n), key=key, reverse=True)
-
-
 def ci_obstruction(B: GroebnerBasis) -> ObstructionVerdict:
     """Complete-intersection certificate at the distinguished coordinate point."""
     _require_standard_grading(B.ctx, "obstruction certificates require")
@@ -213,7 +206,7 @@ def ci_obstruction(B: GroebnerBasis) -> ObstructionVerdict:
             kind, False, False, f"generator degrees sum to {len(used)}, not {n}", {}
         )
 
-    desc = _variable_rank_order(B.order)
+    desc = B.order.variables_descending()
     pos = {v: k for k, v in enumerate(desc)}
     blocks = [sorted(s, key=lambda v: pos[v]) for s in supports]
     first = min(range(len(blocks)), key=lambda b: pos[blocks[b][0]])
@@ -269,7 +262,7 @@ def _check_dim1_setting(ctx, delta: SimplicialComplex, leads):
 
 
 def _top_vertex_data(order, delta: SimplicialComplex):
-    desc = _variable_rank_order(order)
+    desc = order.variables_descending()
     v1 = desc[0]  # 0-based variable index of the largest variable
     vertex = v1 + 1
     pos = {v: k for k, v in enumerate(desc)}

@@ -127,6 +127,49 @@ def ref_keeps_marking(B, kind, perm):
 
 
 # ---------------------------------------------------------------------------
+# textbook evaluation, differentiation and scaling
+#
+# Each takes a polynomial as a list of (exponents, coefficient) terms, and
+# reads a coefficient or coordinate that is an int, a Fraction or a GF(p)
+# element as a plain number: an exact Fraction, or a residue mod p.
+
+
+def ref_terms(f):
+    """The terms of the polynomial ``f`` as (exponents, coefficient) pairs."""
+    return [(m.exps, c) for m, c in f.terms]
+
+
+def _ref_scalar(c, p=0):
+    """``c`` as a Fraction (p = 0) or as its residue mod the prime p."""
+    c = Fraction(getattr(c, "v", c))
+    return c.numerator * pow(c.denominator, -1, p) % p if p else c
+
+
+def ref_evaluate(terms, point, p=0):
+    """The sum of c * x^e over the terms at ``point``: over QQ, or mod p."""
+    xs = [_ref_scalar(x, p) for x in point]
+    total = 0
+    for exps, c in terms:
+        value = _ref_scalar(c, p)
+        for x, e in zip(xs, exps):
+            value *= pow(x, e, p) if p else x**e
+        total += value
+    return total % p if p else total
+
+
+def ref_partial_derivative(terms, i):
+    """d/dx_i term by term: e * c * x^(exps - unit_i) for each term whose
+    exponent e of x_i is positive. A coefficient e * c may be 0 mod p."""
+    return [(exps[:i] + (exps[i] - 1,) + exps[i + 1 :], c * exps[i]) for exps, c in terms if exps[i]]
+
+
+def ref_monic(terms):
+    """The terms, leading term first, divided by the leading coefficient."""
+    lc = terms[0][1]
+    return [(key, c / lc) for key, c in terms]
+
+
+# ---------------------------------------------------------------------------
 # seeded random generators
 
 
@@ -190,6 +233,11 @@ def ref_times_term(f, mono, coeff):
     return Polynomial(f.ctx, f.order, terms)
 
 
+def ref_monic_poly(f):
+    """f divided by its leading coefficient, through ``ref_monic``."""
+    return Polynomial(f.ctx, f.order, ref_monic(f.terms))
+
+
 def ref_s_polynomial(f, g):
     """x^(l - lead f) * f - x^(l - lead g) * g, l the lcm of the leads."""
     lf, lg = f.leading_monomial(), g.leading_monomial()
@@ -217,13 +265,13 @@ def _ref_complete(gens, order):
     """A Groebner basis by pair-exhaustive completion: no product or chain
     criterion, no degree cap, so only suitable for the small inputs the tests
     feed it."""
-    basis = [g.with_order(order).monic() for g in gens if not g.is_zero()]
+    basis = [ref_monic_poly(g.with_order(order)) for g in gens if not g.is_zero()]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
     while pairs:
         i, j = pairs.pop()
         r = _ref_reduce(ref_s_polynomial(basis[i], basis[j]), basis)
         if not r.is_zero():
-            basis.append(r.monic())
+            basis.append(ref_monic_poly(r))
             pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
     return basis
 
@@ -248,7 +296,7 @@ def ref_reduced_basis(gens, order):
     completion reduced by the others and made monic, sorted by decreasing lead.
     It is unique, so any correct completion must give it term for term."""
     minimal = _ref_minimal(_ref_complete(gens, order))
-    reduced = [_ref_reduce(g, [h for h in minimal if h is not g]).monic() for g in minimal]
+    reduced = [ref_monic_poly(_ref_reduce(g, [h for h in minimal if h is not g])) for g in minimal]
     return sorted(reduced, key=lambda g: order.sort_key(g.leading_monomial()), reverse=True)
 
 
@@ -371,7 +419,7 @@ def ref_homology_dims(delta: SimplicialComplex, p=0):
     return tuple(dims)
 
 
-def _ref_faces(delta: SimplicialComplex):
+def ref_faces(delta: SimplicialComplex):
     """Nonempty faces, from every subset of every facet, by size then lexicographic."""
     faces = {s for g in delta.facets for k in range(1, len(g) + 1) for s in itertools.combinations(g, k)}
     return sorted(faces, key=lambda f: (len(f), f))
@@ -382,7 +430,7 @@ def ref_free_faces(delta: SimplicialComplex):
     every face against every facet."""
     facets = [set(g) for g in delta.facets]
     free = []
-    for face in _ref_faces(delta):
+    for face in ref_faces(delta):
         containing = [g for g in facets if set(face) <= g]
         if len(containing) == 1 and len(containing[0]) == len(face) + 1:
             free.append(face)
@@ -423,15 +471,9 @@ def ref_valid_lift(polys, order):
 # brute-force plane curve point count
 
 
-def _coeff_mod_p(c, p):
-    if isinstance(c, Fraction):
-        return c.numerator * pow(c.denominator, p - 2, p) % p
-    return int(getattr(c, "v", c)) % p
-
-
 def brute_projective_count(poly, p):
     """Points of V(f) in P^2(F_p) by affine enumeration over F_p^3 minus 0."""
-    terms = [(m.exps, _coeff_mod_p(c, p)) for m, c in poly.terms]
+    terms = [(m.exps, _ref_scalar(c, p)) for m, c in poly.terms]
     affine = 0
     for x in range(p):
         for y in range(p):

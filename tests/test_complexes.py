@@ -23,7 +23,7 @@ from grodeg import (
 )
 
 from conftest import (
-    ctx_n, ctx_xyz, random_complex, ref_free_faces, ref_homology_dims, ref_strongly_connected,
+    ctx_n, ctx_xyz, random_complex, ref_faces, ref_free_faces, ref_homology_dims, ref_strongly_connected,
 )
 
 
@@ -125,7 +125,8 @@ class TestBasics:
         assert OCTAHEDRON.has_face((1, 2))
         assert OCTAHEDRON.has_face(())
         assert not OCTAHEDRON.has_face((1, 4))  # antipodal pair
-        assert TRIANGLE.all_faces() == [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
+        assert TRIANGLE.faces_by_dim() == (((1,), (2,), (3,)), ((1, 2), (1, 3), (2, 3)))
+        assert ref_faces(TRIANGLE) == [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
 
     def test_render(self):
         assert PATH.render() == "facets: 1 2; 2 3"
@@ -167,7 +168,7 @@ class TestLink:
         for d in samples:
             kinds.update(k for k, on in [("non-pure", not d.is_pure()), ("ghosts", d.ghost_vertices())] if on)
             facets = set(d.facets)
-            for face in [()] + [f for f in d.all_faces() if f not in facets]:
+            for face in [()] + [f for f in ref_faces(d) if f not in facets]:
                 rests = [frozenset(g) - set(face) for g in d.facets if set(face) <= set(g)]
                 old = sorted(set().union(*rests))
                 relabel = {v: i + 1 for i, v in enumerate(old)}
@@ -495,7 +496,7 @@ def ref_verdicts(delta, p):
     buchsbaum = pure
     normal = is_strongly_connected(delta)
     facets = set(delta.facets)
-    for face in delta.all_faces():
+    for face in ref_faces(delta):
         if face in facets:
             continue
         lk = link(delta, face).complex

@@ -166,6 +166,8 @@ BAD_JOBS = [
     ("vertices 99999999\nfacets: 1 2\n", "99999999 vertices exceed the bound of 1000", 2, 8),
     pytest.param(f"ring QQ x,y\norder weighted {'7' * 5000},1\n", f"bad weight '{'7' * 20}…'", 2, 7, id="weight-7...7"),
     ("ring QQ x,y\norder weighted a,1\n", "bad weight 'a'", 2, 7),
+    # grading weights share the 20-digit bound of every other integer
+    pytest.param(f"ring QQ x,y grading 1,{'9' * 21}\n", f"bad grading '1,{'9' * 18}…'", 1, 6, id="grading-21-digits"),
     # Fraction() reads exponents and any length: 1e10000000 is a 33-million-bit integer
     ("pool 1e10000000\n", "bad pool entry '1e10000000'", 1, 6),
     pytest.param(f"pool 1,{'7' * 4000}\n", f"bad pool entry '{'7' * 20}…'", 1, 6, id="pool-4000-digits"),
@@ -421,6 +423,21 @@ class TestCLI:
         assert rc == 3
         assert out == ""
         assert err == "grodeg: S-pair lcm degree 3 exceeds cap 2\n"
+
+    @pytest.mark.parametrize(
+        "cap,message",
+        [
+            ("-5", "--degree-cap must be >= 1"),
+            ("0", "--degree-cap must be >= 1"),
+            ("9" * 29, f"--degree-cap wants at most 20 digits, got '{'9' * 20}…'"),
+            ("abc", "--degree-cap wants an integer, got 'abc'"),
+        ],
+        ids=["negative", "zero", "29-digits", "not-an-integer"],
+    )
+    def test_bad_degree_cap_is_a_usage_error(self, run_cli, cap, message):
+        job = "ring QQ x1,x2,x3,x4,x5,x6\nideal: x1*x5 - x2*x4 ; x1*x6 - x3*x4 ; x2*x6 - x3*x5\n"
+        rc, out, err = run_cli(["analyze", "--degree-cap", cap], job)
+        assert (rc, out, err) == (2, "", f"grodeg: {message}\n")
 
     def test_scan_bound_exit_code(self, run_cli):
         job = "ring QQ x1,x2,x3,x4,x5,x6,x7,x8,x9\nideal: x1*x2\n"

@@ -17,6 +17,12 @@ from conftest import (
 )
 
 
+def key_cmp(order, a, b):
+    """-1, 0 or 1 as the sort key of ``a`` is below, equal to or above that of ``b``."""
+    ka, kb = order.sort_key(a), order.sort_key(b)
+    return (ka > kb) - (ka < kb)
+
+
 def mono(ctx, **exps):
     e = [0] * ctx.n
     for name, k in exps.items():
@@ -32,38 +38,38 @@ class TestFrozenComparisons:
         b = mono(ctx, x2=1, x4=1)
         # same degree; revlex looks at the smallest variable first, and
         # x1*x5 uses x5 while x2*x4 does not, so x1*x5 is smaller
-        assert drl.compare(a, b) == -1
-        assert drl.compare(b, a) == 1
+        assert key_cmp(drl, a, b) == -1
+        assert key_cmp(drl, b, a) == 1
 
     def test_lex_three_vars(self):
         ctx = ctx_xyz()
         lex = MonomialOrder.lex(ctx)
-        assert lex.compare(mono(ctx, x=1, y=1, z=1), mono(ctx, y=3)) == 1
-        assert lex.compare(mono(ctx, z=5), mono(ctx, y=1)) == -1
+        assert key_cmp(lex, mono(ctx, x=1, y=1, z=1), mono(ctx, y=3)) == 1
+        assert key_cmp(lex, mono(ctx, z=5), mono(ctx, y=1)) == -1
 
     def test_degrevlex_three_vars(self):
         ctx = ctx_xyz()
         drl = MonomialOrder.degrevlex(ctx)
-        assert drl.compare(mono(ctx, x=2, z=1), mono(ctx, x=1, y=2)) == -1
-        assert drl.compare(mono(ctx, x=1), mono(ctx, z=2)) == -1  # degree first
+        assert key_cmp(drl, mono(ctx, x=2, z=1), mono(ctx, x=1, y=2)) == -1
+        assert key_cmp(drl, mono(ctx, x=1), mono(ctx, z=2)) == -1  # degree first
 
     def test_reflexive(self):
         ctx = ctx_xyz()
         m = mono(ctx, x=2, y=1)
         for order in (MonomialOrder.lex(ctx), MonomialOrder.degrevlex(ctx)):
-            assert order.compare(m, m) == 0
+            assert key_cmp(order, m, m) == 0
 
     def test_weighted_tiebreak(self):
         ctx = standard_context(("x", "y"))
         w = MonomialOrder.weighted(ctx, [(1, 2)])
         # x^2 and y have equal weight 2; raw-exponent tiebreak favors x^2
-        assert w.compare(mono(ctx, x=2), mono(ctx, y=1)) == 1
+        assert key_cmp(w, mono(ctx, x=2), mono(ctx, y=1)) == 1
 
     def test_degrevlex_respects_grading(self):
         ctx = standard_context(("x", "y"), grading=(1, 2))
         drl = MonomialOrder.degrevlex(ctx)
-        assert drl.compare(mono(ctx, y=1), mono(ctx, x=1)) == 1  # degree 2 vs 1
-        assert drl.compare(mono(ctx, y=1), mono(ctx, x=2)) == -1  # tie, revlex
+        assert key_cmp(drl, mono(ctx, y=1), mono(ctx, x=1)) == 1  # degree 2 vs 1
+        assert key_cmp(drl, mono(ctx, y=1), mono(ctx, x=2)) == -1  # tie, revlex
 
 
 class TestReferenceComparators:
@@ -77,8 +83,8 @@ class TestReferenceComparators:
             a, b = random_monomial(rng, 5, 6), random_monomial(rng, 5, 6)
             lex = MonomialOrder.lex(ctx, perm=perm)
             drl = MonomialOrder.degrevlex(ctx, perm=perm)
-            assert lex.compare(a, b) == ref_lex_cmp(a.exps, b.exps, perm)
-            assert drl.compare(a, b) == ref_degrevlex_cmp(a.exps, b.exps, perm)
+            assert key_cmp(lex, a, b) == ref_lex_cmp(a.exps, b.exps, perm)
+            assert key_cmp(drl, a, b) == ref_degrevlex_cmp(a.exps, b.exps, perm)
 
     def test_degrevlex_reference_with_grading(self):
         rng = random.Random(12)
@@ -88,7 +94,7 @@ class TestReferenceComparators:
         perm = (0, 1, 2, 3)
         for _ in range(300):
             a, b = random_monomial(rng, 4, 5), random_monomial(rng, 4, 5)
-            assert drl.compare(a, b) == ref_degrevlex_cmp(a.exps, b.exps, perm, grading)
+            assert key_cmp(drl, a, b) == ref_degrevlex_cmp(a.exps, b.exps, perm, grading)
 
     def test_matrix_encodings_of_lex_and_degrevlex(self):
         rng = random.Random(13)
@@ -99,8 +105,8 @@ class TestReferenceComparators:
         drl = MonomialOrder.degrevlex(ctx)
         for _ in range(300):
             a, b = random_monomial(rng, 3, 6), random_monomial(rng, 3, 6)
-            assert lex_m.compare(a, b) == lex.compare(a, b)
-            assert drl_m.compare(a, b) == drl.compare(a, b)
+            assert key_cmp(lex_m, a, b) == key_cmp(lex, a, b)
+            assert key_cmp(drl_m, a, b) == key_cmp(drl, a, b)
 
 
 def all_test_orders(ctx):
@@ -129,15 +135,15 @@ class TestOrderAxioms:
                 a = random_monomial(rng, 4, 5)
                 b = random_monomial(rng, 4, 5)
                 c = random_monomial(rng, 4, 3)
-                cab = order.compare(a, b)
+                cab = key_cmp(order, a, b)
                 # totality and antisymmetry
-                assert cab == -order.compare(b, a)
+                assert cab == -key_cmp(order, b, a)
                 assert (cab == 0) == (a == b)
                 # multiplication by any monomial preserves the comparison
-                assert order.compare(a.mul(c), b.mul(c)) == cab
+                assert key_cmp(order, a.mul(c), b.mul(c)) == cab
                 # global: 1 is the unique minimum
                 if a != one:
-                    assert order.compare(a, one) == 1
+                    assert key_cmp(order, a, one) == 1
 
     def test_transitive_on_triples(self):
         rng = random.Random(19)
@@ -148,9 +154,9 @@ class TestOrderAxioms:
                     (random_monomial(rng, 3, 5) for _ in range(3)),
                     key=order.sort_key,
                 )
-                assert order.compare(ms[0], ms[2]) <= 0
-                assert order.compare(ms[0], ms[1]) <= 0
-                assert order.compare(ms[1], ms[2]) <= 0
+                assert key_cmp(order, ms[0], ms[2]) <= 0
+                assert key_cmp(order, ms[0], ms[1]) <= 0
+                assert key_cmp(order, ms[1], ms[2]) <= 0
 
     def test_degrevlex_minimizes_smallest_variable_exponent(self):
         """Among the terms of a homogeneous polynomial, the degrevlex lead
@@ -161,7 +167,7 @@ class TestOrderAxioms:
             perm = list(range(4))
             rng.shuffle(perm)
             drl = MonomialOrder.degrevlex(ctx, perm=tuple(perm))
-            s = drl.smallest_variable()
+            s = perm[-1]  # the order-smallest variable
             deg = rng.randint(1, 5)
             monos = set()
             while len(monos) < rng.randint(2, 5):
@@ -211,17 +217,22 @@ class TestValidation:
 
 
 class TestAccessorsAndRender:
-    def test_greatest_and_smallest_variable(self):
+    def test_variables_descending(self):
         ctx = ctx_xyz()
-        drl = MonomialOrder.degrevlex(ctx)
-        assert drl.greatest_variable() == 0
-        assert drl.smallest_variable() == 2
-        shuffled = MonomialOrder.lex(ctx, perm=(1, 2, 0))
-        assert shuffled.greatest_variable() == 1
-        assert shuffled.smallest_variable() == 0
+        assert MonomialOrder.lex(ctx).variables_descending() == (0, 1, 2)
+        assert MonomialOrder.lex(ctx, perm=(1, 2, 0)).variables_descending() == (1, 2, 0)
+        assert MonomialOrder.degrevlex(ctx, perm=(2, 0, 1)).variables_descending() == (2, 0, 1)
+        graded = standard_context(("x", "y", "z"), grading=(1, 3, 2))
+        assert MonomialOrder.degrevlex(graded).variables_descending() == (1, 2, 0)  # degree first
         w = MonomialOrder.weighted(standard_context(("x", "y")), [(1, 2)])
-        assert w.greatest_variable() == 1
-        assert w.smallest_variable() == 0
+        assert w.variables_descending() == (1, 0)
+        # x and z tie on weight 1; the raw-exponent tiebreak puts x first
+        assert MonomialOrder.weighted(ctx, [(1, 2, 1)]).variables_descending() == (1, 0, 2)
+        for ctx, order in every_kind():
+            desc = order.variables_descending()
+            assert sorted(desc) == list(range(ctx.n))
+            units = [Monomial.variable(i, ctx.n).exps for i in desc]
+            assert all(ref_cmp(order, a, b) == 1 for a, b in zip(units, units[1:])), order
 
     def test_render(self):
         ctx = ctx_xyz()
@@ -316,7 +327,5 @@ class TestCompiledKeys:
             monos.append(Monomial.one(ctx.n))
             for a, b in zip(monos, reversed(monos)):
                 want = ref_cmp(order, a.exps, b.exps)
-                assert order.compare(a, b) == want, (order, a, b)
-                ka, kb = order.sort_key(a), order.sort_key(b)
-                assert (ka > kb) - (ka < kb) == want
-                assert order.exps_key(a.exps) == ka
+                assert key_cmp(order, a, b) == want, (order, a, b)
+                assert order.exps_key(a.exps) == order.sort_key(a)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import pickle
 import random
@@ -15,7 +16,6 @@ import pytest
 import grodeg
 from grodeg import cli, pipeline
 from grodeg.groebner import DEFAULT_DEGREE_CAP
-from grodeg.linalg import primitive_integers
 from grodeg.records import replace
 
 from grodeg import (
@@ -52,9 +52,13 @@ from conftest import (
     ctx_xyz,
     random_complex,
     random_homogeneous_poly,
+    ref_evaluate,
+    ref_faces,
     ref_initial_monomials,
     ref_is_variable_regular,
     ref_keeps_marking,
+    ref_partial_derivative,
+    ref_terms,
     ref_valid_lift,
 )
 
@@ -677,7 +681,7 @@ def lift_candidates(delta, order, coeffs):
             Monomial(e)
             for e in itertools.product(range(d + 1), repeat=ctx.n)
             if sum(e) == d
-            and order.compare(Monomial(e), t) < 0
+            and order.exps_key(e) < order.sort_key(t)
             and not any(g.divides(Monomial(e)) for g in targets)
         ])
     slots = [(ti, m) for ti, ms in enumerate(tails) for m in ms]
@@ -1029,19 +1033,20 @@ class TestCountPoints:
 
 def textbook_point_count(f, p):
     """(count, singular points) of the plane curve f over GF(p), or None when
-    f vanishes mod p: built partial derivatives, evaluated over GF(p) at every
-    point of P^2(F_p). A rational f is reduced from its primitive integral form."""
-    F = PrimeField(p)
-    ctx = ctx_xyz(F)
-    coeffs = [c for _, c in f.terms]
-    ints = coeffs if f.ctx.field.characteristic() else primitive_integers(coeffs)
-    g = Polynomial(ctx, MonomialOrder.degrevlex(ctx), [(m, F.of(c)) for (m, _), c in zip(f.terms, ints)])
-    if g.is_zero():
+    f vanishes mod p: the textbook partial derivatives, evaluated mod p at
+    every point of P^2(F_p). A rational f is reduced from its primitive
+    integral form."""
+    terms = ref_terms(f)
+    if not f.ctx.field.characteristic():
+        scale = math.lcm(*(c.denominator for _, c in terms))
+        content = math.gcd(*(int(c * scale) for _, c in terms))
+        terms = [(e, int(c * scale) // content) for e, c in terms]
+    if all(ref_evaluate([t], (1, 1, 1), p) == 0 for t in terms):  # every coefficient is 0 mod p
         return None
-    partials = [g.partial_derivative(j) for j in range(3)]
+    partials = [ref_partial_derivative(terms, j) for j in range(3)]
     points = [(1, y, z) for y in range(p) for z in range(p)] + [(0, 1, z) for z in range(p)] + [(0, 0, 1)]
-    on_curve = [pt for pt in points if g.evaluate(pt) == F.zero]
-    singular = [pt for pt in on_curve if all(d.evaluate(pt) == F.zero for d in partials)]
+    on_curve = [pt for pt in points if ref_evaluate(terms, pt, p) == 0]
+    singular = [pt for pt in on_curve if all(ref_evaluate(d, pt, p) == 0 for d in partials)]
     return len(on_curve), tuple("[" + ":".join(map(str, pt)) + "]" for pt in singular)
 
 
@@ -1149,7 +1154,7 @@ class TestAnalyzeComplex:
 def distinct_links(delta):
     """The relabelled links of the non-facet nonempty faces, each once."""
     facets = set(delta.facets)
-    return {link(delta, f).complex for f in delta.all_faces() if f not in facets}
+    return {link(delta, f).complex for f in ref_faces(delta) if f not in facets}
 
 
 def count_calls(monkeypatch, name, module="complexes"):
@@ -1311,24 +1316,6 @@ class TestNoWorkTwice:
         drl = MonomialOrder.degrevlex(ctx_n(6))
         res = lift_search(OCTAHEDRON, drl, pool=(-1, 1), budget=20, seed=1)
         assert res.lifts and all(len(lift.coordinate_points) == 6 for lift in res.lifts)
-        assert calls == []
-
-    @pytest.mark.parametrize("method", ["partial_derivative", "evaluate"])
-    def test_jacobian_builds_and_evaluates_no_polynomial(self, monkeypatch, method):
-        calls = []
-        original = getattr(Polynomial, method)
-
-        def counted(self, *args):
-            calls.append(args)
-            return original(self, *args)
-
-        monkeypatch.setattr(Polynomial, method, counted)
-        drl = MonomialOrder.degrevlex(ctx_n(6))
-        res = lift_search(OCTAHEDRON, drl, pool=(-1, 1), budget=20, seed=1)
-        assert res.lifts and all(len(lift.coordinate_points) == 6 for lift in res.lifts)
-        ctx = ctx_xyz()
-        report = analyze([P(CUBIC, ctx, MonomialOrder.lex(ctx))], MonomialOrder.lex(ctx))
-        assert report.coordinate_points[0].verdict == "singular"
         assert calls == []
 
 

@@ -29,8 +29,11 @@ from conftest import (
     ctx_n,
     ctx_xyz,
     random_homogeneous_poly,
+    ref_evaluate,
+    ref_partial_derivative,
     ref_rank_fraction,
     ref_rank_mod_p,
+    ref_terms,
 )
 
 
@@ -109,18 +112,19 @@ class TestJacobian:
         lex = MonomialOrder.lex(ctx)
         f = P("x*y*z + y^3 + z^3", ctx, lex)
         B = buchberger([f], lex)
-        grads = [f.partial_derivative(i) for i in range(3)]
+        terms = ref_terms(f)
+        grads = [ref_partial_derivative(terms, i) for i in range(3)]
         pts = [(1, y, z) for y in range(5) for z in range(5)]
         pts += [(0, 1, z) for z in range(5)] + [(0, 0, 1)]
         smooth_seen = singular_seen = 0
         for cs in pts:
             a = jacobian_rank_at(B, ProjPoint.make(F, cs), 1)
-            on = f.evaluate(cs) == 0
+            on = ref_evaluate(terms, cs, 5) == 0
             assert a.on_scheme == on
             if not on:
                 assert a.verdict == "off_scheme"
                 continue
-            rank = ref_rank_mod_p([[g.evaluate(cs).v for g in grads]], 5)
+            rank = ref_rank_mod_p([[ref_evaluate(g, cs, 5) for g in grads]], 5)
             assert a.rank == rank
             assert a.verdict == ("smooth" if rank == 1 else "singular")
             smooth_seen += a.verdict == "smooth"
@@ -162,17 +166,14 @@ class TestJacobian:
 
 
 def slow_jacobian(gens, point, expected_codim):
-    """(on_scheme, rank, verdict) from built partial derivatives, evaluated one by one."""
+    """(on_scheme, rank, verdict) from the textbook partial derivatives,
+    evaluated one by one."""
     ctx = gens[0].ctx
-    field = ctx.field
-    coords = list(point.coords)
-    on_scheme = all(g.evaluate(coords) == field.zero for g in gens)
-    rows = [[g.partial_derivative(j).evaluate(coords) for j in range(ctx.n)] for g in gens]
-    p = field.characteristic()
-    if p:
-        rank = ref_rank_mod_p([[c.v for c in row] for row in rows], p)
-    else:
-        rank = ref_rank_fraction(rows)
+    p = ctx.field.characteristic()
+    terms = [ref_terms(g) for g in gens]
+    on_scheme = all(ref_evaluate(t, point.coords, p) == 0 for t in terms)
+    rows = [[ref_evaluate(ref_partial_derivative(t, j), point.coords, p) for j in range(ctx.n)] for t in terms]
+    rank = ref_rank_mod_p(rows, p) if p else ref_rank_fraction(rows)
     if not on_scheme:
         return on_scheme, rank, "off_scheme"
     return on_scheme, rank, "singular" if rank < expected_codim else "smooth"
@@ -213,7 +214,7 @@ class TestJacobianOracle:
             if through_point:
                 # the pivot coordinate is 1, so this moves g onto the point
                 pivot_power = Monomial.variable(pivot, ctx.n).pow(d)
-                g = g - Polynomial(ctx, order, [(pivot_power, g.evaluate(point.coords))])
+                g = g - Polynomial(ctx, order, [(pivot_power, ref_evaluate(ref_terms(g), point.coords, p))])
             gens.append(g)
         return gens
 
