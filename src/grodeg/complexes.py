@@ -1,6 +1,10 @@
 """Simplicial complexes on {1..n}: Stanley-Reisner translation, exact reduced
 cohomology, and combinatorial property reports.
 
+Both directions of the translation take minimal transversals: the minimal
+non-faces are the minimal sets meeting every facet's complement, and the
+facets are the complements of those meeting every generator's support.
+
 Complexes are stored by their facets. Vertices missing from every facet are
 ghost vertices: permitted, flagged, excluded from leaf/cone bookkeeping. The
 void complex and the empty complex {()} are rejected. Faces and ridges are
@@ -43,10 +47,8 @@ class SimplicialComplex(Record):
             seen.add(frozenset(f))
         if len(seen) != len(facets):
             raise ValueError("duplicate facets")
-        for f in seen:
-            for g in seen:
-                if f < g:
-                    raise ValueError("a facet contains another")
+        if any(f < g for f in seen for g in seen):
+            raise ValueError("a facet contains another")
         if list(facets) != sorted(facets):
             raise ValueError("facets not canonically sorted")
         self.__dict__.update(n=n, facets=facets)
@@ -135,25 +137,30 @@ def link(delta: SimplicialComplex, face) -> Link:
     return Link(*_relabelled_link(delta, face))
 
 
+def _minimal_transversals(blocks) -> List[int]:
+    """The inclusion-minimal sets meeting every block, all as bitmasks (Berge,
+    "Hypergraphs", 1989). Per block, a set meeting it stays; each other set grows
+    by one vertex of it, dropped if a kept set lies inside (the sets before were
+    incomparable and missed the block, so nothing else can). An empty block leaves none."""
+    found = [0]
+    for block in blocks:
+        kept = [t for t in found if t & block]
+        bits = [1 << i for i in range(block.bit_length()) if block >> i & 1]
+        grown = (t | b for t in found if not t & block for b in bits)
+        found = kept + [g for g in grown if not any(k & g == k for k in kept)]
+    return found
+
+
 def complex_from_squarefree_ideal(M: MonomialIdeal) -> SimplicialComplex:
-    """Faces are the subsets whose monomial avoids the ideal."""
+    """Faces are the subsets whose monomial avoids the ideal, so the facets are
+    the complements of the minimal sets meeting every generator's support."""
     if not M.is_squarefree():
         raise ValueError("ideal is not square-free")
     n = M.ctx.n
     if any(g.is_one() for g in M.gens):
         raise ValueError("unit ideal corresponds to the void complex")
-    supports = [frozenset(v + 1 for v in g.support()) for g in M.gens]
-    candidates = {frozenset(range(1, n + 1))}
-    for s in supports:
-        nxt = set()
-        for c in candidates:
-            if s <= c:
-                for v in s:
-                    nxt.add(c - {v})
-            else:
-                nxt.add(c)
-        candidates = nxt
-    return SimplicialComplex.from_facets(n, candidates)
+    found = _minimal_transversals(sum(1 << i for i in g.support()) for g in M.gens)
+    return SimplicialComplex(n, tuple(sorted(tuple(v + 1 for v in range(n) if not t >> v & 1) for t in found)))
 
 
 def vertex_context(n: int, field: Field = QQ) -> RingContext:
@@ -162,26 +169,15 @@ def vertex_context(n: int, field: Field = QQ) -> RingContext:
 
 
 def to_ideal(delta: SimplicialComplex, ctx: Optional[RingContext] = None) -> MonomialIdeal:
-    """Square-free ideal generated by the minimal non-faces, in ``ctx`` (``vertex_context`` by default)."""
+    """Square-free ideal generated by the minimal non-faces, the minimal sets meeting
+    every facet's complement, in ``ctx`` (``vertex_context`` by default)."""
     if ctx is None:
         ctx = vertex_context(delta.n)
     if ctx.n != delta.n:
         raise ValueError("complex and ring have different vertex counts")
-    gens = []
-    max_size = min(delta.n, delta.dim + 2)
-    for size in range(1, max_size + 1):
-        for sub in combinations(range(1, delta.n + 1), size):
-            if delta.has_face(sub):
-                continue
-            if any(set(g) <= set(sub) for g in gens):
-                continue
-            if all(delta.has_face(sub[:k] + sub[k + 1 :]) for k in range(size)):
-                gens.append(sub)
-    monos = [
-        Monomial(tuple(1 if v + 1 in set(g) else 0 for v in range(delta.n)))
-        for g in gens
-    ]
-    return MonomialIdeal.from_monomials(ctx, monos)
+    full = (1 << delta.n) - 1
+    found = _minimal_transversals(full ^ sum(1 << (v - 1) for v in f) for f in delta.facets)
+    return MonomialIdeal.from_monomials(ctx, [Monomial(tuple(t >> i & 1 for i in range(delta.n))) for t in found])
 
 
 class CohomologyProfile(Record):

@@ -176,6 +176,8 @@ def _parse_facets(payload: str, n_hint: Optional[int]) -> SimplicialComplex:
         if not chunk.strip():
             continue
         try:
+            if any(len(v) > 20 for v in chunk.split()):  # as in ``_integer``
+                raise ValueError
             groups.append(tuple(int(v) for v in chunk.split()))
         except ValueError:
             raise ParseError(f"bad facet {clipped(chunk.strip())!r}") from None

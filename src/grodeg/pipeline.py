@@ -236,15 +236,14 @@ def analyze(gens, order: MonomialOrder, *, degree_cap: int = DEFAULT_DEGREE_CAP)
     """Degenerate a homogeneous ideal along one order and report everything."""
     _require_homogeneous(gens)
     B = buchberger(gens, order, degree_cap=degree_cap)
-    return _degeneration_report(gens, B, (order.render(),))
+    return _degeneration_report(gens, B, (order.render(),), ideal_digest(order.ctx, gens))
 
 
-def _degeneration_report(gens, B: GroebnerBasis, producing_orders) -> DegenerationReport:
-    """The report of homogeneous ``gens`` whose reduced basis under ``B.order`` is ``B``."""
+def _degeneration_report(gens, B: GroebnerBasis, producing_orders, digest: str) -> DegenerationReport:
+    """The report of homogeneous ``gens``, of ``ideal_digest`` ``digest``, whose reduced basis is ``B``."""
     order = B.order
     ctx = order.ctx
     polys = tuple(g.with_order(order) for g in gens)
-    digest = ideal_digest(ctx, polys)
     M = initial_ideal(B)
     squarefree = B.is_proper() and M.is_squarefree()
     if not squarefree:
@@ -424,7 +423,8 @@ def scan_orders(
         keys = [tuple(m.exps for m in initial_ideal(B).gens) for B in bases]
         for (kind, perm), k in zip(chunk, which):
             groups.setdefault(keys[k], (bases[k], []))[1].append(render_chain(kind, ctx.names, perm))
-    return [_degeneration_report(gens, B, tuple(producers)) for B, producers in groups.values()]
+    digest = ideal_digest(ctx, gens)
+    return [_degeneration_report(gens, B, tuple(producers), digest) for B, producers in groups.values()]
 
 
 def _exponents_of_degree(n: int, d: int):

@@ -425,6 +425,44 @@ def ref_faces(delta: SimplicialComplex):
     return sorted(faces, key=lambda f: (len(f), f))
 
 
+def ref_minimal_nonfaces(delta: SimplicialComplex):
+    """The minimal non-faces by their definition, over every vertex subset S as
+    a bitmask: S is not a face, and S - v is a face for every v in S. Sorted."""
+    faces = set()
+    for g in delta.facets:
+        mask = sum(1 << (v - 1) for v in g)
+        sub = mask
+        while True:  # every submask of the facet
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & mask
+    found = []
+    for s in range(1 << delta.n):
+        if s not in faces:
+            members = [i for i in range(delta.n) if s >> i & 1]
+            if all(s ^ 1 << i in faces for i in members):
+                found.append(tuple(i + 1 for i in members))
+    return sorted(found)
+
+
+def every_complex(n):
+    """Every simplicial complex on the vertex slots 1..n, ghosts allowed: each
+    antichain of subsets, as sorted facet lists, but the void complex and {()}."""
+    subsets = sorted((s for k in range(n + 1) for s in itertools.combinations(range(1, n + 1), k)))
+    masks = [sum(1 << (v - 1) for v in s) for s in subsets]
+
+    def extend(chosen, start):
+        if chosen and chosen != [0]:  # subsets[0] is ()
+            yield SimplicialComplex(n, tuple(subsets[i] for i in chosen))
+        for i in range(start, len(masks)):
+            m = masks[i]
+            if all(m & masks[c] not in (m, masks[c]) for c in chosen):
+                yield from extend(chosen + [i], i + 1)
+
+    yield from extend([], 0)
+
+
 def ref_free_faces(delta: SimplicialComplex):
     """Faces lying in exactly one facet, that facet one vertex larger, by testing
     every face against every facet."""

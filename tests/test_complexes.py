@@ -23,7 +23,8 @@ from grodeg import (
 )
 
 from conftest import (
-    ctx_n, ctx_xyz, random_complex, ref_faces, ref_free_faces, ref_homology_dims, ref_strongly_connected,
+    ctx_n, ctx_xyz, every_complex, random_complex, ref_faces, ref_free_faces, ref_homology_dims,
+    ref_minimal_nonfaces, ref_strongly_connected,
 )
 
 
@@ -232,14 +233,25 @@ class TestIdealDictionary:
         rng = random.Random(67)
         for _ in range(40):
             d = random_complex(rng, rng.randint(1, 6))
-            if d.ghost_vertices():
-                continue  # ghosts translate to linear generators, see below
             assert complex_from_squarefree_ideal(to_ideal(d)) == d
+
+    def test_every_complex_on_at_most_five_vertices(self):
+        """Both translations against the definition of a minimal non-face, on
+        every complex on 1..n for n <= 5 (ghost vertices included)."""
+        for n, count in zip(range(1, 6), (1, 4, 18, 166, 7579)):
+            ctx, seen = ctx_n(n), 0
+            for d in every_complex(n):
+                M = to_ideal(d, ctx)
+                supports = sorted(tuple(i + 1 for i in g.support()) for g in M.gens)
+                assert supports == ref_minimal_nonfaces(d), d
+                assert complex_from_squarefree_ideal(M) == d
+                seen += 1
+            assert seen == count
 
     def test_round_trip_with_ghosts(self):
         d = SimplicialComplex.from_facets(4, [(2, 3), (3, 4)])
         back = complex_from_squarefree_ideal(to_ideal(d))
-        # vertex 1 is squeezed out of the ring-side picture entirely
+        # the ghost vertex 1 is the linear generator x1, and comes back a ghost
         assert back.n == 4
         assert back.facets == d.facets
 

@@ -161,6 +161,9 @@ BAD_JOBS = [
     pytest.param(f"budget {'7' * 5000}\n", f"budget wants at most 20 digits, got '{'7' * 20}…'", 1, 8, id="budget-7...7"),
     pytest.param(f"pool {'7' * 5000}\n", f"bad pool entry '{'7' * 20}…'", 1, 6, id="pool-7...7"),
     pytest.param(f"facets: 1 {'7' * 5000}\n", f"bad facet '1 {'7' * 18}…'", 1, 8, id="facet-7...7"),
+    # a vertex that int() reads is still held to 20 characters
+    pytest.param(f"facets: 1 {'9' * 4000}\n", f"bad facet '1 {'9' * 18}…'", 1, 8, id="facet-9...9"),
+    pytest.param(f"vertices 3\nfacets: 1 {'9' * 4000}\n", f"bad facet '1 {'9' * 18}…'", 2, 8, id="vertices-3-facet-9...9"),
     # the vertex count is bounded whether it is given or implied
     ("facets: 1 2; 2 99999999\n", "99999999 vertices exceed the bound of 1000", 1, 8),
     ("vertices 99999999\nfacets: 1 2\n", "99999999 vertices exceed the bound of 1000", 2, 8),

@@ -1191,6 +1191,17 @@ class TestNoWorkTwice:
         delta = report.delta
         assert len(calls) == 1 + len(distinct_links(delta))
 
+    def test_scan_hashes_the_ideal_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "ideal_digest", module="pipeline")
+        ctx = ctx_n(4)
+        drl = MonomialOrder.degrevlex(ctx)
+        gens = [P(t, ctx, drl) for t in ("x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2")]
+        reports = scan_orders(gens)
+        assert len(reports) > 3 and len(calls) == 1
+        assert {r.digest for r in reports} == {ideal_digest(ctx, gens)}
+        analyze(gens, drl)
+        assert len(calls) == 2
+
     def test_lex_obstruction_runs_no_property_report(self, monkeypatch):
         calls = count_calls(monkeypatch, "property_report")
         path = SimplicialComplex.from_facets(3, [(1, 2), (2, 3)])
