@@ -177,7 +177,10 @@ def to_ideal(delta: SimplicialComplex, ctx: Optional[RingContext] = None) -> Mon
         raise ValueError("complex and ring have different vertex counts")
     full = (1 << delta.n) - 1
     found = _minimal_transversals(full ^ sum(1 << (v - 1) for v in f) for f in delta.facets)
-    return MonomialIdeal.from_monomials(ctx, [Monomial(tuple(t >> i & 1 for i in range(delta.n))) for t in found])
+    # minimal and distinct already: only MonomialIdeal's canonical order is left to make
+    gens = [Monomial(tuple(t >> i & 1 for i in range(delta.n))) for t in found]
+    gens.sort(key=lambda m: (m.graded_degree(ctx.grading), m.exps))
+    return MonomialIdeal(ctx, tuple(gens))
 
 
 class CohomologyProfile(Record):

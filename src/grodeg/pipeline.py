@@ -15,10 +15,14 @@ Four entry points:
   trace and supersingularity flags when the curve is a smooth cubic.
 
 The coordinate-point Jacobians of ``analyze`` and ``lift_search`` come from
-one pass over each generator's terms that fills all n points at once
-(``_coordinate_points``). Any other point goes to the one evaluator of
-``singularity``, which serves ``jacobian_rank_at`` (the reference the tests
-hold that pass to) and the singular points of ``count_points``.
+one table of what each point e_i reads: which coefficients land in which
+entries of its matrix, and which make a generator nonzero there
+(``_point_table``). A lift search builds it once, over its tail slots, and
+memoizes each verdict on the point and the values of the slots it reads
+(``_point_verdicts``); ``_coordinate_points`` builds it from one basis. Any
+other point goes to the one evaluator of ``singularity``, which serves
+``jacobian_rank_at`` (the reference the tests hold the table to) and the
+singular points of ``count_points``.
 
 Everything is deterministic: sampling is seeded, parallel runs pre-generate
 their work lists so worker count never changes the answer.
@@ -30,6 +34,7 @@ import hashlib
 import itertools
 import random
 from functools import cached_property, partial
+from math import lcm
 from operator import add, le, sub
 from typing import Dict, List, Optional, Tuple
 
@@ -90,50 +95,92 @@ def _unit_points(ctx: RingContext) -> Tuple[ProjPoint, ...]:
     return tuple(ProjPoint.coordinate(ctx.field, ctx.n, i) for i in range(ctx.n))
 
 
-def _coordinate_points(gens, units, codim: int) -> Tuple[JacobianAnalysis, ...]:
-    """Jacobian verdicts at every coordinate point (``units``, from
-    ``_unit_points``) against ``codim``, all from one pass over each generator's terms.
+def _point_table(gens_slots, n: int) -> tuple:
+    """What each coordinate point e_1, ..., e_n reads of generators whose terms
+    are given as ``(exponents, slot)`` pairs, the coefficient of each term being
+    the value at its slot.
 
-    Precondition, which the callers establish: the generators lie in the ring
-    of ``units``, of the standard grading, each homogeneous of positive degree
-    (``analyze`` and ``scan_orders`` check their input; a lift candidate is
-    built from monomials of one degree). At e_i a term c*x^e of degree d is
-    nonzero only when x^e = x_i^d, and its partials only when x^e = x_i^d (d*c
-    in column i) or x^e = x_i^(d-1)*x_j (c in column j). A linear term c*x_j
-    is both at every point: it puts c in column j of every row. Coefficients
-    are read by ``Polynomial.integer_terms``; each point's matrix goes to
-    ``rank_int``/``rank_mod_p``. The result is ``jacobian_rank_at`` at each e_i.
+    The generators are homogeneous of positive degree in the standard grading.
+    At e_i a term c*x^e of degree d is nonzero only when x^e = x_i^d, and its
+    partials only when x^e = x_i^d (d*c in column i) or x^e = x_i^(d-1)*x_j (c
+    in column j). A linear term c*x_j is both at every point: it puts c in
+    column j of every row. Point i gets ``(reads, entries, nonzero)``: the slots
+    it reads, sorted; its Jacobian entries ``(generator, column, multiplier,
+    slot)``; and the slots of the terms that are nonzero at it. With no
+    generators there are no points, as in the one empty lift of a full simplex.
     """
-    n, p = len(units), units[0].field.characteristic()
-    off = [False] * n  # off[i]: some generator does not vanish at e_i
-    per_gen = []  # per generator, its Jacobian row at each point
-    for g in gens:
-        rows = [{} for _ in range(n)]
-        terms = g.integer_terms()
-        d = sum(terms[0][0]) if terms else 0
-        for e, c in terms:
+    if not gens_slots:
+        return ()
+    entries = [[] for _ in range(n)]
+    nonzero = [[] for _ in range(n)]
+    for k, terms in enumerate(gens_slots):
+        for e, s in terms:
+            d = sum(e)
             if max(e) < d - 1:  # nonzero at no e_i, with all its partials
                 continue
             if d == 1:
                 j = e.index(1)
-                off[j] = True
-                for row in rows:
-                    row[j] = c
+                nonzero[j].append(s)
+                for point in entries:
+                    point.append((k, j, 1, s))
             elif d in e:  # a nonzero value at e_i
                 i = e.index(d)
-                off[i] = True
-                rows[i][i] = d * c
+                nonzero[i].append(s)
+                entries[i].append((k, i, d, s))
             else:
                 i = e.index(d - 1)
                 j = e.index(1, i + 1) if d == 2 else e.index(1)
-                rows[i][j] = c
+                entries[i].append((k, j, 1, s))
                 if d == 2:  # x_i*x_j is also x_j^(d-1)*x_i
-                    rows[j][i] = c
-        per_gen.append(rows)
+                    entries[j].append((k, i, 1, s))
     return tuple(
-        _classified(point, not off[i], rank_mod_p(m, p) if p else rank_int(m), codim)
-        for i, (point, m) in enumerate(zip(units, zip(*per_gen)))
+        (tuple(sorted({s for *_, s in es}.union(zs))), tuple(es), tuple(zs))
+        for es, zs in zip(entries, nonzero)
     )
+
+
+def _point_verdicts(table, values, units, codim: int, memo: dict) -> Tuple[JacobianAnalysis, ...]:
+    """The Jacobian verdict at each point of ``table`` (``_point_table``),
+    with ``values`` the integers at the slots: residues over GF(p), and over QQ
+    any integers proportional generator by generator to the coefficients. A
+    verdict depends only on the point and the values it reads, so it is kept
+    in ``memo`` under that key; only a miss builds the point's matrix for
+    ``rank_int``/``rank_mod_p``.
+    """
+    p = units[0].field.characteristic()
+    out = []
+    for i, (reads, entries, nonzero) in enumerate(table):
+        key = (i, *map(values.__getitem__, reads))
+        a = memo.get(key)
+        if a is None:
+            rows = {}  # generator -> its row
+            for k, j, mult, s in entries:
+                if values[s]:
+                    rows.setdefault(k, {})[j] = mult * values[s]
+            rows = list(rows.values())
+            on_scheme = not any(map(values.__getitem__, nonzero))
+            rank = rank_mod_p(rows, p) if p else rank_int(rows)
+            a = memo[key] = _classified(units[i], on_scheme, rank, codim)
+        out.append(a)
+    return tuple(out)
+
+
+def _coordinate_points(gens, units, codim: int) -> Tuple[JacobianAnalysis, ...]:
+    """Jacobian verdicts at every coordinate point (``units``, from
+    ``_unit_points``) against ``codim``: ``jacobian_rank_at`` at each e_i.
+
+    Precondition, which the callers establish: the generators lie in the ring
+    of ``units``, of the standard grading, each homogeneous of positive degree
+    (``analyze`` and ``scan_orders`` check their input). Each term is its own
+    slot of ``_point_table``, at its ``Polynomial.integer_terms`` coefficient;
+    a lift search builds that table once for all its lifts instead.
+    """
+    gens_slots, values = [], []
+    for g in gens:
+        terms = g.integer_terms()
+        gens_slots.append([(e, len(values) + s) for s, (e, _) in enumerate(terms)])
+        values.extend(c for _, c in terms)
+    return _point_verdicts(_point_table(gens_slots, len(units)), values, units, codim, {})
 
 
 def _conjecture_summary(props: ComplexPropertyReport, points) -> dict:
@@ -567,10 +614,13 @@ class _LiftCheck(Record):
     built once by ``lift_search``; each chunk of work sent to a ``--jobs``
     worker carries them in its pickled copy. A candidate is checked by
     evaluating them (``_valid_lift``), and its polynomials are built only when
-    it is valid. ``codim`` is the expected codimension. The coordinate points
-    and the support-exclusion table serve valid lifts only, so each is built
-    at the first valid lift, and never in a search where no candidate is
-    valid; a worker's copy builds them for itself.
+    it is valid. ``codim`` is the expected codimension. The coordinate-point
+    table with its verdict memo (``jacobian``) and the support-exclusion table
+    with the basis order (``exclusions``) serve valid lifts only, so each is
+    built at the first valid lift, and never in a search where no candidate is
+    valid. A worker's copy builds them for itself, so each chunk of work keeps
+    its own memo; a verdict depends only on its key, so ``--jobs`` cannot
+    change an answer.
     """
 
     __hash__ = None
@@ -593,28 +643,49 @@ class _LiftCheck(Record):
         return 0, [c.numerator if c.denominator == 1 else c for c in self.coeffs]
 
     @cached_property
-    def units(self) -> Tuple[ProjPoint, ...]:
-        return _unit_points(self.order.ctx)
+    def jacobian(self) -> tuple:
+        """``(table, pool integers, target coefficient, units, memo)`` for
+        ``_point_verdicts``: the tail slots, then one slot for every target.
+        Over GF(p) residues and 1; over QQ the pool times the lcm L of its
+        denominators and L, which scales each candidate's row by L."""
+        gens_slots = [[(t.exps, len(self.slots))] for t in self.targets]
+        for s, (ti, m) in enumerate(self.slots):
+            gens_slots[ti].append((m.exps, s))
+        p, _ = self.scalars
+        if p:
+            ints, lead = [c.v for c in self.coeffs], 1
+        else:
+            lead = lcm(*(c.denominator for c in self.coeffs))
+            ints = [c.numerator * (lead // c.denominator) for c in self.coeffs]
+        ctx = self.order.ctx
+        return _point_table(gens_slots, ctx.n), ints, lead, _unit_points(ctx), {}
 
     @cached_property
-    def table(self):
-        """The support-exclusion table, or None outside the one-dimensional setting."""
-        if _dim1_setting(self.delta):
-            return _exclusion_table(self.order, self.delta, self.targets)
-        return None
+    def exclusions(self):
+        """The support-exclusion table and the candidates' reduced-basis order
+        (by decreasing lead), or None outside the one-dimensional setting. The
+        leads are the targets, so one order serves every valid lift."""
+        if not _dim1_setting(self.delta):
+            return None
+        order, targets = self.order, self.targets
+        by_lead = sorted(range(len(targets)), key=lambda k: order.sort_key(targets[k]), reverse=True)
+        return _exclusion_table(order, self.delta, targets), by_lead
 
     def __call__(self, assignment) -> Optional[ValidLift]:
         p, values = self.scalars
         if not _valid_lift(self.equations, values, p, assignment):
             return None
-        order = self.order
-        polys = _build_lift(order, self.targets, self.slots, self.coeffs, assignment)
+        polys = _build_lift(self.order, self.targets, self.slots, self.coeffs, assignment)
         violations: Tuple[SupportViolation, ...] = ()
-        if self.table is not None:
+        if self.exclusions is not None:
             # valid: the monic candidates, by decreasing lead, are the reduced basis
-            basis = sorted(polys, key=lambda g: order.sort_key(g.leading_monomial()), reverse=True)
-            violations = tuple(_excluded_tails(basis, self.table))
-        return ValidLift(tuple(polys), _coordinate_points(polys, self.units, self.codim), violations)
+            table, by_lead = self.exclusions
+            violations = tuple(_excluded_tails([polys[k] for k in by_lead], table))
+        table, ints, lead, units, memo = self.jacobian
+        slot_values = [ints[a] for a in assignment]
+        slot_values.append(lead)
+        points = _point_verdicts(table, slot_values, units, self.codim, memo)
+        return ValidLift(tuple(polys), points, violations)
 
 
 class LiftSearchResult(Record):
@@ -704,10 +775,12 @@ def lift_search(
     evaluating the remainder coefficients at its own (``_valid_lift``). Only
     valid candidates are built as polynomials. They get Jacobian verdicts at
     all coordinate points, plus the tail-support exclusion checks in the
-    one-dimensional setting. The coordinate points and the exclusion table are
-    built at the first valid lift, once per search (once per chunk of work
-    with ``workers`` > 1); each worker returns finished ``ValidLift``s, so the
-    Jacobians and the support scan are spread with the validity checks.
+    one-dimensional setting. The coordinate-point table and the exclusion
+    table are built at the first valid lift, once per search (once per chunk
+    of work with ``workers`` > 1), and a point's verdict is ranked once per
+    distinct set of values of the slots it reads; each worker returns finished
+    ``ValidLift``s, so the Jacobians and the support scan are spread with the
+    validity checks.
     """
     ctx = order.ctx
     M = to_ideal(delta, ctx)  # which checks the vertex count

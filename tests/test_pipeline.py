@@ -784,9 +784,20 @@ class TestStratumEquationsOracle:
 
     @staticmethod
     def agree(res, checked, order):
+        """The search's lifts are the oracle's valid candidates, and each lift's
+        coordinate points are ``jacobian_rank_at`` at every e_i, whatever the
+        search memoized."""
         drawn = candidates(*checked[-1])
         want = [c for c in drawn if ref_valid_lift(c, order)]
         assert [lift.polys for lift in res.lifts] == want
+        ctx = order.ctx
+        codim = (ctx.n - 1) - res.delta.dim
+        units = [ProjPoint.coordinate(ctx.field, ctx.n, i) for i in range(ctx.n)]
+        for lift in res.lifts:
+            if lift.polys:
+                assert lift.coordinate_points == tuple(jacobian_rank_at(lift.polys, e, codim) for e in units)
+            else:  # a full simplex: no generators, no points
+                assert lift.coordinate_points == ()
         return len(drawn), len(want)
 
     @pytest.mark.parametrize(
@@ -826,6 +837,15 @@ class TestStratumEquationsOracle:
                     t, f = self.agree(res, checked, order)
                     tried, found = tried + t, found + f
         assert ghosts and non_pure and 0 < found < tried
+
+    def test_worker_chunks_memoize_the_same_verdicts(self, checked):
+        """Each chunk of work keeps its own verdict memo; the answer is the one-process one."""
+        drl = MonomialOrder.degrevlex(ctx_n(TestLiftOracle.STAR.n))
+        pool = (0, Fraction(1, 2), -1)
+        one = lift_search(TestLiftOracle.STAR, drl, pool=pool, budget=243)
+        two = lift_search(TestLiftOracle.STAR, drl, pool=pool, budget=243, workers=2)
+        assert two == one and one.lifts
+        self.agree(two, checked, drl)
 
 
 class TestCoordinatePointsOracle:
@@ -1270,6 +1290,25 @@ class TestNoWorkTwice:
         # a worker's pickled copy carries the equations; it does not build them
         run = checked[-1][0]
         assert run.equations and pickle.loads(pickle.dumps(run)).equations == run.equations
+
+    def test_lift_search_ranks_each_point_key_once(self, monkeypatch):
+        """The corpus 4-cycle (``corpus/lift_cycle4.job``): 128 valid lifts, 512
+        point verdicts. A verdict at e_i is ranked once per key: i and the
+        coefficients of the monomials its Jacobian reads there (x_i^d,
+        x_i^(d-1)*x_j, and every linear one)."""
+        ranks = count_calls(monkeypatch, "rank_int", module="linalg")
+        four_cycle = SimplicialComplex.from_facets(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        res = lift_search(four_cycle, MonomialOrder.degrevlex(ctx_n(4)), pool=(-1, 1), budget=200)
+        golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "corpus", "golden", "lift_cycle4.json")
+        with open(golden) as f:
+            assert to_jsonable(res.as_dict()) == json.load(f)
+        keys = {
+            (i, tuple((k, m.exps, c) for k, g in enumerate(lift.polys) for m, c in g.terms if m.exps[i] >= m.degree() - 1))
+            for lift in res.lifts
+            for i in range(4)
+        }
+        assert len(res.lifts) * 4 == 512
+        assert len(ranks) == len(keys) < 512
 
     def test_lift_search_builds_each_valid_lift_once(self, monkeypatch):
         built = count_calls(monkeypatch, "_build_lift", module="pipeline")
