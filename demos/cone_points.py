@@ -9,7 +9,7 @@ original quotient. Here the quotient is a domain, so in fact every variable
 is regular and the certificate is sufficient but not necessary.
 """
 
-from grodeg import MonomialOrder, analyze, parse_polynomial, standard_context
+from grodeg import MonomialOrder, analyze, parse_polynomial, standard_context, to_jsonable
 
 
 def main():
@@ -20,7 +20,7 @@ def main():
         for t in ("x1*x5 - x2*x4", "x1*x6 - x3*x4", "x2*x6 - x3*x5")
     ]
 
-    d = analyze(gens, drl).as_dict()
+    d = to_jsonable(analyze(gens, drl))
     print("reduced basis :", d["reduced_groebner_basis"])
     print("initial ideal :", d["initial_ideal"])
     print(d["facets"])

@@ -6,7 +6,7 @@ door to the whole Stanley-Reisner toolbox, and every smoothing obstruction
 certifies on it.
 """
 
-from grodeg import MonomialOrder, analyze, parse_polynomial, scan_orders, standard_context
+from grodeg import MonomialOrder, analyze, parse_polynomial, scan_orders, standard_context, to_jsonable
 
 
 def main():
@@ -18,14 +18,14 @@ def main():
     print()
     print("initial ideals over all permutation orders, both families:")
     for report in scan_orders([cubic], family="both"):
-        d = report.as_dict()
+        d = to_jsonable(report)
         flag = "square-free" if d["squarefree"] else "not square-free"
         orders = ", ".join(d["producing_orders"])
         print(f"  ({', '.join(d['initial_ideal'])})  [{flag}]  from {orders}")
 
     print()
     print("full analysis along lex x>y>z:")
-    d = analyze([cubic], lex).as_dict()
+    d = to_jsonable(analyze([cubic], lex))
     print(f"  reduced basis : {d['reduced_groebner_basis']}")
     print(f"  initial ideal : {d['initial_ideal']}")
     print(f"  {d['facets']}")

@@ -7,13 +7,13 @@ the coordinate points. For cycles every valid lift stays singular at the
 top point, which is exactly what a smoothing would have to avoid.
 """
 
-from grodeg import MonomialOrder, lift_search, standard_context, SimplicialComplex
+from grodeg import MonomialOrder, lift_search, standard_context, SimplicialComplex, to_jsonable
 
 
 def show(delta, ctx, caption, budget):
     order = MonomialOrder.degrevlex(ctx)
     result = lift_search(delta, order, pool=(-1, 1), budget=budget)
-    d = result.as_dict()
+    d = to_jsonable(result)
     print(caption)
     print(f"  targets           : {d['targets']} (top variable {d['top_variable']})")
     print(f"  candidate space   : {d['candidate_space']} (exhaustive: {d['exhaustive']})")

@@ -195,7 +195,7 @@ class CohomologyProfile(Record):
     def as_dict(self) -> dict:
         return {
             "field": self.field.render(),
-            "dims": list(self.dims),
+            "dims": self.dims,
             "reduced_euler_characteristic": self.reduced_euler,
             "acyclic": self.is_acyclic(),
         }
@@ -268,10 +268,10 @@ class ComplexPropertyReport(Record):
             "buchsbaum": self.buchsbaum,
             "acyclic": self.acyclic,
             "negative_a_invariant_given_cm": self.negative_a_invariant_given_cm,
-            "leaves": list(self.leaves),
-            "free_faces": [list(f) for f in self.free_faces],
-            "cone_points": list(self.cone_points),
-            "ghost_vertices": list(self.ghost_vertices),
+            "leaves": self.leaves,
+            "free_faces": self.free_faces,
+            "cone_points": self.cone_points,
+            "ghost_vertices": self.ghost_vertices,
         }
 
 

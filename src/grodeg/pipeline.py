@@ -19,10 +19,15 @@ one table of what each point e_i reads: which coefficients land in which
 entries of its matrix, and which make a generator nonzero there
 (``_point_table``). A lift search builds it once, over its tail slots, and
 memoizes each verdict on the point and the values of the slots it reads
-(``_point_verdicts``); ``_coordinate_points`` builds it from one basis. Any
-other point goes to the one evaluator of ``singularity``, which serves
-``jacobian_rank_at`` (the reference the tests hold the table to) and the
-singular points of ``count_points``.
+(``_point_verdicts``), keeping one verdict record per point, on-scheme flag
+and rank for its lifts to share; ``_coordinate_points`` builds it from one
+basis. Any other point goes to the one evaluator of ``singularity``, which
+serves ``jacobian_rank_at`` (the reference the tests hold the table to) and
+the singular points of ``count_points``.
+
+Each result's ``as_dict`` holds its own fields only, with nested results
+left as records; ``reporting`` converts the tree, and writes a record that
+several lifts share once.
 
 Everything is deterministic: sampling is seeded, parallel runs pre-generate
 their work lists so worker count never changes the answer.
@@ -34,7 +39,6 @@ import hashlib
 import itertools
 import random
 from functools import cached_property, partial
-from math import lcm
 from operator import add, le, sub
 from typing import Dict, List, Optional, Tuple
 
@@ -48,7 +52,7 @@ from .complexes import (
 from .errors import ResourceLimitError, ScanBoundExceeded
 from .fields import Field, PrimeField, QQ, is_prime
 from .groebner import DEFAULT_DEGREE_CAP, GroebnerBasis, MonomialIdeal, buchberger, initial_ideal
-from .linalg import rank_int, rank_mod_p
+from .linalg import primitive_integers, rank_int, rank_mod_p
 from .records import Record
 from .ring import Monomial, MonomialOrder, Polynomial, RingContext, render_chain
 from .singularity import (
@@ -139,13 +143,15 @@ def _point_table(gens_slots, n: int) -> tuple:
     )
 
 
-def _point_verdicts(table, values, units, codim: int, memo: dict) -> Tuple[JacobianAnalysis, ...]:
+def _point_verdicts(table, values, units, codim: int, memo: dict, verdicts: dict) -> Tuple[JacobianAnalysis, ...]:
     """The Jacobian verdict at each point of ``table`` (``_point_table``),
     with ``values`` the integers at the slots: residues over GF(p), and over QQ
     any integers proportional generator by generator to the coefficients. A
     verdict depends only on the point and the values it reads, so it is kept
     in ``memo`` under that key; only a miss builds the point's matrix for
-    ``rank_int``/``rank_mod_p``.
+    ``rank_int``/``rank_mod_p``. ``verdicts`` holds one record per (point,
+    on_scheme, rank), so lifts with equal verdicts share the record and the
+    writer renders it once.
     """
     p = units[0].field.characteristic()
     out = []
@@ -160,7 +166,10 @@ def _point_verdicts(table, values, units, codim: int, memo: dict) -> Tuple[Jacob
             rows = list(rows.values())
             on_scheme = not any(map(values.__getitem__, nonzero))
             rank = rank_mod_p(rows, p) if p else rank_int(rows)
-            a = memo[key] = _classified(units[i], on_scheme, rank, codim)
+            shared = (i, on_scheme, rank)
+            if shared not in verdicts:
+                verdicts[shared] = _classified(units[i], on_scheme, rank, codim)
+            a = memo[key] = verdicts[shared]
         out.append(a)
     return tuple(out)
 
@@ -180,7 +189,7 @@ def _coordinate_points(gens, units, codim: int) -> Tuple[JacobianAnalysis, ...]:
         terms = g.integer_terms()
         gens_slots.append([(e, len(values) + s) for s, (e, _) in enumerate(terms)])
         values.extend(c for _, c in terms)
-    return _point_verdicts(_point_table(gens_slots, len(units)), values, units, codim, {})
+    return _point_verdicts(_point_table(gens_slots, len(units)), values, units, codim, {}, {})
 
 
 def _conjecture_summary(props: ComplexPropertyReport, points) -> dict:
@@ -262,19 +271,19 @@ class DegenerationReport(Record):
             "ring": ctx.render(),
             "order": self.order.render(),
             "generators": [g.render() for g in self.generators],
-            "reduced_groebner_basis": list(self.basis.render_polys()),
-            "initial_ideal": list(self.initial.render_gens()),
+            "reduced_groebner_basis": self.basis.render_polys(),
+            "initial_ideal": self.initial.render_gens(),
             "squarefree": self.squarefree,
-            "producing_orders": list(self.producing_orders),
+            "producing_orders": self.producing_orders,
         }
         if not self.squarefree:
             return out
         out["facets"] = self.delta.render()
-        out["complex"] = self.properties.as_dict()
-        out["cohomology"] = self.properties.cohomology.as_dict()
+        out["complex"] = self.properties
+        out["cohomology"] = self.properties.cohomology
         out["necessary_conditions"] = self.necessary_conditions()
-        out["coordinate_points"] = [a.as_dict() for a in self.coordinate_points]
-        out["obstructions"] = [o.as_dict() for o in self.obstructions]
+        out["coordinate_points"] = self.coordinate_points
+        out["obstructions"] = self.obstructions
         out["conjectures"] = self.conjectures
         return out
 
@@ -595,15 +604,12 @@ class ValidLift(Record):
         on = [a for a in self.coordinate_points if a.on_scheme]
         return bool(on) and all(a.verdict == "singular" for a in on)
 
-    def as_dict(self, points=None) -> dict:
-        """``points``, when given, are the coordinate-point entries already rendered."""
-        if points is None:
-            points = [a.as_dict() for a in self.coordinate_points]
+    def as_dict(self) -> dict:
         return {
             "generators": [g.render() for g in self.polys],
-            "coordinate_points": points,
+            "coordinate_points": self.coordinate_points,
             "singular_at_every_scheme_point": self.singular_at_every_scheme_point(),
-            "support_violations": [v.as_dict() for v in self.support_violations],
+            "support_violations": self.support_violations,
         }
 
 
@@ -644,10 +650,10 @@ class _LiftCheck(Record):
 
     @cached_property
     def jacobian(self) -> tuple:
-        """``(table, pool integers, target coefficient, units, memo)`` for
-        ``_point_verdicts``: the tail slots, then one slot for every target.
-        Over GF(p) residues and 1; over QQ the pool times the lcm L of its
-        denominators and L, which scales each candidate's row by L."""
+        """``(table, pool integers, target coefficient, units, memo, verdicts)``
+        for ``_point_verdicts``: the tail slots, then one slot for every target.
+        Over GF(p) residues and 1; over QQ the pool and 1 cleared together to
+        primitive integers, which scales each candidate's row by one constant."""
         gens_slots = [[(t.exps, len(self.slots))] for t in self.targets]
         for s, (ti, m) in enumerate(self.slots):
             gens_slots[ti].append((m.exps, s))
@@ -655,10 +661,9 @@ class _LiftCheck(Record):
         if p:
             ints, lead = [c.v for c in self.coeffs], 1
         else:
-            lead = lcm(*(c.denominator for c in self.coeffs))
-            ints = [c.numerator * (lead // c.denominator) for c in self.coeffs]
+            *ints, lead = primitive_integers([*self.coeffs, 1])
         ctx = self.order.ctx
-        return _point_table(gens_slots, ctx.n), ints, lead, _unit_points(ctx), {}
+        return _point_table(gens_slots, ctx.n), ints, lead, _unit_points(ctx), {}, {}
 
     @cached_property
     def exclusions(self):
@@ -681,10 +686,10 @@ class _LiftCheck(Record):
             # valid: the monic candidates, by decreasing lead, are the reduced basis
             table, by_lead = self.exclusions
             violations = tuple(_excluded_tails([polys[k] for k in by_lead], table))
-        table, ints, lead, units, memo = self.jacobian
+        table, ints, lead, units, memo, verdicts = self.jacobian
         slot_values = [ints[a] for a in assignment]
         slot_values.append(lead)
-        points = _point_verdicts(table, slot_values, units, self.codim, memo)
+        points = _point_verdicts(table, slot_values, units, self.codim, memo, verdicts)
         return ValidLift(tuple(polys), points, violations)
 
 
@@ -712,23 +717,9 @@ class LiftSearchResult(Record):
         )
 
     def as_dict(self) -> dict:
-        """The report; each distinct coordinate-point entry is one shared dict.
-
-        A lift's i-th coordinate point is e_i, so an entry is fixed by i and the
-        verdict's values, and the entries hardly vary within one search.
-        """
         ctx = self.order.ctx
         field = ctx.field
         top = self.top_variable()
-        entries = {}
-
-        def entry(i, a: JacobianAnalysis) -> dict:
-            key = (i, a.on_scheme, a.rank, a.expected_codim, a.verdict)
-            d = entries.get(key)
-            if d is None:
-                d = entries[key] = a.as_dict()
-            return d
-
         return {
             "facets": self.delta.render(),
             "ring": ctx.render(),
@@ -744,10 +735,7 @@ class LiftSearchResult(Record):
             "top_variable": ctx.names[top],
             "valid_lift_count": len(self.lifts),
             "lifts_singular_at_top_point": self.lifts_singular_at_top_point(),
-            "valid_lifts": [
-                lift.as_dict([entry(i, a) for i, a in enumerate(lift.coordinate_points)])
-                for lift in self.lifts
-            ],
+            "valid_lifts": self.lifts,
         }
 
 
@@ -849,7 +837,7 @@ class PointCountResult(Record):
             "projective_points": self.count,
             "trace": self.trace,
             "smooth": self.smooth,
-            "singular_points": list(self.singular_points),
+            "singular_points": self.singular_points,
             "supersingular": self.supersingular,
             "hasse_bound_ok": self.hasse_ok,
         }
@@ -927,10 +915,10 @@ class ComplexReport(Record):
             "facets": self.delta.render(),
             "n": self.delta.n,
             "dim": self.delta.dim,
-            "f_vector": list(self.delta.f_vector()),
-            "properties": self.properties.as_dict(),
-            "cohomology": self.properties.cohomology.as_dict(),
-            "lex_obstruction": self.lex.as_dict(),
+            "f_vector": self.delta.f_vector(),
+            "properties": self.properties,
+            "cohomology": self.properties.cohomology,
+            "lex_obstruction": self.lex,
         }
 
 

@@ -2,10 +2,13 @@
 
 JSON output is byte-stable and equals ``json.dumps(to_jsonable(obj),
 indent=2, sort_keys=True)`` plus a trailing newline, UTF-8 (in fact ASCII).
-It is written in one recursive pass straight from the ``as_dict`` data, with
-no intermediate copy: keys are sorted, strings quoted by the ``json`` module's
-own ASCII escaper, and a dict that occurs more than once in one report (a
-lift search shares its coordinate-point entries) is encoded once. Floats are
+Each result's ``as_dict`` gives its own fields only, one level deep: nested
+results stay result objects and tuples stay tuples, and the two walks below
+are the only code that converts them. The JSON text is written in one
+recursive pass straight from that data, with no intermediate copy: keys are
+sorted, strings quoted by the ``json`` module's own ASCII escaper, and a
+result object that occurs more than once in one report (the lifts of a
+search share their coordinate-point verdicts) is encoded once. Floats are
 refused, since no result carries one. The text format is a plain indented
 key/value listing with the same key ordering, built from ``to_jsonable``;
 neither format ever emits color codes.
@@ -34,8 +37,6 @@ def to_jsonable(obj):
 
 def _plain(obj):
     """One step of ``to_jsonable`` for what ``_json`` has no fast path for."""
-    if hasattr(obj, "as_dict"):
-        return obj.as_dict()
     if isinstance(obj, dict):
         return {str(k): v for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -48,9 +49,9 @@ def _plain(obj):
 def _json(obj, pad: str, memo: dict) -> str:
     """The JSON text of ``obj`` whose line starts with ``pad``.
 
-    ``memo`` maps the ``id`` of each dict encoded so far to the dict, its pad
-    and its text, and holds every value ``_plain`` made. Holding them keeps
-    their ids from being reused by a later object during the call.
+    ``memo`` maps the ``id`` of each result object encoded so far to the
+    object, its pad and its text. Holding the object keeps its id from being
+    reused by a later object during the call.
     """
     t = type(obj)
     if t is str:
@@ -65,9 +66,6 @@ def _json(obj, pad: str, memo: dict) -> str:
         return "false"
     inner = pad + "  "
     if t is dict:
-        seen = memo.get(id(obj))
-        if seen is not None and seen[1] == pad:
-            return seen[2]
         if not obj:
             return "{}"
         if all(type(k) is str for k in obj):
@@ -75,11 +73,9 @@ def _json(obj, pad: str, memo: dict) -> str:
         else:
             items = sorted({str(k): v for k, v in obj.items()}.items())
         sep = ",\n" + inner
-        text = "{\n" + inner + sep.join(
+        return "{\n" + inner + sep.join(
             [_quote(k) + ": " + (_quote(v) if type(v) is str else _json(v, inner, memo)) for k, v in items]
         ) + "\n" + pad + "}"
-        memo[id(obj)] = (obj, pad, text)
-        return text
     if t is list or t is tuple:
         if not obj:
             return "[]"
@@ -87,9 +83,12 @@ def _json(obj, pad: str, memo: dict) -> str:
         return "[\n" + inner + sep.join(
             [_quote(v) if type(v) is str else _json(v, inner, memo) for v in obj]
         ) + "\n" + pad + "]"
-    plain = _plain(obj)
-    memo[id(plain)] = (plain, None, None)  # alive until the call ends
-    return _json(plain, pad, memo)
+    if hasattr(obj, "as_dict"):
+        seen = memo.get(id(obj))
+        if seen is None or seen[1] != pad:
+            seen = memo[id(obj)] = (obj, pad, _json(obj.as_dict(), pad, memo))
+        return seen[2]
+    return _json(_plain(obj), pad, memo)
 
 
 def _scalar(v) -> str:

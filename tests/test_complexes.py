@@ -20,6 +20,7 @@ from grodeg import (
     reduced_cohomology,
     standard_context,
     to_ideal,
+    to_jsonable,
 )
 
 from conftest import (
@@ -425,7 +426,8 @@ class TestPropertyReport:
         assert property_report(ghosty, QQ).ghost_vertices == (1, 4)
 
     def test_as_dict_uses_lists(self):
-        d = property_report(PATH, QQ).as_dict()
+        # as_dict keeps the record's tuples; its plain data has lists
+        d = to_jsonable(property_report(PATH, QQ))
         assert d["leaves"] == [1, 3]
         assert d["free_faces"] == [[1], [3]]
         assert d["cohen_macaulay"] is True

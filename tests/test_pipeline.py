@@ -636,7 +636,7 @@ class TestLiftSearch:
         drl = MonomialOrder.degrevlex(ctx_n(len(facet)))
         res = lift_search(SimplicialComplex.from_facets(len(facet), [facet]), drl)
         assert (res.space, res.tried, res.targets) == (1, 1, ())
-        assert [lift.as_dict() for lift in res.lifts] == [{
+        assert [to_jsonable(lift) for lift in res.lifts] == [{
             "generators": [],
             "coordinate_points": [],
             "singular_at_every_scheme_point": False,
@@ -1202,7 +1202,7 @@ class TestNoWorkTwice:
         assert len(calls) == 1 + len(distinct_links(OCTAHEDRON))
         assert len(calls) == 4  # the octahedron, two labellings of the 4-cycle, S^0
         assert [a[0] for a in calls].count(OCTAHEDRON) == 1
-        assert report.as_dict()["cohomology"]["dims"] == [0, 0, 1]
+        assert to_jsonable(report)["cohomology"]["dims"] == [0, 0, 1]
 
     def test_analyze_computes_each_cohomology_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "reduced_cohomology")

@@ -2,6 +2,7 @@
 sort_keys=True)`` plus a newline, and the text format pinned."""
 
 import hashlib
+import inspect
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -87,6 +88,12 @@ def test_a_dict_shared_at_two_depths_is_written_at_each():
     assert render_report(tree, "json") == oracle(tree)
 
 
+def test_a_result_shared_at_two_depths_is_written_at_each():
+    shared = Report([1, {"k": None}])
+    tree = [shared, {"a": shared, "b": [shared]}, shared]
+    assert render_report(tree, "json") == oracle(tree)
+
+
 def test_fresh_as_dict_results_are_never_mistaken_for_each_other():
     # each as_dict builds a new dict that dies once written unless the writer
     # holds it: a memo keyed by a reused id would repeat an earlier entry
@@ -124,6 +131,25 @@ def test_lift_search_bytes_do_not_depend_on_the_worker_count(tmp_path):
         assert main(["lift-search", str(CORPUS / "lift_cycle4.job"), "--jobs", workers, "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == (CORPUS / "golden" / "lift_cycle4.json").read_bytes()
+
+
+def test_the_lifts_of_a_search_share_each_distinct_verdict(monkeypatch, tmp_path):
+    # the writer encodes a shared verdict once, so one record per lift and
+    # point would multiply its work
+    searches = []
+    real = cli.render_report
+
+    def capture(obj, fmt="json"):
+        searches.append(obj)
+        return real(obj, fmt)
+
+    monkeypatch.setattr(cli, "render_report", capture)
+    out = tmp_path / "report.json"
+    assert main(["lift-search", str(CORPUS / "lift_cycle4.job"), "--jobs", "1", "--out", str(out)]) == 0
+    (search,) = searches
+    verdicts = [(i, a) for lift in search.lifts for i, a in enumerate(lift.coordinate_points)]
+    assert len(verdicts) == 512
+    assert len({id(a) for _, a in verdicts}) == len({(i, a.on_scheme, a.rank) for i, a in verdicts}) == 4
 
 
 def test_text_bytes_of_a_corpus_lift_report_are_pinned(tmp_path):
@@ -204,6 +230,7 @@ def exported_results():
 def test_every_exported_result_renders(exported_results, name):
     result = exported_results[name]
     assert type(result).__name__ == name
+    assert list(inspect.signature(type(result).as_dict).parameters) == ["self"]
     assert isinstance(to_jsonable(result), dict)  # its own fields, not its repr
     assert render_report(result) == oracle(result)
     assert render_report(result, "text")
