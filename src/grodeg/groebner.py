@@ -154,9 +154,6 @@ class MonomialIdeal(Record):
     def render_gens(self):
         return tuple(self.ctx.render_monomial(g) for g in self.gens)
 
-    def same_monomials(self, other: "MonomialIdeal") -> bool:
-        return tuple(g.exps for g in self.gens) == tuple(g.exps for g in other.gens)
-
 
 def buchberger(gens, order: MonomialOrder, *, degree_cap: int = DEFAULT_DEGREE_CAP, strategy: str = "normal") -> GroebnerBasis:
     """Complete the generators to the reduced Groebner basis under order.

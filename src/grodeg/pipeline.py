@@ -11,19 +11,10 @@ Four entry points:
   and test each valid one for singularities at the coordinate points. The
   lift criterion is solved once per search, as equations in the tail
   coefficients (``_stratum_equations``); each candidate is an evaluation.
+  The coordinate-point table of ``singularity`` is built once per search,
+  over the tail slots, with its verdicts memoized (``_LiftCheck.jacobian``).
 * ``count_points``: exact point counts of a plane curve over GF(p), with the
   trace and supersingularity flags when the curve is a smooth cubic.
-
-The coordinate-point Jacobians of ``analyze`` and ``lift_search`` come from
-one table of what each point e_i reads: which coefficients land in which
-entries of its matrix, and which make a generator nonzero there
-(``_point_table``). A lift search builds it once, over its tail slots, and
-memoizes each verdict on the point and the values of the slots it reads
-(``_point_verdicts``), keeping one verdict record per point, on-scheme flag
-and rank for its lifts to share; ``_coordinate_points`` builds it from one
-basis. Any other point goes to the one evaluator of ``singularity``, which
-serves ``jacobian_rank_at`` (the reference the tests hold the table to) and
-the singular points of ``count_points``.
 
 Each result's ``as_dict`` holds its own fields only, with nested results
 left as records; ``reporting`` converts the tree, and writes a record that
@@ -52,7 +43,7 @@ from .complexes import (
 from .errors import ResourceLimitError, ScanBoundExceeded
 from .fields import Field, PrimeField, QQ, is_prime
 from .groebner import DEFAULT_DEGREE_CAP, GroebnerBasis, MonomialIdeal, buchberger, initial_ideal
-from .linalg import primitive_integers, rank_int, rank_mod_p
+from .linalg import primitive_integers
 from .records import Record
 from .ring import Monomial, MonomialOrder, Polynomial, RingContext, render_chain
 from .singularity import (
@@ -60,13 +51,16 @@ from .singularity import (
     ObstructionVerdict,
     ProjPoint,
     SupportViolation,
-    _classified,
+    _coordinate_points,
     _dim1_setting,
     _excluded_tails,
     _exclusion_table,
     _jacobian_at,
+    _point_table,
+    _point_verdicts,
     _require_homogeneous,
     _require_standard_grading,
+    _unit_points,
     ci_obstruction,
     leafless_obstruction,
     lex_obstruction,
@@ -92,104 +86,6 @@ def ideal_digest(ctx: RingContext, gens) -> str:
     entries.sort()
     blob = ctx.render() + "||" + "|".join(entries)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _unit_points(ctx: RingContext) -> Tuple[ProjPoint, ...]:
-    """The coordinate points e_1, ..., e_n of the ring's projective space."""
-    return tuple(ProjPoint.coordinate(ctx.field, ctx.n, i) for i in range(ctx.n))
-
-
-def _point_table(gens_slots, n: int) -> tuple:
-    """What each coordinate point e_1, ..., e_n reads of generators whose terms
-    are given as ``(exponents, slot)`` pairs, the coefficient of each term being
-    the value at its slot.
-
-    The generators are homogeneous of positive degree in the standard grading.
-    At e_i a term c*x^e of degree d is nonzero only when x^e = x_i^d, and its
-    partials only when x^e = x_i^d (d*c in column i) or x^e = x_i^(d-1)*x_j (c
-    in column j). A linear term c*x_j is both at every point: it puts c in
-    column j of every row. Point i gets ``(reads, entries, nonzero)``: the slots
-    it reads, sorted; its Jacobian entries ``(generator, column, multiplier,
-    slot)``; and the slots of the terms that are nonzero at it. With no
-    generators there are no points, as in the one empty lift of a full simplex.
-    """
-    if not gens_slots:
-        return ()
-    entries = [[] for _ in range(n)]
-    nonzero = [[] for _ in range(n)]
-    for k, terms in enumerate(gens_slots):
-        for e, s in terms:
-            d = sum(e)
-            if max(e) < d - 1:  # nonzero at no e_i, with all its partials
-                continue
-            if d == 1:
-                j = e.index(1)
-                nonzero[j].append(s)
-                for point in entries:
-                    point.append((k, j, 1, s))
-            elif d in e:  # a nonzero value at e_i
-                i = e.index(d)
-                nonzero[i].append(s)
-                entries[i].append((k, i, d, s))
-            else:
-                i = e.index(d - 1)
-                j = e.index(1, i + 1) if d == 2 else e.index(1)
-                entries[i].append((k, j, 1, s))
-                if d == 2:  # x_i*x_j is also x_j^(d-1)*x_i
-                    entries[j].append((k, i, 1, s))
-    return tuple(
-        (tuple(sorted({s for *_, s in es}.union(zs))), tuple(es), tuple(zs))
-        for es, zs in zip(entries, nonzero)
-    )
-
-
-def _point_verdicts(table, values, units, codim: int, memo: dict, verdicts: dict) -> Tuple[JacobianAnalysis, ...]:
-    """The Jacobian verdict at each point of ``table`` (``_point_table``),
-    with ``values`` the integers at the slots: residues over GF(p), and over QQ
-    any integers proportional generator by generator to the coefficients. A
-    verdict depends only on the point and the values it reads, so it is kept
-    in ``memo`` under that key; only a miss builds the point's matrix for
-    ``rank_int``/``rank_mod_p``. ``verdicts`` holds one record per (point,
-    on_scheme, rank), so lifts with equal verdicts share the record and the
-    writer renders it once.
-    """
-    p = units[0].field.characteristic()
-    out = []
-    for i, (reads, entries, nonzero) in enumerate(table):
-        key = (i, *map(values.__getitem__, reads))
-        a = memo.get(key)
-        if a is None:
-            rows = {}  # generator -> its row
-            for k, j, mult, s in entries:
-                if values[s]:
-                    rows.setdefault(k, {})[j] = mult * values[s]
-            rows = list(rows.values())
-            on_scheme = not any(map(values.__getitem__, nonzero))
-            rank = rank_mod_p(rows, p) if p else rank_int(rows)
-            shared = (i, on_scheme, rank)
-            if shared not in verdicts:
-                verdicts[shared] = _classified(units[i], on_scheme, rank, codim)
-            a = memo[key] = verdicts[shared]
-        out.append(a)
-    return tuple(out)
-
-
-def _coordinate_points(gens, units, codim: int) -> Tuple[JacobianAnalysis, ...]:
-    """Jacobian verdicts at every coordinate point (``units``, from
-    ``_unit_points``) against ``codim``: ``jacobian_rank_at`` at each e_i.
-
-    Precondition, which the callers establish: the generators lie in the ring
-    of ``units``, of the standard grading, each homogeneous of positive degree
-    (``analyze`` and ``scan_orders`` check their input). Each term is its own
-    slot of ``_point_table``, at its ``Polynomial.integer_terms`` coefficient;
-    a lift search builds that table once for all its lifts instead.
-    """
-    gens_slots, values = [], []
-    for g in gens:
-        terms = g.integer_terms()
-        gens_slots.append([(e, len(values) + s) for s, (e, _) in enumerate(terms)])
-        values.extend(c for _, c in terms)
-    return _point_verdicts(_point_table(gens_slots, len(units)), values, units, codim, {}, {})
 
 
 def _conjecture_summary(props: ComplexPropertyReport, points) -> dict:
@@ -657,11 +553,8 @@ class _LiftCheck(Record):
         gens_slots = [[(t.exps, len(self.slots))] for t in self.targets]
         for s, (ti, m) in enumerate(self.slots):
             gens_slots[ti].append((m.exps, s))
-        p, _ = self.scalars
-        if p:
-            ints, lead = [c.v for c in self.coeffs], 1
-        else:
-            *ints, lead = primitive_integers([*self.coeffs, 1])
+        p, values = self.scalars
+        *ints, lead = [*values, 1] if p else primitive_integers([*self.coeffs, 1])
         ctx = self.order.ctx
         return _point_table(gens_slots, ctx.n), ints, lead, _unit_points(ctx), {}, {}
 

@@ -1,21 +1,23 @@
 """Render result objects to bytes: canonical JSON or plain text.
 
-JSON output is byte-stable and equals ``json.dumps(to_jsonable(obj),
-indent=2, sort_keys=True)`` plus a trailing newline, UTF-8 (in fact ASCII).
-Each result's ``as_dict`` gives its own fields only, one level deep: nested
-results stay result objects and tuples stay tuples, and the two walks below
-are the only code that converts them. The JSON text is written in one
-recursive pass straight from that data, with no intermediate copy: keys are
-sorted, strings quoted by the ``json`` module's own ASCII escaper, and a
-result object that occurs more than once in one report (the lifts of a
-search share their coordinate-point verdicts) is encoded once. Floats are
-refused, since no result carries one. The text format is a plain indented
-key/value listing with the same key ordering, built from ``to_jsonable``;
-neither format ever emits color codes.
+JSON output is byte-stable and equals the ``json`` module's ``dumps`` of the
+``to_jsonable`` data (``indent=2``, ``sort_keys=True``) plus a trailing
+newline, UTF-8 (in fact ASCII). Each result's ``as_dict`` gives its own
+fields only, one level deep: nested results stay result objects and tuples
+stay tuples, and the two walks below are the only code that converts them.
+The JSON text is written in one recursive pass straight from that data, with
+no intermediate copy: keys are sorted, strings quoted by the ``json``
+module's own ASCII escaper, and a result object that occurs more than once
+in one report (the lifts of a search share their coordinate-point verdicts)
+is encoded once. Floats are refused, since no result carries one. The text
+format is a plain indented key/value listing with the same key ordering,
+read back from that JSON text (``to_jsonable`` is its oracle); neither
+format ever emits color codes.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -23,11 +25,11 @@ from json.encoder import encode_basestring_ascii as _quote
 def to_jsonable(obj):
     """Recursively convert result objects to plain JSON-ready data."""
     if hasattr(obj, "as_dict"):
-        return to_jsonable(obj.as_dict())
+        obj = obj.as_dict()
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+        return dict(zip(map(str, obj), map(to_jsonable, obj.values())))
     if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
+        return list(map(to_jsonable, obj))
     if isinstance(obj, Fraction):
         return str(obj)
     if obj is None or isinstance(obj, (bool, int, str)):
@@ -140,5 +142,5 @@ def render_report(obj, fmt: str = "json") -> bytes:
     if fmt == "json":
         return (_json(obj, "", {}) + "\n").encode("ascii")
     if fmt == "text":
-        return ("\n".join(_text_lines(to_jsonable(obj), 0)) + "\n").encode("utf-8")
+        return ("\n".join(_text_lines(json.loads(_json(obj, "", {})), 0)) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r} (want json or text)")

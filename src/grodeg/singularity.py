@@ -14,15 +14,24 @@ honest reduced Groebner bases produced upstream. The three certificates:
 - ``lex_obstruction``: purely combinatorial; if every vertex has more link
   vertices than dim of the complex, no lex order admits a smooth lift.
 
-``jacobian_rank_at`` takes any point; it and ``pipeline.count_points`` share
-one integer evaluator (``_jacobian_at``). ``support_exclusions`` checks the
-setting (``_check_dim1_setting``) and is then two parts: a table from each
-leading monomial to its forbidden tails (``_exclusion_table``), and a scan of
-one basis against it (``_excluded_tails``). The table depends only on the
-order, the complex and the leading monomials, so a lift search, whose own
-non-face generators are the leads, builds it once for all its lifts and
-skips the check. ``leafless_obstruction`` reads its violations from
-``support_exclusions``.
+The coordinate-point Jacobians of ``analyze``, ``lift_search`` and the
+certificates come from one table of what each point e_i reads: which
+coefficients land in which entries of its matrix, and which make a generator
+nonzero there (``_point_table``). ``_coordinate_points`` builds it from one
+basis; a lift search builds it once, over its tail slots, and memoizes each
+verdict on the point and the values of the slots it reads
+(``_point_verdicts``), one record per point, on-scheme flag and rank. Any
+other point goes to the one integer evaluator ``_jacobian_at``, which serves
+``jacobian_rank_at`` (the table's reference in the tests) and the singular
+points of ``pipeline.count_points``.
+
+``support_exclusions`` checks the setting (``_check_dim1_setting``) and is
+then two parts: a table from each leading monomial to its forbidden tails
+(``_exclusion_table``), and a scan of one basis against it
+(``_excluded_tails``). The table depends only on the order, the complex and
+the leading monomials, so a lift search, whose own non-face generators are the
+leads, builds it once for all its lifts and skips the check.
+``leafless_obstruction`` reads its violations from ``support_exclusions``.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from .fields import Field
 from .groebner import GroebnerBasis, MonomialIdeal, initial_ideal
 from .linalg import primitive_integers, rank_int, rank_mod_p
 from .records import Record, asdict
-from .ring import Monomial
+from .ring import Monomial, RingContext
 
 
 class ProjPoint(Record):
@@ -175,6 +184,104 @@ def _classified(point: ProjPoint, on_scheme: bool, rank: int, expected_codim: in
     return JacobianAnalysis(point, on_scheme, rank, expected_codim, verdict)
 
 
+def _unit_points(ctx: RingContext) -> Tuple[ProjPoint, ...]:
+    """The coordinate points e_1, ..., e_n of the ring's projective space."""
+    return tuple(ProjPoint.coordinate(ctx.field, ctx.n, i) for i in range(ctx.n))
+
+
+def _point_table(gens_slots, n: int) -> tuple:
+    """What each coordinate point e_1, ..., e_n reads of generators whose terms
+    are given as ``(exponents, slot)`` pairs, the coefficient of each term being
+    the value at its slot.
+
+    The generators are homogeneous of positive degree in the standard grading.
+    At e_i a term c*x^e of degree d is nonzero only when x^e = x_i^d, and its
+    partials only when x^e = x_i^d (d*c in column i) or x^e = x_i^(d-1)*x_j (c
+    in column j). A linear term c*x_j is both at every point: it puts c in
+    column j of every row. Point i gets ``(reads, entries, nonzero)``: the slots
+    it reads, sorted; its Jacobian entries ``(generator, column, multiplier,
+    slot)``; and the slots of the terms that are nonzero at it. With no
+    generators there are no points, as in the one empty lift of a full simplex.
+    """
+    if not gens_slots:
+        return ()
+    entries = [[] for _ in range(n)]
+    nonzero = [[] for _ in range(n)]
+    for k, terms in enumerate(gens_slots):
+        for e, s in terms:
+            d = sum(e)
+            if max(e) < d - 1:  # nonzero at no e_i, with all its partials
+                continue
+            if d == 1:
+                j = e.index(1)
+                nonzero[j].append(s)
+                for point in entries:
+                    point.append((k, j, 1, s))
+            elif d in e:  # a nonzero value at e_i
+                i = e.index(d)
+                nonzero[i].append(s)
+                entries[i].append((k, i, d, s))
+            else:
+                i = e.index(d - 1)
+                j = e.index(1, i + 1) if d == 2 else e.index(1)
+                entries[i].append((k, j, 1, s))
+                if d == 2:  # x_i*x_j is also x_j^(d-1)*x_i
+                    entries[j].append((k, i, 1, s))
+    return tuple(
+        (tuple(sorted({s for *_, s in es}.union(zs))), tuple(es), tuple(zs))
+        for es, zs in zip(entries, nonzero)
+    )
+
+
+def _point_verdicts(table, values, units, codim: int, memo: dict, verdicts: dict) -> Tuple[JacobianAnalysis, ...]:
+    """The Jacobian verdict at each point of ``table`` (``_point_table``),
+    with ``values`` the integers at the slots: residues over GF(p), and over QQ
+    any integers proportional generator by generator to the coefficients. A
+    verdict depends only on the point and the values it reads, so it is kept
+    in ``memo`` under that key; only a miss builds the point's matrix for
+    ``rank_int``/``rank_mod_p``. ``verdicts`` holds one record per (point,
+    on_scheme, rank), so lifts with equal verdicts share the record and the
+    writer renders it once.
+    """
+    p = units[0].field.characteristic()
+    out = []
+    for i, (reads, entries, nonzero) in enumerate(table):
+        key = (i, *map(values.__getitem__, reads))
+        a = memo.get(key)
+        if a is None:
+            rows = {}  # generator -> its row
+            for k, j, mult, s in entries:
+                if values[s]:
+                    rows.setdefault(k, {})[j] = mult * values[s]
+            rows = list(rows.values())
+            on_scheme = not any(map(values.__getitem__, nonzero))
+            rank = rank_mod_p(rows, p) if p else rank_int(rows)
+            shared = (i, on_scheme, rank)
+            if shared not in verdicts:
+                verdicts[shared] = _classified(units[i], on_scheme, rank, codim)
+            a = memo[key] = verdicts[shared]
+        out.append(a)
+    return tuple(out)
+
+
+def _coordinate_points(gens, units, codim: int) -> Tuple[JacobianAnalysis, ...]:
+    """Jacobian verdicts at every coordinate point (``units``, from
+    ``_unit_points``) against ``codim``: ``jacobian_rank_at`` at each e_i.
+
+    Precondition, which the callers establish: the generators lie in the ring
+    of ``units``, of the standard grading, each homogeneous of positive degree
+    (each caller checks its input). Each term is its own slot of
+    ``_point_table``, at its ``Polynomial.integer_terms`` coefficient; a lift
+    search builds that table once for all its lifts instead.
+    """
+    gens_slots, values = [], []
+    for g in gens:
+        terms = g.integer_terms()
+        gens_slots.append([(e, len(values) + s) for s, (e, _) in enumerate(terms)])
+        values.extend(c for _, c in terms)
+    return _point_verdicts(_point_table(gens_slots, len(units)), values, units, codim, {}, {})
+
+
 class ObstructionVerdict(Record):
     def __init__(self, kind: str, applicable: bool, certified: bool, reason: Optional[str], witness: Dict):
         self.__dict__.update(
@@ -217,14 +324,14 @@ def ci_obstruction(B: GroebnerBasis) -> ObstructionVerdict:
         ordered += [blocks[b] for b in rest if b != last] + [blocks[last]]
     top_var = ordered[0][0]
 
-    point = ProjPoint.coordinate(B.ctx.field, n, top_var)
     codim = len(blocks)
-    analysis = jacobian_rank_at(B, point, codim)
+    _require_homogeneous(B.polys)
+    analysis = _coordinate_points(B.polys, _unit_points(B.ctx), codim)[top_var]
     certified = analysis.verdict == "singular"
     names = B.ctx.names
     witness = {
         "blocks": [[names[v] for v in blk] for blk in ordered],
-        "point": point.render(),
+        "point": analysis.point.render(),
         "distinguished_variable": names[top_var],
         "rank": analysis.rank,
         "codim": codim,
@@ -257,7 +364,7 @@ def _check_dim1_setting(ctx, delta: SimplicialComplex, leads):
     if not _dim1_setting(delta):
         raise ValueError("this certificate is for one-dimensional complexes" if delta.dim != 1
                          else "ghost vertices present (the ideal contains linear forms)")
-    if not MonomialIdeal.from_monomials(ctx, leads).same_monomials(nonfaces):
+    if MonomialIdeal.from_monomials(ctx, leads) != nonfaces:
         raise ValueError("initial ideal of the basis is not the non-face ideal of the complex")
 
 
@@ -342,9 +449,9 @@ def leafless_obstruction(B: GroebnerBasis, delta: SimplicialComplex) -> Obstruct
             f"vertex {vertex} (variable {names[v1]}) is a leaf or isolated",
             {"vertex": vertex, "link_size": len(neighbors)},
         )
-    point = ProjPoint.coordinate(B.ctx.field, n, v1)
     codim = n - 2
-    analysis = jacobian_rank_at(B, point, codim)
+    _require_homogeneous(B.polys)
+    analysis = _coordinate_points(B.polys, _unit_points(B.ctx), codim)[v1]
     bound = n - 3
     b1_rows = []
     b2_rows = []
@@ -360,13 +467,13 @@ def leafless_obstruction(B: GroebnerBasis, delta: SimplicialComplex) -> Obstruct
         "vertex": vertex,
         "distinguished_variable": names[v1],
         "link_size": len(neighbors),
-        "point": point.render(),
+        "point": analysis.point.render(),
         "rank": analysis.rank,
         "rank_bound": bound,
         "codim": codim,
         "degree2_rows_through_top_vertex": b1_rows,
         "remaining_rows": b2_rows,
-        "support_violations": [v.as_dict() for v in violations],
+        "support_violations": violations,
     }
     reason = None if certified else "rank bound or support exclusions did not verify"
     return ObstructionVerdict(kind, True, certified, reason, witness)

@@ -454,10 +454,8 @@ class TestMonomialIdeal:
         assert not nsq.is_squarefree()
         zero = MonomialIdeal.from_monomials(ctx, [])
         assert zero.is_zero() and zero.is_squarefree()
-        assert sq.same_monomials(
-            MonomialIdeal.from_monomials(ctx, [Monomial((1, 1, 0)), Monomial((1, 2, 0))])
-        )
-        assert not sq.same_monomials(nsq)
+        assert sq == MonomialIdeal.from_monomials(ctx, [Monomial((1, 1, 0)), Monomial((1, 2, 0))])
+        assert sq != nsq
 
 
 class TestGroebnerBasisContainer:

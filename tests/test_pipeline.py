@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import grodeg
-from grodeg import cli, pipeline
+from grodeg import cli, pipeline, singularity
 from grodeg.groebner import DEFAULT_DEGREE_CAP
 from grodeg.records import replace
 
@@ -885,12 +885,12 @@ class TestCoordinatePointsOracle:
         rng = random.Random(f"coordinate-points-{field.render()}")
         ctx = ctx_n(self.N, field)
         order = MonomialOrder.degrevlex(ctx)
-        units = pipeline._unit_points(ctx)
+        units = singularity._unit_points(ctx)
         verdicts = set()
         for _ in range(150):
             gens = [self.random_gen(rng, ctx, order) for _ in range(rng.randint(2, 4))]
             codim = rng.randint(1, len(gens))
-            got = pipeline._coordinate_points(gens, units, codim)
+            got = singularity._coordinate_points(gens, units, codim)
             want = tuple(
                 jacobian_rank_at(gens, ProjPoint.coordinate(field, self.N, i), codim)
                 for i in range(self.N)
@@ -1309,6 +1309,17 @@ class TestNoWorkTwice:
         }
         assert len(res.lifts) * 4 == 512
         assert len(ranks) == len(keys) < 512
+
+    def test_analyze_reaches_no_point_outside_the_table(self, monkeypatch, tmp_path):
+        """The certificates read their top point from the coordinate-point
+        table, so ``analyze`` never calls the evaluator of arbitrary points."""
+        evaluations = count_calls(monkeypatch, "_jacobian_at", module="singularity")
+        job = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "corpus", "analyze_cubic.job")
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", job, "--out", str(out)]) == 0
+        ci = json.loads(out.read_text())["obstructions"][0]
+        assert ci["kind"] == "complete_intersection" and ci["certified"]
+        assert evaluations == []
 
     def test_lift_search_builds_each_valid_lift_once(self, monkeypatch):
         built = count_calls(monkeypatch, "_build_lift", module="pipeline")

@@ -1,5 +1,6 @@
 """The JSON writer against its oracle, ``json.dumps(to_jsonable(x), indent=2,
-sort_keys=True)`` plus a newline, and the text format pinned."""
+sort_keys=True)`` plus a newline; the text format, read back from the JSON
+text, against its listing of ``to_jsonable(x)``; and the text format pinned."""
 
 import hashlib
 import inspect
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from grodeg import cli, to_jsonable
 from grodeg.cli import main
-from grodeg.reporting import render_report
+from grodeg.reporting import _text_lines, render_report
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 ROWS = [line.split() for line in (CORPUS / "MANIFEST").read_text().splitlines() if line.strip()]
@@ -21,6 +22,10 @@ ROWS = [line.split() for line in (CORPUS / "MANIFEST").read_text().splitlines() 
 
 def oracle(obj) -> bytes:
     return (json.dumps(to_jsonable(obj), indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def text_oracle(obj) -> bytes:
+    return ("\n".join(_text_lines(to_jsonable(obj), 0)) + "\n").encode("utf-8")
 
 
 class Report:
@@ -63,6 +68,7 @@ trees = st.recursive(
 @given(trees)
 def test_writer_matches_the_oracle_on_random_trees(tree):
     assert render_report(tree, "json") == oracle(tree)
+    assert render_report(tree, "text") == text_oracle(tree)
 
 
 @pytest.mark.parametrize(
@@ -80,6 +86,7 @@ def test_writer_matches_the_oracle_on_random_trees(tree):
 )
 def test_writer_matches_the_oracle_on_edge_cases(tree):
     assert render_report(tree, "json") == oracle(tree)
+    assert render_report(tree, "text") == text_oracle(tree)
 
 
 def test_a_dict_shared_at_two_depths_is_written_at_each():
@@ -114,13 +121,13 @@ def test_every_corpus_report_matches_the_oracle(command, job, golden, monkeypatc
 
     def compare(obj, fmt="json"):
         out = real(obj, fmt)
-        checked.append(out == oracle(obj))
+        checked.append((out == oracle(obj), real(obj, "text") == text_oracle(obj)))
         return out
 
     monkeypatch.setattr(cli, "render_report", compare)
     out = tmp_path / "report.json"
     assert main([command, str(CORPUS / job), "--out", str(out)]) == 0
-    assert checked == [True]
+    assert checked == [(True, True)]
     assert out.read_bytes() == (CORPUS / golden).read_bytes()
 
 

@@ -300,6 +300,35 @@ class TestCIObstruction:
         assert not v.applicable
         assert v.reason == "generator degrees sum to 4, not 5"
 
+    def test_witness_is_jacobian_rank_at_the_top_point(self):
+        xyz, c2, c4 = ctx_xyz(), ctx_n(2), ctx_n(4)
+        cases = [
+            gb(["x*y*z + y^3 + z^3"], xyz, MonomialOrder.lex(xyz)),
+            gb(["x*y*z + x^3 + y^3"], xyz, MonomialOrder.lex(xyz, perm=(2, 0, 1))),  # z is on top
+            gb(["x1*x3 + x4^2", "x2*x4 + x3*x4"], c4, MonomialOrder.degrevlex(c4)),
+            gb(["x1*x2", "x3*x4"], c4, MonomialOrder.degrevlex(c4)),
+            gb(["x1*x2 + x2^2"], c2, MonomialOrder.lex(c2)),  # smooth at [1:0]
+        ]
+        certified = []
+        for B in cases:
+            v = ci_obstruction(B)
+            assert v.applicable
+            w = v.witness
+            top = B.ctx.names.index(w["distinguished_variable"])
+            a = jacobian_rank_at(B, ProjPoint.coordinate(B.ctx.field, B.ctx.n, top), w["codim"])
+            assert (w["rank"], w["on_scheme"], w["point"]) == (a.rank, a.on_scheme, a.point.render())
+            certified.append(v.certified)
+        assert certified == [True, True, True, True, False]
+
+    def test_an_inhomogeneous_basis_is_refused_at_the_jacobian(self):
+        ctx = ctx_xyz()
+        lex = MonomialOrder.lex(ctx)
+        with pytest.raises(ValueError, match="inhomogeneous generator: x\\*y\\*z \\+ x"):
+            ci_obstruction(gb(["x*y*z + x"], ctx, lex))
+        # one that returns before the Jacobian keeps its verdict
+        v = ci_obstruction(gb(["x*y + z"], ctx, lex))
+        assert not v.applicable and v.reason == "generator degrees sum to 2, not 3"
+
     def test_requires_standard_grading(self):
         ctx = standard_context(("x", "y"), grading=(1, 2))
         drl = MonomialOrder.degrevlex(ctx)
@@ -498,6 +527,20 @@ class TestLeaflessObstruction:
         assert v.witness["point"] == "[0:0:1]"
         assert v.certified
 
+    def test_an_inhomogeneous_basis_is_refused_at_the_jacobian(self):
+        ctx = ctx_n(4)
+        drl = MonomialOrder.degrevlex(ctx)
+        square = delta_of(4, [(1, 2), (1, 4), (2, 3), (3, 4)])
+        B = GroebnerBasis(tuple(P(t, ctx, drl) for t in ("x1*x3 + x1", "x2*x4 + x2")), drl, ctx)
+        with pytest.raises(ValueError, match="inhomogeneous generator: x1\\*x3 \\+ x1"):
+            leafless_obstruction(B, square)
+        # one that returns before the Jacobian keeps its verdict
+        ctx3 = ctx_n(3)
+        drl3 = MonomialOrder.degrevlex(ctx3)
+        path = GroebnerBasis((P("x1*x3 + x1", ctx3, drl3),), drl3, ctx3)
+        v = leafless_obstruction(path, delta_of(3, [(1, 2), (2, 3)]))
+        assert not v.applicable and v.reason == "vertex 1 (variable x1) is a leaf or isolated"
+
     def one_dimensional_cases(self):
         """The fixed one-dimensional bases of this file, then seeded lifts of
         cycles (the lifts' reduced bases) over QQ and GF(3)."""
@@ -539,10 +582,23 @@ class TestLeaflessObstruction:
             if not v.applicable:
                 continue
             applicable += 1
-            expected = [x.as_dict() for x in support_exclusions(B, delta)]
+            expected = support_exclusions(B, delta)
             violated += bool(expected)
             assert v.witness["support_violations"] == expected, B.render_polys()
         assert applicable > 10 and violated >= 2
+
+    def test_witness_rank_is_jacobian_rank_at_the_top_point(self):
+        applicable = 0
+        for B, delta in self.one_dimensional_cases():
+            v = leafless_obstruction(B, delta)
+            if not v.applicable:
+                continue
+            applicable += 1
+            w = v.witness
+            top = B.ctx.names.index(w["distinguished_variable"])
+            a = jacobian_rank_at(B, ProjPoint.coordinate(B.ctx.field, B.ctx.n, top), w["codim"])
+            assert (w["rank"], w["point"]) == (a.rank, a.point.render()), B.render_polys()
+        assert applicable > 10
 
 
 class TestLexObstruction:
@@ -597,3 +653,4 @@ class TestLexObstruction:
         assert d["certified"] is True
         assert d["reason"] is None
         assert d["witness"]["dim"] == 1
+
