@@ -28,22 +28,32 @@ from .records import Record
 from .ring import Monomial, RingContext, standard_context
 
 
+def _require_slots(n: int, facets):
+    """At least one vertex slot, and neither the void complex nor {()}."""
+    if n < 1:
+        raise ValueError("complex needs at least one vertex slot")
+    if not facets:
+        raise ValueError("the void complex is rejected")
+    if facets == ((),):
+        raise ValueError("the empty complex {()} is rejected")
+
+
+def _require_in_range(f: Tuple[int, ...], n: int):
+    """A sorted facet's vertices lie in 1..n."""
+    if f and not (1 <= f[0] and f[-1] <= n):
+        raise ValueError(f"facet {f} has vertices outside 1..{n}")
+
+
 class SimplicialComplex(Record):
     """Facets as sorted vertex tuples (1-based), canonically ordered."""
 
     def __init__(self, n: int, facets: Tuple[Tuple[int, ...], ...]):
-        if n < 1:
-            raise ValueError("complex needs at least one vertex slot")
-        if not facets:
-            raise ValueError("the void complex is rejected")
-        if facets == ((),):
-            raise ValueError("the empty complex {()} is rejected")
+        _require_slots(n, facets)
         seen = set()
         for f in facets:
             if list(f) != sorted(set(f)):
                 raise ValueError(f"facet {f} is not a sorted duplicate-free tuple")
-            if f and not (1 <= f[0] and f[-1] <= n):
-                raise ValueError(f"facet {f} has vertices outside 1..{n}")
+            _require_in_range(f, n)
             seen.add(frozenset(f))
         if len(seen) != len(facets):
             raise ValueError("duplicate facets")
@@ -55,11 +65,17 @@ class SimplicialComplex(Record):
 
     @classmethod
     def from_facets(cls, n: int, facets) -> "SimplicialComplex":
-        """Normalize: dedupe, drop non-maximal faces, sort canonically."""
+        """Normalize: dedupe, drop non-maximal faces, sort canonically. The
+        facets come out sorted, distinct, maximal and in order, so only the
+        checks the normalization cannot make are made."""
         sets = {frozenset(f) for f in facets}
-        maximal = [f for f in sets if not any(f < g for g in sets)]
-        canon = sorted(tuple(sorted(f)) for f in maximal)
-        return cls(n, tuple(canon))
+        canon = tuple(sorted(tuple(sorted(f)) for f in sets if not any(f < g for g in sets)))
+        _require_slots(n, canon)
+        for f in canon:
+            _require_in_range(f, n)
+        delta = cls.__new__(cls)
+        delta.__dict__.update(n=n, facets=canon)
+        return delta
 
     @property
     def dim(self) -> int:

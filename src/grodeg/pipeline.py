@@ -6,7 +6,8 @@ Four entry points:
   initial ideal, complex invariants, obstruction certificates, conjecture
   verdicts).
 * ``scan_orders``: the same ideal over every permutation order of a family,
-  deduplicated by initial ideal.
+  deduplicated by initial ideal, with one completion per orbit of initial
+  ideals under the variable permutations that fix the ideal.
 * ``lift_search``: enumerate or sample homogeneous lifts of a non-face ideal
   and test each valid one for singularities at the coordinate points. The
   lift criterion is solved once per search, as equations in the tail
@@ -42,10 +43,10 @@ from .complexes import (
 )
 from .errors import ResourceLimitError, ScanBoundExceeded
 from .fields import Field, PrimeField, QQ, is_prime
-from .groebner import DEFAULT_DEGREE_CAP, GroebnerBasis, MonomialIdeal, buchberger, initial_ideal
+from .groebner import DEFAULT_DEGREE_CAP, GroebnerBasis, MonomialIdeal, _polynomial, buchberger, initial_ideal
 from .linalg import primitive_integers
 from .records import Record
-from .ring import Monomial, MonomialOrder, Polynomial, RingContext, render_chain
+from .ring import Monomial, MonomialOrder, Polynomial, RingContext, _picker, render_chain
 from .singularity import (
     JacobianAnalysis,
     ObstructionVerdict,
@@ -294,27 +295,133 @@ def _cone(B: GroebnerBasis, kinds) -> List[Tuple[str, tuple]]:
     return cone
 
 
-def _scan_slice(gens, degree_cap, kinds, orders):
-    """The reduced bases of ``gens`` under ``orders``, each distinct one completed once.
+def _symmetries(gens) -> List[Tuple[int, ...]]:
+    """The variable permutations other than the identity that keep the ring's
+    grading and map the nonzero generators onto themselves up to scalars.
 
-    ``orders`` are ``(kind, perm)`` pairs of ``kinds``. Returns the bases
-    completed, in order of completion, and for each order the index of its
-    basis among them. A completed basis claims its cone (see ``scan_orders``),
-    so an order is completed only when no kept basis has claimed it.
+    ``s[i]`` is the image of variable i. Such an s maps the ideal into
+    itself, one graded piece of finite dimension at a time, so s(I) = I. The
+    walk places one variable at a time, the next one sharing a term with
+    those placed when any does, and drops a branch as soon as a generator
+    monomial whose variables are all placed maps outside the generator
+    monomials. A full placement is kept when every generator maps to a
+    scalar multiple of a generator. With no nonzero generator there is none.
     """
     ctx = gens[0].ctx
-    bases: List[GroebnerBasis] = []
+    n, grading = ctx.n, ctx.grading
+    polys = [[(m.exps, c) for m, c in g.terms] for g in gens if g.terms]
+    by_monomials: Dict[frozenset, list] = {}  # a generator's monomials -> its terms, as dicts
+    for terms in polys:
+        by_monomials.setdefault(frozenset(e for e, _ in terms), []).append(dict(terms))
+
+    def is_multiple(terms):  # of a generator, by one ratio, with no division past the first
+        e0, c0 = terms[0]
+        for target in by_monomials.get(frozenset(e for e, _ in terms), ()):
+            ratio = target[e0] / c0
+            if all(target[e] == ratio * c for e, c in terms):
+                return True
+        return False
+
+    monos = {e for terms in polys for e, _ in terms}
+    supports = {e: frozenset(i for i, a in enumerate(e) if a) for e in monos}
+    walk_order: List[int] = []
+    while len(walk_order) < n:
+        placed = set(walk_order)
+        left = [v for v in range(n) if v not in placed]
+        linked = [v for v in left if any(v in s and s & placed for s in supports.values())]
+        walk_order.append((linked or left)[0])
+    # checks[t]: the monomials whose variables are all placed once walk_order[t] is
+    checks = [
+        [[(i, e[i]) for i in supports[e]] for e in monos
+         if walk_order[t] in supports[e] and supports[e] <= set(walk_order[: t + 1])]
+        for t in range(n)
+    ]
+    found = []
+    identity, image = list(range(n)), [0] * n
+
+    def walk(t, free):
+        if t == n:
+            if image != identity and all(is_multiple(_relabelled(terms, image)) for terms in polys):
+                found.append(tuple(image))
+            return
+        v = walk_order[t]
+        for u in free:
+            if grading[u] != grading[v]:
+                continue
+            image[v] = u
+            if all(_image_exps(support, image, n) in monos for support in checks[t]):
+                walk(t + 1, [w for w in free if w != u])
+
+    if polys:
+        walk(0, list(range(n)))
+    return found
+
+
+def _image_exps(support, image, n) -> tuple:
+    """The exponents of a monomial, given as ``(i, e[i])`` over its support, after x_i -> x_image[i]."""
+    out = [0] * n
+    for i, a in support:
+        out[image[i]] = a
+    return tuple(out)
+
+
+def _relabelled(terms, image) -> list:
+    """``(exponents, coefficient)`` terms after x_i -> x_image[i], in no order."""
+    inverse = [0] * len(image)
+    for i, j in enumerate(image):
+        inverse[j] = i
+    pick = _picker(tuple(inverse))
+    return [(pick(e), c) for e, c in terms]
+
+
+def _transported(B: GroebnerBasis, s, order: MonomialOrder) -> GroebnerBasis:
+    """The basis s(B) under ``order``, an order of its cone: the exponents
+    relabelled, then the terms and the elements sorted as ``buchberger`` leaves them."""
+    key = order.exps_key
+    polys = []
+    for g in B.polys:
+        terms = _relabelled([(m.exps, c) for m, c in g.terms], s)
+        polys.append(_polynomial(B.ctx, order, sorted(terms, key=lambda ec: key(ec[0]), reverse=True)))
+    polys.sort(key=lambda g: key(g.terms[0][0].exps), reverse=True)
+    return GroebnerBasis(tuple(polys), order, B.ctx)
+
+
+def _scan_slice(gens, degree_cap, kinds, orders):
+    """The reduced bases of ``gens`` under ``orders``, one completion per orbit.
+
+    ``orders`` are ``(kind, perm)`` pairs of ``kinds``. Returns the bases
+    reached, and for each order the index of its basis among them. A
+    completed basis B claims its cone (see ``scan_orders``), and for each
+    symmetry s of the ideal (``_symmetries``) the cone of s(B): the orders
+    s.(kind, perm), under which s(B) is the reduced basis. Cones are disjoint,
+    so an image is claimed whole unless its first order is owned already. An
+    order is completed only when nothing has claimed it; the first order to
+    reach a claimed image builds s(B) under itself, with no completion.
+    """
+    ctx = gens[0].ctx
+    symmetries = _symmetries(gens)
+    cells: list = []  # a reduced basis, or (B, s) until its first order builds s(B)
     owner: Dict[Tuple[str, tuple], int] = {}
     which = []
     for kind, perm in orders:
         k = owner.get((kind, perm))
         if k is None:
-            k = len(bases)
+            k = len(cells)
             B = buchberger(gens, MonomialOrder(kind, ctx, perm=perm), degree_cap=degree_cap)
-            bases.append(B)
-            owner.update(dict.fromkeys(_cone(B, kinds), k))
+            cells.append(B)
+            cone = _cone(B, kinds)
+            owner.update(dict.fromkeys(cone, k))
+            for s in symmetries:
+                image = s.__getitem__
+                if (cone[0][0], tuple(map(image, cone[0][1]))) not in owner:
+                    owner.update(dict.fromkeys(((c, tuple(map(image, p))) for c, p in cone), len(cells)))
+                    cells.append((B, s))
+        elif type(cells[k]) is tuple:
+            cells[k] = _transported(*cells[k], MonomialOrder(kind, ctx, perm=perm))
         which.append(k)
-    return bases, which
+    reached = sorted(set(which))  # a slice may leave some images unreached
+    index = {k: i for i, k in enumerate(reached)}
+    return [cells[k] for k in reached], [index[k] for k in which]
 
 
 def scan_orders(
@@ -345,11 +452,17 @@ def scan_orders(
     lead and tail have the same degree, and the last variable of the
     permutation in the support decides, for the side with the smaller
     exponent. Distinct reduced bases have disjoint cones, so each order has
-    one owner and the scan is one lookup per order. It completes at the first
-    unclaimed order, once per distinct initial ideal, or once per ideal and
+    one owner and the scan is one lookup per order.
+
+    A variable permutation s with s(I) = I (``_symmetries``) maps the reduced
+    basis under (kind, perm) to the reduced basis under (kind, s(perm)), and
+    the cone of one to the cone of the other, so G also claims the cone of
+    s(G) for each s. The scan completes at the first unclaimed order, once
+    per orbit of initial ideals under these symmetries, or once per orbit and
     worker when ``workers`` > 1 (each worker scans one contiguous slice of
     the orders), and ``degree_cap`` bounds only those completions. Each
-    report is built from the basis of the first order that produced it.
+    report is built from the basis of the first order that produced it:
+    completed there, or s(G) relabelled and sorted there, never completed.
     """
     gens = list(gens)
     if not gens:

@@ -102,6 +102,29 @@ class TestValidation:
         d = SimplicialComplex.from_facets(4, [(3, 1), (1,), (1, 3), (2, 4)])
         assert d.facets == ((1, 3), (2, 4))
 
+    def test_from_facets_is_the_constructor_on_canonical_facets(self):
+        """Same complex, or same error, as the checked constructor given the
+        maximal faces sorted by hand, on random inputs with repeats, contained
+        faces, empty faces and vertices outside 1..n."""
+
+        def outcome(build):
+            try:
+                return build()
+            except ValueError as err:
+                return str(err)
+
+        rng = random.Random("from-facets")
+        for _ in range(400):
+            n = rng.randint(0, 6)
+            vertex = lambda: rng.randint(1, n) if n and rng.random() < 0.97 else rng.choice((0, n + 1))
+            raw = [tuple(vertex() for _ in range(rng.randint(0, 4))) for _ in range(rng.randint(0, 5))]
+            sets = {frozenset(f) for f in raw}
+            canonical = tuple(sorted(tuple(sorted(f)) for f in sets if not any(f < g for g in sets)))
+            made = outcome(lambda: SimplicialComplex.from_facets(n, raw))
+            assert made == outcome(lambda: SimplicialComplex(n, canonical))
+            if isinstance(made, SimplicialComplex):
+                assert made.n == n and type(made.facets) is tuple
+
 
 class TestBasics:
     def test_f_vectors(self):

@@ -1,5 +1,6 @@
 """End-to-end pipeline tests: analyze, order scans, lift search, point counts."""
 
+import importlib.util
 import itertools
 import json
 import math
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,7 @@ from grodeg import (
 )
 
 from conftest import (
+    _ref_reduce,
     brute_projective_count,
     ctx_n,
     ctx_xyz,
@@ -58,6 +61,7 @@ from conftest import (
     ref_is_variable_regular,
     ref_keeps_marking,
     ref_partial_derivative,
+    ref_reduced_basis,
     ref_terms,
     ref_valid_lift,
 )
@@ -509,6 +513,153 @@ def _plain_scan(gens):
     return list(groups.values())
 
 
+# Ideals with a known symmetry group: (variable count, field, grading, generators).
+SYMMETRIC_IDEALS = {
+    "minors_2x3": (6, QQ, None, ("x1*x5 - x2*x4", "x1*x6 - x3*x4", "x2*x6 - x3*x5")),
+    "rnc_4": (4, QQ, None, ("x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2")),
+    "fermat_qq": (3, QQ, None, ("x1^3 + x2^3 + x3^3",)),
+    "fermat_gf5": (3, PrimeField(5), None, ("x1^3 + x2^3 + x3^3",)),
+    # x1 <-> x2 fixes x1*x2*x3 but not the grading; only x1 <-> x3 is kept
+    "weighted_121": (3, QQ, (1, 2, 1), ("x1*x2*x3", "x1^4 + x2^2 + x3^4", "x1^4 - x3^4")),
+    "rescaled": (6, QQ, None, (
+        "x1*x5 - x2*x4", "0", "3*x2*x4 - 3*x1*x5", "-1/2*x1*x6 + 1/2*x3*x4", "x2*x6 - x3*x5", "x1*x5 - x2*x4",
+    )),
+}
+# |Sym(I)| - 1 for each, as the identity is never returned: the minors' row
+# swap times the column permutations, the reversal of rnc_4, all of S_3 for Fermat
+SYMMETRY_COUNTS = {"minors_2x3": 11, "rnc_4": 1, "fermat_qq": 5, "fermat_gf5": 5, "weighted_121": 1, "rescaled": 11}
+
+
+def symmetric_gens(name):
+    n, field, grading, texts = SYMMETRIC_IDEALS[name]
+    ctx = standard_context(tuple(f"x{i}" for i in range(1, n + 1)), field, grading)
+    drl = MonomialOrder.degrevlex(ctx)
+    return [P(t, ctx, drl) for t in texts]
+
+
+def ref_relabel_exps(e, s):
+    """The exponents e after x_i -> x_s[i]."""
+    out = [0] * len(s)
+    for i, a in enumerate(e):
+        out[s[i]] = a
+    return tuple(out)
+
+
+def ref_relabel(f, s):
+    """The polynomial f after x_i -> x_s[i]."""
+    return Polynomial(f.ctx, f.order, [(Monomial(ref_relabel_exps(m.exps, s)), c) for m, c in f.terms])
+
+
+def ref_proportional(f, g):
+    """Whether the nonzero f is a scalar multiple of the nonzero g."""
+    tf, tg = dict(f.terms), dict(g.terms)
+    if tf.keys() != tg.keys():
+        return False
+    m0 = next(iter(tf))
+    return all(tf[m] * tg[m0] == tg[m] * tf[m0] for m in tf)
+
+
+def ref_symmetries(gens, keep_grading=True):
+    """Every permutation but the identity, over all n! of them, that maps each
+    nonzero generator to a multiple of a nonzero generator (and keeps the grading)."""
+    ctx = gens[0].ctx
+    nonzero = [g for g in gens if not g.is_zero()]
+    found = []
+    for s in itertools.permutations(range(ctx.n)):
+        if s == tuple(range(ctx.n)) or not nonzero:
+            continue
+        if keep_grading and any(ctx.grading[s[i]] != ctx.grading[i] for i in range(ctx.n)):
+            continue
+        if all(any(ref_proportional(ref_relabel(g, s), h) for h in nonzero) for g in nonzero):
+            found.append(s)
+    return found
+
+
+def orbit_firsts(reports, symmetries):
+    """The order of the first report of each orbit of initial ideals, in report order."""
+    seen, firsts = set(), []
+    for r in reports:
+        leads = frozenset(m.exps for m in r.initial.gens)
+        if leads in seen:
+            continue
+        firsts.append(r.order)
+        seen.update(frozenset(ref_relabel_exps(e, s) for e in leads) for s in [tuple(range(r.ctx.n))] + symmetries)
+    return firsts
+
+
+def graded_monomials(grading, d):
+    """Exponent tuples of degree d in the grading."""
+    if not grading:
+        if d == 0:
+            yield ()
+        return
+    for a in range(d // grading[0] + 1):
+        for rest in graded_monomials(grading[1:], d - a * grading[0]):
+            yield (a,) + rest
+
+
+def macaulay_check(reports, top=4):
+    """Macaulay: S/I and S/in(I) share a Hilbert function, so every report of one
+    scan counts the same standard monomials in degrees 0..top. Where in(I) is
+    square-free and the grading standard, the count in degree d >= 1 is
+    sum_i f_(i-1) C(d-1, i-1) from the complex's f-vector."""
+    ctx = reports[0].ctx
+    values = set()
+    for r in reports:
+        hilbert = tuple(
+            sum(1 for e in graded_monomials(ctx.grading, d) if not r.initial.contains(Monomial(e)))
+            for d in range(top + 1)
+        )
+        values.add(hilbert)
+        if r.squarefree and ctx.standard:
+            f = r.delta.f_vector()
+            assert hilbert == (1,) + tuple(
+                sum(f[i - 1] * math.comb(d - 1, i - 1) for i in range(1, len(f) + 1)) for d in range(1, top + 1)
+            )
+    assert len(values) == 1
+
+
+class TestSymmetries:
+    """``pipeline._symmetries`` against brute force over all n! permutations."""
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_IDEALS))
+    def test_matches_brute_force_and_fixes_the_ideal(self, name):
+        gens = symmetric_gens(name)
+        found = pipeline._symmetries(gens)
+        assert len(found) == len(set(found)) == SYMMETRY_COUNTS[name]
+        assert sorted(found) == ref_symmetries(gens)
+        order = gens[0].order
+        basis = ref_reduced_basis(gens, order)
+        for s in found:
+            assert all(_ref_reduce(ref_relabel(g, s), basis).is_zero() for g in gens)
+
+    def test_a_grading_refuses_an_algebraic_swap(self):
+        ctx = standard_context(("x1", "x2", "x3"), QQ, (1, 2, 1))
+        gens = [P("x1*x2*x3", ctx, MonomialOrder.degrevlex(ctx))]
+        assert len(ref_symmetries(gens, keep_grading=False)) == 5
+        assert pipeline._symmetries(gens) == ref_symmetries(gens) == [(2, 1, 0)]
+
+    def test_the_zero_ideal_has_none(self):
+        ctx = ctx_n(3)
+        zero = P("0", ctx, MonomialOrder.degrevlex(ctx))
+        assert pipeline._symmetries([zero]) == pipeline._symmetries([zero, zero]) == []
+
+    def test_random_ideals_match_brute_force(self):
+        rng = random.Random("symmetries")
+        for _ in range(40):
+            n = rng.choice((2, 3, 4))
+            field = rng.choice((QQ, PrimeField(3)))
+            grading = rng.choice((None, (1,) + tuple(rng.choice((1, 2)) for _ in range(n - 1))))
+            ctx = standard_context(tuple(f"x{i}" for i in range(1, n + 1)), field, grading)
+            drl = MonomialOrder.degrevlex(ctx)
+            gens = [random_graded_poly(rng, ctx, drl, rng.randint(2, 3), nterms=rng.randint(1, 3))]
+            for _ in range(rng.randint(0, 2)):  # images of the first: some symmetry is likely
+                s = rng.sample(range(n), n)
+                if all(ctx.grading[s[i]] == ctx.grading[i] for i in range(n)):
+                    gens.append(ref_relabel(gens[0], s) * rng.choice((1, 2, -1)))
+            assert sorted(pipeline._symmetries(gens)) == ref_symmetries(gens)
+
+
 class TestScanOracle:
     """``scan_orders`` against a plain completion for every order, on random ideals."""
 
@@ -523,21 +674,74 @@ class TestScanOracle:
                 for _ in range(rng.randint(1, 3))
             ]
             reports = scan_orders(gens, family="both")
-            assert [
-                (list(r.initial.render_gens()), list(r.producing_orders), list(r.basis.render_polys()))
-                for r in reports
-            ] == _plain_scan(gens)
-            for r in reports:
-                alone = analyze(gens, r.order)
-                assert as_json(r) == as_json(
-                    replace(alone, producing_orders=r.producing_orders)
-                )
+            self.agree(gens, reports)
+            macaulay_check(reports)
             by_order = {o: r for r in reports for o in r.producing_orders}
             for kind in ("lex", "degrevlex", rng.choice(("lex", "degrevlex"))):
                 perm = tuple(rng.sample(range(ctx.n), ctx.n))
                 o = MonomialOrder(kind, ctx, perm=perm)
                 leads = sorted(m.exps for m in by_order[o.render()].initial.gens)
                 assert leads == ref_initial_monomials(gens, o)
+
+    @staticmethod
+    def agree(gens, reports):
+        assert [
+            (list(r.initial.render_gens()), list(r.producing_orders), list(r.basis.render_polys()))
+            for r in reports
+        ] == _plain_scan(gens)
+        for r in reports:
+            alone = analyze(gens, r.order)
+            assert as_json(r) == as_json(replace(alone, producing_orders=r.producing_orders))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_IDEALS))
+    def test_symmetric_ideals_match_one_completion_per_order(self, name, workers):
+        gens = symmetric_gens(name)
+        reports = scan_orders(gens, family="both", workers=workers)
+        self.agree(gens, reports)
+        macaulay_check(reports)
+
+
+def sympy_reduced_basis(sympy, gens, order):
+    """The reduced basis of ``gens`` under the permutation order, from
+    ``sympy.groebner``, as one term dict per element, monic, in our exponents."""
+    ctx = order.ctx
+    p = ctx.field.characteristic()
+    symbols = sympy.symbols(ctx.names)
+    scalar = (lambda c: c.v) if p else (lambda c: sympy.Rational(c.numerator, c.denominator))
+    exprs = [
+        sum(scalar(c) * sympy.prod(s**a for s, a in zip(symbols, m.exps)) for m, c in g.terms)
+        for g in gens if g.terms
+    ]
+    name = "lex" if order.kind == "lex" else "grevlex"
+    G = sympy.groebner(exprs, *[symbols[i] for i in order.perm], order=name, **({"modulus": p} if p else {}))
+    of = lambda c: ctx.field.of(int(c) if p else Fraction(int(c.p), int(c.q)))
+    out = []
+    for poly in G.polys:
+        terms = poly.terms(order=name)  # leading term first
+        lead = of(terms[0][1])
+        exps = [[0] * ctx.n for _ in terms]
+        for e, (monom, _) in zip(exps, terms):
+            for i, a in zip(order.perm, monom):
+                e[i] = a
+        out.append({tuple(e): of(c) / lead for e, (_, c) in zip(exps, terms)})
+    return out
+
+
+class TestSympyOracle:
+    """Every report of a scan against ``sympy.groebner``, an independent
+    implementation, under the report's own order."""
+
+    @pytest.mark.parametrize("name", ["minors_2x3", "rnc_4", "fermat_qq", "fermat_gf5"])
+    def test_every_report_is_sympys_reduced_basis(self, name):
+        sympy = pytest.importorskip("sympy")
+        gens = symmetric_gens(name)
+        for r in scan_orders(gens, family="both"):
+            ours = [{m.exps: c for m, c in g.terms} for g in r.basis.polys]
+            theirs = sympy_reduced_basis(sympy, gens, r.order)
+            # (lead, terms) of each element: both list the leading term first
+            pairs = lambda basis: sorted((next(iter(t)), sorted(t.items())) for t in basis)
+            assert pairs(ours) == pairs(theirs)
 
 
 class TestLiftSearch:
@@ -1329,17 +1533,18 @@ class TestNoWorkTwice:
         assert len(res.lifts) == 133
         assert len(built) == 133  # every distinct draw is valid here
 
-    def test_scan_completes_each_initial_ideal_once(self, monkeypatch):
+    def test_scan_completes_each_orbit_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "buchberger", module="groebner")
         ctx = ctx_xyz()
         fermat = P(FERMAT, ctx, MonomialOrder.degrevlex(ctx))
         reports = scan_orders([fermat], family="both")
         assert sum(len(r.producing_orders) for r in reports) == 12
-        assert len(reports) == len(calls) == 3
-        # the report of each ideal reads the basis its first order completed
-        assert [a[1] for a in calls] == [r.order for r in reports]
+        # the six permutations of x, y, z carry x^3 to y^3 and z^3: one orbit
+        assert len(reports) == 3 and len(calls) == 1
+        # the orbit is completed at its first order, the others are transported
+        assert [a[1] for a in calls] == [reports[0].order]
 
-    def test_scan_of_the_rational_normal_quartic_completes_each_ideal_once(self, monkeypatch):
+    def test_rational_normal_quartic_scan_completes_each_orbit_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "buchberger", module="groebner")
         ctx = ctx_n(5)
         drl = MonomialOrder.degrevlex(ctx)
@@ -1348,10 +1553,12 @@ class TestNoWorkTwice:
             P(f"{hankel[0][i]}*{hankel[1][j]} - {hankel[0][j]}*{hankel[1][i]}", ctx, drl)
             for i, j in itertools.combinations(range(4), 2)
         ]
+        symmetries = ref_symmetries(gens)
+        assert symmetries == [(4, 3, 2, 1, 0)]  # the reversal
         reports = scan_orders(gens, family="both")
         assert sum(len(r.producing_orders) for r in reports) == 240
-        assert len(reports) > 10
-        assert len(calls) == len(reports)
+        assert (len(reports), len(calls)) == (34, 19)
+        assert [a[1] for a in calls] == orbit_firsts(reports, symmetries)
 
     def test_scan_of_the_2x3_minors_completes_at_each_first_producing_order(self, monkeypatch):
         calls = count_calls(monkeypatch, "buchberger", module="groebner")
@@ -1360,10 +1567,30 @@ class TestNoWorkTwice:
         gens = [P(t, ctx, drl) for t in ("x1*x5 - x2*x4", "x1*x6 - x3*x4", "x2*x6 - x3*x5")]
         reports = scan_orders(gens, family="both", workers=1)
         assert sum(len(r.producing_orders) for r in reports) == 1440
-        assert len(calls) == len(reports) == 6
-        assert [a[1].render() for a in calls] == [r.producing_orders[0] for r in reports]
+        assert (len(reports), len(calls)) == (6, 1)
+        assert [a[1] for a in calls] == orbit_firsts(reports, ref_symmetries(gens)) == [reports[0].order]
+        assert calls[0][1].render() == reports[0].producing_orders[0]
         two = scan_orders(gens, family="both", workers=2)
         assert [as_json(r) for r in two] == [as_json(r) for r in reports]
+
+    def test_seed_one_benchmark_scans_complete_once_per_orbit(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+        calls = count_calls(monkeypatch, "buchberger", module="groebner")
+        counts = {}
+        for job in workloads.generate("scan_minors", 1, tmp_path / "jobs"):
+            calls.clear()
+            out = tmp_path / f"{job.name}.json"
+            assert cli.main([job.command, str(job.path), "--out", str(out)]) == 0
+            counts[job.name] = (len(json.loads(out.read_text())), len(calls))
+        # (distinct initial ideals, completions): one completion per ideal before
+        assert counts == {
+            "minors_2x3": (6, 1), "rnc_4": (8, 5), "rnc_5": (34, 19), "corpus_scan_fermat": (3, 1),
+        }
 
     def test_lift_search_checks_no_homogeneity(self, monkeypatch):
         calls = []
@@ -1501,3 +1728,26 @@ class TestConeCover:
             for order, k in zip(orders, which):
                 assert [j for j, B in enumerate(bases) if ref_keeps_marking(B, *order)] == [k]
                 assert order in cones[k]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_IDEALS))
+    def test_symmetric_ideals_transport_to_the_one_basis_that_keeps_its_marking(self, name, workers):
+        gens = symmetric_gens(name)
+        n = gens[0].ctx.n
+        kinds = ("lex", "degrevlex")
+        orders = [(kind, perm) for kind in kinds for perm in itertools.permutations(range(n))]
+        size = -(-len(orders) // workers)  # the slices of scan_orders
+        for chunk in (orders[i : i + size] for i in range(0, len(orders), size)):
+            bases, which = pipeline._scan_slice(gens, DEFAULT_DEGREE_CAP, kinds, chunk)
+            for order, k in zip(chunk, which):
+                assert [j for j, B in enumerate(bases) if ref_keeps_marking(B, *order)] == [k]
+            # each basis, completed or transported, is built under the first order it owns
+            firsts = {}
+            for order, k in zip(chunk, which):
+                firsts.setdefault(k, order)
+            assert [(B.order.kind, B.order.perm) for B in bases] == [firsts[k] for k in range(len(bases))]
+            for B in bases:
+                assert [ref_terms(g) for g in B.polys] == [ref_terms(g) for g in ref_reduced_basis(gens, B.order)]
+            if workers == 1:
+                cones = [pipeline._cone(B, kinds) for B in bases]
+                assert sorted(o for cone in cones for o in cone) == sorted(orders)
