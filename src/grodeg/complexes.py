@@ -28,54 +28,39 @@ from .records import Record
 from .ring import Monomial, RingContext, standard_context
 
 
-def _require_slots(n: int, facets):
-    """At least one vertex slot, and neither the void complex nor {()}."""
-    if n < 1:
-        raise ValueError("complex needs at least one vertex slot")
-    if not facets:
-        raise ValueError("the void complex is rejected")
-    if facets == ((),):
-        raise ValueError("the empty complex {()} is rejected")
-
-
-def _require_in_range(f: Tuple[int, ...], n: int):
-    """A sorted facet's vertices lie in 1..n."""
-    if f and not (1 <= f[0] and f[-1] <= n):
-        raise ValueError(f"facet {f} has vertices outside 1..{n}")
-
-
 class SimplicialComplex(Record):
     """Facets as sorted vertex tuples (1-based), canonically ordered."""
 
-    def __init__(self, n: int, facets: Tuple[Tuple[int, ...], ...]):
-        _require_slots(n, facets)
-        seen = set()
+    def __init__(self, n: int, facets: Tuple[Tuple[int, ...], ...], *, _canonical: bool = False):
+        """``_canonical`` (keyword-only, so not a field) vouches that the facets
+        are sorted, distinct, maximal and in order, as ``from_facets`` leaves them."""
+        if n < 1:
+            raise ValueError("complex needs at least one vertex slot")
+        if not facets:
+            raise ValueError("the void complex is rejected")
+        if facets == ((),):
+            raise ValueError("the empty complex {()} is rejected")
         for f in facets:
-            if list(f) != sorted(set(f)):
+            if not _canonical and list(f) != sorted(set(f)):
                 raise ValueError(f"facet {f} is not a sorted duplicate-free tuple")
-            _require_in_range(f, n)
-            seen.add(frozenset(f))
-        if len(seen) != len(facets):
-            raise ValueError("duplicate facets")
-        if any(f < g for f in seen for g in seen):
-            raise ValueError("a facet contains another")
-        if list(facets) != sorted(facets):
-            raise ValueError("facets not canonically sorted")
+            if f and not (1 <= f[0] and f[-1] <= n):
+                raise ValueError(f"facet {f} has vertices outside 1..{n}")
+        if not _canonical:
+            seen = {frozenset(f) for f in facets}
+            if len(seen) != len(facets):
+                raise ValueError("duplicate facets")
+            if any(f < g for f in seen for g in seen):
+                raise ValueError("a facet contains another")
+            if list(facets) != sorted(facets):
+                raise ValueError("facets not canonically sorted")
         self.__dict__.update(n=n, facets=facets)
 
     @classmethod
     def from_facets(cls, n: int, facets) -> "SimplicialComplex":
-        """Normalize: dedupe, drop non-maximal faces, sort canonically. The
-        facets come out sorted, distinct, maximal and in order, so only the
-        checks the normalization cannot make are made."""
+        """Normalize: dedupe, drop non-maximal faces, sort canonically."""
         sets = {frozenset(f) for f in facets}
         canon = tuple(sorted(tuple(sorted(f)) for f in sets if not any(f < g for g in sets)))
-        _require_slots(n, canon)
-        for f in canon:
-            _require_in_range(f, n)
-        delta = cls.__new__(cls)
-        delta.__dict__.update(n=n, facets=canon)
-        return delta
+        return cls(n, canon, _canonical=True)
 
     @property
     def dim(self) -> int:

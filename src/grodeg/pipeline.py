@@ -295,92 +295,118 @@ def _cone(B: GroebnerBasis, kinds) -> List[Tuple[str, tuple]]:
     return cone
 
 
-def _symmetries(gens) -> List[Tuple[int, ...]]:
-    """The variable permutations other than the identity that keep the ring's
+def _symmetry_generators(gens) -> List[Tuple[int, ...]]:
+    """Generators of the group of variable permutations that keep the ring's
     grading and map the nonzero generators onto themselves up to scalars.
 
-    ``s[i]`` is the image of variable i. Such an s maps the ideal into
-    itself, one graded piece of finite dimension at a time, so s(I) = I. The
-    walk places one variable at a time, the next one sharing a term with
-    those placed when any does, and drops a branch as soon as a generator
-    monomial whose variables are all placed maps outside the generator
-    monomials. A full placement is kept when every generator maps to a
-    scalar multiple of a generator. With no nonzero generator there is none.
+    ``s[i]`` is the image of variable i. Such an s maps the ideal into itself,
+    one graded piece of finite dimension at a time, so s(I) = I. The search
+    (Sims's backtrack) orders the variables v_0, v_1, ..., each next one
+    sharing a term with those before it when any does, and takes the levels
+    from the last: for each later variable u that the symmetries found so far
+    do not carry v_t to, it looks for one symmetry fixing v_0..v_{t-1} with
+    v_t -> u. What it finds generates the whole group, with at most n(n-1)/2
+    elements, and the search never lists the group itself (n! elements for
+    the elementary symmetric polynomials). A branch of a search is dropped as
+    soon as some generator's terms whose variables are all placed map onto no
+    multiple of a generator's terms. A variable v may go to u only when u has
+    v's weight and v's profile: the set of the generators with every variable
+    but v set to 1, each a polynomial in x_v up to scalars. s carries the
+    profile of v to that of s[v]. With no nonzero generator there is none.
     """
     ctx = gens[0].ctx
     n, grading = ctx.n, ctx.grading
-    polys = [[(m.exps, c) for m, c in g.terms] for g in gens if g.terms]
-    by_monomials: Dict[frozenset, list] = {}  # a generator's monomials -> its terms, as dicts
-    for terms in polys:
-        by_monomials.setdefault(frozenset(e for e, _ in terms), []).append(dict(terms))
+    polys = [{m.exps: c for m, c in g.terms} for g in gens if g.terms]
+    if not polys:
+        return []
+    zero = ctx.field.zero
 
-    def is_multiple(terms):  # of a generator, by one ratio, with no division past the first
-        e0, c0 = terms[0]
-        for target in by_monomials.get(frozenset(e for e, _ in terms), ()):
-            ratio = target[e0] / c0
-            if all(target[e] == ratio * c for e, c in terms):
-                return True
-        return False
+    def profile(i):
+        out = set()
+        for g in polys:
+            sums: Dict[int, object] = {}
+            for e, c in g.items():
+                sums[e[i]] = sums.get(e[i], zero) + c
+            nonzero = sorted((a, c) for a, c in sums.items() if c)  # the exponents a are distinct
+            out.add(tuple((a, c / nonzero[-1][1]) for a, c in nonzero))
+        return grading[i], frozenset(out)
 
-    monos = {e for terms in polys for e, _ in terms}
-    supports = {e: frozenset(i for i, a in enumerate(e) if a) for e in monos}
+    profiles = [profile(i) for i in range(n)]
+    holders: Dict[tuple, list] = {}  # exponents -> the generators with that term
+    for g in polys:
+        for e in g:
+            holders.setdefault(e, []).append(g)
+    supports = {e: {i for i, a in enumerate(e) if a} for e in holders}
     walk_order: List[int] = []
     while len(walk_order) < n:
         placed = set(walk_order)
         left = [v for v in range(n) if v not in placed]
         linked = [v for v in left if any(v in s and s & placed for s in supports.values())]
         walk_order.append((linked or left)[0])
-    # checks[t]: the monomials whose variables are all placed once walk_order[t] is
-    checks = [
-        [[(i, e[i]) for i in supports[e]] for e in monos
-         if walk_order[t] in supports[e] and supports[e] <= set(walk_order[: t + 1])]
-        for t in range(n)
-    ]
-    found = []
-    identity, image = list(range(n)), [0] * n
+    rank = {v: t for t, v in enumerate(walk_order)}
+    last = {e: max((rank[i] for i in s), default=-1) for e, s in supports.items()}
+    # checks[t]: for each generator with a term whose variables are all placed
+    # once v_t is, its size and its terms so placed, exponents padded by a 0
+    # that stands for the unplaced variables
+    checks: List[list] = [[] for _ in range(n)]
+    for g in polys:
+        for t in sorted({last[e] for e in g} - {-1}):
+            checks[t].append((len(g), [(e + (0,), c) for e, c in g.items() if last[e] <= t]))
 
-    def walk(t, free):
+    def fits(pick, size, terms):  # the image of ``terms`` lies in a multiple of a generator of ``size`` terms
+        e0, c0 = terms[0]
+        image0 = pick(e0)
+        for h in holders.get(image0, ()):
+            if len(h) == size:
+                ratio = h[image0] / c0
+                if all(h.get(pick(e)) == ratio * c for e, c in terms):
+                    return True
+        return False
+
+    image = list(range(n))
+
+    def extend(t, free, choices):  # place v_t on one of ``choices``, the rest on ``free``
         if t == n:
-            if image != identity and all(is_multiple(_relabelled(terms, image)) for terms in polys):
-                found.append(tuple(image))
-            return
+            return True
         v = walk_order[t]
-        for u in free:
-            if grading[u] != grading[v]:
+        for u in choices:
+            if profiles[u] != profiles[v]:
                 continue
-            image[v] = u
-            if all(_image_exps(support, image, n) in monos for support in checks[t]):
-                walk(t + 1, [w for w in free if w != u])
+            image[v], inverse[u] = u, v
+            pick = _picker(tuple(inverse))
+            rest = [w for w in free if w != u]
+            if all(fits(pick, *check) for check in checks[t]) and extend(t + 1, rest, rest):
+                return True
+            inverse[u] = n
+        return False
 
-    if polys:
-        walk(0, list(range(n)))
+    found: List[Tuple[int, ...]] = []
+    for t in reversed(range(n)):
+        v = walk_order[t]
+        orbit = [v]
+        for u in walk_order[t + 1 :]:
+            for w in orbit:  # close the orbit of v_t under what is found so far
+                orbit.extend(x for x in {s[w] for s in found} if x not in orbit)
+            if u in orbit:
+                continue
+            inverse = [n] * n  # inverse[u]: the variable placed on u, n (the padding) while none is
+            for w in walk_order[:t]:
+                image[w] = inverse[w] = w
+            if extend(t, walk_order[t:], [u]):
+                found.append(tuple(image))
     return found
-
-
-def _image_exps(support, image, n) -> tuple:
-    """The exponents of a monomial, given as ``(i, e[i])`` over its support, after x_i -> x_image[i]."""
-    out = [0] * n
-    for i, a in support:
-        out[image[i]] = a
-    return tuple(out)
-
-
-def _relabelled(terms, image) -> list:
-    """``(exponents, coefficient)`` terms after x_i -> x_image[i], in no order."""
-    inverse = [0] * len(image)
-    for i, j in enumerate(image):
-        inverse[j] = i
-    pick = _picker(tuple(inverse))
-    return [(pick(e), c) for e, c in terms]
 
 
 def _transported(B: GroebnerBasis, s, order: MonomialOrder) -> GroebnerBasis:
     """The basis s(B) under ``order``, an order of its cone: the exponents
     relabelled, then the terms and the elements sorted as ``buchberger`` leaves them."""
-    key = order.exps_key
+    inverse = [0] * len(s)
+    for i, j in enumerate(s):
+        inverse[j] = i
+    pick, key = _picker(tuple(inverse)), order.exps_key
     polys = []
     for g in B.polys:
-        terms = _relabelled([(m.exps, c) for m, c in g.terms], s)
+        terms = [(pick(m.exps), c) for m, c in g.terms]
         polys.append(_polynomial(B.ctx, order, sorted(terms, key=lambda ec: key(ec[0]), reverse=True)))
     polys.sort(key=lambda g: key(g.terms[0][0].exps), reverse=True)
     return GroebnerBasis(tuple(polys), order, B.ctx)
@@ -391,31 +417,48 @@ def _scan_slice(gens, degree_cap, kinds, orders):
 
     ``orders`` are ``(kind, perm)`` pairs of ``kinds``. Returns the bases
     reached, and for each order the index of its basis among them. A
-    completed basis B claims its cone (see ``scan_orders``), and for each
-    symmetry s of the ideal (``_symmetries``) the cone of s(B): the orders
-    s.(kind, perm), under which s(B) is the reduced basis. Cones are disjoint,
-    so an image is claimed whole unless its first order is owned already. An
-    order is completed only when nothing has claimed it; the first order to
-    reach a claimed image builds s(B) under itself, with no completion.
+    completed basis B claims its cone (see ``scan_orders``), and for each s
+    in its orbit under the symmetries of the ideal the cone of s(B): the
+    orders s.(kind, perm), under which s(B) is the reduced basis. The orbit
+    is walked from B by the generators (``_symmetry_generators``), and an
+    image whose first order is owned is reached already, as cones are
+    disjoint. The generators are found only once the first completion leaves
+    an order of the slice unclaimed. An order is completed only when nothing
+    has claimed it; the first order to reach a claimed image builds s(B)
+    under itself, with no completion.
     """
     ctx = gens[0].ctx
-    symmetries = _symmetries(gens)
     cells: list = []  # a reduced basis, or (B, s) until its first order builds s(B)
     owner: Dict[Tuple[str, tuple], int] = {}
+    generators = None
+
+    def claim_orbit(B, cone):  # the cone of s(B) for each s(B) of the orbit of B not yet claimed
+        reached = [tuple(range(ctx.n))]
+        for s in reached:
+            for g in generators:
+                gs = tuple(g[i] for i in s)
+                if (cone[0][0], tuple(gs[i] for i in cone[0][1])) not in owner:
+                    owner.update(dict.fromkeys(((c, tuple(gs[i] for i in p)) for c, p in cone), len(cells)))
+                    cells.append((B, gs))
+                    reached.append(gs)
+
     which = []
     for kind, perm in orders:
         k = owner.get((kind, perm))
+        if k is None and generators is None and cells:
+            generators = _symmetry_generators(gens)
+            claim_orbit(cells[0], first_cone)
+            k = owner.get((kind, perm))
         if k is None:
             k = len(cells)
             B = buchberger(gens, MonomialOrder(kind, ctx, perm=perm), degree_cap=degree_cap)
             cells.append(B)
             cone = _cone(B, kinds)
             owner.update(dict.fromkeys(cone, k))
-            for s in symmetries:
-                image = s.__getitem__
-                if (cone[0][0], tuple(map(image, cone[0][1]))) not in owner:
-                    owner.update(dict.fromkeys(((c, tuple(map(image, p))) for c, p in cone), len(cells)))
-                    cells.append((B, s))
+            if generators is None:
+                first_cone = cone
+            else:
+                claim_orbit(B, cone)
         elif type(cells[k]) is tuple:
             cells[k] = _transported(*cells[k], MonomialOrder(kind, ctx, perm=perm))
         which.append(k)
@@ -454,15 +497,17 @@ def scan_orders(
     exponent. Distinct reduced bases have disjoint cones, so each order has
     one owner and the scan is one lookup per order.
 
-    A variable permutation s with s(I) = I (``_symmetries``) maps the reduced
-    basis under (kind, perm) to the reduced basis under (kind, s(perm)), and
-    the cone of one to the cone of the other, so G also claims the cone of
-    s(G) for each s. The scan completes at the first unclaimed order, once
-    per orbit of initial ideals under these symmetries, or once per orbit and
-    worker when ``workers`` > 1 (each worker scans one contiguous slice of
-    the orders), and ``degree_cap`` bounds only those completions. Each
-    report is built from the basis of the first order that produced it:
-    completed there, or s(G) relabelled and sorted there, never completed.
+    A variable permutation s with s(I) = I maps the reduced basis under
+    (kind, perm) to the reduced basis under (kind, s(perm)), and the cone of
+    one to the cone of the other, so G also claims the cone of s(G) for each
+    s in its orbit, walked by the generators of these symmetries
+    (``_symmetry_generators``). The scan completes at the first unclaimed
+    order, once per orbit of initial ideals under these symmetries, or once
+    per orbit and worker when ``workers`` > 1 (each worker scans one
+    contiguous slice of the orders), and ``degree_cap`` bounds only those
+    completions. Each report is built from the basis of the first order that
+    produced it: completed there, or s(G) relabelled and sorted there, never
+    completed.
     """
     gens = list(gens)
     if not gens:

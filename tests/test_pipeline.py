@@ -1,6 +1,5 @@
 """End-to-end pipeline tests: analyze, order scans, lift search, point counts."""
 
-import importlib.util
 import itertools
 import json
 import math
@@ -11,7 +10,6 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -525,9 +523,14 @@ SYMMETRIC_IDEALS = {
         "x1*x5 - x2*x4", "0", "3*x2*x4 - 3*x1*x5", "-1/2*x1*x6 + 1/2*x3*x4", "x2*x6 - x3*x5", "x1*x5 - x2*x4",
     )),
 }
-# |Sym(I)| - 1 for each, as the identity is never returned: the minors' row
-# swap times the column permutations, the reversal of rnc_4, all of S_3 for Fermat
+# |Sym(I)| - 1 for each, the identity left out: the minors' row swap times
+# the column permutations, the reversal of rnc_4, all of S_3 for Fermat
 SYMMETRY_COUNTS = {"minors_2x3": 11, "rnc_4": 1, "fermat_qq": 5, "fermat_gf5": 5, "weighted_121": 1, "rescaled": 11}
+# (distinct initial ideals, completions) of each scan over both families
+ORBIT_COUNTS = {
+    "minors_2x3": (6, 1), "rnc_4": (8, 5), "fermat_qq": (3, 1), "fermat_gf5": (3, 1),
+    "weighted_121": (3, 2), "rescaled": (6, 1),
+}
 
 
 def symmetric_gens(name):
@@ -575,6 +578,19 @@ def ref_symmetries(gens, keep_grading=True):
     return found
 
 
+def generated(generators, n):
+    """Every permutation of ``range(n)`` but the identity that ``generators`` generate."""
+    identity = tuple(range(n))
+    group, reached = {identity}, [identity]
+    for s in reached:
+        for g in generators:
+            gs = tuple(g[i] for i in s)
+            if gs not in group:
+                group.add(gs)
+                reached.append(gs)
+    return sorted(group - {identity})
+
+
 def orbit_firsts(reports, symmetries):
     """The order of the first report of each orbit of initial ideals, in report order."""
     seen, firsts = set(), []
@@ -620,14 +636,17 @@ def macaulay_check(reports, top=4):
 
 
 class TestSymmetries:
-    """``pipeline._symmetries`` against brute force over all n! permutations."""
+    """The group ``pipeline._symmetry_generators`` generates, against brute
+    force over all n! permutations."""
 
     @pytest.mark.parametrize("name", sorted(SYMMETRIC_IDEALS))
     def test_matches_brute_force_and_fixes_the_ideal(self, name):
         gens = symmetric_gens(name)
-        found = pipeline._symmetries(gens)
-        assert len(found) == len(set(found)) == SYMMETRY_COUNTS[name]
-        assert sorted(found) == ref_symmetries(gens)
+        n = gens[0].ctx.n
+        found = pipeline._symmetry_generators(gens)
+        assert len(generated(found, n)) == SYMMETRY_COUNTS[name]
+        assert generated(found, n) == ref_symmetries(gens)
+        assert len(found) <= n * (n - 1) // 2
         order = gens[0].order
         basis = ref_reduced_basis(gens, order)
         for s in found:
@@ -637,12 +656,24 @@ class TestSymmetries:
         ctx = standard_context(("x1", "x2", "x3"), QQ, (1, 2, 1))
         gens = [P("x1*x2*x3", ctx, MonomialOrder.degrevlex(ctx))]
         assert len(ref_symmetries(gens, keep_grading=False)) == 5
-        assert pipeline._symmetries(gens) == ref_symmetries(gens) == [(2, 1, 0)]
+        assert pipeline._symmetry_generators(gens) == ref_symmetries(gens) == [(2, 1, 0)]
 
     def test_the_zero_ideal_has_none(self):
         ctx = ctx_n(3)
         zero = P("0", ctx, MonomialOrder.degrevlex(ctx))
-        assert pipeline._symmetries([zero]) == pipeline._symmetries([zero, zero]) == []
+        assert pipeline._symmetry_generators([zero]) == pipeline._symmetry_generators([zero, zero]) == []
+
+    @pytest.mark.parametrize("monomial", [False, True])
+    def test_the_full_symmetric_group_has_few_generators(self, monomial):
+        # e_2, or its 15 monomials as generators: every permutation of 6 variables
+        ctx = ctx_n(6)
+        drl = MonomialOrder.degrevlex(ctx)
+        quadrics = [f"x{i}*x{j}" for i, j in itertools.combinations(range(1, 7), 2)]
+        gens = [P(t, ctx, drl) for t in quadrics] if monomial else [P(" + ".join(quadrics), ctx, drl)]
+        found = pipeline._symmetry_generators(gens)
+        assert len(found) <= 5  # one per level of the search
+        everything = ref_symmetries(gens)
+        assert generated(found, 6) == everything and len(everything) == math.factorial(6) - 1
 
     def test_random_ideals_match_brute_force(self):
         rng = random.Random("symmetries")
@@ -657,7 +688,7 @@ class TestSymmetries:
                 s = rng.sample(range(n), n)
                 if all(ctx.grading[s[i]] == ctx.grading[i] for i in range(n)):
                     gens.append(ref_relabel(gens[0], s) * rng.choice((1, 2, -1)))
-            assert sorted(pipeline._symmetries(gens)) == ref_symmetries(gens)
+            assert generated(pipeline._symmetry_generators(gens), n) == ref_symmetries(gens)
 
 
 class TestScanOracle:
@@ -695,9 +726,14 @@ class TestScanOracle:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", sorted(SYMMETRIC_IDEALS))
-    def test_symmetric_ideals_match_one_completion_per_order(self, name, workers):
+    def test_symmetric_ideals_match_one_completion_per_order(self, monkeypatch, name, workers):
+        calls = count_calls(monkeypatch, "buchberger", module="groebner")
         gens = symmetric_gens(name)
         reports = scan_orders(gens, family="both", workers=workers)
+        if workers == 1:  # completions in worker processes are not seen here
+            # once per orbit of initial ideals, at the orbit's first order
+            assert (len(reports), len(calls)) == ORBIT_COUNTS[name]
+            assert [a[1] for a in calls] == orbit_firsts(reports, ref_symmetries(gens))
         self.agree(gens, reports)
         macaulay_check(reports)
 
@@ -1573,24 +1609,15 @@ class TestNoWorkTwice:
         two = scan_orders(gens, family="both", workers=2)
         assert [as_json(r) for r in two] == [as_json(r) for r in reports]
 
-    def test_seed_one_benchmark_scans_complete_once_per_orbit(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
-        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("_bench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-        spec.loader.exec_module(workloads)
-        calls = count_calls(monkeypatch, "buchberger", module="groebner")
-        counts = {}
-        for job in workloads.generate("scan_minors", 1, tmp_path / "jobs"):
-            calls.clear()
-            out = tmp_path / f"{job.name}.json"
-            assert cli.main([job.command, str(job.path), "--out", str(out)]) == 0
-            counts[job.name] = (len(json.loads(out.read_text())), len(calls))
-        # (distinct initial ideals, completions): one completion per ideal before
-        assert counts == {
-            "minors_2x3": (6, 1), "rnc_4": (8, 5), "rnc_5": (34, 19), "corpus_scan_fermat": (3, 1),
-        }
+    def test_scan_looks_for_symmetries_only_past_one_completion(self, monkeypatch):
+        found = count_calls(monkeypatch, "_symmetry_generators", module="pipeline")
+        ctx = ctx_n(4)
+        drl = MonomialOrder.degrevlex(ctx)
+        # a monomial ideal has one reduced basis, whose cone is every order
+        assert len(scan_orders([P("x1*x2", ctx, drl), P("x3^2*x4", ctx, drl)], family="both")) == 1
+        assert found == []
+        assert len(scan_orders(symmetric_gens("rnc_4"), family="both")) == 8
+        assert len(found) == 1
 
     def test_lift_search_checks_no_homogeneity(self, monkeypatch):
         calls = []
