@@ -9,7 +9,8 @@ Five subcommands, each driven by a job file:
 * ``point-count JOB``  count points of a plane curve over GF(p)
 
 Common flags (after the subcommand): ``--format json|text``, ``--out FILE``,
-``--jobs N`` for worker processes, ``--seed N``, ``--degree-cap N``. A flag
+``--jobs N`` for lift-search worker processes (the other subcommands run in
+one process and ignore it), ``--seed N``, ``--degree-cap N``. A flag
 that names a job setting (``--jobs`` names ``workers``) is parsed and
 checked by that setting's entry in ``jobs.SETTINGS`` and beats the job's
 line; ``--degree-cap``, which names none, takes the same integer rule with a
@@ -48,7 +49,7 @@ def _add_flags(parser: argparse.ArgumentParser, command: str):
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="write the report here instead of stdout")
     parser.add_argument("--jobs", default=None, metavar="N",
-                        help="worker processes for scans and searches")
+                        help="worker processes for lift searches")
     parser.add_argument("--seed", default=None,
                         help="seed for sampled searches")
     parser.add_argument("--degree-cap", default=None, metavar="D",
@@ -110,7 +111,7 @@ def _cmd_scan_orders(args, spec: JobSpec):
     _require_ideal(spec, "scan-orders")
     return pipeline.scan_orders(
         spec.ideal,
-        **_given(family=spec.family, workers=spec.workers, degree_cap=args.degree_cap),
+        **_given(family=spec.family, degree_cap=args.degree_cap),
     )
 
 

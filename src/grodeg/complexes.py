@@ -33,7 +33,8 @@ class SimplicialComplex(Record):
 
     def __init__(self, n: int, facets: Tuple[Tuple[int, ...], ...], *, _canonical: bool = False):
         """``_canonical`` (keyword-only, so not a field) vouches that the facets
-        are sorted, distinct, maximal and in order, as ``from_facets`` leaves them."""
+        are sorted, distinct, maximal and in order, as ``from_facets`` and
+        ``_relabelled_link`` build them."""
         if n < 1:
             raise ValueError("complex needs at least one vertex slot")
         if not facets:
@@ -292,22 +293,21 @@ def is_strongly_connected(delta: SimplicialComplex) -> bool:
 
 
 def _relabelled_link(delta: SimplicialComplex, face: Tuple[int, ...]):
-    """The link of a face of ``delta`` that is not a facet, unchecked, relabelled
-    to 1..m, and its vertex map.
+    """The link of a face of ``delta`` that is not a facet, relabelled to 1..m,
+    and its vertex map.
 
     The sets g minus face, over the facets g containing the face, are nonempty,
     distinct and pairwise incomparable, so they are the link's facets as they
     are. They also keep the canonical order of the g: where two facets first
     differ, the smaller one holds a vertex the other lacks, so not a vertex of
-    the face. Relabelling is increasing, so nothing needs checking or sorting.
+    the face. Relabelling is increasing, so the facets are canonical as built.
     """
     fs = set(face)
     rests = [[v for v in g if v not in fs] for g in delta.facets if fs.issubset(g)]
     old = sorted(set().union(*rests))
     relabel = {v: i + 1 for i, v in enumerate(old)}
-    lk = object.__new__(SimplicialComplex)
-    lk.__dict__.update(n=len(old), facets=tuple(tuple([relabel[v] for v in r]) for r in rests))
-    return lk, tuple(old)
+    facets = tuple(tuple([relabel[v] for v in r]) for r in rests)
+    return SimplicialComplex(len(old), facets, _canonical=True), tuple(old)
 
 
 def _vertex_link_verdicts(delta: SimplicialComplex, field: Field, memo: dict):

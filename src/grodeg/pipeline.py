@@ -21,8 +21,9 @@ Each result's ``as_dict`` holds its own fields only, with nested results
 left as records; ``reporting`` converts the tree, and writes a record that
 several lifts share once.
 
-Everything is deterministic: sampling is seeded, parallel runs pre-generate
-their work lists so worker count never changes the answer.
+Everything is deterministic: sampling is seeded, and parallel lift searches
+pre-generate their work lists, so the worker count never changes the answer.
+The order scan runs in one process.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from functools import cached_property, partial
+from functools import cached_property
 from operator import add, le, sub
 from typing import Dict, List, Optional, Tuple
 
@@ -412,73 +413,18 @@ def _transported(B: GroebnerBasis, s, order: MonomialOrder) -> GroebnerBasis:
     return GroebnerBasis(tuple(polys), order, B.ctx)
 
 
-def _scan_slice(gens, degree_cap, kinds, orders):
-    """The reduced bases of ``gens`` under ``orders``, one completion per orbit.
-
-    ``orders`` are ``(kind, perm)`` pairs of ``kinds``. Returns the bases
-    reached, and for each order the index of its basis among them. A
-    completed basis B claims its cone (see ``scan_orders``), and for each s
-    in its orbit under the symmetries of the ideal the cone of s(B): the
-    orders s.(kind, perm), under which s(B) is the reduced basis. The orbit
-    is walked from B by the generators (``_symmetry_generators``), and an
-    image whose first order is owned is reached already, as cones are
-    disjoint. The generators are found only once the first completion leaves
-    an order of the slice unclaimed. An order is completed only when nothing
-    has claimed it; the first order to reach a claimed image builds s(B)
-    under itself, with no completion.
-    """
-    ctx = gens[0].ctx
-    cells: list = []  # a reduced basis, or (B, s) until its first order builds s(B)
-    owner: Dict[Tuple[str, tuple], int] = {}
-    generators = None
-
-    def claim_orbit(B, cone):  # the cone of s(B) for each s(B) of the orbit of B not yet claimed
-        reached = [tuple(range(ctx.n))]
-        for s in reached:
-            for g in generators:
-                gs = tuple(g[i] for i in s)
-                if (cone[0][0], tuple(gs[i] for i in cone[0][1])) not in owner:
-                    owner.update(dict.fromkeys(((c, tuple(gs[i] for i in p)) for c, p in cone), len(cells)))
-                    cells.append((B, gs))
-                    reached.append(gs)
-
-    which = []
-    for kind, perm in orders:
-        k = owner.get((kind, perm))
-        if k is None and generators is None and cells:
-            generators = _symmetry_generators(gens)
-            claim_orbit(cells[0], first_cone)
-            k = owner.get((kind, perm))
-        if k is None:
-            k = len(cells)
-            B = buchberger(gens, MonomialOrder(kind, ctx, perm=perm), degree_cap=degree_cap)
-            cells.append(B)
-            cone = _cone(B, kinds)
-            owner.update(dict.fromkeys(cone, k))
-            if generators is None:
-                first_cone = cone
-            else:
-                claim_orbit(B, cone)
-        elif type(cells[k]) is tuple:
-            cells[k] = _transported(*cells[k], MonomialOrder(kind, ctx, perm=perm))
-        which.append(k)
-    reached = sorted(set(which))  # a slice may leave some images unreached
-    index = {k: i for i, k in enumerate(reached)}
-    return [cells[k] for k in reached], [index[k] for k in which]
-
-
 def scan_orders(
     gens,
     *,
     family: str = "both",
-    workers: int = 1,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> List[DegenerationReport]:
     """Walk every permutation order of the family, dedupe by initial ideal.
 
     Each distinct initial ideal yields one full report whose
-    ``producing_orders`` lists every order that realized it, in scan order.
-    The scan refuses to run past ``SCAN_VARIABLE_BOUND`` variables (factorial blowup).
+    ``producing_orders`` lists every order that realized it, in scan order;
+    the reports come in the order of their first producing orders. The scan
+    refuses to run past ``SCAN_VARIABLE_BOUND`` variables (factorial blowup).
 
     A reduced basis G is kept once found. If every g in G keeps its leading
     monomial under a new order C, marked division by G sends every element of
@@ -500,14 +446,20 @@ def scan_orders(
     A variable permutation s with s(I) = I maps the reduced basis under
     (kind, perm) to the reduced basis under (kind, s(perm)), and the cone of
     one to the cone of the other, so G also claims the cone of s(G) for each
-    s in its orbit, walked by the generators of these symmetries
-    (``_symmetry_generators``). The scan completes at the first unclaimed
-    order, once per orbit of initial ideals under these symmetries, or once
-    per orbit and worker when ``workers`` > 1 (each worker scans one
-    contiguous slice of the orders), and ``degree_cap`` bounds only those
-    completions. Each report is built from the basis of the first order that
-    produced it: completed there, or s(G) relabelled and sorted there, never
-    completed.
+    s(G) of its orbit not yet claimed. The orbit is walked from G by the
+    generators of these symmetries (``_symmetry_generators``), which are
+    found only once the first completion leaves an order unclaimed; an image
+    whose first order is owned is reached already, as cones are disjoint.
+    The scan completes at an order only when nothing has claimed it, once
+    per orbit of initial ideals under these symmetries, and ``degree_cap``
+    bounds only those completions. The first order to reach a claimed image
+    builds s(G) under itself, relabelled and sorted, never completed. So
+    each report is built from the basis of its first producing order.
+
+    The producing orders are grouped by owner, which is grouping by initial
+    ideal: an order is completed only when no cone claims it, and an image
+    is claimed only when its first order is unowned, so distinct owners are
+    distinct reduced bases, and a reduced basis is fixed by its initial ideal.
     """
     gens = list(gens)
     if not gens:
@@ -522,19 +474,43 @@ def scan_orders(
         raise ValueError(f"unknown order family {family!r} (want lex, degrevlex, or both)")
     _require_homogeneous(gens)
 
-    orders = [(kind, perm) for kind in kinds for perm in itertools.permutations(range(ctx.n))]
-    size = -(-len(orders) // max(1, workers))
-    slices = [orders[i : i + size] for i in range(0, len(orders), size)]
-    scanned = _ordered_map(partial(_scan_slice, gens, degree_cap, kinds), slices, workers)
+    cells: list = []  # a reduced basis, or (B, s) until its first order builds s(B)
+    owner: Dict[Tuple[str, tuple], int] = {}
+    producers: Dict[int, List[str]] = {}  # cell -> its producing orders, cells by first order
+    generators = None
 
-    # initial ideal -> (the basis its first order completed, producing orders)
-    groups: Dict[tuple, Tuple[GroebnerBasis, List[str]]] = {}
-    for chunk, (bases, which) in zip(slices, scanned):
-        keys = [tuple(m.exps for m in initial_ideal(B).gens) for B in bases]
-        for (kind, perm), k in zip(chunk, which):
-            groups.setdefault(keys[k], (bases[k], []))[1].append(render_chain(kind, ctx.names, perm))
+    def claim_orbit(B, cone):  # the cone of s(B) for each s(B) of the orbit of B not yet claimed
+        reached = [tuple(range(ctx.n))]
+        for s in reached:
+            for g in generators:
+                gs = tuple(g[i] for i in s)
+                if (cone[0][0], tuple(gs[i] for i in cone[0][1])) not in owner:
+                    owner.update(dict.fromkeys(((c, tuple(gs[i] for i in p)) for c, p in cone), len(cells)))
+                    cells.append((B, gs))
+                    reached.append(gs)
+
+    for kind in kinds:
+        for perm in itertools.permutations(range(ctx.n)):
+            k = owner.get((kind, perm))
+            if k is None and generators is None and cells:
+                generators = _symmetry_generators(gens)
+                claim_orbit(cells[0], first_cone)
+                k = owner.get((kind, perm))
+            if k is None:
+                k = len(cells)
+                B = buchberger(gens, MonomialOrder(kind, ctx, perm=perm), degree_cap=degree_cap)
+                cells.append(B)
+                cone = _cone(B, kinds)
+                owner.update(dict.fromkeys(cone, k))
+                if generators is None:
+                    first_cone = cone
+                else:
+                    claim_orbit(B, cone)
+            elif type(cells[k]) is tuple:
+                cells[k] = _transported(*cells[k], MonomialOrder(kind, ctx, perm=perm))
+            producers.setdefault(k, []).append(render_chain(kind, ctx.names, perm))
     digest = ideal_digest(ctx, gens)
-    return [_degeneration_report(gens, B, tuple(producers), digest) for B, producers in groups.values()]
+    return [_degeneration_report(gens, cells[k], tuple(orders), digest) for k, orders in producers.items()]
 
 
 def _exponents_of_degree(n: int, d: int):

@@ -374,14 +374,14 @@ class TestCLI:
 
     def test_jobs_flag_beats_the_job_file(self, run_cli, monkeypatch):
         seen = []
-        real = pipeline.scan_orders
+        real = pipeline.lift_search
 
-        def spy(gens, **kwargs):
+        def spy(delta, order, **kwargs):
             seen.append(kwargs.pop("workers"))
-            return real(gens, **kwargs)
+            return real(delta, order, **kwargs)
 
-        monkeypatch.setattr(pipeline, "scan_orders", spy)
-        rc, _, _ = run_cli(["scan-orders", "--jobs", "3"], FERMAT_JOB + "workers 2\n")
+        monkeypatch.setattr(pipeline, "lift_search", spy)
+        rc, _, _ = run_cli(["lift-search", "--jobs", "3"], TRIANGLE_JOB + "workers 2\n")
         assert rc == 0
         assert seen == [3]
 

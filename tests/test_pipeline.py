@@ -15,7 +15,6 @@ import pytest
 
 import grodeg
 from grodeg import cli, pipeline, singularity
-from grodeg.groebner import DEFAULT_DEGREE_CAP
 from grodeg.records import replace
 
 from grodeg import (
@@ -446,24 +445,10 @@ class TestScanOrders:
             "lex_link",
         ]
 
-    def test_workers_do_not_change_the_result(self):
+    def test_the_scan_takes_no_worker_count(self):
         ctx = ctx_xyz()
-        f = P(FERMAT, ctx, MonomialOrder.degrevlex(ctx))
-        one = scan_orders([f], family="both", workers=1)
-        three = scan_orders([f], family="both", workers=3)
-        assert [as_json(r) for r in one] == [as_json(r) for r in three]
-
-    def test_workers_do_not_change_a_many_cone_scan(self):
-        # twisted cubic: 2x2 minors of the 2x3 Hankel matrix, 48 orders
-        ctx = ctx_n(4)
-        drl = MonomialOrder.degrevlex(ctx)
-        gens = [P(t, ctx, drl) for t in ("x1*x3 - x2^2", "x1*x4 - x2*x3", "x2*x4 - x3^2")]
-        runs = [scan_orders(gens, family="both", workers=w) for w in (1, 2, 3)]
-        assert len(runs[0]) > 3
-        assert sum(len(r.producing_orders) for r in runs[0]) == 48
-        one = [as_json(r) for r in runs[0]]
-        assert [as_json(r) for r in runs[1]] == one
-        assert [as_json(r) for r in runs[2]] == one
+        with pytest.raises(TypeError):
+            scan_orders([P(FERMAT, ctx, MonomialOrder.degrevlex(ctx))], workers=2)
 
     def test_inhomogeneous_generator_is_rejected_before_scanning(self, monkeypatch):
         calls = count_calls(monkeypatch, "buchberger", module="groebner")
@@ -724,16 +709,14 @@ class TestScanOracle:
             alone = analyze(gens, r.order)
             assert as_json(r) == as_json(replace(alone, producing_orders=r.producing_orders))
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", sorted(SYMMETRIC_IDEALS))
-    def test_symmetric_ideals_match_one_completion_per_order(self, monkeypatch, name, workers):
+    def test_symmetric_ideals_match_one_completion_per_order(self, monkeypatch, name):
         calls = count_calls(monkeypatch, "buchberger", module="groebner")
         gens = symmetric_gens(name)
-        reports = scan_orders(gens, family="both", workers=workers)
-        if workers == 1:  # completions in worker processes are not seen here
-            # once per orbit of initial ideals, at the orbit's first order
-            assert (len(reports), len(calls)) == ORBIT_COUNTS[name]
-            assert [a[1] for a in calls] == orbit_firsts(reports, ref_symmetries(gens))
+        reports = scan_orders(gens, family="both")
+        # once per orbit of initial ideals, at the orbit's first order
+        assert (len(reports), len(calls)) == ORBIT_COUNTS[name]
+        assert [a[1] for a in calls] == orbit_firsts(reports, ref_symmetries(gens))
         self.agree(gens, reports)
         macaulay_check(reports)
 
@@ -1601,13 +1584,11 @@ class TestNoWorkTwice:
         ctx = ctx_n(6)
         drl = MonomialOrder.degrevlex(ctx)
         gens = [P(t, ctx, drl) for t in ("x1*x5 - x2*x4", "x1*x6 - x3*x4", "x2*x6 - x3*x5")]
-        reports = scan_orders(gens, family="both", workers=1)
+        reports = scan_orders(gens, family="both")
         assert sum(len(r.producing_orders) for r in reports) == 1440
         assert (len(reports), len(calls)) == (6, 1)
         assert [a[1] for a in calls] == orbit_firsts(reports, ref_symmetries(gens)) == [reports[0].order]
         assert calls[0][1].render() == reports[0].producing_orders[0]
-        two = scan_orders(gens, family="both", workers=2)
-        assert [as_json(r) for r in two] == [as_json(r) for r in reports]
 
     def test_scan_looks_for_symmetries_only_past_one_completion(self, monkeypatch):
         found = count_calls(monkeypatch, "_symmetry_generators", module="pipeline")
@@ -1659,11 +1640,8 @@ _SPAWN_SCRIPT = textwrap.dedent(
     """
     import json, multiprocessing
     multiprocessing.set_start_method("spawn")
-    from grodeg import (QQ, MonomialOrder, PrimeField, SimplicialComplex, lift_search,
-                        parse_polynomial, scan_orders, standard_context, to_jsonable)
+    from grodeg import QQ, MonomialOrder, PrimeField, SimplicialComplex, lift_search, standard_context, to_jsonable
 
-    ctx = standard_context(("x", "y", "z"))
-    f = parse_polynomial("x^3 + y^3 + z^3", ctx, MonomialOrder.degrevlex(ctx))
     cycle = SimplicialComplex.from_facets(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     drl = MonomialOrder.degrevlex(standard_context(("x1", "x2", "x3", "x4")))
     octahedron = SimplicialComplex.from_facets(6, [
@@ -1675,11 +1653,10 @@ _SPAWN_SCRIPT = textwrap.dedent(
     drl5 = [MonomialOrder.degrevlex(standard_context(names5, field=k)) for k in (QQ, PrimeField(3))]
     out = {}
     for workers in (1, 2):
-        scan = scan_orders([f], family="both", workers=workers)
         lifts = lift_search(cycle, drl, budget=40, seed=5, workers=workers)
         octa = lift_search(octahedron, drl6, pool=(-1, 1), budget=20, seed=1, workers=workers)
         fives = [lift_search(five, o, budget=40, seed=2, workers=workers) for o in drl5]
-        out[workers] = json.dumps(to_jsonable([scan, lifts, octa, fives]), sort_keys=True)
+        out[workers] = json.dumps(to_jsonable([lifts, octa, fives]), sort_keys=True)
     print(json.dumps([multiprocessing.get_start_method(), out[1], out[2]]))
     """
 )
@@ -1735,46 +1712,42 @@ def random_graded_poly(rng, ctx, order, deg, nterms=4):
 
 
 class TestConeCover:
-    """The permutation orders each completed basis claims in a scan, against
-    the term-by-term marking check of ``conftest``."""
+    """The orders of each report of a scan against its basis's cone and the
+    term-by-term marking check of ``conftest``."""
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
-    def test_each_order_is_owned_by_the_one_basis_that_keeps_its_marking(self, field):
+    def test_each_order_is_produced_by_the_one_basis_that_keeps_its_marking(self, field):
         rng = random.Random(f"cone-cover-{field.render()}")
-        kinds = ("lex", "degrevlex")
         for n, grading in ((3, None), (4, None), (5, None), (4, (1, 2, 1, 3)), (3, (2, 1, 1))):
             ctx = standard_context(tuple(f"x{i}" for i in range(1, n + 1)), field, grading)
             drl = MonomialOrder.degrevlex(ctx)
             degree = 2 if n == 5 else rng.randint(2, 3)  # keeps the completions over QQ small
             gens = [random_graded_poly(rng, ctx, drl, degree) for _ in range(rng.randint(2, 3))]
-            orders = [(kind, perm) for kind in kinds for perm in itertools.permutations(range(n))]
-            bases, which = pipeline._scan_slice(gens, DEFAULT_DEGREE_CAP, kinds, orders)
-            cones = [pipeline._cone(B, kinds) for B in bases]
-            # the claims are disjoint and cover every order the scan reaches
-            assert sorted(o for cone in cones for o in cone) == sorted(orders)
-            for order, k in zip(orders, which):
-                assert [j for j, B in enumerate(bases) if ref_keeps_marking(B, *order)] == [k]
-                assert order in cones[k]
+            self.check(scan_orders(gens, family="both"))
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", sorted(SYMMETRIC_IDEALS))
-    def test_symmetric_ideals_transport_to_the_one_basis_that_keeps_its_marking(self, name, workers):
+    def test_symmetric_ideals_transport_to_the_one_basis_that_keeps_its_marking(self, name):
         gens = symmetric_gens(name)
-        n = gens[0].ctx.n
+        reports = scan_orders(gens, family="both")
+        self.check(reports)
+        for r in reports:  # completed or transported, each basis is the reduced one
+            assert [ref_terms(g) for g in r.basis.polys] == [ref_terms(g) for g in ref_reduced_basis(gens, r.order)]
+
+    @staticmethod
+    def check(reports):
+        ctx = reports[0].ctx
         kinds = ("lex", "degrevlex")
-        orders = [(kind, perm) for kind in kinds for perm in itertools.permutations(range(n))]
-        size = -(-len(orders) // workers)  # the slices of scan_orders
-        for chunk in (orders[i : i + size] for i in range(0, len(orders), size)):
-            bases, which = pipeline._scan_slice(gens, DEFAULT_DEGREE_CAP, kinds, chunk)
-            for order, k in zip(chunk, which):
-                assert [j for j, B in enumerate(bases) if ref_keeps_marking(B, *order)] == [k]
-            # each basis, completed or transported, is built under the first order it owns
-            firsts = {}
-            for order, k in zip(chunk, which):
-                firsts.setdefault(k, order)
-            assert [(B.order.kind, B.order.perm) for B in bases] == [firsts[k] for k in range(len(bases))]
-            for B in bases:
-                assert [ref_terms(g) for g in B.polys] == [ref_terms(g) for g in ref_reduced_basis(gens, B.order)]
-            if workers == 1:
-                cones = [pipeline._cone(B, kinds) for B in bases]
-                assert sorted(o for cone in cones for o in cone) == sorted(orders)
+        orders = [(kind, perm) for kind in kinds for perm in itertools.permutations(range(ctx.n))]
+        named = {MonomialOrder(kind, ctx, perm=perm).render(): (kind, perm) for kind, perm in orders}
+        produced = [[named[o] for o in r.producing_orders] for r in reports]
+        owner = {order: k for k, own in enumerate(produced) for order in own}
+        assert sorted(owner) == sorted(orders) and sum(map(len, produced)) == len(orders)
+        for r, own in zip(reports, produced):
+            assert sorted(own) == sorted(pipeline._cone(r.basis, kinds))
+            # each basis is built under its report's first producing order
+            assert (r.basis.order.kind, r.basis.order.perm) == own[0]
+        for order in orders:
+            assert [k for k, r in enumerate(reports) if ref_keeps_marking(r.basis, *order)] == [owner[order]]
+        # reports come in the order of their first producing orders
+        firsts = [orders.index(own[0]) for own in produced]
+        assert firsts == sorted(firsts)

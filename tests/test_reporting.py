@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from grodeg import cli, to_jsonable
+from grodeg import cli, pipeline, to_jsonable
 from grodeg.cli import main
 from grodeg.reporting import _text_lines, render_report
 
@@ -138,6 +138,25 @@ def test_lift_search_bytes_do_not_depend_on_the_worker_count(tmp_path):
         assert main(["lift-search", str(CORPUS / "lift_cycle4.job"), "--jobs", workers, "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == (CORPUS / "golden" / "lift_cycle4.json").read_bytes()
+
+
+def test_a_scan_completes_in_one_process_whatever_the_worker_count(monkeypatch, tmp_path):
+    calls = []
+    real = pipeline.buchberger
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "buchberger", counted)
+    text = (CORPUS / "scan_fermat.job").read_text()
+    for name, line in (("flag", ""), ("line", "workers 2\n")):
+        job, out = tmp_path / f"{name}.job", tmp_path / f"{name}.json"
+        job.write_text(text + line)
+        calls.clear()
+        assert main(["scan-orders", str(job), "--jobs", "2", "--out", str(out)]) == 0
+        assert out.read_bytes() == (CORPUS / "golden" / "scan_fermat.json").read_bytes()
+        assert len(calls) == 1  # one orbit of initial ideals, completed here
 
 
 def test_the_lifts_of_a_search_share_each_distinct_verdict(monkeypatch, tmp_path):
