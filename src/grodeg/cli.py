@@ -8,18 +8,18 @@ Five subcommands, each driven by a job file:
 * ``lift-search JOB``  search lifts of a non-face ideal for singularities
 * ``point-count JOB``  count points of a plane curve over GF(p)
 
-Common flags (after the subcommand): ``--format json|text``, ``--out FILE``,
-``--jobs N`` for lift-search worker processes (the other subcommands run in
-one process and ignore it), ``--seed N``, ``--degree-cap N``. A flag
-that names a job setting (``--jobs`` names ``workers``) is parsed and
+Common flags (after the subcommand): ``--format json|text``, ``--out FILE``.
+Each subcommand parses only the flags it reads, so a flag it would ignore is
+a usage error: ``--degree-cap N`` belongs to analyze and scan-orders, and
+``--seed N`` to lift-search. A flag that names a job setting is parsed and
 checked by that setting's entry in ``jobs.SETTINGS`` and beats the job's
 line; ``--degree-cap``, which names none, takes the same integer rule with a
 minimum of 1. A setting given by neither is not passed on, so each default
-lives once, in the library function's signature. Exit codes: 0 after a completed
-run, 2 for any parse or usage error (an ``--out`` file that cannot be written
-included), 3 when a resource cap stops the computation, 1 for other input
-errors. Output is plain text or JSON with no color codes, so NO_COLOR needs
-no handling.
+lives once, in the library function's signature. Every command runs in one
+process. Exit codes: 0 after a completed run, 2 for any parse or usage error
+(an ``--out`` file that cannot be written included), 3 when a resource cap
+stops the computation, 1 for other input errors. Output is plain text or JSON
+with no color codes, so NO_COLOR needs no handling.
 
 Each call builds one parser, the invoked subcommand's, from ``_COMMANDS``.
 The full tree, built from the same table, is only for root help and usage
@@ -48,13 +48,6 @@ def _add_flags(parser: argparse.ArgumentParser, command: str):
     parser.add_argument("--format", default=None, help="output format: json or text")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="write the report here instead of stdout")
-    parser.add_argument("--jobs", default=None, metavar="N",
-                        help="worker processes for lift searches")
-    parser.add_argument("--seed", default=None,
-                        help="seed for sampled searches")
-    parser.add_argument("--degree-cap", default=None, metavar="D",
-                        help="abort basis completion beyond this degree in analyze "
-                        f"and scan-orders (default {DEFAULT_DEGREE_CAP})")
     for flag, metavar, text in _COMMANDS[command][2]:
         parser.add_argument(flag, default=None, metavar=metavar, help=text)
 
@@ -85,10 +78,9 @@ def _flag_settings(args) -> dict:
     """The job settings given as flags, parsed and checked by ``SETTINGS``."""
     given = {}
     for name, (parse, _) in SETTINGS.items():
-        flag = "jobs" if name == "workers" else name
-        text = getattr(args, flag, None)
+        text = getattr(args, name, None)
         if text is not None:
-            given[name] = parse(text, f"--{flag}")
+            given[name] = parse(text, f"--{name}")
     return given
 
 
@@ -134,7 +126,7 @@ def _cmd_lift_search(args, spec: JobSpec):
     return pipeline.lift_search(
         spec.delta,
         order,
-        **_given(pool=spec.pool, budget=spec.budget, seed=spec.seed, workers=spec.workers),
+        **_given(pool=spec.pool, budget=spec.budget, seed=spec.seed),
     )
 
 
@@ -147,15 +139,17 @@ def _cmd_point_count(args, spec: JobSpec):
     return pipeline.count_points(spec.ideal[0], spec.prime)
 
 
+_DEGREE_CAP = ("--degree-cap", "D", f"abort basis completion beyond this degree (default {DEFAULT_DEGREE_CAP})")
+
 # Each subcommand's help line, handler and own flags as (flag, metavar, help).
 _COMMANDS = {
-    "analyze": ("degenerate one ideal along one order", _cmd_analyze, ()),
+    "analyze": ("degenerate one ideal along one order", _cmd_analyze, (_DEGREE_CAP,)),
     "scan-orders": ("walk all permutation orders of a family", _cmd_scan_orders,
-                    (("--family", None, ", ".join(pipeline._FAMILIES)),)),
+                    (_DEGREE_CAP, ("--family", None, ", ".join(pipeline._FAMILIES)))),
     "complex": ("analyze a simplicial complex directly", _cmd_complex,
                 (("--field", "F", "cohomology coefficients: QQ or GF(p)"),)),
     "lift-search": ("search lifts of a non-face ideal", _cmd_lift_search,
-                    (("--budget", None, None),
+                    (("--seed", None, "seed for sampled searches"), ("--budget", None, None),
                      ("--pool", "CSV", "tail coefficient pool, e.g. -2,-1,1,2"))),
     "point-count": ("count plane-curve points over GF(p)", _cmd_point_count,
                     (("--prime", None, None),)),
@@ -201,8 +195,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         flags = _flag_settings(args)
-        if args.degree_cap is not None:
-            args.degree_cap = _integer(1)(args.degree_cap, "--degree-cap")
+        cap = getattr(args, "degree_cap", None)
+        if cap is not None:
+            args.degree_cap = _integer(1)(cap, "--degree-cap")
         spec = replace(_read_job(args.jobfile), **flags)
         result = _COMMANDS[args.command][1](args, spec)
         payload = render_report(result, **_given(fmt=spec.format))

@@ -16,7 +16,6 @@ Grammar (one directive per line, ``#`` starts a comment, blank lines skipped):
     budget 500
     seed 7
     prime 11
-    workers 4
     format json
 
 Directives may appear in any order in the file; each may appear once.
@@ -95,7 +94,6 @@ SETTINGS = {
     "prime": (_integer(2), str),
     "budget": (_integer(1), str),
     "seed": (_integer(), str),
-    "workers": (_integer(1), str),
     "format": (_one_of(("json", "text")), str),
 }
 _STRUCTURE = ("ring", "order", "ideal", "vertices", "facets")
@@ -110,12 +108,11 @@ class JobSpec(Record):
         ideal: Optional[Tuple[Polynomial, ...]] = None, delta: Optional[SimplicialComplex] = None,
         field: Optional[Field] = None, family: Optional[str] = None,
         pool: Optional[Tuple[Fraction, ...]] = None, budget: Optional[int] = None,
-        seed: Optional[int] = None, prime: Optional[int] = None, workers: Optional[int] = None,
-        format: Optional[str] = None,
+        seed: Optional[int] = None, prime: Optional[int] = None, format: Optional[str] = None,
     ):
         self.__dict__.update(
             ctx=ctx, order=order, ideal=ideal, delta=delta, field=field, family=family,
-            pool=pool, budget=budget, seed=seed, prime=prime, workers=workers, format=format,
+            pool=pool, budget=budget, seed=seed, prime=prime, format=format,
         )
 
     def carrier_order(self) -> Optional[MonomialOrder]:

@@ -13,7 +13,7 @@ Four entry points:
   lift criterion is solved once per search, as equations in the tail
   coefficients (``_stratum_equations``); each candidate is an evaluation.
   The coordinate-point table of ``singularity`` is built once per search,
-  over the tail slots, with its verdicts memoized (``_LiftCheck.jacobian``).
+  over the tail slots, with its verdicts memoized (``_lift_tables``).
 * ``count_points``: exact point counts of a plane curve over GF(p), with the
   trace and supersingularity flags when the curve is a smooth cubic.
 
@@ -21,9 +21,8 @@ Each result's ``as_dict`` holds its own fields only, with nested results
 left as records; ``reporting`` converts the tree, and writes a record that
 several lifts share once.
 
-Everything is deterministic: sampling is seeded, and parallel lift searches
-pre-generate their work lists, so the worker count never changes the answer.
-The order scan runs in one process.
+Everything is deterministic, since sampling is seeded, and everything runs
+in one process.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from functools import cached_property
 from operator import add, le, sub
 from typing import Dict, List, Optional, Tuple
 
@@ -70,6 +68,7 @@ from .singularity import (
 
 SCAN_VARIABLE_BOUND = 8
 POINT_COUNT_PRIME_BOUND = 1024  # count_points walks all p^2 + p + 1 points
+LIFT_CANDIDATE_BOUND = 10**6  # lift_search holds every drawn candidate
 DEFAULT_BUDGET = 200
 DEFAULT_POOL_QQ = (-2, -1, 1, 2)
 
@@ -225,22 +224,6 @@ def _degeneration_report(gens, B: GroebnerBasis, producing_orders, digest: str) 
         digest, order, polys, B, M, True,
         delta, props, points, tuple(obstructions), conjectures, producing_orders,
     )
-
-
-def _ordered_map(fn, items, workers: int) -> list:
-    """``[fn(x) for x in items]``, spread over worker processes when workers > 1.
-
-    Results come back in item order, and the pool uses the platform's default
-    start method, so neither the worker count nor the start method can change
-    an answer.
-    """
-    if workers <= 1 or not items:
-        return [fn(x) for x in items]
-    from concurrent.futures import ProcessPoolExecutor  # only pools pay for the import
-
-    chunk = max(1, len(items) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
 
 
 _FAMILIES = {
@@ -643,81 +626,30 @@ class ValidLift(Record):
         }
 
 
-class _LiftCheck(Record):
-    """One search's ``assignment -> ValidLift or None`` (None when not valid).
+def _lift_tables(order, delta, targets, slots, coeffs, p, values) -> tuple:
+    """What a search's valid lifts need and its invalid candidates do not, so
+    ``lift_search`` builds it at the first valid lift: ``(table, pool integers,
+    target coefficient, units, exclusions)``.
 
-    ``equations`` are the search's stratum equations (``_stratum_equations``),
-    built once by ``lift_search``; each chunk of work sent to a ``--jobs``
-    worker carries them in its pickled copy. A candidate is checked by
-    evaluating them (``_valid_lift``), and its polynomials are built only when
-    it is valid. ``codim`` is the expected codimension. The coordinate-point
-    table with its verdict memo (``jacobian``) and the support-exclusion table
-    with the basis order (``exclusions``) serve valid lifts only, so each is
-    built at the first valid lift, and never in a search where no candidate is
-    valid. A worker's copy builds them for itself, so each chunk of work keeps
-    its own memo; a verdict depends only on its key, so ``--jobs`` cannot
-    change an answer.
+    The first four are for ``_point_verdicts``, whose table covers the tail
+    slots, then one slot for every target. Over GF(p) the pool is its residues
+    and the target coefficient 1; over QQ the pool and 1 are cleared together
+    to primitive integers, which scales each candidate's row by one constant.
+    ``exclusions`` is the support-exclusion table and the candidates'
+    reduced-basis order (by decreasing lead), or None outside the
+    one-dimensional setting. The leads are the targets, so one order serves
+    every valid lift.
     """
-
-    __hash__ = None
-
-    def __init__(
-        self, order: MonomialOrder, delta: SimplicialComplex, targets: List[Monomial], slots: list,
-        coeffs: list, codim: int, equations: tuple,
-    ):
-        self.__dict__.update(
-            order=order, delta=delta, targets=targets, slots=slots, coeffs=coeffs, codim=codim,
-            equations=equations,
-        )
-
-    @cached_property
-    def scalars(self) -> Tuple[int, list]:
-        """The characteristic p, and the pool as the numbers ``_valid_lift`` evaluates at."""
-        p = self.order.ctx.field.characteristic()
-        if p:
-            return p, [c.v for c in self.coeffs]
-        return 0, [c.numerator if c.denominator == 1 else c for c in self.coeffs]
-
-    @cached_property
-    def jacobian(self) -> tuple:
-        """``(table, pool integers, target coefficient, units, memo, verdicts)``
-        for ``_point_verdicts``: the tail slots, then one slot for every target.
-        Over GF(p) residues and 1; over QQ the pool and 1 cleared together to
-        primitive integers, which scales each candidate's row by one constant."""
-        gens_slots = [[(t.exps, len(self.slots))] for t in self.targets]
-        for s, (ti, m) in enumerate(self.slots):
-            gens_slots[ti].append((m.exps, s))
-        p, values = self.scalars
-        *ints, lead = [*values, 1] if p else primitive_integers([*self.coeffs, 1])
-        ctx = self.order.ctx
-        return _point_table(gens_slots, ctx.n), ints, lead, _unit_points(ctx), {}, {}
-
-    @cached_property
-    def exclusions(self):
-        """The support-exclusion table and the candidates' reduced-basis order
-        (by decreasing lead), or None outside the one-dimensional setting. The
-        leads are the targets, so one order serves every valid lift."""
-        if not _dim1_setting(self.delta):
-            return None
-        order, targets = self.order, self.targets
+    gens_slots = [[(t.exps, len(slots))] for t in targets]
+    for s, (ti, m) in enumerate(slots):
+        gens_slots[ti].append((m.exps, s))
+    *ints, lead = [*values, 1] if p else primitive_integers([*coeffs, 1])
+    exclusions = None
+    if _dim1_setting(delta):
         by_lead = sorted(range(len(targets)), key=lambda k: order.sort_key(targets[k]), reverse=True)
-        return _exclusion_table(order, self.delta, targets), by_lead
-
-    def __call__(self, assignment) -> Optional[ValidLift]:
-        p, values = self.scalars
-        if not _valid_lift(self.equations, values, p, assignment):
-            return None
-        polys = _build_lift(self.order, self.targets, self.slots, self.coeffs, assignment)
-        violations: Tuple[SupportViolation, ...] = ()
-        if self.exclusions is not None:
-            # valid: the monic candidates, by decreasing lead, are the reduced basis
-            table, by_lead = self.exclusions
-            violations = tuple(_excluded_tails([polys[k] for k in by_lead], table))
-        table, ints, lead, units, memo, verdicts = self.jacobian
-        slot_values = [ints[a] for a in assignment]
-        slot_values.append(lead)
-        points = _point_verdicts(table, slot_values, units, self.codim, memo, verdicts)
-        return ValidLift(tuple(polys), points, violations)
+        exclusions = _exclusion_table(order, delta, targets), by_lead
+    ctx = order.ctx
+    return _point_table(gens_slots, ctx.n), ints, lead, _unit_points(ctx), exclusions
 
 
 class LiftSearchResult(Record):
@@ -773,7 +705,6 @@ def lift_search(
     pool=None,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    workers: int = 1,
 ) -> LiftSearchResult:
     """Search homogeneous lifts of the non-face ideal of ``delta``.
 
@@ -791,11 +722,13 @@ def lift_search(
     valid candidates are built as polynomials. They get Jacobian verdicts at
     all coordinate points, plus the tail-support exclusion checks in the
     one-dimensional setting. The coordinate-point table and the exclusion
-    table are built at the first valid lift, once per search (once per chunk
-    of work with ``workers`` > 1), and a point's verdict is ranked once per
-    distinct set of values of the slots it reads; each worker returns finished
-    ``ValidLift``s, so the Jacobians and the support scan are spread with the
-    validity checks.
+    table are built at the first valid lift, once per search
+    (``_lift_tables``), and a point's verdict is ranked once per distinct set
+    of values of the slots it reads. The search runs in one process.
+
+    At most ``LIFT_CANDIDATE_BOUND`` candidates are drawn: a search whose
+    space and budget both exceed it raises ``ResourceLimitError`` before
+    drawing any.
     """
     ctx = order.ctx
     M = to_ideal(delta, ctx)  # which checks the vertex count
@@ -803,9 +736,9 @@ def lift_search(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     field = ctx.field
+    p = field.characteristic()
 
     if pool is None:
-        p = field.characteristic()
         pool = DEFAULT_POOL_QQ if p == 0 else tuple(range(p))
     coeffs = list(dict.fromkeys(field.of(c) for c in pool))
     if not coeffs:
@@ -829,17 +762,36 @@ def lift_search(
     slots = [(ti, m) for ti, tails in enumerate(tails_of) for m in tails]
 
     space = len(coeffs) ** len(slots)
+    if min(space, budget) > LIFT_CANDIDATE_BOUND:
+        raise ResourceLimitError(
+            f"a lift search draws at most {LIFT_CANDIDATE_BOUND} candidates; lower the budget"
+        )
     exhaustive = space <= budget
     if exhaustive:
         draws = list(itertools.product(range(len(coeffs)), repeat=len(slots)))
     else:
         rng = random.Random(seed)
         draws = [tuple(rng.randrange(len(coeffs)) for _ in slots) for _ in range(budget)]
-    assignments = list(dict.fromkeys(draws))
 
     equations = _stratum_equations(order, targets, slots)
-    run = _LiftCheck(order, delta, targets, slots, coeffs, (ctx.n - 1) - delta.dim, equations)
-    lifts = [lift for lift in _ordered_map(run, assignments, workers) if lift is not None]
+    values = [c.v for c in coeffs] if p else [c.numerator if c.denominator == 1 else c for c in coeffs]
+    codim = (ctx.n - 1) - delta.dim
+    lifts, table, memo, verdicts = [], None, {}, {}
+    for assignment in dict.fromkeys(draws):
+        if not _valid_lift(equations, values, p, assignment):
+            continue
+        if table is None:
+            table, ints, lead, units, exclusions = _lift_tables(order, delta, targets, slots, coeffs, p, values)
+        polys = _build_lift(order, targets, slots, coeffs, assignment)
+        violations: Tuple[SupportViolation, ...] = ()
+        if exclusions is not None:
+            # valid: the monic candidates, by decreasing lead, are the reduced basis
+            excluded, by_lead = exclusions
+            violations = tuple(_excluded_tails([polys[k] for k in by_lead], excluded))
+        slot_values = [ints[a] for a in assignment]
+        slot_values.append(lead)
+        points = _point_verdicts(table, slot_values, units, codim, memo, verdicts)
+        lifts.append(ValidLift(tuple(polys), points, violations))
 
     return LiftSearchResult(
         delta, order, tuple(coeffs), budget, seed, exhaustive, space,

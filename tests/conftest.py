@@ -13,6 +13,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from grodeg import (
     Monomial,
     MonomialOrder,
@@ -24,6 +26,7 @@ from grodeg import (
     s_polynomial,
     standard_context,
 )
+from grodeg import pipeline
 from grodeg.groebner import DEFAULT_DEGREE_CAP
 from hypothesis import settings
 
@@ -542,3 +545,15 @@ def ctx_n(n, field=None):
     if field is None:
         return standard_context(names)
     return standard_context(names, field=field)
+
+
+@pytest.fixture
+def no_lift_draws(monkeypatch):
+    """Make drawing lift candidates an error, so that a search stopped by the
+    candidate bound is tested without ever allocating its draws."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lift search past the candidate bound drew candidates")
+
+    monkeypatch.setattr(itertools, "product", refuse)
+    monkeypatch.setattr(pipeline.random, "Random", refuse)

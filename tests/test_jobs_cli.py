@@ -29,7 +29,6 @@ pool -2,-1,1,2
 prime 7
 budget 500
 seed 11
-workers 3
 format json
 """
 
@@ -63,7 +62,7 @@ class TestParseJob:
         assert spec.field == PrimeField(2)
         assert spec.family == "lex"
         assert spec.pool == (Fraction(-2), Fraction(-1), Fraction(1), Fraction(2))
-        assert (spec.prime, spec.budget, spec.seed, spec.workers) == (7, 500, 11, 3)
+        assert (spec.prime, spec.budget, spec.seed) == (7, 500, 11)
         assert spec.format == "json"
 
     def test_ideal_uses_the_declared_order_as_carrier(self):
@@ -174,6 +173,8 @@ BAD_JOBS = [
     # Fraction() reads exponents and any length: 1e10000000 is a 33-million-bit integer
     ("pool 1e10000000\n", "bad pool entry '1e10000000'", 1, 6),
     pytest.param(f"pool 1,{'7' * 4000}\n", f"bad pool entry '{'7' * 20}…'", 1, 6, id="pool-4000-digits"),
+    # every command runs in one process, so there is no worker count to set
+    ("workers 2\n", "unknown directive 'workers'", 1, 1),
 ]
 
 
@@ -372,18 +373,20 @@ class TestCLI:
         assert spaced[0] == 0
         assert json.loads(spaced[1])["pool"] == pool.split(",")
 
-    def test_jobs_flag_beats_the_job_file(self, run_cli, monkeypatch):
-        seen = []
-        real = pipeline.lift_search
-
-        def spy(delta, order, **kwargs):
-            seen.append(kwargs.pop("workers"))
-            return real(delta, order, **kwargs)
-
-        monkeypatch.setattr(pipeline, "lift_search", spy)
-        rc, _, _ = run_cli(["lift-search", "--jobs", "3"], TRIANGLE_JOB + "workers 2\n")
-        assert rc == 0
-        assert seen == [3]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *([command, "--jobs", "2"] for command in cli._COMMANDS),  # every command runs in one process
+            ["complex", "--seed", "3"],
+            ["analyze", "--seed", "3"],
+            ["point-count", "--degree-cap", "7"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, run_cli, argv):
+        rc, out, err = run_cli(argv, TRIANGLE_JOB)
+        assert (rc, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
 
     def test_unset_settings_are_left_to_the_library(self, run_cli, monkeypatch):
         seen = []
@@ -441,6 +444,12 @@ class TestCLI:
         job = "ring QQ x1,x2,x3,x4,x5,x6\nideal: x1*x5 - x2*x4 ; x1*x6 - x3*x4 ; x2*x6 - x3*x5\n"
         rc, out, err = run_cli(["analyze", "--degree-cap", cap], job)
         assert (rc, out, err) == (2, "", f"grodeg: {message}\n")
+
+    def test_lift_candidate_bound_exit_code(self, run_cli, no_lift_draws):
+        job = "facets: 1 2; 2 3; 3 4; 4 5; 1 5\nbudget 99999999999999999999\n"
+        rc, out, err = run_cli(["lift-search"], job)
+        assert (rc, out) == (3, "")
+        assert err == "grodeg: a lift search draws at most 1000000 candidates; lower the budget\n"
 
     def test_scan_bound_exit_code(self, run_cli):
         job = "ring QQ x1,x2,x3,x4,x5,x6,x7,x8,x9\nideal: x1*x2\n"
@@ -514,8 +523,6 @@ class TestCLI:
         [
             (["lift-search", "--budget", "-3"], TRIANGLE_JOB, "--budget must be >= 1"),
             (["lift-search", "--budget", "0"], TRIANGLE_JOB, "--budget must be >= 1"),
-            (["lift-search", "--jobs", "0"], TRIANGLE_JOB, "--jobs must be >= 1"),
-            (["scan-orders", "--jobs", "-4"], FERMAT_JOB, "--jobs must be >= 1"),
             (["point-count", "--prime", "1"], FERMAT_JOB, "--prime must be >= 2"),
         ],
     )
@@ -590,7 +597,7 @@ def _parse_outcome(parse, words, capsys):
     "argv",
     [
         ["analyze", "a.job"],
-        ["scan-orders", "a.job", "--family", "lex", "--jobs", "2"],
+        ["scan-orders", "a.job", "--family", "lex"],
         ["complex", "a.job", "--field", "GF(2)", "--format", "text"],
         ["lift-search", "a.job", "--budget", "5", "--seed", "3", "--pool", "1,2"],
         ["point-count", "a.job", "--prime", "5", "--out", "r.json", "--degree-cap", "7"],

@@ -4,11 +4,9 @@ import itertools
 import json
 import math
 import os
-import pickle
 import random
 import subprocess
 import sys
-import textwrap
 from fractions import Fraction
 
 import pytest
@@ -25,6 +23,7 @@ from grodeg import (
     PrimeField,
     ProjPoint,
     QQ,
+    ResourceLimitError,
     ScanBoundExceeded,
     SimplicialComplex,
     analyze,
@@ -818,16 +817,10 @@ class TestLiftSearch:
         assert d["valid_lift_count"] == 487
         assert d["lifts_singular_at_top_point"] == 487
 
-    def test_workers_do_not_change_the_result(self):
-        ctx = ctx_n(4)
-        drl = MonomialOrder.degrevlex(ctx)
-        one = lift_search(
-            self.four_cycle(), drl, pool=(-2, -1, 1, 2), budget=500, seed=11
-        )
-        three = lift_search(
-            self.four_cycle(), drl, pool=(-2, -1, 1, 2), budget=500, seed=11, workers=3
-        )
-        assert as_json(one) == as_json(three)
+    def test_the_search_takes_no_worker_count(self):
+        drl = MonomialOrder.degrevlex(ctx_n(4))
+        with pytest.raises(TypeError):
+            lift_search(self.four_cycle(), drl, budget=5, workers=2)
 
     def test_lone_vertex_has_an_empty_tail_target(self):
         delta = SimplicialComplex.from_facets(2, [(1,)])
@@ -899,6 +892,24 @@ class TestLiftSearch:
         with pytest.raises(ValueError, match="budget must be >= 1"):
             lift_search(self.triangle(), drl, budget=budget)
 
+    @pytest.mark.parametrize("budget", [pipeline.LIFT_CANDIDATE_BOUND + 1, 10**20], ids=["sampled", "exhaustive"])
+    def test_a_search_past_the_candidate_bound_draws_nothing(self, no_lift_draws, budget):
+        five_cycle = SimplicialComplex.from_facets(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+        with pytest.raises(ResourceLimitError, match="at most 1000000 candidates"):
+            lift_search(five_cycle, MonomialOrder.degrevlex(ctx_n(5)), budget=budget)
+
+    def test_the_candidate_bound_counts_the_smaller_of_space_and_budget(self, monkeypatch):
+        drl = MonomialOrder.degrevlex(ctx_n(3))
+        res = lift_search(self.triangle(), drl, budget=10**20)  # a space of 256
+        assert res.exhaustive and res.tried == 256
+        monkeypatch.setattr(pipeline, "LIFT_CANDIDATE_BOUND", 256)
+        assert lift_search(self.triangle(), drl, budget=10**20).tried == 256
+        assert lift_search(self.triangle(), drl, budget=300, seed=1).tried == 256
+        monkeypatch.setattr(pipeline, "LIFT_CANDIDATE_BOUND", 255)
+        with pytest.raises(ResourceLimitError):
+            lift_search(self.triangle(), drl, budget=256)
+        assert lift_search(self.triangle(), drl, budget=255, seed=1).tried == 255
+
 
 def lift_candidates(delta, order, coeffs):
     """Every lift candidate of the non-face ideal, built from the definition."""
@@ -925,22 +936,30 @@ def lift_candidates(delta, order, coeffs):
 
 @pytest.fixture
 def checked(monkeypatch):
-    """The ``(check, distinct assignments)`` of each lift search the test runs."""
+    """The ``(slots, assignments)`` of each lift search the test runs: the
+    slots it gave ``_stratum_equations``, and each assignment it gave
+    ``_valid_lift``, in checking order."""
     seen = []
-    original = pipeline._ordered_map
+    equations, valid = pipeline._stratum_equations, pipeline._valid_lift
 
-    def recording(fn, items, workers):
-        if isinstance(fn, pipeline._LiftCheck):
-            seen.append((fn, items))
-        return original(fn, items, workers)
+    def recording_equations(order, targets, slots):
+        seen.append((slots, []))
+        return equations(order, targets, slots)
 
-    monkeypatch.setattr(pipeline, "_ordered_map", recording)
+    def recording_valid(eqs, values, p, assignment):
+        seen[-1][1].append(assignment)
+        return valid(eqs, values, p, assignment)
+
+    monkeypatch.setattr(pipeline, "_stratum_equations", recording_equations)
+    monkeypatch.setattr(pipeline, "_valid_lift", recording_valid)
     return seen
 
 
-def candidates(run, assignments):
-    """The polynomials of each candidate a search checked, in checking order."""
-    return [tuple(pipeline._build_lift(run.order, run.targets, run.slots, run.coeffs, a)) for a in assignments]
+def candidates(res, search):
+    """The polynomials of each candidate that the search ``res`` checked, in
+    checking order; ``search`` is its entry in ``checked``."""
+    slots, assignments = search
+    return [tuple(pipeline._build_lift(res.order, res.targets, slots, res.pool, a)) for a in assignments]
 
 
 class TestLiftOracle:
@@ -978,7 +997,7 @@ class TestLiftOracle:
         drl = MonomialOrder.degrevlex(ctx_n(4, field))
         res = lift_search(self.STAR, drl, pool=pool, budget=243)
         assert res.exhaustive
-        built = candidates(*checked[0])
+        built = candidates(res, checked[0])
         assert len(built) == 243
         assert all(g.order is drl and g.ctx is drl.ctx for polys in built for g in polys)
         got = {tuple(g.terms for g in polys) for polys in built}
@@ -992,17 +1011,19 @@ class TestLiftOracle:
         res = lift_search(cycle, drl, budget=30, seed=4)
         assert not res.exhaustive and res.tried == 30 and res.lifts == ()
         assert built == []  # no candidate is valid, so none is built
-        drawn = candidates(*checked[0])
+        drawn = candidates(res, checked[0])
         assert drawn
         targets = sorted(t.exps for t in res.targets)
         assert not any(ref_valid_lift(c, drl) for c in drawn)
         assert all(ref_initial_monomials(c, drl) != targets for c in drawn)
 
-    def test_degree_cap_does_not_change_lift_verdicts(self, tmp_path, capsys):
+    def test_lift_search_takes_no_degree_cap(self, tmp_path, capsys):
         job = tmp_path / "path.job"
         job.write_text("facets: 1 2; 2 3; 3 4\nfield GF(2)\nbudget 256\n")
-        assert cli.main(["lift-search", str(job), "--degree-cap", "2"]) == 0
-        assert json.loads(capsys.readouterr().out)["valid_lift_count"] == 32
+        assert cli.main(["lift-search", str(job), "--degree-cap", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --degree-cap 2" in captured.err
 
 
 BOWTIE = SimplicialComplex.from_facets(5, [(1, 2, 3), (3, 4, 5)])
@@ -1017,7 +1038,7 @@ class TestStratumEquationsOracle:
         """The search's lifts are the oracle's valid candidates, and each lift's
         coordinate points are ``jacobian_rank_at`` at every e_i, whatever the
         search memoized."""
-        drawn = candidates(*checked[-1])
+        drawn = candidates(res, checked[-1])
         want = [c for c in drawn if ref_valid_lift(c, order)]
         assert [lift.polys for lift in res.lifts] == want
         ctx = order.ctx
@@ -1067,15 +1088,6 @@ class TestStratumEquationsOracle:
                     t, f = self.agree(res, checked, order)
                     tried, found = tried + t, found + f
         assert ghosts and non_pure and 0 < found < tried
-
-    def test_worker_chunks_memoize_the_same_verdicts(self, checked):
-        """Each chunk of work keeps its own verdict memo; the answer is the one-process one."""
-        drl = MonomialOrder.degrevlex(ctx_n(TestLiftOracle.STAR.n))
-        pool = (0, Fraction(1, 2), -1)
-        one = lift_search(TestLiftOracle.STAR, drl, pool=pool, budget=243)
-        two = lift_search(TestLiftOracle.STAR, drl, pool=pool, budget=243, workers=2)
-        assert two == one and one.lifts
-        self.agree(two, checked, drl)
 
 
 class TestCoordinatePointsOracle:
@@ -1509,17 +1521,12 @@ class TestNoWorkTwice:
         assert res.tried == len(assignments) == len(set(assignments)) == 256
         assert len({args[-1] for args in built}) == len(built) == len(res.lifts) == 32
 
-    def test_lift_search_builds_its_equations_once(self, monkeypatch, checked):
+    def test_lift_search_builds_its_equations_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "_stratum_equations", module="pipeline")
         five_cycle = SimplicialComplex.from_facets(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-        for workers in (1, 2):
-            calls.clear()
-            res = lift_search(five_cycle, MonomialOrder.degrevlex(ctx_n(5)), budget=40, seed=4, workers=workers)
-            assert res.tried == 40 and res.lifts == ()
-            assert len(calls) == 1
-        # a worker's pickled copy carries the equations; it does not build them
-        run = checked[-1][0]
-        assert run.equations and pickle.loads(pickle.dumps(run)).equations == run.equations
+        res = lift_search(five_cycle, MonomialOrder.degrevlex(ctx_n(5)), budget=40, seed=4)
+        assert res.tried == 40 and res.lifts == ()
+        assert len(calls) == 1
 
     def test_lift_search_ranks_each_point_key_once(self, monkeypatch):
         """The corpus 4-cycle (``corpus/lift_cycle4.job``): 128 valid lifts, 512
@@ -1643,54 +1650,19 @@ class TestCrossPolytopeBoundary:
             assert len(built) <= k * (k + 1)
 
 
-_SPAWN_SCRIPT = textwrap.dedent(
-    """
-    import json, multiprocessing
-    multiprocessing.set_start_method("spawn")
-    from grodeg import QQ, MonomialOrder, PrimeField, SimplicialComplex, lift_search, standard_context, to_jsonable
-
-    cycle = SimplicialComplex.from_facets(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    drl = MonomialOrder.degrevlex(standard_context(("x1", "x2", "x3", "x4")))
-    octahedron = SimplicialComplex.from_facets(6, [
-        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 2, 5), (2, 3, 6), (3, 4, 6), (4, 5, 6), (2, 5, 6),
-    ])
-    drl6 = MonomialOrder.degrevlex(standard_context(tuple(f"x{i}" for i in range(1, 7))))
-    five = SimplicialComplex.from_facets(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-    names5 = tuple(f"x{i}" for i in range(1, 6))
-    drl5 = [MonomialOrder.degrevlex(standard_context(names5, field=k)) for k in (QQ, PrimeField(3))]
-    out = {}
-    for workers in (1, 2):
-        lifts = lift_search(cycle, drl, budget=40, seed=5, workers=workers)
-        octa = lift_search(octahedron, drl6, pool=(-1, 1), budget=20, seed=1, workers=workers)
-        fives = [lift_search(five, o, budget=40, seed=2, workers=workers) for o in drl5]
-        out[workers] = json.dumps(to_jsonable([lifts, octa, fives]), sort_keys=True)
-    print(json.dumps([multiprocessing.get_start_method(), out[1], out[2]]))
-    """
-)
-
-
-def test_worker_pool_answers_do_not_depend_on_the_start_method():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(grodeg.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _SPAWN_SCRIPT],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    method, one, two = json.loads(proc.stdout)
-    assert method == "spawn"
-    assert one == two
-
-
 def test_importing_the_cli_loads_no_process_pool():
+    """Neither importing the command line tool nor running a lift search
+    loads a process pool: every command runs in one process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(grodeg.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    job = os.path.join(src, "..", "corpus", "lift_cycle4.job")
     script = (
-        "import sys, grodeg.cli; "
-        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+        "import contextlib, io, sys, grodeg.cli\n"
+        "pools = ('concurrent.futures.process', 'multiprocessing')\n"
+        "loaded = [m for m in pools if m in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert grodeg.cli.main(['lift-search', {job!r}]) == 0\n"
+        "print(loaded, [m for m in pools if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -1700,7 +1672,7 @@ def test_importing_the_cli_loads_no_process_pool():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] []"
 
 
 def random_graded_poly(rng, ctx, order, deg, nterms=4):

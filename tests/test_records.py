@@ -9,7 +9,6 @@ import pathlib
 import pickle
 import subprocess
 import sys
-import textwrap
 
 import pytest
 
@@ -41,7 +40,6 @@ from grodeg import (
     render_report,
     standard_context,
 )
-from grodeg import pipeline
 from grodeg.cli import main
 
 SRC = pathlib.Path(grodeg.__file__).resolve().parent
@@ -191,51 +189,6 @@ def test_every_record_kind_survives_pickling():
         assert repr(back) == repr(r)
         if hasattr(r, "as_dict"):
             assert render_report(back) == render_report(r)
-
-
-def test_a_pickled_lift_check_answers_as_the_original(monkeypatch):
-    seen = []
-
-    def capture(fn, items, workers):
-        seen.append((fn, items))
-        return [fn(x) for x in items]
-
-    monkeypatch.setattr(pipeline, "_ordered_map", capture)
-    search = _cycle4_search(pool=(-1, 1))
-    (check, items), = seen
-    with pytest.raises(TypeError):
-        hash(check)
-    copied = pickle.loads(pickle.dumps(check))
-    assert copied == check
-    assert [copied(a) for a in items] == [check(a) for a in items]
-    assert [x for x in (check(a) for a in items) if x is not None] == list(search.lifts)
-
-
-def test_cli_lift_search_under_spawn_matches_one_process(tmp_path):
-    job = tmp_path / "five.job"
-    job.write_text("facets: 1 2; 2 3; 3 4; 4 5; 1 5\nfield GF(3)\nbudget 60\nseed 4\n")
-    corpus = SRC.parent.parent / "corpus" / "lift_cycle4.job"
-    script = textwrap.dedent(
-        f"""
-        import contextlib, io, json, multiprocessing
-        multiprocessing.set_start_method("spawn")
-        from grodeg.cli import main
-        out = []
-        for path in ({str(job)!r}, {str(corpus)!r}):
-            for jobs in ("1", "2"):
-                buf = io.StringIO()
-                with contextlib.redirect_stdout(buf):
-                    assert main(["lift-search", path, "--jobs", jobs]) == 0
-                out.append(buf.getvalue())
-        print(json.dumps([multiprocessing.get_start_method(), out]))
-        """
-    )
-    method, out = json.loads(_subprocess(script, timeout=300))
-    assert method == "spawn"
-    assert out[0] == out[1] and out[2] == out[3]
-    assert json.loads(out[0])["candidates_tried"] == 60
-    golden = SRC.parent.parent / "corpus" / "golden" / "lift_cycle4.json"
-    assert out[2] == golden.read_text()
 
 
 def test_cli_flags_override_the_job(tmp_path, capsys):

@@ -131,16 +131,7 @@ def test_every_corpus_report_matches_the_oracle(command, job, golden, monkeypatc
     assert out.read_bytes() == (CORPUS / golden).read_bytes()
 
 
-def test_lift_search_bytes_do_not_depend_on_the_worker_count(tmp_path):
-    outs = []
-    for workers in ("1", "2"):
-        out = tmp_path / f"jobs{workers}.json"
-        assert main(["lift-search", str(CORPUS / "lift_cycle4.job"), "--jobs", workers, "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1] == (CORPUS / "golden" / "lift_cycle4.json").read_bytes()
-
-
-def test_a_scan_completes_in_one_process_whatever_the_worker_count(monkeypatch, tmp_path):
+def test_the_fermat_scan_completes_once(monkeypatch, tmp_path):
     calls = []
     real = pipeline.buchberger
 
@@ -149,14 +140,10 @@ def test_a_scan_completes_in_one_process_whatever_the_worker_count(monkeypatch, 
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "buchberger", counted)
-    text = (CORPUS / "scan_fermat.job").read_text()
-    for name, line in (("flag", ""), ("line", "workers 2\n")):
-        job, out = tmp_path / f"{name}.job", tmp_path / f"{name}.json"
-        job.write_text(text + line)
-        calls.clear()
-        assert main(["scan-orders", str(job), "--jobs", "2", "--out", str(out)]) == 0
-        assert out.read_bytes() == (CORPUS / "golden" / "scan_fermat.json").read_bytes()
-        assert len(calls) == 1  # one orbit of initial ideals, completed here
+    out = tmp_path / "scan.json"
+    assert main(["scan-orders", str(CORPUS / "scan_fermat.job"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (CORPUS / "golden" / "scan_fermat.json").read_bytes()
+    assert len(calls) == 1  # one orbit of initial ideals, completed here
 
 
 def test_the_lifts_of_a_search_share_each_distinct_verdict(monkeypatch, tmp_path):
@@ -171,7 +158,7 @@ def test_the_lifts_of_a_search_share_each_distinct_verdict(monkeypatch, tmp_path
 
     monkeypatch.setattr(cli, "render_report", capture)
     out = tmp_path / "report.json"
-    assert main(["lift-search", str(CORPUS / "lift_cycle4.job"), "--jobs", "1", "--out", str(out)]) == 0
+    assert main(["lift-search", str(CORPUS / "lift_cycle4.job"), "--out", str(out)]) == 0
     (search,) = searches
     verdicts = [(i, a) for lift in search.lifts for i, a in enumerate(lift.coordinate_points)]
     assert len(verdicts) == 512
