@@ -12,8 +12,11 @@ Four entry points:
   and test each valid one for singularities at the coordinate points. The
   lift criterion is solved once per search, as equations in the tail
   coefficients (``_stratum_equations``); each candidate is an evaluation.
-  The coordinate-point table of ``singularity`` is built once per search,
-  over the tail slots, with its verdicts memoized (``_lift_tables``).
+  Whatever a valid lift needs that depends only on a tail slot and its pool
+  value is tabled once per search, at the first valid lift (``_lift_tables``):
+  its terms and their texts, its forbidden tails, and the coordinate-point
+  table of ``singularity``, whose verdicts are memoized. Each valid lift is
+  then lookups and joins.
 * ``count_points``: exact point counts of a plane curve over GF(p), with the
   trace and supersingularity flags when the curve is a smooth cubic.
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from operator import add, le, sub
+from operator import add, getitem, le, sub
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import (
@@ -45,7 +48,7 @@ from .fields import Field, PrimeField, QQ, is_prime
 from .groebner import DEFAULT_DEGREE_CAP, GroebnerBasis, MonomialIdeal, _polynomial, buchberger, initial_ideal
 from .linalg import primitive_integers
 from .records import Record
-from .ring import Monomial, MonomialOrder, Polynomial, RingContext, _picker, render_chain
+from .ring import Monomial, MonomialOrder, Polynomial, RingContext, _picker, _term_text, render_chain
 from .singularity import (
     JacobianAnalysis,
     ObstructionVerdict,
@@ -53,7 +56,6 @@ from .singularity import (
     SupportViolation,
     _coordinate_points,
     _dim1_setting,
-    _excluded_tails,
     _exclusion_table,
     _jacobian_at,
     _point_table,
@@ -496,27 +498,64 @@ def scan_orders(
     return [_degeneration_report(gens, cells[k], tuple(orders), digest) for k, orders in producers.items()]
 
 
-def _exponents_of_degree(n: int, d: int):
-    for combo in itertools.combinations_with_replacement(range(n), d):
-        exps = [0] * n
+def _face_exponents(delta: SimplicialComplex, d: int) -> List[Tuple[int, ...]]:
+    """The exponent vectors of degree ``d`` outside the non-face ideal of
+    ``delta``: those whose support is a face, that is, lies in a facet. The
+    support is tested as a bitmask before the vector is built."""
+    variables = range(delta.n)
+    facets = [sum(1 << (v - 1) for v in f) for f in delta.facets]
+    out = []
+    for combo in itertools.combinations_with_replacement(variables, d):
+        support = 0
         for i in combo:
-            exps[i] += 1
-        yield tuple(exps)
+            support |= 1 << i
+        if any(support & f == support for f in facets):
+            out.append(tuple(map(combo.count, variables)))
+    return out
 
 
-def _build_lift(order, targets, slots, coeffs, assignment):
-    """The candidate's polynomials: each target with coefficient 1, then its nonzero tails.
+def _term_table(order, targets, slots, coeffs) -> list:
+    """Each target's terms and texts by tail slot and pool index, so that a
+    lift is built by lookups (``_build_lift``).
 
-    ``slots`` lists each target's tails in decreasing order, all below it, and
-    ``coeffs`` are field elements, so the terms are already in canonical form.
+    One row per target: ``(head, head text, lo, hi, terms, texts)``. The head
+    is the target with coefficient 1; ``slots[lo:hi]`` are its tail slots,
+    and ``terms[j][a]`` is slot ``lo + j``'s term at pool value a, None at 0,
+    with its text in ``texts[j][a]``: ``" + 3/2*x1*x4"``, ``" - x2^2"``, empty
+    at 0. A generator's text is its head text followed by its tails' texts,
+    as ``Polynomial.render`` writes it, since both come from ``_term_text``.
     """
-    one = order.ctx.field.one
-    terms = [[(t, one)] for t in targets]
-    for (ti, m), choice in zip(slots, assignment):
-        c = coeffs[choice]
-        if c:
-            terms[ti].append((m, c))
-    return [Polynomial._make(order.ctx, order, ts) for ts in terms]
+    ctx = order.ctx
+    scalar, monomial = ctx.field.render_scalar, ctx.render_monomial
+    one = ctx.field.one
+    pool = [(c, scalar(c)) for c in coeffs]
+    rows, lo = [], 0
+    for ti, t in enumerate(targets):
+        hi = lo + sum(1 for tj, _ in slots if tj == ti)  # the slots come target by target
+        terms, texts = [], []
+        for _, m in slots[lo:hi]:
+            mono = monomial(m)
+            terms.append([(m, c) if c else None for c, _ in pool])
+            texts.append([" " + _term_text(text, mono) if c else "" for c, text in pool])
+        head = _term_text(scalar(one), monomial(t))[2:]  # a first term, and monic: no "+ "
+        rows.append(((t, one), head, lo, hi, terms, texts))
+        lo = hi
+    return rows
+
+
+def _build_lift(order, rows, assignment) -> tuple:
+    """The candidate's polynomials and their texts, from the ``_term_table``
+    ``rows`` of its search: each target with coefficient 1, then its nonzero tails.
+
+    Each target's tails are in decreasing order, all below it, and the pool
+    holds field elements, so the terms are already in canonical form.
+    """
+    ctx, polys, texts = order.ctx, [], []
+    for head, head_text, lo, hi, terms, tail_texts in rows:
+        picked = assignment[lo:hi]
+        polys.append(Polynomial._make(ctx, order, (head, *filter(None, map(getitem, terms, picked)))))
+        texts.append(head_text + "".join(map(getitem, tail_texts, picked)))
+    return tuple(polys), tuple(texts)
 
 
 def _stratum_equations(order, targets, slots) -> tuple:
@@ -603,14 +642,19 @@ def _valid_lift(equations, values, p, assignment) -> bool:
 
 
 class ValidLift(Record):
-    """One lift whose reduced basis is exactly the candidate set."""
+    """One lift whose reduced basis is exactly the candidate set.
+
+    ``texts`` are the generators as ``Polynomial.render`` writes them, joined
+    from the search's term table (``_term_table``) rather than rendered.
+    """
 
     def __init__(
-        self, polys: Tuple[Polynomial, ...], coordinate_points: Tuple[JacobianAnalysis, ...],
-        support_violations: Tuple[SupportViolation, ...],
+        self, polys: Tuple[Polynomial, ...], texts: Tuple[str, ...],
+        coordinate_points: Tuple[JacobianAnalysis, ...], support_violations: Tuple[SupportViolation, ...],
     ):
         self.__dict__.update(
-            polys=polys, coordinate_points=coordinate_points, support_violations=support_violations
+            polys=polys, texts=texts, coordinate_points=coordinate_points,
+            support_violations=support_violations,
         )
 
     def singular_at_every_scheme_point(self) -> bool:
@@ -619,7 +663,7 @@ class ValidLift(Record):
 
     def as_dict(self) -> dict:
         return {
-            "generators": [g.render() for g in self.polys],
+            "generators": list(self.texts),
             "coordinate_points": self.coordinate_points,
             "singular_at_every_scheme_point": self.singular_at_every_scheme_point(),
             "support_violations": self.support_violations,
@@ -628,28 +672,37 @@ class ValidLift(Record):
 
 def _lift_tables(order, delta, targets, slots, coeffs, p, values) -> tuple:
     """What a search's valid lifts need and its invalid candidates do not, so
-    ``lift_search`` builds it at the first valid lift: ``(table, pool integers,
-    target coefficient, units, exclusions)``.
+    ``lift_search`` builds it at the first valid lift: ``(terms, table, pool
+    integers, target coefficient, units, exclusions)``.
 
-    The first four are for ``_point_verdicts``, whose table covers the tail
-    slots, then one slot for every target. Over GF(p) the pool is its residues
-    and the target coefficient 1; over QQ the pool and 1 are cleared together
-    to primitive integers, which scales each candidate's row by one constant.
-    ``exclusions`` is the support-exclusion table and the candidates'
-    reduced-basis order (by decreasing lead), or None outside the
-    one-dimensional setting. The leads are the targets, so one order serves
-    every valid lift.
+    ``terms`` is the ``_term_table`` that ``_build_lift`` reads. The next four
+    are for ``_point_verdicts``, whose table covers the tail slots, then one
+    slot for every target. Over GF(p) the pool is its residues and the target
+    coefficient 1; over QQ the pool and 1 are cleared together to primitive
+    integers, which scales each candidate's row by one constant.
+    ``exclusions`` is ``_exclusion_table`` resolved to ``(target, rule, slot,
+    monomial text)`` entries, in reduced-basis order (by decreasing lead) and
+    then table order; a forbidden tail that is no slot of its target is never
+    a tail. A lift contains the entries whose slot has a nonzero value. The
+    leads are the targets, so one order serves every valid lift. Outside the
+    one-dimensional setting there are no entries.
     """
     gens_slots = [[(t.exps, len(slots))] for t in targets]
     for s, (ti, m) in enumerate(slots):
         gens_slots[ti].append((m.exps, s))
     *ints, lead = [*values, 1] if p else primitive_integers([*coeffs, 1])
-    exclusions = None
-    if _dim1_setting(delta):
-        by_lead = sorted(range(len(targets)), key=lambda k: order.sort_key(targets[k]), reverse=True)
-        exclusions = _exclusion_table(order, delta, targets), by_lead
     ctx = order.ctx
-    return _point_table(gens_slots, ctx.n), ints, lead, _unit_points(ctx), exclusions
+    exclusions = []
+    if _dim1_setting(delta):
+        slot_of = {(ti, m.exps): s for s, (ti, m) in enumerate(slots)}
+        table = _exclusion_table(order, delta, targets)
+        for k in sorted(range(len(targets)), key=lambda k: order.sort_key(targets[k]), reverse=True):
+            for rule, m in table[targets[k].exps]:
+                s = slot_of.get((k, m.exps))
+                if s is not None:
+                    exclusions.append((k, rule, s, ctx.render_monomial(m)))
+    terms = _term_table(order, targets, slots, coeffs)
+    return terms, _point_table(gens_slots, ctx.n), ints, lead, _unit_points(ctx), tuple(exclusions)
 
 
 class LiftSearchResult(Record):
@@ -719,12 +772,22 @@ def lift_search(
     S-pairs are divided once per search, with the tail coefficients as
     unknowns (``_stratum_equations``), and each candidate is checked by
     evaluating the remainder coefficients at its own (``_valid_lift``). Only
-    valid candidates are built as polynomials. They get Jacobian verdicts at
-    all coordinate points, plus the tail-support exclusion checks in the
-    one-dimensional setting. The coordinate-point table and the exclusion
-    table are built at the first valid lift, once per search
-    (``_lift_tables``), and a point's verdict is ranked once per distinct set
-    of values of the slots it reads. The search runs in one process.
+    valid candidates are built as polynomials, with their texts. They get
+    Jacobian verdicts at all coordinate points, plus the tail-support
+    exclusion checks in the one-dimensional setting. The term table, the
+    coordinate-point table and the resolved exclusion table are built at the
+    first valid lift, once per search (``_lift_tables``), so a search with no
+    valid candidate builds none of them. A lift's polynomials and texts are
+    its slots' rows of the term table (``_build_lift``), its violations the
+    forbidden slots it fills, and a point's verdict is ranked once per
+    distinct set of values of the slots it reads. The search runs in one
+    process.
+
+    A monomial lies outside the non-face ideal exactly when its support is a
+    face, so the tails are the exponent vectors whose support bitmask lies in
+    a facet (``_face_exponents``). Sampled draws are the values of
+    ``rng.randrange(len(pool))``, one per slot per draw, for ``rng =
+    random.Random(seed)``, read straight from ``getrandbits``.
 
     At most ``LIFT_CANDIDATE_BOUND`` candidates are drawn: a search whose
     space and budget both exceed it raises ``ResourceLimitError`` before
@@ -746,18 +809,14 @@ def lift_search(
 
     targets = list(M.gens)
     key = order.exps_key
-    leads = [t.exps for t in targets]
+    ranked: Dict[int, list] = {}  # degree -> (order key, exponents) outside the non-face ideal, decreasing
     tails_of: List[List[Monomial]] = []
     for t in targets:
-        # exponents below t and outside the non-face ideal; a Monomial only for those
+        d = t.degree()
+        if d not in ranked:
+            ranked[d] = sorted(((key(e), e) for e in _face_exponents(delta, d)), reverse=True)
         top = key(t.exps)
-        tails = [
-            e
-            for e in _exponents_of_degree(ctx.n, t.degree())
-            if key(e) < top and not any(all(map(le, g, e)) for g in leads)
-        ]
-        tails.sort(key=key, reverse=True)
-        tails_of.append([Monomial(e) for e in tails])
+        tails_of.append([Monomial(e) for k, e in ranked[d] if k < top])  # a Monomial only for the tails
     empty = tuple(t for t, tails in zip(targets, tails_of) if not tails)
     slots = [(ti, m) for ti, tails in enumerate(tails_of) for m in tails]
 
@@ -770,8 +829,12 @@ def lift_search(
     if exhaustive:
         draws = list(itertools.product(range(len(coeffs)), repeat=len(slots)))
     else:
-        rng = random.Random(seed)
-        draws = [tuple(rng.randrange(len(coeffs)) for _ in slots) for _ in range(budget)]
+        # the values of [tuple(rng.randrange(k) for _ in slots) for _ in range(budget)]:
+        # CPython's randrange(k) draws k.bit_length() bits until they are below k
+        k = len(coeffs)
+        bits = map(random.Random(seed).getrandbits, itertools.repeat(k.bit_length()))
+        picks = itertools.islice(filter(k.__gt__, bits), budget * len(slots))
+        draws = list(zip(*[picks] * len(slots)))  # not exhaustive, so there are slots
 
     equations = _stratum_equations(order, targets, slots)
     values = [c.v for c in coeffs] if p else [c.numerator if c.denominator == 1 else c for c in coeffs]
@@ -781,17 +844,18 @@ def lift_search(
         if not _valid_lift(equations, values, p, assignment):
             continue
         if table is None:
-            table, ints, lead, units, exclusions = _lift_tables(order, delta, targets, slots, coeffs, p, values)
-        polys = _build_lift(order, targets, slots, coeffs, assignment)
-        violations: Tuple[SupportViolation, ...] = ()
-        if exclusions is not None:
-            # valid: the monic candidates, by decreasing lead, are the reduced basis
-            excluded, by_lead = exclusions
-            violations = tuple(_excluded_tails([polys[k] for k in by_lead], excluded))
+            terms, table, ints, lead, units, exclusions = _lift_tables(
+                order, delta, targets, slots, coeffs, p, values
+            )
+        polys, texts = _build_lift(order, terms, assignment)
+        # valid, so the candidate is its own reduced basis, whose order the entries keep
+        violations = tuple(
+            SupportViolation(rule, texts[k], mono) for k, rule, s, mono in exclusions if coeffs[assignment[s]]
+        )
         slot_values = [ints[a] for a in assignment]
         slot_values.append(lead)
         points = _point_verdicts(table, slot_values, units, codim, memo, verdicts)
-        lifts.append(ValidLift(tuple(polys), points, violations))
+        lifts.append(ValidLift(polys, texts, points, violations))
 
     return LiftSearchResult(
         delta, order, tuple(coeffs), budget, seed, exhaustive, space,

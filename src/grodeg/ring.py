@@ -167,7 +167,22 @@ def _picker(idx):
 
 def render_chain(kind: str, names, perm) -> str:
     """A permutation order as the job grammar writes it: ``lex x>z>y``."""
-    return f"{kind} {'>'.join(names[i] for i in perm)}"
+    # itemgetter of one index returns the name itself, not a 1-tuple
+    return kind + " " + ">".join(itemgetter(*perm)(names) if perm[1:] else names)
+
+
+def _term_text(scalar: str, monomial: str) -> str:
+    """One term as ``Polynomial.render`` writes it after the first, from the
+    texts of its coefficient and monomial: ``+ 3/2*x1*x4``, ``- x2^2``, ``+ 5``."""
+    negative = scalar[0] == "-"
+    mag = scalar[1:] if negative else scalar
+    if monomial == "1":  # the constant monomial, and only it, renders as "1"
+        body = mag
+    elif mag == "1":
+        body = monomial
+    else:
+        body = mag + "*" + monomial
+    return ("- " if negative else "+ ") + body
 
 
 class MonomialOrder:
@@ -448,22 +463,13 @@ class Polynomial:
         return [(m.exps, c) for (m, _), c in zip(self.terms, ints)]
 
     def render(self) -> str:
+        """The terms in order, each written by ``_term_text``, the first without
+        its sign's space or a ``+``: ``x1^2 - 3/2*x1*x2 + x3^2``. ``lift_search``
+        writes its lifts' texts from the same helper (``pipeline._term_table``)."""
         if not self.terms:
             return "0"
         scalar, monomial = self.ctx.field.render_scalar, self.ctx.render_monomial
-        out = []
-        for m, c in self.terms:
-            text = scalar(c)
-            negative = text[0] == "-"
-            mag = text[1:] if negative else text
-            mono = monomial(m)  # "1" only for the constant monomial
-            if mono == "1":
-                body = mag
-            elif mag == "1":
-                body = mono
-            else:
-                body = mag + "*" + mono
-            out.append(("- " if negative else "+ ") + body)
+        out = [_term_text(scalar(c), monomial(m)) for m, c in self.terms]
         first = out[0]
         out[0] = "-" + first[2:] if first[0] == "-" else first[2:]
         return " ".join(out)

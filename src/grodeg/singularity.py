@@ -27,10 +27,11 @@ points of ``pipeline.count_points``.
 
 ``support_exclusions`` checks the setting (``_check_dim1_setting``) and is
 then two parts: a table from each leading monomial to its forbidden tails
-(``_exclusion_table``), and a scan of one basis against it
-(``_excluded_tails``). The table depends only on the order, the complex and
-the leading monomials, so a lift search, whose own non-face generators are the
-leads, builds it once for all its lifts and skips the check.
+(``_exclusion_table``), and a scan of one basis against it by exponent
+vectors. The table depends only on the order, the complex and the leading
+monomials, so a lift search, whose own non-face generators are the leads,
+builds it once for all its lifts, resolves each forbidden tail to its tail
+slot, and skips the check.
 ``leafless_obstruction`` reads its violations from ``support_exclusions``.
 """
 
@@ -390,12 +391,19 @@ def support_exclusions(B: GroebnerBasis, delta: SimplicialComplex) -> List[Suppo
     """
     leads = B.leading_monomials()
     _check_dim1_setting(B.ctx, delta, leads)
-    return _excluded_tails(B.polys, _exclusion_table(B.order, delta, leads))
+    table = _exclusion_table(B.order, delta, leads)
+    violations = []
+    for g in B.polys:
+        tails = {m.exps for m, _ in g.terms[1:]}
+        for rule, m in table[g.terms[0][0].exps]:
+            if m.exps in tails:
+                violations.append(SupportViolation(rule, g.render(), g.ctx.render_monomial(m)))
+    return violations
 
 
 def _exclusion_table(order, delta: SimplicialComplex, leads):
-    """Map each of ``leads`` to its forbidden tails as ``(rule, monomial)``
-    pairs, for a setting that ``_check_dim1_setting`` accepts.
+    """Map the exponents of each of ``leads`` to its forbidden tails as
+    ``(rule, monomial)`` pairs, for a setting that ``_check_dim1_setting`` accepts.
 
     The table depends only on the order, ``delta`` and the leads, so one table
     serves every basis with those leads (every valid lift of one search).
@@ -418,20 +426,8 @@ def _exclusion_table(order, delta: SimplicialComplex, leads):
         if vertex in face and d == 3:
             for a in link_top:
                 targets.append(("degree3_top_variable_squared", top.pow(2).mul(x(a))))
-        table[lead] = tuple(targets)
+        table[lead.exps] = tuple(targets)
     return table
-
-
-def _excluded_tails(polys, table) -> List[SupportViolation]:
-    """The forbidden tails that ``polys`` contain, in basis order, read from
-    ``table`` (``_exclusion_table`` of their leads)."""
-    violations = []
-    for g in polys:
-        tails = {m for m, _ in g.terms[1:]}
-        for rule, m in table[g.leading_monomial()]:
-            if m in tails:
-                violations.append(SupportViolation(rule, g.render(), g.ctx.render_monomial(m)))
-    return violations
 
 
 def leafless_obstruction(B: GroebnerBasis, delta: SimplicialComplex) -> ObstructionVerdict:

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -49,6 +50,7 @@ from conftest import (
     brute_projective_count,
     ctx_n,
     ctx_xyz,
+    every_complex,
     random_complex,
     random_homogeneous_poly,
     ref_evaluate,
@@ -959,7 +961,8 @@ def candidates(res, search):
     """The polynomials of each candidate that the search ``res`` checked, in
     checking order; ``search`` is its entry in ``checked``."""
     slots, assignments = search
-    return [tuple(pipeline._build_lift(res.order, res.targets, slots, res.pool, a)) for a in assignments]
+    rows = pipeline._term_table(res.order, res.targets, slots, res.pool)
+    return [pipeline._build_lift(res.order, rows, a)[0] for a in assignments]
 
 
 class TestLiftOracle:
@@ -1088,6 +1091,117 @@ class TestStratumEquationsOracle:
                     t, f = self.agree(res, checked, order)
                     tried, found = tried + t, found + f
         assert ghosts and non_pure and 0 < found < tried
+
+
+FOUR_CYCLE = SimplicialComplex.from_facets(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+FIVE_CYCLE = SimplicialComplex.from_facets(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+GHOST_PATH = SimplicialComplex.from_facets(4, [(2, 3), (3, 4)])  # vertex 1 is a ghost
+
+
+class TestLiftTexts:
+    """Each lift's texts, joined from the search's term table, against
+    ``Polynomial.render`` and ``support_exclusions`` of its polynomials."""
+
+    SPACES = [
+        (FOUR_CYCLE, QQ, "degrevlex", None, 3),
+        (FOUR_CYCLE, QQ, "lex", (Fraction(1, 2), Fraction(-3, 2), 1), 5),
+        (FOUR_CYCLE, QQ, "degrevlex", (0, 1, Fraction(-3, 2)), 7),
+        (FOUR_CYCLE, QQ, "lex", (1, -1, 1, Fraction(2, 2), 0), 11),  # repeated values
+        (FOUR_CYCLE, PrimeField(2), "lex", None, 1),
+        (FOUR_CYCLE, PrimeField(3), "degrevlex", (0, 4, 2, 1), 2),  # 4 is 1 in GF(3)
+        (FOUR_CYCLE, PrimeField(5), "lex", None, 4),
+        (FIVE_CYCLE, QQ, "degrevlex", (0, 1), 0),
+        (FIVE_CYCLE, PrimeField(2), "degrevlex", None, 1),
+        (FIVE_CYCLE, PrimeField(3), "degrevlex", (1, 3, 2), 5),  # 0, as 3, is not the first value
+        (FIVE_CYCLE, PrimeField(5), "lex", (0, 2, -1), 6),
+        (GHOST_PATH, QQ, "degrevlex", (0, Fraction(1, 2), Fraction(-3, 2)), 8),
+        (GHOST_PATH, PrimeField(5), "lex", None, 9),
+    ]
+    IDS = [
+        "C4-QQ-drl", "C4-QQ-lex-halves", "C4-QQ-drl-zero", "C4-QQ-lex-repeated", "C4-GF(2)-lex",
+        "C4-GF(3)-drl", "C4-GF(5)-lex", "C5-QQ-drl", "C5-GF(2)-drl", "C5-GF(3)-drl", "C5-GF(5)-lex",
+        "ghost-QQ-drl", "ghost-GF(5)-lex",
+    ]
+
+    @staticmethod
+    def agree(res):
+        """Every lift's texts are its polynomials' renders, and its violations
+        are those of its polynomials as a basis; the count of violations."""
+        delta, order = res.delta, res.order
+        key = order.sort_key
+        for lift in res.lifts:
+            assert lift.as_dict()["generators"] == [g.render() for g in lift.polys]
+            assert lift.texts == tuple(g.render() for g in lift.polys)
+            if singularity._dim1_setting(delta):
+                basis = grodeg.GroebnerBasis(
+                    tuple(sorted(lift.polys, key=lambda g: key(g.leading_monomial()), reverse=True)),
+                    order, order.ctx,
+                )
+                assert lift.support_violations == tuple(support_exclusions(basis, delta))
+            else:
+                assert lift.support_violations == ()
+            for v in lift.support_violations:
+                assert v.generator in lift.texts
+        return sum(len(lift.support_violations) for lift in res.lifts)
+
+    @pytest.mark.parametrize("delta,field,kind,pool,seed", SPACES, ids=IDS)
+    def test_valid_lifts(self, delta, field, kind, pool, seed):
+        order = getattr(MonomialOrder, kind)(ctx_n(delta.n, field))
+        res = lift_search(delta, order, pool=pool, budget=300 if delta is FIVE_CYCLE else 60, seed=seed)
+        # valid lifts of the 5-cycle are rare; the test below reaches the texts of its candidates
+        assert res.lifts or delta is FIVE_CYCLE
+        self.agree(res)
+
+    @pytest.mark.parametrize("delta,field,kind,pool,seed", SPACES, ids=IDS)
+    def test_every_candidate_taken_as_a_lift(self, monkeypatch, delta, field, kind, pool, seed):
+        """With the lift criterion forced true, every drawn candidate is built,
+        rendered and scanned as a lift, so the texts of invalid candidates and
+        the forbidden tails they hold are checked too."""
+        monkeypatch.setattr(pipeline, "_valid_lift", lambda *args: True)
+        order = getattr(MonomialOrder, kind)(ctx_n(delta.n, field))
+        res = lift_search(delta, order, pool=pool, budget=40, seed=seed)
+        assert len(res.lifts) == len(set(res.lifts)) > 1
+        violations = self.agree(res)
+        # under degrevlex x1 > ... > x5, x1*x5 lies below x2*x4 and is a slot of
+        # it, but forbidden (x5 is a top link vertex of 1); no other space here
+        # has a forbidden tail that is a slot
+        assert (violations > 0) == (delta is FIVE_CYCLE and kind == "degrevlex")
+
+
+class TestLiftDraws:
+    """The sampled candidates against ``rng.randrange`` itself."""
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_draws_are_the_randrange_sequence(self, checked, k):
+        pool = (0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2), 5)[:k]
+        drl = MonomialOrder.degrevlex(ctx_n(4))
+        budget = 20
+        for seed in range(20):
+            res = lift_search(TestLiftOracle.PATH, drl, pool=pool, budget=budget, seed=seed)
+            slots, assignments = checked[-1]
+            rng = random.Random(seed)
+            want = list(dict.fromkeys(tuple(rng.randrange(k) for _ in slots) for _ in range(budget)))
+            assert assignments == want
+            if k == 1:  # one candidate in all, so the space is enumerated
+                assert res.exhaustive and res.tried == res.space == 1
+            else:
+                assert not res.exhaustive and res.tried == budget
+
+
+class TestLiftTails:
+    def test_faces_are_the_monomials_outside_the_non_face_ideal(self):
+        """Tails by support bitmask against the lead-divisibility rule, on every
+        complex on at most five vertices (ghost vertices included)."""
+        for n in range(1, 6):
+            ctx = ctx_n(n)
+            by_degree = {
+                d: [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d] for d in (2, 3)
+            }
+            for delta in every_complex(n):
+                leads = [g.exps for g in to_ideal(delta, ctx).gens]
+                for d, exponents in by_degree.items():
+                    want = sorted(e for e in exponents if not any(all(map(operator.le, g, e)) for g in leads))
+                    assert sorted(pipeline._face_exponents(delta, d)) == want, (delta, d)
 
 
 class TestCoordinatePointsOracle:
@@ -1494,14 +1608,15 @@ class TestNoWorkTwice:
     def test_lift_search_builds_points_and_table_at_the_first_valid_lift(self, monkeypatch):
         units = count_calls(monkeypatch, "_unit_points", module="pipeline")
         tables = count_calls(monkeypatch, "_exclusion_table", module="pipeline")
+        terms = count_calls(monkeypatch, "_term_table", module="pipeline")
         five_cycle = SimplicialComplex.from_facets(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
         res = lift_search(five_cycle, MonomialOrder.degrevlex(ctx_n(5)), budget=10, seed=4)
         assert res.tried == 10 and res.lifts == ()
-        assert units == [] and tables == []
+        assert units == [] and tables == [] and terms == []
         four_cycle = SimplicialComplex.from_facets(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
         res = lift_search(four_cycle, MonomialOrder.degrevlex(ctx_n(4)), budget=60, seed=3)
         assert len(res.lifts) > 1
-        assert len(units) == len(tables) == 1
+        assert len(units) == len(tables) == len(terms) == 1
 
     def test_lift_search_checks_each_distinct_draw_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "_valid_lift", module="pipeline")
