@@ -9,12 +9,13 @@ Four entry points:
   deduplicated by initial ideal, with one completion per orbit of initial
   ideals under the variable permutations that fix the ideal.
 * ``lift_search``: enumerate or sample homogeneous lifts of a non-face ideal
-  and test each valid one for singularities at the coordinate points. The
-  lift criterion is solved once per search, as equations in the tail
-  coefficients (``_stratum_equations``); each candidate is an evaluation.
-  Whatever a valid lift needs that depends only on a tail slot and its pool
-  value is tabled once per search, at the first valid lift (``_lift_tables``):
-  its terms and their texts, its forbidden tails, and the coordinate-point
+  and test each valid one for singularities at the coordinate points. A
+  search lays out its tail slots once, target by target. The lift criterion
+  is solved once per search, as equations in the tail coefficients
+  (``_stratum_equations``); each candidate is an evaluation. Whatever a
+  valid lift needs that depends only on a tail slot and its pool value is
+  tabled once per search, at the first valid lift (``_lift_builder``): its
+  terms and their texts, its forbidden tails, and the coordinate-point
   table of ``singularity``, whose verdicts are memoized. Each valid lift is
   then lookups and joins.
 * ``count_points``: exact point counts of a plane curve over GF(p), with the
@@ -70,7 +71,7 @@ from .singularity import (
 
 SCAN_VARIABLE_BOUND = 8
 POINT_COUNT_PRIME_BOUND = 1024  # count_points walks all p^2 + p + 1 points
-LIFT_CANDIDATE_BOUND = 10**6  # lift_search holds every drawn candidate
+LIFT_CANDIDATE_BOUND = 10**6  # candidates a lift_search draws; a sampled one holds each distinct draw
 DEFAULT_BUDGET = 200
 DEFAULT_POOL_QQ = (-2, -1, 1, 2)
 
@@ -514,59 +515,16 @@ def _face_exponents(delta: SimplicialComplex, d: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def _term_table(order, targets, slots, coeffs) -> list:
-    """Each target's terms and texts by tail slot and pool index, so that a
-    lift is built by lookups (``_build_lift``).
-
-    One row per target: ``(head, head text, lo, hi, terms, texts)``. The head
-    is the target with coefficient 1; ``slots[lo:hi]`` are its tail slots,
-    and ``terms[j][a]`` is slot ``lo + j``'s term at pool value a, None at 0,
-    with its text in ``texts[j][a]``: ``" + 3/2*x1*x4"``, ``" - x2^2"``, empty
-    at 0. A generator's text is its head text followed by its tails' texts,
-    as ``Polynomial.render`` writes it, since both come from ``_term_text``.
-    """
-    ctx = order.ctx
-    scalar, monomial = ctx.field.render_scalar, ctx.render_monomial
-    one = ctx.field.one
-    pool = [(c, scalar(c)) for c in coeffs]
-    rows, lo = [], 0
-    for ti, t in enumerate(targets):
-        hi = lo + sum(1 for tj, _ in slots if tj == ti)  # the slots come target by target
-        terms, texts = [], []
-        for _, m in slots[lo:hi]:
-            mono = monomial(m)
-            terms.append([(m, c) if c else None for c, _ in pool])
-            texts.append([" " + _term_text(text, mono) if c else "" for c, text in pool])
-        head = _term_text(scalar(one), monomial(t))[2:]  # a first term, and monic: no "+ "
-        rows.append(((t, one), head, lo, hi, terms, texts))
-        lo = hi
-    return rows
-
-
-def _build_lift(order, rows, assignment) -> tuple:
-    """The candidate's polynomials and their texts, from the ``_term_table``
-    ``rows`` of its search: each target with coefficient 1, then its nonzero tails.
-
-    Each target's tails are in decreasing order, all below it, and the pool
-    holds field elements, so the terms are already in canonical form.
-    """
-    ctx, polys, texts = order.ctx, [], []
-    for head, head_text, lo, hi, terms, tail_texts in rows:
-        picked = assignment[lo:hi]
-        polys.append(Polynomial._make(ctx, order, (head, *filter(None, map(getitem, terms, picked)))))
-        texts.append(head_text + "".join(map(getitem, tail_texts, picked)))
-    return tuple(polys), tuple(texts)
-
-
-def _stratum_equations(order, targets, slots) -> tuple:
+def _stratum_equations(order, layout) -> tuple:
     """The lift criterion of one search: equations in the tail coefficients a_s.
 
-    Candidate i is t_i plus a_s*m_s over its slots s ``(i, m_s)``: monic, with
-    lead t_i. Buchberger's criterion decides validity exactly because the
-    candidates are reduced by construction (monic, the minimal non-faces as
-    leads, tails outside the non-face ideal), and homogeneous division never
-    raises the degree, so no cap is needed. Each S-pair of non-coprime leads is
-    divided by the candidates, in target order, with the first-divisor rule of
+    Candidate i, entry ``(t_i, [(m_s, s), ...])`` of the search's ``layout``,
+    is t_i plus a_s*m_s over its tail slots s: monic, with lead t_i.
+    Buchberger's criterion decides validity exactly because the candidates are
+    reduced by construction (monic, the minimal non-faces as leads, tails
+    outside the non-face ideal), and homogeneous division never raises the
+    degree, so no cap is needed. Each S-pair of non-coprime leads is divided by
+    the candidates, in target order, with the first-divisor rule of
     ``groebner.normal_form``, once for the whole search. The leads are monic,
     so which candidate takes a term depends on its monomial alone: the division
     is linear, and each term's coefficient is -sum(c_k * a_s) over the terms k
@@ -583,9 +541,6 @@ def _stratum_equations(order, targets, slots) -> tuple:
     the equations of a 6-vertex complex with cubic non-faces reach 600000 terms.
     """
     key = order.exps_key
-    reducers = [(t.exps, []) for t in targets]
-    for s, (ti, m) in enumerate(slots):
-        reducers[ti][1].append((m.exps, s))
     live = {}  # order key -> (exponents, the (term, slot) pairs reduced onto it)
 
     def take(k, e, lead, tail):
@@ -596,7 +551,7 @@ def _stratum_equations(order, targets, slots) -> tuple:
             live.setdefault(key(te), (te, []))[1].append((k, s))
 
     programs = []
-    for f, g in itertools.combinations(reducers, 2):
+    for f, g in itertools.combinations(layout, 2):
         if not any(map(min, f[0], g[0])):
             continue  # coprime leads
         lcm = tuple(map(max, f[0], g[0]))
@@ -605,7 +560,7 @@ def _stratum_equations(order, targets, slots) -> tuple:
         steps, k = [], 2
         while live:
             e, preds = live.pop(max(live))
-            for lead, tail in reducers:
+            for lead, tail in layout:
                 if all(map(le, lead, e)):
                     take(k, e, lead, tail)
                     k += 1
@@ -645,7 +600,7 @@ class ValidLift(Record):
     """One lift whose reduced basis is exactly the candidate set.
 
     ``texts`` are the generators as ``Polynomial.render`` writes them, joined
-    from the search's term table (``_term_table``) rather than rendered.
+    from the search's term table (``_lift_builder``) rather than rendered.
     """
 
     def __init__(
@@ -670,39 +625,68 @@ class ValidLift(Record):
         }
 
 
-def _lift_tables(order, delta, targets, slots, coeffs, p, values) -> tuple:
-    """What a search's valid lifts need and its invalid candidates do not, so
-    ``lift_search`` builds it at the first valid lift: ``(terms, table, pool
-    integers, target coefficient, units, exclusions)``.
+def _lift_builder(order, delta, layout, coeffs, p, values):
+    """``build(assignment)``, the ``ValidLift`` of a valid candidate of the
+    search of ``layout``, by lookups in tables of what only valid lifts need,
+    so ``lift_search`` makes the builder at its first valid lift.
 
-    ``terms`` is the ``_term_table`` that ``_build_lift`` reads. The next four
-    are for ``_point_verdicts``, whose table covers the tail slots, then one
-    slot for every target. Over GF(p) the pool is its residues and the target
-    coefficient 1; over QQ the pool and 1 are cleared together to primitive
-    integers, which scales each candidate's row by one constant.
-    ``exclusions`` is ``_exclusion_table`` resolved to ``(target, rule, slot,
-    monomial text)`` entries, in reduced-basis order (by decreasing lead) and
-    then table order; a forbidden tail that is no slot of its target is never
-    a tail. A lift contains the entries whose slot has a nonzero value. The
-    leads are the targets, so one order serves every valid lift. Outside the
+    The term table holds each target with coefficient 1 and its text, and
+    each tail slot's term at each pool index (None at 0) with its text: ``" +
+    3/2*x1*x4"``, ``" - x2^2"``, empty at 0. A generator's text is its head
+    text followed by its tails' texts, as ``Polynomial.render`` writes it,
+    since both come from ``_term_text``. Each target's tails are in
+    decreasing order, all below it, and the pool holds field elements, so the
+    terms are already in canonical form.
+
+    The point table of ``_point_verdicts`` covers the tail slots, then one
+    slot for every target, and its verdict memo spans the search. Over GF(p)
+    the pool is its residues and the target coefficient 1; over QQ the pool
+    and 1 are cleared together to primitive integers, which scales each
+    candidate's row by one constant. The exclusions are ``_exclusion_table``
+    resolved to ``(target, rule, slot, monomial text)`` entries, in
+    reduced-basis order (by decreasing lead) and then table order; a
+    forbidden tail that is no slot of its target is never a tail. A lift
+    contains the entries whose slot has a nonzero value. The leads are the
+    targets, so one order serves every valid lift. Outside the
     one-dimensional setting there are no entries.
     """
-    gens_slots = [[(t.exps, len(slots))] for t in targets]
-    for s, (ti, m) in enumerate(slots):
-        gens_slots[ti].append((m.exps, s))
-    *ints, lead = [*values, 1] if p else primitive_integers([*coeffs, 1])
     ctx = order.ctx
+    scalar, monomial, one = ctx.field.render_scalar, ctx.render_monomial, ctx.field.one
+    pool = [(c, scalar(c)) for c in coeffs]
+    heads = [Monomial(lead) for lead, _ in layout]
+    rows, lo = [], 0  # per target: (head term, head text, its slot range, terms, texts)
+    for head, (_, tails) in zip(heads, layout):
+        ms = [Monomial(e) for e, _ in tails]  # a search with no valid lift builds no tail Monomial
+        rows.append((
+            (head, one), _term_text(scalar(one), monomial(head))[2:], lo, lo + len(tails),  # monic: no "+ "
+            [[(m, c) if c else None for c, _ in pool] for m in ms],
+            [[" " + _term_text(text, mono) if c else "" for c, text in pool] for mono in map(monomial, ms)],
+        ))
+        lo += len(tails)
+    table = _point_table([[(lead, lo), *tails] for lead, tails in layout], ctx.n)  # slot lo: the leads
+    *ints, lead_value = [*values, 1] if p else primitive_integers([*coeffs, 1])
     exclusions = []
     if _dim1_setting(delta):
-        slot_of = {(ti, m.exps): s for s, (ti, m) in enumerate(slots)}
-        table = _exclusion_table(order, delta, targets)
-        for k in sorted(range(len(targets)), key=lambda k: order.sort_key(targets[k]), reverse=True):
-            for rule, m in table[targets[k].exps]:
-                s = slot_of.get((k, m.exps))
-                if s is not None:
-                    exclusions.append((k, rule, s, ctx.render_monomial(m)))
-    terms = _term_table(order, targets, slots, coeffs)
-    return terms, _point_table(gens_slots, ctx.n), ints, lead, _unit_points(ctx), tuple(exclusions)
+        forbidden = _exclusion_table(order, delta, heads)
+        for k, (lead, tails) in sorted(enumerate(layout), key=lambda kt: order.exps_key(kt[1][0]), reverse=True):
+            slot_of = dict(tails)
+            exclusions += [(k, rule, slot_of[m.exps], monomial(m)) for rule, m in forbidden[lead] if m.exps in slot_of]
+    units, codim, memo, verdicts = _unit_points(ctx), (ctx.n - 1) - delta.dim, {}, {}
+
+    def build(assignment) -> ValidLift:
+        polys, texts = [], []
+        for head, head_text, lo, hi, terms, tail_texts in rows:
+            picked = assignment[lo:hi]
+            polys.append(Polynomial._make(ctx, order, (head, *filter(None, map(getitem, terms, picked)))))
+            texts.append(head_text + "".join(map(getitem, tail_texts, picked)))
+        # valid, so the candidate is its own reduced basis, whose order the entries keep
+        violations = tuple(
+            SupportViolation(rule, texts[k], mono) for k, rule, s, mono in exclusions if coeffs[assignment[s]]
+        )
+        points = _point_verdicts(table, [*map(ints.__getitem__, assignment), lead_value], units, codim, memo, verdicts)
+        return ValidLift(tuple(polys), tuple(texts), points, violations)
+
+    return build
 
 
 class LiftSearchResult(Record):
@@ -765,23 +749,25 @@ def lift_search(
     strictly smaller in the order, outside the non-face ideal. Coefficients
     range over ``pool`` ({-2,-1,1,2} over QQ, the whole field over GF(p); 0
     always means "drop the tail"). The whole space is enumerated when its
-    size fits the budget, otherwise ``budget`` seeded-random draws, each distinct
-    one checked once. A lift is valid when every S-pair with non-coprime leads
-    reduces to zero against it (Buchberger's criterion), so it is already the
-    reduced basis. The candidates share their leads and tail monomials, so the
-    S-pairs are divided once per search, with the tail coefficients as
-    unknowns (``_stratum_equations``), and each candidate is checked by
-    evaluating the remainder coefficients at its own (``_valid_lift``). Only
-    valid candidates are built as polynomials, with their texts. They get
-    Jacobian verdicts at all coordinate points, plus the tail-support
-    exclusion checks in the one-dimensional setting. The term table, the
-    coordinate-point table and the resolved exclusion table are built at the
-    first valid lift, once per search (``_lift_tables``), so a search with no
-    valid candidate builds none of them. A lift's polynomials and texts are
-    its slots' rows of the term table (``_build_lift``), its violations the
-    forbidden slots it fills, and a point's verdict is ranked once per
-    distinct set of values of the slots it reads. The search runs in one
-    process.
+    size fits the budget, otherwise ``budget`` seeded-random draws, each
+    distinct one checked once. A lift is valid when every S-pair with
+    non-coprime leads reduces to zero against it (Buchberger's criterion), so
+    it is already the reduced basis. The candidates share their leads and
+    tail monomials, so the S-pairs are divided once per search, with the tail
+    coefficients as unknowns (``_stratum_equations``), and each candidate is
+    checked by evaluating the remainder coefficients at its own
+    (``_valid_lift``). Only valid candidates are built as polynomials, with
+    their texts. They get Jacobian verdicts at all coordinate points, plus
+    the tail-support exclusion checks in the one-dimensional setting. The
+    search lays out its tail slots once, target by target, and all the rest
+    reads that layout. The term, coordinate-point and resolved exclusion
+    tables are built at the first valid lift, with the builder that makes
+    each lift (``_lift_builder``), so a search with no valid candidate builds
+    none of them. A lift's polynomials and texts are its slots' rows of the
+    term table, its violations the forbidden slots it fills, and a point's
+    verdict is ranked once per distinct set of values of the slots it reads.
+    An exhaustive search streams its candidates; a sampled one holds its
+    distinct draws. The search runs in one process.
 
     A monomial lies outside the non-face ideal exactly when its support is a
     face, so the tails are the exponent vectors whose support bitmask lies in
@@ -810,56 +796,45 @@ def lift_search(
     targets = list(M.gens)
     key = order.exps_key
     ranked: Dict[int, list] = {}  # degree -> (order key, exponents) outside the non-face ideal, decreasing
-    tails_of: List[List[Monomial]] = []
+    slot = itertools.count()
+    layout = []  # per target: (lead exponents, [(tail exponents, slot), ...]), slots target by target
     for t in targets:
         d = t.degree()
         if d not in ranked:
             ranked[d] = sorted(((key(e), e) for e in _face_exponents(delta, d)), reverse=True)
         top = key(t.exps)
-        tails_of.append([Monomial(e) for k, e in ranked[d] if k < top])  # a Monomial only for the tails
-    empty = tuple(t for t, tails in zip(targets, tails_of) if not tails)
-    slots = [(ti, m) for ti, tails in enumerate(tails_of) for m in tails]
+        layout.append((t.exps, [(e, next(slot)) for k, e in ranked[d] if k < top]))
+    empty = tuple(t for t, (_, tails) in zip(targets, layout) if not tails)
+    slots = next(slot)
 
-    space = len(coeffs) ** len(slots)
+    space = len(coeffs) ** slots
     if min(space, budget) > LIFT_CANDIDATE_BOUND:
         raise ResourceLimitError(
             f"a lift search draws at most {LIFT_CANDIDATE_BOUND} candidates; lower the budget"
         )
     exhaustive = space <= budget
     if exhaustive:
-        draws = list(itertools.product(range(len(coeffs)), repeat=len(slots)))
+        draws = itertools.product(range(len(coeffs)), repeat=slots)  # distinct, and streamed
     else:
-        # the values of [tuple(rng.randrange(k) for _ in slots) for _ in range(budget)]:
+        # the values of [tuple(rng.randrange(k) for _ in range(slots)) for _ in range(budget)]:
         # CPython's randrange(k) draws k.bit_length() bits until they are below k
         k = len(coeffs)
         bits = map(random.Random(seed).getrandbits, itertools.repeat(k.bit_length()))
-        picks = itertools.islice(filter(k.__gt__, bits), budget * len(slots))
-        draws = list(zip(*[picks] * len(slots)))  # not exhaustive, so there are slots
+        picks = itertools.islice(filter(k.__gt__, bits), budget * slots)
+        draws = dict.fromkeys(zip(*[picks] * slots))  # not exhaustive, so there are slots
 
-    equations = _stratum_equations(order, targets, slots)
+    equations = _stratum_equations(order, layout)
     values = [c.v for c in coeffs] if p else [c.numerator if c.denominator == 1 else c for c in coeffs]
-    codim = (ctx.n - 1) - delta.dim
-    lifts, table, memo, verdicts = [], None, {}, {}
-    for assignment in dict.fromkeys(draws):
-        if not _valid_lift(equations, values, p, assignment):
-            continue
-        if table is None:
-            terms, table, ints, lead, units, exclusions = _lift_tables(
-                order, delta, targets, slots, coeffs, p, values
-            )
-        polys, texts = _build_lift(order, terms, assignment)
-        # valid, so the candidate is its own reduced basis, whose order the entries keep
-        violations = tuple(
-            SupportViolation(rule, texts[k], mono) for k, rule, s, mono in exclusions if coeffs[assignment[s]]
-        )
-        slot_values = [ints[a] for a in assignment]
-        slot_values.append(lead)
-        points = _point_verdicts(table, slot_values, units, codim, memo, verdicts)
-        lifts.append(ValidLift(polys, texts, points, violations))
+    lifts, build = [], None
+    for assignment in draws:
+        if _valid_lift(equations, values, p, assignment):
+            if build is None:
+                build = _lift_builder(order, delta, layout, coeffs, p, values)
+            lifts.append(build(assignment))
 
     return LiftSearchResult(
         delta, order, tuple(coeffs), budget, seed, exhaustive, space,
-        len(draws), tuple(targets), empty, tuple(lifts),
+        space if exhaustive else budget, tuple(targets), empty, tuple(lifts),
     )
 
 

@@ -465,7 +465,7 @@ class Polynomial:
     def render(self) -> str:
         """The terms in order, each written by ``_term_text``, the first without
         its sign's space or a ``+``: ``x1^2 - 3/2*x1*x2 + x3^2``. ``lift_search``
-        writes its lifts' texts from the same helper (``pipeline._term_table``)."""
+        writes its lifts' texts from the same helper (``pipeline._lift_builder``)."""
         if not self.terms:
             return "0"
         scalar, monomial = self.ctx.field.render_scalar, self.ctx.render_monomial

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -30,10 +31,12 @@ from grodeg import (
     analyze,
     analyze_complex,
     buchberger,
+    ci_obstruction,
     count_points,
     ideal_digest,
     initial_ideal,
     jacobian_rank_at,
+    leafless_obstruction,
     lift_search,
     link,
     parse_polynomial,
@@ -912,6 +915,20 @@ class TestLiftSearch:
             lift_search(self.triangle(), drl, budget=256)
         assert lift_search(self.triangle(), drl, budget=255, seed=1).tried == 255
 
+    def test_an_exhaustive_search_streams_its_candidates(self):
+        """16384 candidates, every one checked, with 64 lifts: the search holds
+        the lifts, not the candidates."""
+        star = SimplicialComplex.from_facets(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
+        drl = MonomialOrder.degrevlex(ctx_n(5, PrimeField(2)))
+        tracemalloc.start()
+        try:
+            res = lift_search(star, drl, budget=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exhaustive and res.tried == res.space == 16384 and len(res.lifts) == 64
+        assert peak < 2**20
+
 
 def lift_candidates(delta, order, coeffs):
     """Every lift candidate of the non-face ideal, built from the definition."""
@@ -938,15 +955,15 @@ def lift_candidates(delta, order, coeffs):
 
 @pytest.fixture
 def checked(monkeypatch):
-    """The ``(slots, assignments)`` of each lift search the test runs: the
-    slots it gave ``_stratum_equations``, and each assignment it gave
+    """The ``(layout, assignments)`` of each lift search the test runs: the
+    slot layout it gave ``_stratum_equations``, and each assignment it gave
     ``_valid_lift``, in checking order."""
     seen = []
     equations, valid = pipeline._stratum_equations, pipeline._valid_lift
 
-    def recording_equations(order, targets, slots):
-        seen.append((slots, []))
-        return equations(order, targets, slots)
+    def recording_equations(order, layout):
+        seen.append((layout, []))
+        return equations(order, layout)
 
     def recording_valid(eqs, values, p, assignment):
         seen[-1][1].append(assignment)
@@ -959,10 +976,42 @@ def checked(monkeypatch):
 
 def candidates(res, search):
     """The polynomials of each candidate that the search ``res`` checked, in
-    checking order; ``search`` is its entry in ``checked``."""
-    slots, assignments = search
-    rows = pipeline._term_table(res.order, res.targets, slots, res.pool)
-    return [pipeline._build_lift(res.order, rows, a)[0] for a in assignments]
+    checking order, built by the ``Polynomial`` constructor from the layout;
+    ``search`` is its entry in ``checked``."""
+    layout, assignments = search
+    order, pool = res.order, res.pool
+    terms = [((Monomial(lead), 1), [(Monomial(e), s) for e, s in tails]) for lead, tails in layout]
+    made = {}  # (target, its tails' pool indices) -> its polynomial; a generator recurs across candidates
+
+    def generator(k, a):
+        head, tails = terms[k]
+        picked = tuple(a[s] for _, s in tails)
+        if (k, picked) not in made:
+            made[k, picked] = Polynomial(order.ctx, order, [head, *((m, pool[i]) for (m, _), i in zip(tails, picked))])
+        return made[k, picked]
+
+    return [tuple(generator(k, a) for k in range(len(layout))) for a in assignments]
+
+
+def count_builds(monkeypatch):
+    """Wrap ``pipeline._lift_builder`` and each build it returns: the first
+    list gains one entry per builder made, the second one assignment per lift
+    built."""
+    original = pipeline._lift_builder
+    builders, built = [], []
+
+    def counted(*args):
+        builders.append(args)
+        build = original(*args)
+
+        def counted_build(assignment):
+            built.append(assignment)
+            return build(assignment)
+
+        return counted_build
+
+    monkeypatch.setattr(pipeline, "_lift_builder", counted)
+    return builders, built
 
 
 class TestLiftOracle:
@@ -995,12 +1044,14 @@ class TestLiftOracle:
     @pytest.mark.parametrize(
         "field,pool", [(PrimeField(3), (0, 1, 2)), (QQ, (2, 0, -1))], ids=["GF(3)", "QQ"]
     )
-    def test_candidates_are_built_in_canonical_form(self, field, pool, checked):
-        """The trusted construction gives exactly the terms ``Polynomial`` would."""
+    def test_candidates_are_built_in_canonical_form(self, monkeypatch, field, pool):
+        """The trusted construction gives exactly the terms ``Polynomial`` would:
+        with the lift criterion forced true, every candidate is built."""
+        monkeypatch.setattr(pipeline, "_valid_lift", lambda *args: True)
         drl = MonomialOrder.degrevlex(ctx_n(4, field))
         res = lift_search(self.STAR, drl, pool=pool, budget=243)
         assert res.exhaustive
-        built = candidates(res, checked[0])
+        built = [lift.polys for lift in res.lifts]
         assert len(built) == 243
         assert all(g.order is drl and g.ctx is drl.ctx for polys in built for g in polys)
         got = {tuple(g.terms for g in polys) for polys in built}
@@ -1008,12 +1059,12 @@ class TestLiftOracle:
         assert len(got) == 243 and got == want
 
     def test_sampled_five_cycle_has_no_valid_lift(self, monkeypatch, checked):
-        built = count_calls(monkeypatch, "_build_lift", module="pipeline")
+        builders, built = count_builds(monkeypatch)
         cycle = SimplicialComplex.from_facets(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
         drl = MonomialOrder.degrevlex(ctx_n(5, PrimeField(2)))
         res = lift_search(cycle, drl, budget=30, seed=4)
         assert not res.exhaustive and res.tried == 30 and res.lifts == ()
-        assert built == []  # no candidate is valid, so none is built
+        assert builders == built == []  # no candidate is valid, so none is built
         drawn = candidates(res, checked[0])
         assert drawn
         targets = sorted(t.exps for t in res.targets)
@@ -1178,9 +1229,10 @@ class TestLiftDraws:
         budget = 20
         for seed in range(20):
             res = lift_search(TestLiftOracle.PATH, drl, pool=pool, budget=budget, seed=seed)
-            slots, assignments = checked[-1]
+            layout, assignments = checked[-1]
+            slots = sum(len(tails) for _, tails in layout)
             rng = random.Random(seed)
-            want = list(dict.fromkeys(tuple(rng.randrange(k) for _ in slots) for _ in range(budget)))
+            want = list(dict.fromkeys(tuple(rng.randrange(k) for _ in range(slots)) for _ in range(budget)))
             assert assignments == want
             if k == 1:  # one candidate in all, so the space is enumerated
                 assert res.exhaustive and res.tried == res.space == 1
@@ -1283,6 +1335,47 @@ class TestBayerStillman:
                 )
                 verdicts.append(cone)
         assert len(verdicts) >= 12 and True in verdicts and False in verdicts
+
+
+class TestLiftCertificates:
+    """The paper's proven cases, as metamorphic checks of the lift verdicts:
+    each valid lift is its own reduced basis, and the certificates computed
+    from that basis agree with the verdicts the search tabled."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
+    @pytest.mark.parametrize("kind", ["lex", "degrevlex"])
+    @pytest.mark.parametrize("perm", [(0, 1, 2, 3), (2, 0, 3, 1)], ids=["id", "shuffled"])
+    def test_four_cycle_lifts_are_singular_at_the_top_point(self, field, kind, perm):
+        """A leafless graph: rank at most n-3 at the top coordinate point."""
+        order = MonomialOrder(kind, ctx_n(4, field), perm=perm)
+        res = lift_search(FOUR_CYCLE, order, budget=40, seed=7)
+        assert res.lifts
+        top = res.top_variable()
+        for lift in res.lifts:
+            B = buchberger(lift.polys, order)
+            assert set(B.polys) == set(lift.polys)
+            a = lift.coordinate_points[top]
+            assert a.verdict == "singular" and a.rank <= 4 - 3
+            cert = leafless_obstruction(B, FOUR_CYCLE)
+            assert cert.certified and cert.witness["rank"] == a.rank
+            assert cert.witness["point"] == a.point.render()
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
+    @pytest.mark.parametrize("kind", ["lex", "degrevlex"])
+    def test_octahedron_lifts_are_singular_at_the_distinguished_point(self, field, kind):
+        """A cross-polytope boundary: the complete-intersection certificate."""
+        order = getattr(MonomialOrder, kind)(ctx_n(6, field))
+        res = lift_search(OCTAHEDRON, order, budget=40, seed=7)
+        assert res.lifts
+        names = order.ctx.names
+        for lift in res.lifts:
+            B = buchberger(lift.polys, order)
+            assert set(B.polys) == set(lift.polys)
+            cert = ci_obstruction(B)
+            assert cert.certified
+            a = lift.coordinate_points[names.index(cert.witness["distinguished_variable"])]
+            assert a.verdict == "singular" and a.rank == cert.witness["rank"]
+            assert cert.witness["point"] == a.point.render()
 
 
 class TestCountPoints:
@@ -1608,33 +1701,36 @@ class TestNoWorkTwice:
     def test_lift_search_builds_points_and_table_at_the_first_valid_lift(self, monkeypatch):
         units = count_calls(monkeypatch, "_unit_points", module="pipeline")
         tables = count_calls(monkeypatch, "_exclusion_table", module="pipeline")
-        terms = count_calls(monkeypatch, "_term_table", module="pipeline")
+        builders, built = count_builds(monkeypatch)
         five_cycle = SimplicialComplex.from_facets(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
         res = lift_search(five_cycle, MonomialOrder.degrevlex(ctx_n(5)), budget=10, seed=4)
         assert res.tried == 10 and res.lifts == ()
-        assert units == [] and tables == [] and terms == []
+        assert units == [] and tables == [] and builders == [] and built == []
         four_cycle = SimplicialComplex.from_facets(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
         res = lift_search(four_cycle, MonomialOrder.degrevlex(ctx_n(4)), budget=60, seed=3)
         assert len(res.lifts) > 1
-        assert len(units) == len(tables) == len(terms) == 1
+        assert len(units) == len(tables) == len(builders) == 1
+        assert len(built) == len(res.lifts)
 
     def test_lift_search_checks_each_distinct_draw_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "_valid_lift", module="pipeline")
-        built = count_calls(monkeypatch, "_build_lift", module="pipeline")
+        builders, built = count_builds(monkeypatch)
         triangle = SimplicialComplex.from_facets(3, [(1, 2), (1, 3), (2, 3)])
         drl = MonomialOrder.degrevlex(ctx_n(3))
         res = lift_search(triangle, drl, pool=(-2, -1, 1, 2), budget=200)
         assert res.tried == 200
         assignments = [args[-1] for args in calls]
         assert len(assignments) == len(set(assignments)) == len(res.lifts) == 133
+        assert built == assignments and len(builders) == 1
         # where some draws are not valid, only the valid ones are built
         calls.clear()
+        builders.clear()
         built.clear()
         drl = MonomialOrder.degrevlex(ctx_n(4, PrimeField(2)))
         res = lift_search(TestLiftOracle.PATH, drl, pool=(0, 1), budget=256)
         assignments = [args[-1] for args in calls]
         assert res.tried == len(assignments) == len(set(assignments)) == 256
-        assert len({args[-1] for args in built}) == len(built) == len(res.lifts) == 32
+        assert len(set(built)) == len(built) == len(res.lifts) == 32 and len(builders) == 1
 
     def test_lift_search_builds_its_equations_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "_stratum_equations", module="pipeline")
@@ -1674,12 +1770,13 @@ class TestNoWorkTwice:
         assert evaluations == []
 
     def test_lift_search_builds_each_valid_lift_once(self, monkeypatch):
-        built = count_calls(monkeypatch, "_build_lift", module="pipeline")
+        builders, built = count_builds(monkeypatch)
         triangle = SimplicialComplex.from_facets(3, [(1, 2), (1, 3), (2, 3)])
         drl = MonomialOrder.degrevlex(ctx_n(3))
         res = lift_search(triangle, drl, pool=(-2, -1, 1, 2), budget=200)
         assert len(res.lifts) == 133
-        assert len(built) == 133  # every distinct draw is valid here
+        assert len(built) == len(set(built)) == 133  # every distinct draw is valid here
+        assert len(builders) == 1
 
     def test_scan_completes_each_orbit_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "buchberger", module="groebner")
