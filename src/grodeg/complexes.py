@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from .fields import QQ, Field
 from .groebner import MonomialIdeal
 from .linalg import rank_int, rank_mod_p
-from .records import Record
+from .records import Record, replace
 from .ring import Monomial, RingContext, standard_context
 
 
@@ -33,8 +33,8 @@ class SimplicialComplex(Record):
 
     def __init__(self, n: int, facets: Tuple[Tuple[int, ...], ...], *, _canonical: bool = False):
         """``_canonical`` (keyword-only, so not a field) vouches that the facets
-        are sorted, distinct, maximal and in order, as ``from_facets`` and
-        ``_relabelled_link`` build them."""
+        are sorted, distinct, maximal and in order, as ``from_facets``,
+        ``_relabelled_link`` and ``_relabelled`` build them."""
         if n < 1:
             raise ValueError("complex needs at least one vertex slot")
         if not facets:
@@ -275,6 +275,24 @@ class ComplexPropertyReport(Record):
             "cone_points": self.cone_points,
             "ghost_vertices": self.ghost_vertices,
         }
+
+
+def _relabelled(delta: SimplicialComplex, props: ComplexPropertyReport, s):
+    """``delta`` and its property report with each vertex v renamed s[v - 1] + 1,
+    for a permutation s of range(n).
+
+    The verdicts and the cohomology are kept, as a relabelling changes neither.
+    Facets, leaves, free faces, cone points and ghost vertices are renamed and
+    sorted again as ``from_facets`` and ``property_report`` sort them.
+    """
+    name = (0, *(i + 1 for i in s))
+    face = lambda f: tuple(sorted(map(name.__getitem__, f)))
+    image = SimplicialComplex(delta.n, tuple(sorted(map(face, delta.facets))), _canonical=True)
+    return image, replace(
+        props, leaves=face(props.leaves), cone_points=face(props.cone_points),
+        free_faces=tuple(sorted(map(face, props.free_faces), key=lambda f: (len(f), f))),
+        ghost_vertices=face(props.ghost_vertices),
+    )
 
 
 def is_strongly_connected(delta: SimplicialComplex) -> bool:

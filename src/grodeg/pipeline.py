@@ -7,7 +7,8 @@ Four entry points:
   verdicts).
 * ``scan_orders``: the same ideal over every permutation order of a family,
   deduplicated by initial ideal, with one completion per orbit of initial
-  ideals under the variable permutations that fix the ideal.
+  ideals under the variable permutations that fix the ideal; the report of
+  each other member of an orbit is its source's report relabelled.
 * ``lift_search``: enumerate or sample homogeneous lifts of a non-face ideal
   and test each valid one for singularities at the coordinate points. A
   search lays out its tail slots once, target by target. The lift criterion
@@ -40,6 +41,7 @@ from typing import Dict, List, Optional, Tuple
 from .complexes import (
     ComplexPropertyReport,
     SimplicialComplex,
+    _relabelled,
     complex_from_squarefree_ideal,
     property_report,
     to_ideal,
@@ -48,7 +50,7 @@ from .errors import ResourceLimitError, ScanBoundExceeded
 from .fields import Field, PrimeField, QQ, is_prime
 from .groebner import DEFAULT_DEGREE_CAP, GroebnerBasis, MonomialIdeal, _polynomial, buchberger, initial_ideal
 from .linalg import primitive_integers
-from .records import Record
+from .records import Record, replace
 from .ring import Monomial, MonomialOrder, Polynomial, RingContext, _picker, _term_text, render_chain
 from .singularity import (
     JacobianAnalysis,
@@ -195,8 +197,14 @@ def analyze(gens, order: MonomialOrder, *, degree_cap: int = DEFAULT_DEGREE_CAP)
     return _degeneration_report(gens, B, (order.render(),), ideal_digest(order.ctx, gens))
 
 
-def _degeneration_report(gens, B: GroebnerBasis, producing_orders, digest: str) -> DegenerationReport:
-    """The report of homogeneous ``gens``, of ``ideal_digest`` ``digest``, whose reduced basis is ``B``."""
+def _degeneration_report(gens, B: GroebnerBasis, producing_orders, digest: str, image_of=None) -> DegenerationReport:
+    """The report of homogeneous ``gens``, of ``ideal_digest`` ``digest``, whose reduced basis is ``B``.
+
+    With ``image_of = (R, s)``, R the report of a reduced basis B' of the same
+    ideal and B = s(B') (variable i goes to s[i]), the complex, its property
+    report and the coordinate points are R's relabelled by s, as
+    ``scan_orders`` describes; the rest is computed as for any basis.
+    """
     order = B.order
     ctx = order.ctx
     polys = tuple(g.with_order(order) for g in gens)
@@ -208,15 +216,22 @@ def _degeneration_report(gens, B: GroebnerBasis, producing_orders, digest: str) 
             None, None, (), (), None, producing_orders,
         )
 
-    if all(M.contains(Monomial.variable(i, ctx.n)) for i in range(ctx.n)):
-        raise ValueError("initial ideal contains every variable: the projective scheme is empty")
-    delta = complex_from_squarefree_ideal(M)
-    props = property_report(delta, ctx.field)
+    if image_of is None:
+        if all(M.contains(Monomial.variable(i, ctx.n)) for i in range(ctx.n)):
+            raise ValueError("initial ideal contains every variable: the projective scheme is empty")
+        delta = complex_from_squarefree_ideal(M)
+        props = property_report(delta, ctx.field)
+        points: Tuple[JacobianAnalysis, ...] = ()
+        if ctx.standard and B.polys:
+            points = _coordinate_points(B.polys, _unit_points(ctx), (ctx.n - 1) - delta.dim)
+    else:
+        source, s = image_of
+        delta, props = _relabelled(source.delta, source.properties, s)
+        moved = dict(zip(s, source.coordinate_points))  # moved[s[i]]: the verdict at e_i
+        points = tuple(replace(moved[j], point=a.point) for j, a in enumerate(source.coordinate_points))
 
-    points: Tuple[JacobianAnalysis, ...] = ()
     obstructions: List[ObstructionVerdict] = []
     if ctx.standard and B.polys:
-        points = _coordinate_points(B.polys, _unit_points(ctx), (ctx.n - 1) - delta.dim)
         obstructions.append(ci_obstruction(B))
         if _dim1_setting(delta):
             obstructions.append(leafless_obstruction(B, delta))
@@ -442,6 +457,16 @@ def scan_orders(
     builds s(G) under itself, relabelled and sorted, never completed. So
     each report is built from the basis of its first producing order.
 
+    The report of an image s(G) is the report of G relabelled by s. Its
+    complex and property report are G's with every vertex renamed (the
+    leaves, free faces, cone points and ghost vertices sorted again, the
+    verdicts and the cohomology shared), and its verdict at e_s(i) is G's at
+    e_i, with the same rank. So ``property_report`` runs and coordinate-point
+    ranks are taken once per orbit of square-free initial ideals. What
+    depends on the order or on how the labels are ordered is computed for
+    every report: the generators under its order, its initial ideal, the
+    certificates and the conjecture summary.
+
     The producing orders are grouped by owner, which is grouping by initial
     ideal: an order is completed only when no cone claims it, and an image
     is claimed only when its first order is unowned, so distinct owners are
@@ -460,19 +485,21 @@ def scan_orders(
         raise ValueError(f"unknown order family {family!r} (want lex, degrevlex, or both)")
     _require_homogeneous(gens)
 
-    cells: list = []  # a reduced basis, or (B, s) until its first order builds s(B)
+    cells: list = []  # a reduced basis, or None until its first order builds s(B)
+    sources: Dict[int, Tuple[int, tuple]] = {}  # image cell -> (the cell of B, s)
     owner: Dict[Tuple[str, tuple], int] = {}
     producers: Dict[int, List[str]] = {}  # cell -> its producing orders, cells by first order
     generators = None
 
-    def claim_orbit(B, cone):  # the cone of s(B) for each s(B) of the orbit of B not yet claimed
+    def claim_orbit(k, cone):  # the cone of s(B) for each s(B) of the orbit of B = cells[k] not yet claimed
         reached = [tuple(range(ctx.n))]
         for s in reached:
             for g in generators:
                 gs = tuple(g[i] for i in s)
                 if (cone[0][0], tuple(gs[i] for i in cone[0][1])) not in owner:
                     owner.update(dict.fromkeys(((c, tuple(gs[i] for i in p)) for c, p in cone), len(cells)))
-                    cells.append((B, gs))
+                    sources[len(cells)] = (k, gs)
+                    cells.append(None)
                     reached.append(gs)
 
     for kind in kinds:
@@ -480,7 +507,7 @@ def scan_orders(
             k = owner.get((kind, perm))
             if k is None and generators is None and cells:
                 generators = _symmetry_generators(gens)
-                claim_orbit(cells[0], first_cone)
+                claim_orbit(0, first_cone)
                 k = owner.get((kind, perm))
             if k is None:
                 k = len(cells)
@@ -491,12 +518,17 @@ def scan_orders(
                 if generators is None:
                     first_cone = cone
                 else:
-                    claim_orbit(B, cone)
-            elif type(cells[k]) is tuple:
-                cells[k] = _transported(*cells[k], MonomialOrder(kind, ctx, perm=perm))
+                    claim_orbit(k, cone)
+            elif cells[k] is None:
+                source, s = sources[k]
+                cells[k] = _transported(cells[source], s, MonomialOrder(kind, ctx, perm=perm))
             producers.setdefault(k, []).append(render_chain(kind, ctx.names, perm))
     digest = ideal_digest(ctx, gens)
-    return [_degeneration_report(gens, cells[k], tuple(orders), digest) for k, orders in producers.items()]
+    reports: Dict[int, DegenerationReport] = {}  # a source's first order comes before its images'
+    for k, orders in producers.items():
+        image_of = (reports[sources[k][0]], sources[k][1]) if k in sources else None
+        reports[k] = _degeneration_report(gens, cells[k], tuple(orders), digest, image_of)
+    return list(reports.values())
 
 
 def _face_exponents(delta: SimplicialComplex, d: int) -> List[Tuple[int, ...]]:
@@ -670,7 +702,7 @@ def _lift_builder(order, delta, layout, coeffs, p, values):
         forbidden = _exclusion_table(order, delta, heads)
         for k, (lead, tails) in sorted(enumerate(layout), key=lambda kt: order.exps_key(kt[1][0]), reverse=True):
             slot_of = dict(tails)
-            exclusions += [(k, rule, slot_of[m.exps], monomial(m)) for rule, m in forbidden[lead] if m.exps in slot_of]
+            exclusions += [(k, rule, slot_of[e], monomial(Monomial(e))) for rule, e in forbidden[lead] if e in slot_of]
     units, codim, memo, verdicts = _unit_points(ctx), (ctx.n - 1) - delta.dim, {}, {}
 
     def build(assignment) -> ValidLift:

@@ -395,37 +395,44 @@ def support_exclusions(B: GroebnerBasis, delta: SimplicialComplex) -> List[Suppo
     violations = []
     for g in B.polys:
         tails = {m.exps for m, _ in g.terms[1:]}
-        for rule, m in table[g.terms[0][0].exps]:
-            if m.exps in tails:
-                violations.append(SupportViolation(rule, g.render(), g.ctx.render_monomial(m)))
+        for rule, e in table[g.terms[0][0].exps]:
+            if e in tails:
+                violations.append(SupportViolation(rule, g.render(), g.ctx.render_monomial(Monomial(e))))
     return violations
 
 
 def _exclusion_table(order, delta: SimplicialComplex, leads):
     """Map the exponents of each of ``leads`` to its forbidden tails as
-    ``(rule, monomial)`` pairs, for a setting that ``_check_dim1_setting`` accepts.
+    ``(rule, exponents)`` pairs, for a setting that ``_check_dim1_setting`` accepts.
 
     The table depends only on the order, ``delta`` and the leads, so one table
-    serves every basis with those leads (every valid lift of one search).
+    serves every basis with those leads (every valid lift of one search). Each
+    forbidden tail, x_top^d or x_top^(d-1)*x_u for a lead of degree d, is kept
+    as its exponents; a caller renders only those a basis or a search holds.
     """
     v1, vertex, neighbors = _top_vertex_data(order, delta)
     link_top = neighbors[: 2]  # the lemma constrains the two largest link vertices
     non_neighbors = [u for u in range(1, delta.n + 1) if u != vertex and u not in neighbors]
-    x = lambda u: Monomial.variable(u - 1, delta.n)  # the variable of vertex u
-    top = x(vertex)
+
+    def tail(d, u):  # the exponents of x_top^(d - 1) * x_u, or x_top^d for u = vertex
+        e = [0] * delta.n
+        e[v1] = d - 1
+        e[u - 1] += 1
+        return tuple(e)
+
     table = {}
     for lead in leads:
         face = tuple(v + 1 for v in lead.support())
         d = lead.degree()
-        targets = [("pure_power_of_top_variable", top.pow(d))]
+        targets = [("pure_power_of_top_variable", tail(d, vertex))]
         for l in non_neighbors:
-            targets.append(("top_variable_times_non_neighbor", top.pow(d - 1).mul(x(l))))
+            targets.append(("top_variable_times_non_neighbor", tail(d, l)))
         if vertex not in face:
             for a in link_top:
-                targets.append(("top_variable_times_top_link_vertex", top.pow(d - 1).mul(x(a))))
+                targets.append(("top_variable_times_top_link_vertex", tail(d, a)))
         if vertex in face and d == 3:
             for a in link_top:
-                targets.append(("degree3_top_variable_squared", top.pow(2).mul(x(a))))
+                targets.append(("degree3_top_variable_squared", tail(3, a)))
         table[lead.exps] = tuple(targets)
     return table
 

@@ -490,6 +490,38 @@ def ref_strongly_connected(delta: SimplicialComplex):
     return len(reached) == len(facets)
 
 
+def _ref_reduced_homology(faces, p=0):
+    """Dimensions of the reduced homology H~_j, j = -1, 0, ..., of the complex
+    whose faces, the empty face included, are the sorted tuples ``faces``, by
+    ranks of the augmented boundary matrices. {()} has H~_-1 of dimension 1."""
+    top = max(map(len, faces))
+    chains = [sorted(f for f in faces if len(f) == k) for k in range(top + 2)]
+    rank = (lambda m: ref_rank_mod_p(m, p)) if p else ref_rank_fraction
+    # ranks[k]: the rank of the boundary from faces of size k to size k - 1
+    ranks = [0] + [rank(_boundary_matrix(chains[k - 1], chains[k])) if chains[k] else 0 for k in range(1, top + 2)]
+    return tuple(len(chains[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1))
+
+
+def ref_local_cohomology_table(delta: SimplicialComplex, field):
+    """Hochster's formula for the local cohomology of the Stanley-Reisner ring
+    K[delta]: ``{(i, k): b}`` with b = sum over the faces F of size k of
+    dim H~^(i-k-1)(lk F; K), the nonzero entries only. The faces and every
+    link come from the facets by brute force; over a field the cohomology
+    dimensions are the homology ones. H^i_m(K[delta]) has Hilbert function
+    b(i, 0) in degree 0 plus b(i, k) * C(-j - 1, k - 1) in each degree j <= -k,
+    k >= 1 (Stanley, "Combinatorics and Commutative Algebra", II.4)."""
+    p = field.characteristic()
+    faces = {()} | {s for g in delta.facets for k in range(1, len(g) + 1) for s in itertools.combinations(g, k)}
+    table = {}
+    for F in faces:
+        lk = {G for G in faces if not set(G) & set(F) and tuple(sorted(G + F)) in faces}
+        for j, b in enumerate(_ref_reduced_homology(lk, p), start=-1):
+            if b:
+                key = (j + len(F) + 1, len(F))
+                table[key] = table.get(key, 0) + b
+    return table
+
+
 # ---------------------------------------------------------------------------
 # lift criterion by division, candidate by candidate
 

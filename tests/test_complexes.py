@@ -577,3 +577,32 @@ class TestCohomologyOracle:
             assert rep.cohomology.dims == dims, d.render()
             assert rep.as_dict() == dict(rep.as_dict(), **verdicts), d.render()
         assert kinds == {"non-pure", "ghosts"}
+
+
+class TestRelabelledReport:
+    """``complexes._relabelled``, which the order scan applies to the report of
+    each orbit's first basis, against ``property_report`` of the relabelled
+    complex on random complexes: non-pure ones, ghost vertices, leaves, cone
+    points and free faces of every size."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=str)
+    def test_matches_the_report_of_the_relabelled_complex(self, field):
+        rng = random.Random(f"relabelled-{field.render()}")
+        seen = set()
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            delta = random_complex(rng, n)
+            s = tuple(rng.sample(range(n), n))
+            props = property_report(delta, field)
+            image, report = complexes_module._relabelled(delta, props, s)
+            moved = SimplicialComplex.from_facets(n, [[s[v - 1] + 1 for v in f] for f in delta.facets])
+            assert image == moved == SimplicialComplex(n, image.facets)  # the checking constructor
+            assert report == property_report(moved, field)
+            assert report.cohomology is props.cohomology
+            seen.update(name for name, on in [
+                ("non-pure", not delta.is_pure()), ("ghosts", props.ghost_vertices), ("leaves", props.leaves),
+                ("cone points", props.cone_points), ("free vertices", any(len(f) == 1 for f in props.free_faces)),
+                ("free edges", any(len(f) == 2 for f in props.free_faces)), ("not CM", not props.cohen_macaulay),
+                ("moved", s != tuple(range(n))),
+            ] if on)
+        assert len(seen) == 8

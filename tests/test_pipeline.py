@@ -61,6 +61,7 @@ from conftest import (
     ref_initial_monomials,
     ref_is_variable_regular,
     ref_keeps_marking,
+    ref_local_cohomology_table,
     ref_partial_derivative,
     ref_reduced_basis,
     ref_terms,
@@ -630,6 +631,33 @@ def macaulay_check(reports, top=4):
     assert len(values) == 1
 
 
+def conca_varbaro_check(reports):
+    """Conca & Varbaro (Invent. Math. 2020): when in(I) is square-free, S/I and
+    S/in(I) have the same Hilbert functions of local cohomology, so under the
+    standard grading every square-free report of one scan, transported images
+    included, has one Hochster table (``ref_local_cohomology_table``). Each
+    report's complex and verdicts must also read as the table says: its
+    cohomology is the k = 0 row, its dimension is one less than the top
+    degree i, it is CM when nothing lies below the top (depth), and Buchsbaum
+    when nothing with k >= 1 does (finite length; Schenzel, Math. Z. 1981).
+    Returns the number of square-free reports."""
+    ctx = reports[0].ctx
+    assert ctx.standard
+    tables = []
+    for r in filter(operator.attrgetter("squarefree"), reports):
+        table = ref_local_cohomology_table(r.delta, ctx.field)
+        tables.append(table)
+        top = max(i for i, _ in table)
+        below = [k for i, k in table if i < top]
+        props = r.properties
+        assert top == r.delta.dim + 1
+        assert props.cohomology.dims == tuple(table.get((j + 1, 0), 0) for j in range(top))
+        assert props.cohen_macaulay == (not below)
+        assert props.buchsbaum == (not any(below))
+    assert all(table == tables[0] for table in tables)
+    return len(tables)
+
+
 class TestSymmetries:
     """The group ``pipeline._symmetry_generators`` generates, against brute
     force over all n! permutations."""
@@ -702,6 +730,7 @@ class TestScanOracle:
             reports = scan_orders(gens, family="both")
             self.agree(gens, reports)
             macaulay_check(reports)
+            conca_varbaro_check(reports)
             by_order = {o: r for r in reports for o in r.producing_orders}
             for kind in ("lex", "degrevlex", rng.choice(("lex", "degrevlex"))):
                 perm = tuple(rng.sample(range(ctx.n), ctx.n))
@@ -719,6 +748,30 @@ class TestScanOracle:
             alone = analyze(gens, r.order)
             assert as_json(r) == as_json(replace(alone, producing_orders=r.producing_orders))
 
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
+    def test_square_free_quadric_scans_share_one_local_cohomology_table(self, field):
+        """A seeded family of two or three generators, each a sum
+        of two or three square-free quadrics in five variables, where many
+        orders give square-free initial ideals."""
+        rng = random.Random(f"conca-varbaro-{field.render()}")
+        ctx = ctx_n(5, field)
+        drl = MonomialOrder.degrevlex(ctx)
+        pairs = list(itertools.combinations(range(5), 2))
+        counts, non_cm = [], 0
+        for _ in range(12):
+            gens = [
+                Polynomial(ctx, drl, [
+                    (Monomial(tuple(int(i in pair) for i in range(5))), rng.choice((1, -1, 2)))
+                    for pair in rng.sample(pairs, rng.randint(2, 3))
+                ])
+                for _ in range(rng.randint(2, 3))
+            ]
+            reports = scan_orders(gens, family="both")
+            macaulay_check(reports)
+            counts.append(conca_varbaro_check(reports))
+            non_cm += any(r.squarefree and not r.properties.cohen_macaulay for r in reports)
+        assert sum(c >= 4 for c in counts) >= 4 and non_cm
+
     @pytest.mark.parametrize("family", sorted(FAMILY_KINDS))
     @pytest.mark.parametrize("name", sorted(SYMMETRIC_IDEALS))
     def test_symmetric_ideals_match_one_completion_per_order(self, monkeypatch, name, family):
@@ -730,6 +783,44 @@ class TestScanOracle:
         assert [a[1] for a in calls] == orbit_firsts(reports, ref_symmetries(gens))
         self.agree(gens, reports, FAMILY_KINDS[family])
         macaulay_check(reports)
+        if gens[0].ctx.standard:
+            conca_varbaro_check(reports)
+
+
+class TestImageReports:
+    """The report of s(B) built from the report of B, as the order scan builds
+    an orbit image's, against ``analyze`` of s(I) at the permuted order, for
+    random ideals I and random permutations s. No symmetry is needed here, so
+    the coordinate points differ from one another, off the scheme too, and a
+    point carried the wrong way shows."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
+    def test_relabelled_report_is_the_report_of_the_relabelled_ideal(self, field):
+        rng = random.Random(f"image-reports-{field.render()}")
+        off_scheme = 0  # square-free sources with a point off the scheme
+        for _ in range(40):
+            ctx = ctx_n(rng.choice((3, 4)), field)
+            drl = MonomialOrder.degrevlex(ctx)
+            gens = [
+                random_homogeneous_poly(rng, ctx, drl, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))
+            ]
+            kind, perm = rng.choice(("lex", "degrevlex")), tuple(rng.sample(range(ctx.n), ctx.n))
+            order = MonomialOrder(kind, ctx, perm=perm)
+            s = tuple(rng.sample(range(ctx.n), ctx.n))
+            moved = [ref_relabel(g, s) for g in gens]
+            image_order = MonomialOrder(kind, ctx, perm=tuple(s[i] for i in perm))
+            try:
+                source = analyze(gens, order)
+            except ValueError:  # every variable in the initial ideal
+                continue
+            image = pipeline._degeneration_report(
+                moved, pipeline._transported(source.basis, s, image_order), ("scan",),
+                ideal_digest(ctx, moved), (source, s),
+            )
+            alone = analyze(moved, image_order)
+            assert as_json(image) == as_json(replace(alone, producing_orders=("scan",)))
+            off_scheme += source.squarefree and any(a.verdict == "off_scheme" for a in source.coordinate_points)
+        assert off_scheme >= 5
 
 
 def sympy_reduced_basis(sympy, gens, order):
@@ -1815,6 +1906,25 @@ class TestNoWorkTwice:
         assert (len(reports), len(calls)) == (6, 1)
         assert [a[1] for a in calls] == orbit_firsts(reports, ref_symmetries(gens)) == [reports[0].order]
         assert calls[0][1].render() == reports[0].producing_orders[0]
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_KINDS))
+    @pytest.mark.parametrize("name", ["minors_2x3", "rescaled"])
+    def test_scan_judges_each_orbit_of_complexes_once(self, monkeypatch, name, family):
+        """The six square-free initial ideals form one orbit. Only the first
+        report runs ``property_report`` and ranks its coordinate points; the
+        other five are relabelled, and take no rank at all."""
+        gens = symmetric_gens(name)
+        judged = count_calls(monkeypatch, "property_report")
+        ranked = count_calls(monkeypatch, "_coordinate_points", module="singularity")
+        ranks = count_calls(monkeypatch, "rank_int", module="linalg")
+        reports = scan_orders(gens, family=family)
+        assert len(reports) == 6 and all(r.squarefree for r in reports)
+        assert [a[0] for a in judged] == [reports[0].delta]
+        assert len(ranked) == 1 and ranked[0][0] == reports[0].basis.polys
+        scan_ranks = len(ranks)
+        ranks.clear()
+        analyze(gens, reports[0].order)  # the first report alone
+        assert scan_ranks == len(ranks) > 0
 
     def test_scan_looks_for_symmetries_only_past_one_completion(self, monkeypatch):
         found = count_calls(monkeypatch, "_symmetry_generators", module="pipeline")
