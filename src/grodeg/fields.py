@@ -14,20 +14,23 @@ from fractions import Fraction
 from .errors import FieldMismatchError, ParseError, clipped
 
 MAX_PRIME = 2**31
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the witness set covers every n < 3.3e14."""
+    """Deterministic Miller-Rabin with the primes 2..37 as witnesses, exact
+    for every n < 3.18e23 (Sorenson & Webster 2015), so for every modulus of
+    up to 20 digits."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17):
+    for q in _WITNESSES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17):
+    for a in _WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

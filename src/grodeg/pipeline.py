@@ -312,28 +312,19 @@ def _symmetry_generators(gens) -> List[Tuple[int, ...]]:
     the elementary symmetric polynomials). A branch of a search is dropped as
     soon as some generator's terms whose variables are all placed map onto no
     multiple of a generator's terms. A variable v may go to u only when u has
-    v's weight and v's profile: the set of the generators with every variable
-    but v set to 1, each a polynomial in x_v up to scalars. s carries the
-    profile of v to that of s[v]. With no nonzero generator there is none.
+    v's weight and v's profile: the set, over the generators, of the sorted
+    exponents of x_v in each one's terms. s carries each generator's terms
+    onto a multiple of a generator's, x_v's exponents onto x_s[v]'s, so it
+    carries the profile of v to that of s[v]. The profile prunes only
+    branches that fail, so the search finds what it would find without it.
+    With no nonzero generator there is none.
     """
     ctx = gens[0].ctx
     n, grading = ctx.n, ctx.grading
     polys = [{m.exps: c for m, c in g.terms} for g in gens if g.terms]
     if not polys:
         return []
-    zero = ctx.field.zero
-
-    def profile(i):
-        out = set()
-        for g in polys:
-            sums: Dict[int, object] = {}
-            for e, c in g.items():
-                sums[e[i]] = sums.get(e[i], zero) + c
-            nonzero = sorted((a, c) for a, c in sums.items() if c)  # the exponents a are distinct
-            out.add(tuple((a, c / nonzero[-1][1]) for a, c in nonzero))
-        return grading[i], frozenset(out)
-
-    profiles = [profile(i) for i in range(n)]
+    profiles = [(grading[i], frozenset(tuple(sorted(e[i] for e in g)) for g in polys)) for i in range(n)]
     holders: Dict[tuple, list] = {}  # exponents -> the generators with that term
     for g in polys:
         for e in g:
@@ -448,14 +439,16 @@ def scan_orders(
     (kind, perm) to the reduced basis under (kind, s(perm)), and the cone of
     one to the cone of the other, so G also claims the cone of s(G) for each
     s(G) of its orbit not yet claimed. The orbit is walked from G by the
-    generators of these symmetries (``_symmetry_generators``), which are
-    found only once the first completion leaves an order unclaimed; an image
-    whose first order is owned is reached already, as cones are disjoint.
-    The scan completes at an order only when nothing has claimed it, once
-    per orbit of initial ideals under these symmetries, and ``degree_cap``
-    bounds only those completions. The first order to reach a claimed image
-    builds s(G) under itself, relabelled and sorted, never completed. So
-    each report is built from the basis of its first producing order.
+    generators of these symmetries (``_symmetry_generators``), found once
+    per scan right after the first completion (so ``buchberger`` refuses
+    mixed ring contexts first); an image whose first order is owned is
+    reached already, as cones are disjoint. The scan completes at an order
+    only when nothing has claimed it, once per orbit of initial ideals under
+    these symmetries, and ``degree_cap`` bounds only those completions. The
+    walk only decides each order's owner: ``(k, None)`` for the k-th
+    completed basis G, ``(k, s)`` for s(G). After it, each report is built
+    from its owner's basis under its first producing order, s(G) relabelled
+    and sorted, never completed.
 
     The report of an image s(G) is the report of G relabelled by s. Its
     complex and property report are G's with every vertex renamed (the
@@ -485,49 +478,37 @@ def scan_orders(
         raise ValueError(f"unknown order family {family!r} (want lex, degrevlex, or both)")
     _require_homogeneous(gens)
 
-    cells: list = []  # a reduced basis, or None until its first order builds s(B)
-    sources: Dict[int, Tuple[int, tuple]] = {}  # image cell -> (the cell of B, s)
-    owner: Dict[Tuple[str, tuple], int] = {}
-    producers: Dict[int, List[str]] = {}  # cell -> its producing orders, cells by first order
-    generators = None
-
-    def claim_orbit(k, cone):  # the cone of s(B) for each s(B) of the orbit of B = cells[k] not yet claimed
-        reached = [tuple(range(ctx.n))]
-        for s in reached:
-            for g in generators:
-                gs = tuple(g[i] for i in s)
-                if (cone[0][0], tuple(gs[i] for i in cone[0][1])) not in owner:
-                    owner.update(dict.fromkeys(((c, tuple(gs[i] for i in p)) for c, p in cone), len(cells)))
-                    sources[len(cells)] = (k, gs)
-                    cells.append(None)
-                    reached.append(gs)
-
+    bases: List[GroebnerBasis] = []
+    owner: Dict[Tuple[str, tuple], tuple] = {}  # order -> (k, None) for bases[k], (k, s) for s(bases[k])
+    producers: Dict[tuple, list] = {}  # owner -> its producing (kind, perm), owners by first order
+    identity = tuple(range(ctx.n))
     for kind in kinds:
-        for perm in itertools.permutations(range(ctx.n)):
-            k = owner.get((kind, perm))
-            if k is None and generators is None and cells:
-                generators = _symmetry_generators(gens)
-                claim_orbit(0, first_cone)
-                k = owner.get((kind, perm))
-            if k is None:
-                k = len(cells)
+        for perm in itertools.permutations(identity):
+            key = owner.get((kind, perm))
+            if key is None:
+                key = (len(bases), None)
                 B = buchberger(gens, MonomialOrder(kind, ctx, perm=perm), degree_cap=degree_cap)
-                cells.append(B)
+                if not bases:
+                    generators = _symmetry_generators(gens)
+                bases.append(B)
                 cone = _cone(B, kinds)
-                owner.update(dict.fromkeys(cone, k))
-                if generators is None:
-                    first_cone = cone
-                else:
-                    claim_orbit(k, cone)
-            elif cells[k] is None:
-                source, s = sources[k]
-                cells[k] = _transported(cells[source], s, MonomialOrder(kind, ctx, perm=perm))
-            producers.setdefault(k, []).append(render_chain(kind, ctx.names, perm))
+                owner.update(dict.fromkeys(cone, key))
+                (c0, p0), reached = cone[0], [identity]
+                for s in reached:  # the cone of each s(B) of the orbit of B not yet claimed
+                    for g in generators:
+                        gs = tuple(g[i] for i in s)
+                        if (c0, tuple(gs[i] for i in p0)) not in owner:
+                            owner.update(dict.fromkeys(((c, tuple(gs[i] for i in p)) for c, p in cone), (key[0], gs)))
+                            reached.append(gs)
+            producers.setdefault(key, []).append((kind, perm))
     digest = ideal_digest(ctx, gens)
-    reports: Dict[int, DegenerationReport] = {}  # a source's first order comes before its images'
-    for k, orders in producers.items():
-        image_of = (reports[sources[k][0]], sources[k][1]) if k in sources else None
-        reports[k] = _degeneration_report(gens, cells[k], tuple(orders), digest, image_of)
+    reports: Dict[tuple, DegenerationReport] = {}  # a basis's first order comes before its images'
+    for (k, s), orders in producers.items():
+        (kind, perm), B, image_of = orders[0], bases[k], None
+        if s is not None:
+            B, image_of = _transported(B, s, MonomialOrder(kind, ctx, perm=perm)), (reports[k, None], s)
+        names = tuple(render_chain(c, ctx.names, p) for c, p in orders)
+        reports[k, s] = _degeneration_report(gens, B, names, digest, image_of)
     return list(reports.values())
 
 
@@ -928,14 +909,8 @@ def count_points(f: Polynomial, p: int) -> PointCountResult:
             total += co * pow(x, a, p) * pow(y, b, p) * pow(z, c_, p)
         return total % p
 
-    points = []
-    for y in range(p):
-        for z in range(p):
-            points.append((1, y, z))
-    for z in range(p):
-        points.append((0, 1, z))
-    points.append((0, 0, 1))
-
+    r = range(p)  # the points, streamed: (1, y, z), (0, 1, z), (0, 0, 1)
+    points = itertools.chain(itertools.product((1,), r, r), itertools.product((0,), (1,), r), [(0, 0, 1)])
     on_curve = [pt for pt in points if value(*pt) == 0]
     # singular: every partial vanishes, a Jacobian of rank 0
     singular = [pt for pt in on_curve if _jacobian_at([terms], pt, p)[1] == 0]

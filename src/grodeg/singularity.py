@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 from .complexes import SimplicialComplex, to_ideal
 from .errors import ContextMismatchError
 from .fields import Field
-from .groebner import GroebnerBasis, MonomialIdeal, initial_ideal
+from .groebner import GroebnerBasis, initial_ideal
 from .linalg import primitive_integers, rank_int, rank_mod_p
 from .records import Record, asdict
 from .ring import Monomial, RingContext
@@ -356,16 +356,15 @@ def _dim1_setting(delta: SimplicialComplex) -> bool:
     return delta.dim == 1 and not delta.ghost_vertices()
 
 
-def _check_dim1_setting(ctx, delta: SimplicialComplex, leads):
-    """Reject anything but bases with leading monomials ``leads`` over a
-    one-dimensional complex without ghost vertices whose non-face ideal they
-    generate."""
-    _require_standard_grading(ctx, "obstruction certificates require")
-    nonfaces = to_ideal(delta, ctx)  # which checks the vertex count
+def _check_dim1_setting(B: GroebnerBasis, delta: SimplicialComplex):
+    """Reject anything but a basis ``B`` over a one-dimensional complex
+    without ghost vertices whose non-face ideal is B's initial ideal."""
+    _require_standard_grading(B.ctx, "obstruction certificates require")
+    nonfaces = to_ideal(delta, B.ctx)  # which checks the vertex count
     if not _dim1_setting(delta):
         raise ValueError("this certificate is for one-dimensional complexes" if delta.dim != 1
                          else "ghost vertices present (the ideal contains linear forms)")
-    if MonomialIdeal.from_monomials(ctx, leads) != nonfaces:
+    if initial_ideal(B) != nonfaces:
         raise ValueError("initial ideal of the basis is not the non-face ideal of the complex")
 
 
@@ -389,9 +388,8 @@ def support_exclusions(B: GroebnerBasis, delta: SimplicialComplex) -> List[Suppo
     x1^(d-1)*xl for non-neighbors l, x1^(d-1)*x{2,3} when 1 is outside the
     non-face, and x1^2*x{2,3} for degree-3 generators containing 1.
     """
-    leads = B.leading_monomials()
-    _check_dim1_setting(B.ctx, delta, leads)
-    table = _exclusion_table(B.order, delta, leads)
+    _check_dim1_setting(B, delta)
+    table = _exclusion_table(B.order, delta, B.leading_monomials())
     violations = []
     for g in B.polys:
         tails = {m.exps for m, _ in g.terms[1:]}

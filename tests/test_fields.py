@@ -28,6 +28,16 @@ def test_is_prime_spot_checks():
     assert not is_prime(-7)
 
 
+@pytest.mark.parametrize("n", [
+    341550071728321,  # 10670053 * 32010157, a strong pseudoprime to the bases 2..17
+    3825123056546413051,  # 149491 * 747451 * 34233211, a strong pseudoprime to the bases 2..23
+])
+def test_is_prime_refuses_strong_pseudoprimes(n):
+    assert not is_prime(n)
+    with pytest.raises(ParseError, match="GF modulus must be prime"):
+        field_from_string(f"GF({n})")
+
+
 def test_is_prime_agrees_with_trial_division():
     def trial(n):
         if n < 2:

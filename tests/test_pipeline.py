@@ -18,6 +18,7 @@ from grodeg import cli, pipeline, singularity
 from grodeg.records import replace
 
 from grodeg import (
+    ContextMismatchError,
     DegreeCapExceeded,
     Monomial,
     MonomialOrder,
@@ -467,6 +468,14 @@ class TestScanOrders:
         with pytest.raises(ValueError, match="order scan needs at least one generator"):
             scan_orders([])
 
+    def test_generators_over_two_contexts_are_refused_before_any_symmetry_search(self, monkeypatch):
+        found = count_calls(monkeypatch, "_symmetry_generators", module="pipeline")
+        qq, gf3 = ctx_n(3), ctx_n(3, PrimeField(3))
+        gens = [P("x1*x2 - x3^2", qq, MonomialOrder.degrevlex(qq)), P("x1^2 - x2*x3", gf3, MonomialOrder.lex(gf3))]
+        with pytest.raises(ContextMismatchError, match="^generator over a different ring context$"):
+            scan_orders(gens)
+        assert found == []
+
     def test_factorial_bound(self):
         ctx = ctx_n(9)
         f = P("x1*x2", ctx, MonomialOrder.lex(ctx))
@@ -680,6 +689,15 @@ class TestSymmetries:
         gens = [P("x1*x2*x3", ctx, MonomialOrder.degrevlex(ctx))]
         assert len(ref_symmetries(gens, keep_grading=False)) == 5
         assert pipeline._symmetry_generators(gens) == ref_symmetries(gens) == [(2, 1, 0)]
+
+    @pytest.mark.parametrize("text,symmetries", [
+        ("x^2 + y^2 + 2*z^2", [(1, 0, 2)]),  # only a coefficient sets z apart
+        ("x*y - x*z", [(0, 2, 1)]),  # y <-> z negates it; its coefficients sum to 0
+    ])
+    def test_coefficients_decide_where_exponents_cannot(self, text, symmetries):
+        ctx = ctx_xyz()
+        gens = [P(text, ctx, MonomialOrder.degrevlex(ctx))]
+        assert pipeline._symmetry_generators(gens) == ref_symmetries(gens) == symmetries
 
     def test_the_zero_ideal_has_none(self):
         ctx = ctx_n(3)
@@ -1512,6 +1530,18 @@ class TestCountPoints:
             assert r.count == brute_projective_count(f, p)
             assert r.trace == p + 1 - r.count
 
+    def test_the_points_are_streamed(self, fermat_curve):
+        """p^2 + p + 1 = 2863 points at p = 53, of which 54 lie on the curve:
+        the count holds those, not the points (a list of all of them traces 0.2 MiB)."""
+        tracemalloc.start()
+        try:
+            count = count_points(fermat_curve, 53).count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == brute_projective_count(fermat_curve, 53) == 54
+        assert peak < 2**15
+
     def test_singular_cubic_reports_its_singular_points(self):
         ctx = ctx_xyz()
         f = P(CUBIC, ctx, MonomialOrder.degrevlex(ctx))
@@ -1926,15 +1956,24 @@ class TestNoWorkTwice:
         analyze(gens, reports[0].order)  # the first report alone
         assert scan_ranks == len(ranks) > 0
 
-    def test_scan_looks_for_symmetries_only_past_one_completion(self, monkeypatch):
-        found = count_calls(monkeypatch, "_symmetry_generators", module="pipeline")
+    def test_scan_looks_for_symmetries_once_right_after_its_first_completion(self, monkeypatch):
+        completed = count_calls(monkeypatch, "buchberger", module="groebner")
+        found, search = [], pipeline._symmetry_generators
+
+        def counted(gens):  # found: the completions made when each search starts
+            found.append(len(completed))
+            return search(gens)
+
+        monkeypatch.setattr(pipeline, "_symmetry_generators", counted)
         ctx = ctx_n(4)
         drl = MonomialOrder.degrevlex(ctx)
-        # a monomial ideal has one reduced basis, whose cone is every order
+        # a monomial ideal has one reduced basis, whose cone is every order: one search all the same
         assert len(scan_orders([P("x1*x2", ctx, drl), P("x3^2*x4", ctx, drl)], family="both")) == 1
-        assert found == []
+        assert found == [1] and len(completed) == 1
+        completed.clear()
+        found.clear()
         assert len(scan_orders(symmetric_gens("rnc_4"), family="both")) == 8
-        assert len(found) == 1
+        assert found == [1] and len(completed) == 5
 
     def test_lift_search_checks_no_homogeneity(self, monkeypatch):
         calls = []
