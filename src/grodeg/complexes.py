@@ -7,19 +7,23 @@ facets are the complements of those meeting every generator's support.
 
 Complexes are stored by their facets. Vertices missing from every facet are
 ghost vertices: permitted, flagged, excluded from leaf/cone bookkeeping. The
-void complex and the empty complex {()} are rejected. Faces and ridges are
-enumerated once per complex and kept with it, outside its fields. Reduced
+void complex and the empty complex {()} are rejected. Faces are vertex
+bitmasks (vertex v is bit v - 1): the submasks of the facet masks, enumerated
+once per complex with their incidences and kept with it, outside its fields,
+for its f-vector, free faces, strong connectivity and cohomology. Reduced
 cohomology is computed by coreduction (Mrozek & Batko, "Coreduction homology
 algorithm", Discrete Comput. Geom. 2009), so ``linalg``'s sparse ranks see
 only the cells that survive it. ``property_report`` applies Reisner's
-criterion by recursion on vertex links, judging each distinct relabelled link
-once per report.
+criterion by recursion on vertex links, each a sorted tuple of facet masks
+compressed to the low bits: the recursion's input and its memo key, so each
+distinct relabelled link is judged once per report.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from functools import reduce
+from operator import or_
+from typing import List, Optional, Tuple
 
 from .fields import QQ, Field
 from .groebner import MonomialIdeal
@@ -28,13 +32,52 @@ from .records import Record, replace
 from .ring import Monomial, RingContext, standard_context
 
 
+def _mask(face) -> int:
+    """The bitmask of a set of vertices: vertex v is bit v - 1."""
+    return sum(1 << (v - 1) for v in face)
+
+
+def _bits(mask: int) -> List[int]:
+    """The one-bit submasks of a mask, lowest first."""
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _members(mask: int) -> Tuple[int, ...]:
+    """The vertices of a bitmask, increasing (bit v - 1 has bit length v)."""
+    return tuple(b.bit_length() for b in _bits(mask))
+
+
+def _face_lattice(masks):
+    """Every face of the complex with facet masks ``masks``, the empty one
+    included, and its incidences: ``(faces, below, above)``, the facets first.
+    ``below[i]`` indexes faces[i] ^ b over the bits b of faces[i], lowest first,
+    and ``above[i]`` the faces whose ``below`` holds i. Each face is indexed
+    when a face one vertex larger first reaches it, and then walked once."""
+    faces, below, above = list(masks), [], [[] for _ in masks]
+    index = {f: i for i, f in enumerate(faces)}
+    for c, f in enumerate(faces):  # grows while it is walked
+        row, rest = [], f
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            i = index.get(f ^ b)
+            if i is None:
+                i = index[f ^ b] = len(faces)
+                faces.append(f ^ b)
+                above.append([])
+            row.append(i)
+            above[i].append(c)
+        below.append(row)
+    return faces, below, above
+
+
 class SimplicialComplex(Record):
     """Facets as sorted vertex tuples (1-based), canonically ordered."""
 
     def __init__(self, n: int, facets: Tuple[Tuple[int, ...], ...], *, _canonical: bool = False):
         """``_canonical`` (keyword-only, so not a field) vouches that the facets
         are sorted, distinct, maximal and in order, as ``from_facets``,
-        ``_relabelled_link`` and ``_relabelled`` build them."""
+        ``link`` and ``_relabelled`` build them."""
         if n < 1:
             raise ValueError("complex needs at least one vertex slot")
         if not facets:
@@ -81,42 +124,35 @@ class SimplicialComplex(Record):
         fs = set(face)
         return any(fs <= set(g) for g in self.facets)
 
-    def faces_by_dim(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-        """All faces grouped by dimension, each group sorted lexicographically;
-        enumerated on first use and kept with the complex, not as a field."""
+    def _masks(self) -> Tuple[int, ...]:
+        return tuple(map(_mask, self.facets))
+
+    def _lattice(self):
+        """``_face_lattice`` of the facet masks, the one face enumeration: built
+        on first use and kept with the complex, not as a field."""
         if "_faces" not in self.__dict__:
-            groups: List[set] = [set() for _ in range(self.dim + 1)]
-            for f in self.facets:
-                for size in range(1, len(f) + 1):
-                    groups[size - 1].update(combinations(f, size))
-            self.__dict__["_faces"] = tuple(tuple(sorted(g)) for g in groups)
+            self.__dict__["_faces"] = _face_lattice(self._masks())
         return self._faces
 
+    def faces_by_dim(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+        """All faces grouped by dimension, each group sorted lexicographically:
+        the nonempty faces of the one enumeration, as vertex tuples."""
+        groups: List[List[Tuple[int, ...]]] = [[] for _ in range(self.dim + 2)]
+        for f in self._lattice()[0]:
+            groups[f.bit_count()].append(_members(f))
+        return tuple(tuple(sorted(g)) for g in groups[1:])
+
     def f_vector(self) -> Tuple[int, ...]:
-        return tuple(len(g) for g in self.faces_by_dim())
+        sizes = list(map(len, self._lattice()[1]))
+        return tuple(map(sizes.count, range(1, self.dim + 2)))
 
     def free_faces(self) -> Tuple[Tuple[int, ...], ...]:
-        """Nonempty faces in exactly one facet, that facet one vertex larger: the
-        ridges of one facet that no facet two or more vertices larger contains
-        ({1,3,4} contains the ridge (1,) of {1,2}). By size, then lexicographically."""
-        small = min(len(g) for g in self.facets)
-        larger = [set(g) for g in self.facets if len(g) > small]
-        found = [
-            f for f, held in self._ridges().items()
-            if f and len(held) == 1 and not any(len(g) > len(f) + 1 and g.issuperset(f) for g in larger)
-        ]
+        """Nonempty faces in exactly one facet, that facet one vertex larger: those
+        with exactly one face one vertex larger, and that one a facet (every
+        facet holding the face holds such a face). By size, then lexicographically."""
+        faces, _, above = self._lattice()
+        found = [_members(f) for f, up in zip(faces, above) if f and len(up) == 1 and not above[up[0]]]
         return tuple(sorted(found, key=lambda f: (len(f), f)))
-
-    def _ridges(self) -> Dict[Tuple[int, ...], List[int]]:
-        """Each ridge g - v of a facet g, mapped to the indices of the facets
-        holding it; built in one pass on first use and kept."""
-        if "_held" not in self.__dict__:
-            held: Dict[Tuple[int, ...], List[int]] = {}
-            for i, g in enumerate(self.facets):
-                for ridge in combinations(g, len(g) - 1):
-                    held.setdefault(ridge, []).append(i)
-            self.__dict__["_held"] = held
-        return self._held
 
     def render(self) -> str:
         return "facets: " + "; ".join(" ".join(str(v) for v in f) for f in self.facets)
@@ -136,7 +172,10 @@ def link(delta: SimplicialComplex, face) -> Link:
         raise ValueError(f"{face} is not a face")
     if face in delta.facets:
         raise ValueError("link of a facet is the empty complex {()}")
-    return Link(*_relabelled_link(delta, face))
+    masks, f = delta._masks(), _mask(face)
+    old = _members(reduce(or_, (g for g in masks if g & f == f)) ^ f)
+    facets = tuple(sorted(map(_members, _link(masks, f))))
+    return Link(SimplicialComplex(len(old), facets, _canonical=True), old)
 
 
 def _minimal_transversals(blocks) -> List[int]:
@@ -147,7 +186,7 @@ def _minimal_transversals(blocks) -> List[int]:
     found = [0]
     for block in blocks:
         kept = [t for t in found if t & block]
-        bits = [1 << i for i in range(block.bit_length()) if block >> i & 1]
+        bits = _bits(block)
         grown = (t | b for t in found if not t & block for b in bits)
         found = kept + [g for g in grown if not any(k & g == k for k in kept)]
     return found
@@ -162,7 +201,7 @@ def complex_from_squarefree_ideal(M: MonomialIdeal) -> SimplicialComplex:
     if any(g.is_one() for g in M.gens):
         raise ValueError("unit ideal corresponds to the void complex")
     found = _minimal_transversals(sum(1 << i for i in g.support()) for g in M.gens)
-    return SimplicialComplex(n, tuple(sorted(tuple(v + 1 for v in range(n) if not t >> v & 1) for t in found)))
+    return SimplicialComplex(n, tuple(sorted(_members((1 << n) - 1 ^ t) for t in found)))
 
 
 def vertex_context(n: int, field: Field = QQ) -> RingContext:
@@ -178,7 +217,7 @@ def to_ideal(delta: SimplicialComplex, ctx: Optional[RingContext] = None) -> Mon
     if ctx.n != delta.n:
         raise ValueError("complex and ring have different vertex counts")
     full = (1 << delta.n) - 1
-    found = _minimal_transversals(full ^ sum(1 << (v - 1) for v in f) for f in delta.facets)
+    found = _minimal_transversals(full ^ g for g in delta._masks())
     # minimal and distinct already: only MonomialIdeal's canonical order is left to make
     gens = [Monomial(tuple(t >> i & 1 for i in range(delta.n))) for t in found]
     gens.sort(key=lambda m: (m.graded_degree(ctx.grading), m.exps))
@@ -204,40 +243,41 @@ class CohomologyProfile(Record):
 
 
 def reduced_cohomology(delta: SimplicialComplex, field: Field = QQ) -> CohomologyProfile:
-    """By coreduction: while a live cell of the augmented complex has exactly one
+    """Reduced cohomology over ``field`` by coreduction, read off the complex's
+    one face enumeration, its faces as bitmasks (``_cohomology``)."""
+    return _cohomology(delta._lattice(), field)
+
+
+def _cohomology(lattice, field: Field) -> CohomologyProfile:
+    """The reduced cohomology of the complex with face lattice ``lattice``
+    (``_face_lattice``), whose faces, the empty one included, are the cells.
+
+    By coreduction: while a live cell of the augmented complex has exactly one
     live cell in its boundary, both are deleted. Their incidence is ±1, a unit
     over every field, so the other boundaries become plain restrictions and the
     homology is kept (Kaczynski, Mrozek & Slusarek, 1998). Ranks are taken only
     of the survivors' boundaries; on a sphere one top cell survives, so none."""
-    groups = delta.faces_by_dim()
-    cells = [()] + [f for group in groups for f in group]
-    index = {f: i for i, f in enumerate(cells)}
-    # combinations drop the last vertex first: signs (-1)^k scale rows by ±1
-    bd = [[]] + [[index[g] for g in combinations(f, len(f) - 1)] for f in cells[1:]]
-    cob: List[List[int]] = [[] for _ in cells]
-    for c, faces in enumerate(bd):
-        for b in faces:
-            cob[b].append(c)
-    live = [len(f) for f in cells]  # live boundary cells; below 0 once deleted
-    queue = list(range(1, len(groups[0]) + 1))  # the vertices
+    _, below, above = lattice  # below[c]'s k-th entry drops the k-th lowest vertex: sign (-1)^k
+    live = list(map(len, below))  # live boundary cells; below 0 once deleted
+    queue = [c for c, n in enumerate(live) if n == 1]  # the vertices
     for a in queue:
         if live[a] == 1:
-            for b in bd[a]:
+            for b in below[a]:
                 if live[b] >= 0:
                     break
             live[a] = live[b] = -1
-            for c in cob[a] + cob[b]:
+            for c in above[a] + above[b]:
                 live[c] -= 1
                 if live[c] == 1:
                     queue.append(c)
-    d, p = len(groups) - 1, field.characteristic()
+    d, p = max(map(len, below)) - 1, field.characteristic()
     kept, rows = [0] * (d + 2), [[] for _ in range(d + 2)]  # rows[i]: boundaries out of degree i
-    for c in range(1, len(cells)):
-        if live[c] >= 0:
-            i = len(cells[c]) - 1
+    for c, row in enumerate(below):
+        if row and live[c] >= 0:
+            i = len(row) - 1
             kept[i] += 1
             if live[c]:
-                rows[i].append({b: -1 if k % 2 else 1 for k, b in enumerate(bd[c]) if live[b] >= 0})
+                rows[i].append({b: -1 if k % 2 else 1 for k, b in enumerate(row) if live[b] >= 0})
     ranks = [(rank_mod_p(r, p) if p else rank_int(r)) if r else 0 for r in rows]
     dims = tuple(kept[i] - ranks[i] - ranks[i + 1] for i in range(d + 1))
     euler = sum((-1) ** i * dims[i] for i in range(d + 1))
@@ -296,52 +336,54 @@ def _relabelled(delta: SimplicialComplex, props: ComplexPropertyReport, s):
 
 
 def is_strongly_connected(delta: SimplicialComplex) -> bool:
-    """Every two facets joined by a chain with codimension-one intersections,
-    walked through the facets that hold each ridge."""
-    if not delta.is_pure():
+    """Every two facets joined by a chain with codimension-one intersections."""
+    return _strongly_connected(delta._lattice(), len(delta.facets))
+
+
+def _strongly_connected(lattice, facets: int) -> bool:
+    """``is_strongly_connected`` of the complex with face lattice ``lattice``
+    and that many facets, the lattice's first faces: pure, and every facet
+    reached from the first through the faces above each of its ridges."""
+    _, below, above = lattice
+    if len({len(below[c]) for c in range(facets)}) > 1:
         return False
-    held, facets = delta._ridges(), delta.facets
     seen, stack = {0}, [0]
     while stack:
-        g = facets[stack.pop()]
-        fresh = {b for ridge in combinations(g, len(g) - 1) for b in held[ridge]} - seen
+        fresh = {g for ridge in below[stack.pop()] for g in above[ridge]} - seen
         seen |= fresh
         stack += fresh
-    return len(seen) == len(facets)
+    return len(seen) == facets
 
 
-def _relabelled_link(delta: SimplicialComplex, face: Tuple[int, ...]):
-    """The link of a face of ``delta`` that is not a facet, relabelled to 1..m,
-    and its vertex map.
-
-    The sets g minus face, over the facets g containing the face, are nonempty,
-    distinct and pairwise incomparable, so they are the link's facets as they
-    are. They also keep the canonical order of the g: where two facets first
-    differ, the smaller one holds a vertex the other lacks, so not a vertex of
-    the face. Relabelling is increasing, so the facets are canonical as built.
-    """
-    fs = set(face)
-    rests = [[v for v in g if v not in fs] for g in delta.facets if fs.issubset(g)]
-    old = sorted(set().union(*rests))
-    relabel = {v: i + 1 for i, v in enumerate(old)}
-    facets = tuple(tuple([relabel[v] for v in r]) for r in rests)
-    return SimplicialComplex(len(old), facets, _canonical=True), tuple(old)
+def _link(masks, face: int) -> Tuple[int, ...]:
+    """The link of the face mask ``face`` in the complex with facet masks
+    ``masks``, relabelled: the masks g ^ face of the facets g holding the face,
+    with each gap below their top vertex closed, highest first, by moving the
+    bits above it one place down, and sorted; () when the face is a facet. Two
+    links are equal after relabelling to 1..m exactly when these tuples are."""
+    rests = [g ^ face for g in masks if g & face == face]
+    union = reduce(or_, rests)
+    for gap in reversed(_bits((1 << union.bit_length()) - 1 ^ union)):
+        rests = [r & gap - 1 | r >> 1 & -gap for r in rests]
+    return tuple(sorted(rests)) if union else ()
 
 
-def _vertex_link_verdicts(delta: SimplicialComplex, field: Field, memo: dict):
-    """Whether every vertex link of ``delta`` is Cohen-Macaulay, and whether every
-    one is normal; ``memo`` maps each relabelled link's facets to its own two verdicts."""
+def _vertex_link_verdicts(masks, field: Field, memo: dict):
+    """Whether every vertex link of the complex with facet masks ``masks`` is
+    Cohen-Macaulay, and whether every one is normal; ``memo`` maps each link,
+    as ``_link`` gives it, to its own two verdicts."""
     links_cm = links_normal = True
-    for v in delta.vertices():
-        if (v,) in delta.facets:
+    for b in _bits(reduce(or_, masks)):
+        lk = _link(masks, b)
+        if not lk:
             continue  # its link {()} imposes no condition
-        lk = _relabelled_link(delta, (v,))[0]
-        verdicts = memo.get(lk.facets)
+        verdicts = memo.get(lk)
         if verdicts is None:
             cm, normal = _vertex_link_verdicts(lk, field, memo)
-            verdicts = memo[lk.facets] = (
-                not any(reduced_cohomology(lk, field).dims[: lk.dim]) and cm,
-                normal and is_strongly_connected(lk),
+            lattice = _face_lattice(lk)
+            verdicts = memo[lk] = (
+                not any(_cohomology(lattice, field).dims[:-1]) and cm,
+                normal and _strongly_connected(lattice, len(lk)),
             )
         links_cm &= verdicts[0]
         links_normal &= verdicts[1]
@@ -352,11 +394,13 @@ def property_report(delta: SimplicialComplex, field: Field = QQ) -> ComplexPrope
     """Reisner's criterion by vertex links, as lk_{lk v}(G) = lk(G + v): delta is
     Cohen-Macaulay iff H~_i(delta) = 0 for i < dim delta and every vertex link is;
     Buchsbaum iff pure and every vertex link is Cohen-Macaulay; normal iff
-    strongly connected and every vertex link is normal."""
+    strongly connected and every vertex link is normal. Everything is read off
+    the facet masks and the complex's one face enumeration; the links recurse
+    on ``_link``'s tuples, which key the memo, and no complex is built for them."""
     own = reduced_cohomology(delta, field)
     pure = delta.is_pure()
     strongly_connected = is_strongly_connected(delta)
-    links_cm, links_normal = _vertex_link_verdicts(delta, field, {})
+    links_cm, links_normal = _vertex_link_verdicts(delta._masks(), field, {})
     counts = {v: sum(v in f for f in delta.facets) for v in delta.vertices()}
     leaves = tuple(v for v in counts if counts[v] == 1)
     cone_points = tuple(v for v in counts if counts[v] == len(delta.facets))

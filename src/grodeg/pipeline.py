@@ -517,7 +517,7 @@ def _face_exponents(delta: SimplicialComplex, d: int) -> List[Tuple[int, ...]]:
     ``delta``: those whose support is a face, that is, lies in a facet. The
     support is tested as a bitmask before the vector is built."""
     variables = range(delta.n)
-    facets = [sum(1 << (v - 1) for v in f) for f in delta.facets]
+    facets = delta._masks()
     out = []
     for combo in itertools.combinations_with_replacement(variables, d):
         support = 0

@@ -408,9 +408,11 @@ def ref_homology_dims(delta: SimplicialComplex, p=0):
     """Reduced homology dimensions over QQ (p=0) or GF(p), indices 0..dim.
 
     Over a field these agree with reduced cohomology, which is what the
-    library reports.
+    library reports. The chains come from ``ref_faces``, grouped by size, so
+    the oracle shares no code with the library's face enumeration.
     """
-    chains = [[()]] + [sorted(group) for group in delta.faces_by_dim()]
+    faces = ref_faces(delta)
+    chains = [[()]] + [[f for f in faces if len(f) == k] for k in range(1, delta.dim + 2)]
     rank = (lambda m: ref_rank_mod_p(m, p)) if p else ref_rank_fraction
     ranks = []
     for i in range(1, len(chains)):
@@ -476,6 +478,16 @@ def ref_free_faces(delta: SimplicialComplex):
         if len(containing) == 1 and len(containing[0]) == len(face) + 1:
             free.append(face)
     return tuple(free)
+
+
+def ref_link(delta: SimplicialComplex, face):
+    """The link of a face and its vertex map, by its definition: the facets
+    holding the face, less the face, relabelled increasingly to 1..m and
+    normalized by ``from_facets``."""
+    rests = [frozenset(g) - set(face) for g in delta.facets if set(face) <= set(g)]
+    old = sorted(set().union(*rests))
+    relabel = {v: i + 1 for i, v in enumerate(old)}
+    return SimplicialComplex.from_facets(len(old), [[relabel[v] for v in r] for r in rests]), tuple(old)
 
 
 def ref_strongly_connected(delta: SimplicialComplex):

@@ -1,5 +1,6 @@
 """Simplicial complexes: validation, links, cohomology, property reports."""
 
+import functools
 import itertools
 import random
 
@@ -24,7 +25,7 @@ from grodeg import (
 )
 
 from conftest import (
-    ctx_n, ctx_xyz, every_complex, random_complex, ref_faces, ref_free_faces, ref_homology_dims,
+    ctx_n, ctx_xyz, every_complex, random_complex, ref_faces, ref_free_faces, ref_homology_dims, ref_link,
     ref_minimal_nonfaces, ref_strongly_connected,
 )
 
@@ -194,12 +195,8 @@ class TestLink:
             kinds.update(k for k, on in [("non-pure", not d.is_pure()), ("ghosts", d.ghost_vertices())] if on)
             facets = set(d.facets)
             for face in [()] + [f for f in ref_faces(d) if f not in facets]:
-                rests = [frozenset(g) - set(face) for g in d.facets if set(face) <= set(g)]
-                old = sorted(set().union(*rests))
-                relabel = {v: i + 1 for i, v in enumerate(old)}
-                want = SimplicialComplex.from_facets(len(old), [[relabel[v] for v in r] for r in rests])
                 lk = link(d, face)
-                assert (lk.complex, lk.vertex_map) == (want, tuple(old)), (d.render(), face)
+                assert (lk.complex, lk.vertex_map) == ref_link(d, face), (d.render(), face)
                 assert SimplicialComplex(lk.complex.n, lk.complex.facets) == lk.complex
         assert kinds == {"non-pure", "ghosts"}
 
@@ -524,22 +521,30 @@ class TestPropertyReport:
         assert kinds == {("pure", True), ("pure", False), ("non-pure", False)}
 
 
+@functools.lru_cache(maxsize=4096)
+def ref_dims(delta, p):
+    """ref_homology_dims, once per complex and characteristic: small
+    complexes share most of their links."""
+    return ref_homology_dims(delta, p)
+
+
 def ref_verdicts(delta, p):
     """property_report's link verdicts from every link, none skipped, each
-    profile from ref_homology_dims."""
-    dims = ref_homology_dims(delta, p)
+    link from ref_link, each profile from ref_homology_dims and each strong
+    connectivity from ref_strongly_connected."""
+    dims = ref_dims(delta, p)
     pure = delta.is_pure()
     cm = not any(dims[: delta.dim])
     buchsbaum = pure
-    normal = is_strongly_connected(delta)
+    normal = ref_strongly_connected(delta)
     facets = set(delta.facets)
     for face in ref_faces(delta):
         if face in facets:
             continue
-        lk = link(delta, face).complex
-        if any(ref_homology_dims(lk, p)[: lk.dim]):
+        lk = ref_link(delta, face)[0]
+        if any(ref_dims(lk, p)[: lk.dim]):
             cm = buchsbaum = False
-        if not is_strongly_connected(lk):
+        if not ref_strongly_connected(lk):
             normal = False
     return dims, {
         "pure": pure,
@@ -577,6 +582,42 @@ class TestCohomologyOracle:
             assert rep.cohomology.dims == dims, d.render()
             assert rep.as_dict() == dict(rep.as_dict(), **verdicts), d.render()
         assert kinds == {"non-pure", "ghosts"}
+
+
+class TestSmallComplexSweep:
+    """``property_report`` on every complex on at most four vertex slots (189,
+    ghost vertices included) and on 300 seeded complexes on five, over QQ and
+    GF(2), against the brute-force verdicts, free faces and strong
+    connectivity, and against the definitions of leaves, cone points and
+    ghost vertices."""
+
+    @staticmethod
+    def complexes():
+        small = [d for n in range(1, 5) for d in every_complex(n)]
+        assert len(small) == 189
+        return small + random.Random(2039).sample(list(every_complex(5)), 300)
+
+    def test_reports_match_definitions(self):
+        kinds = set()
+        for d in self.complexes():
+            vertices = range(1, d.n + 1)
+            holding = {v: sum(v in g for g in d.facets) for v in vertices}
+            for p, field in ((0, QQ), (2, PrimeField(2))):
+                dims, verdicts = ref_verdicts(d, p)
+                rep = property_report(d, field)
+                assert rep.cohomology.dims == dims, d.render()
+                assert rep.as_dict() == dict(rep.as_dict(), **verdicts), d.render()
+                assert rep.strongly_connected == ref_strongly_connected(d), d.render()
+                assert rep.free_faces == ref_free_faces(d), d.render()
+                assert rep.leaves == tuple(v for v in vertices if holding[v] == 1), d.render()
+                assert rep.cone_points == tuple(v for v in vertices if holding[v] == len(d.facets)), d.render()
+                assert rep.ghost_vertices == tuple(v for v in vertices if not holding[v]), d.render()
+                kinds.update(k for k, on in [
+                    ("ghosts", rep.ghost_vertices), ("non-pure", not rep.pure), ("CM", rep.cohen_macaulay),
+                    ("Buchsbaum, not CM", rep.buchsbaum and not rep.cohen_macaulay), ("not normal", not rep.normal),
+                    ("acyclic", rep.acyclic), ("free faces", rep.free_faces), ("cone points", rep.cone_points),
+                ] if on)
+        assert len(kinds) == 8
 
 
 class TestRelabelledReport:

@@ -38,6 +38,7 @@ from grodeg import (
     initial_ideal,
     jacobian_rank_at,
     leafless_obstruction,
+    lex_obstruction,
     lift_search,
     link,
     parse_polynomial,
@@ -1470,6 +1471,27 @@ class TestLiftCertificates:
             assert cert.witness["point"] == a.point.render()
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
+    @pytest.mark.parametrize("name", ["triangle", "four_cycle", "octahedron"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["id", "reversed"])
+    def test_lex_certified_complexes_have_no_lift_smooth_at_the_top_point(self, field, name, reverse):
+        """When ``lex_obstruction`` certifies delta, no valid lex lift is smooth
+        at the largest variable's coordinate point, under any lex order. The
+        pool is -1, 1 over QQ and the whole field over GF(3). The triangle and
+        the 4-cycle are searched exhaustively; the octahedron's spaces (2^31
+        and 3^31 candidates) only by 2000 seeded draws."""
+        delta = {
+            "triangle": SimplicialComplex.from_facets(3, [(1, 2), (1, 3), (2, 3)]),
+            "four_cycle": FOUR_CYCLE, "octahedron": OCTAHEDRON,
+        }[name]
+        ctx = ctx_n(delta.n, field)
+        order = MonomialOrder("lex", ctx, perm=tuple(range(ctx.n))[::-1 if reverse else 1])
+        res = lift_search(delta, order, pool=(-1, 1) if field == QQ else None, budget=20000 if delta.n < 6 else 2000)
+        assert res.exhaustive == (delta.n < 6) and res.lifts
+        assert lex_obstruction(delta).certified  # every vertex link is larger than the dimension
+        top = res.top_variable()
+        assert [lift.texts for lift in res.lifts if lift.coordinate_points[top].verdict == "smooth"] == []
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
     @pytest.mark.parametrize("kind", ["lex", "degrevlex"])
     def test_octahedron_lifts_are_singular_at_the_distinguished_point(self, field, kind):
         """A cross-polytope boundary: the complete-intersection certificate."""
@@ -1767,15 +1789,17 @@ def count_calls(monkeypatch, name, module="complexes"):
 
 class TestNoWorkTwice:
     def test_analyze_complex_computes_each_cohomology_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, "reduced_cohomology")
+        """Counted at the kernel that every cohomology, the complex's own and
+        each vertex link's, passes through."""
+        calls = count_calls(monkeypatch, "_cohomology")
         report = analyze_complex(OCTAHEDRON)
         assert len(calls) == 1 + len(distinct_links(OCTAHEDRON))
         assert len(calls) == 4  # the octahedron, two labellings of the 4-cycle, S^0
-        assert [a[0] for a in calls].count(OCTAHEDRON) == 1
+        assert [a[0] for a in calls].count(OCTAHEDRON._lattice()) == 1
         assert to_jsonable(report)["cohomology"]["dims"] == [0, 0, 1]
 
     def test_analyze_computes_each_cohomology_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, "reduced_cohomology")
+        calls = count_calls(monkeypatch, "_cohomology")
         ctx = ctx_xyz()
         report = analyze([P(CUBIC, ctx, MonomialOrder.lex(ctx))], MonomialOrder.lex(ctx))
         delta = report.delta
@@ -2000,15 +2024,16 @@ class TestCrossPolytopeBoundary:
     @pytest.mark.parametrize("k", range(2, 8))
     def test_report_recurses_over_vertex_links(self, monkeypatch, k):
         """One of the paper's proven cases; the report walks the k nested
-        cross-polytope links, not the 3^k - 1 - 2^k non-facet faces."""
-        built = count_calls(monkeypatch, "_relabelled_link")
+        cross-polytope links, not the 3^k - 1 - 2^k non-facet faces: it builds
+        the 2j vertex links of the j-fold one, for j = k down to 1."""
+        built = count_calls(monkeypatch, "_link")
         cross = cross_polytope(k)
         for field in (QQ, PrimeField(2)):
             built.clear()
             rep = property_report(cross, field)
             assert rep.cohen_macaulay and rep.buchsbaum and rep.normal
             assert not rep.acyclic
-            assert len(built) <= k * (k + 1)
+            assert 0 < len(built) <= k * (k + 1)
 
 
 def test_importing_the_cli_loads_no_process_pool():
