@@ -12,13 +12,13 @@ Four entry points:
 * ``lift_search``: enumerate or sample homogeneous lifts of a non-face ideal
   and test each valid one for singularities at the coordinate points. A
   search lays out its tail slots once, target by target. The lift criterion
-  is solved once per search, as equations in the tail coefficients
-  (``_stratum_equations``); each candidate is an evaluation. Whatever a
-  valid lift needs that depends only on a tail slot and its pool value is
-  tabled once per search, at the first valid lift (``_lift_builder``): its
-  terms and their texts, its forbidden tails, and the coordinate-point
-  table of ``singularity``, whose verdicts are memoized. Each valid lift is
-  then lookups and joins.
+  is equations in the tail coefficients, each S-pair divided once per search
+  when a candidate first reaches it (``_stratum_equations``); each candidate
+  is an evaluation. Whatever a valid lift needs that depends only on a tail
+  slot and its pool value is tabled once per search, at the first valid
+  lift (``_lift_builder``): its terms and their texts, its forbidden tails,
+  and the coordinate-point table of ``singularity``, whose verdicts are
+  memoized. Each valid lift is then lookups and joins.
 * ``count_points``: exact point counts of a plane curve over GF(p), with the
   trace and supersingularity flags when the curve is a smooth cubic.
 
@@ -32,6 +32,7 @@ in one process.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
@@ -528,6 +529,33 @@ def _face_exponents(delta: SimplicialComplex, d: int) -> List[Tuple[int, ...]]:
     return out
 
 
+def _divide_pair(key, layout, f, g) -> tuple:
+    """The division trace of the S-pair of ``f`` and ``g`` (``_stratum_equations``)."""
+    live = {}  # order key -> (exponents, the (term, slot) pairs reduced onto it)
+
+    def take(k, e, lead, tail):  # term k, at exponents e, is reduced by the candidate of ``lead``
+        shift = tuple(map(sub, e, lead))
+        for m, s in tail:
+            te = tuple(map(add, m, shift))
+            live.setdefault(key(te), (te, []))[1].append((k, s))
+
+    lcm = tuple(map(max, f[0], g[0]))
+    take(0, lcm, *f)
+    take(1, lcm, *g)
+    steps, k = [], 2
+    while live:
+        e, preds = live.pop(max(live))
+        for lead, tail in layout:
+            if all(map(le, lead, e)):
+                take(k, e, lead, tail)
+                k += 1
+                steps.append((tuple(preds), False))
+                break
+        else:
+            steps.append((tuple(preds), True))
+    return tuple(steps)
+
+
 def _stratum_equations(order, layout) -> tuple:
     """The lift criterion of one search: equations in the tail coefficients a_s.
 
@@ -538,12 +566,12 @@ def _stratum_equations(order, layout) -> tuple:
     outside the non-face ideal), and homogeneous division never raises the
     degree, so no cap is needed. Each S-pair of non-coprime leads is divided by
     the candidates, in target order, with the first-divisor rule of
-    ``groebner.normal_form``, once for the whole search. The leads are monic,
-    so which candidate takes a term depends on its monomial alone: the division
-    is linear, and each term's coefficient is -sum(c_k * a_s) over the terms k
-    that were reduced onto it through a tail slot s. Together the remainder
-    coefficients cut out the Groebner stratum of the non-face ideal, over QQ
-    and over every GF(p); one equation is one remainder term.
+    ``groebner.normal_form``. The leads are monic, so which candidate takes a
+    term depends on its monomial alone: the division is linear, and each term's
+    coefficient is -sum(c_k * a_s) over the terms k that were reduced onto it
+    through a tail slot s. Together the remainder coefficients cut out the
+    Groebner stratum of the non-face ideal, over QQ and over every GF(p); one
+    equation is one remainder term.
 
     The equations are kept in this factored form, as each S-pair's division
     trace: a tuple of steps ``(((k, s), ...), is_remainder)`` in the order the
@@ -552,37 +580,12 @@ def _stratum_equations(order, layout) -> tuple:
     by the pair's two candidates, so the trace divides minus the S-polynomial.
     The trace is as long as one division; expanded into monomials in the a_s,
     the equations of a 6-vertex complex with cubic non-faces reach 600000 terms.
+    Returned as ``(count, trace)``: the number of pairs and ``trace(k)``, the
+    trace of pair k in ``combinations`` order, divided once, when a candidate
+    first passes every pair before it.
     """
-    key = order.exps_key
-    live = {}  # order key -> (exponents, the (term, slot) pairs reduced onto it)
-
-    def take(k, e, lead, tail):
-        """Term k, at exponents e, is reduced by the candidate of ``lead``."""
-        shift = tuple(map(sub, e, lead))
-        for m, s in tail:
-            te = tuple(map(add, m, shift))
-            live.setdefault(key(te), (te, []))[1].append((k, s))
-
-    programs = []
-    for f, g in itertools.combinations(layout, 2):
-        if not any(map(min, f[0], g[0])):
-            continue  # coprime leads
-        lcm = tuple(map(max, f[0], g[0]))
-        take(0, lcm, *f)
-        take(1, lcm, *g)
-        steps, k = [], 2
-        while live:
-            e, preds = live.pop(max(live))
-            for lead, tail in layout:
-                if all(map(le, lead, e)):
-                    take(k, e, lead, tail)
-                    k += 1
-                    steps.append((tuple(preds), False))
-                    break
-            else:
-                steps.append((tuple(preds), True))
-        programs.append(tuple(steps))
-    return tuple(programs)
+    pairs = [(f, g) for f, g in itertools.combinations(layout, 2) if any(map(min, f[0], g[0]))]
+    return len(pairs), functools.cache(lambda k: _divide_pair(order.exps_key, layout, *pairs[k]))
 
 
 def _valid_lift(equations, values, p, assignment) -> bool:
@@ -590,11 +593,13 @@ def _valid_lift(equations, values, p, assignment) -> bool:
     equation (``_stratum_equations``) vanishes at its tail coefficients.
 
     ``values`` holds the pool as Python numbers: residues over GF(p), integers
-    or fractions over QQ, where ``p`` is 0. Each S-pair's trace is replayed on
-    them, and the check stops at the first remainder term that is not zero.
+    or fractions over QQ, where ``p`` is 0. Each S-pair's trace is asked for
+    and replayed on them as the check reaches it, and the check stops at the
+    first remainder term that is not zero.
     """
     vals = [values[a] for a in assignment]
-    for steps in equations:
+    count, trace = equations
+    for steps in map(trace, range(count)):  # pair k is asked for only after pairs 0..k-1 pass
         coeffs = [1, -1]
         for preds, last in steps:
             c = 0
@@ -766,26 +771,21 @@ def lift_search(
     distinct one checked once. A lift is valid when every S-pair with
     non-coprime leads reduces to zero against it (Buchberger's criterion), so
     it is already the reduced basis. The candidates share their leads and
-    tail monomials, so the S-pairs are divided once per search, with the tail
-    coefficients as unknowns (``_stratum_equations``), and each candidate is
-    checked by evaluating the remainder coefficients at its own
-    (``_valid_lift``). Only valid candidates are built as polynomials, with
-    their texts. They get Jacobian verdicts at all coordinate points, plus
-    the tail-support exclusion checks in the one-dimensional setting. The
-    search lays out its tail slots once, target by target, and all the rest
-    reads that layout. The term, coordinate-point and resolved exclusion
-    tables are built at the first valid lift, with the builder that makes
-    each lift (``_lift_builder``), so a search with no valid candidate builds
-    none of them. A lift's polynomials and texts are its slots' rows of the
-    term table, its violations the forbidden slots it fills, and a point's
-    verdict is ranked once per distinct set of values of the slots it reads.
-    An exhaustive search streams its candidates; a sampled one holds its
-    distinct draws. The search runs in one process.
+    tail monomials, so each S-pair is divided with the tail coefficients as
+    unknowns (``_stratum_equations``), at most once per search and only when
+    a candidate reaches it, and each candidate is checked by evaluating the
+    remainder coefficients at its own (``_valid_lift``). Only valid
+    candidates are built as polynomials, with their texts. They get Jacobian
+    verdicts at all coordinate points, plus the tail-support exclusion checks
+    in the one-dimensional setting. The search lays out its tail slots once,
+    target by target, and all the rest reads that layout. The term,
+    coordinate-point and resolved exclusion tables are built at the first
+    valid lift, with the builder that makes each lift (``_lift_builder``), so
+    a search with no valid candidate builds none of them. An exhaustive
+    search streams its candidates; a sampled one holds its distinct draws.
 
-    A monomial lies outside the non-face ideal exactly when its support is a
-    face, so the tails are the exponent vectors whose support bitmask lies in
-    a facet (``_face_exponents``). Sampled draws are the values of
-    ``rng.randrange(len(pool))``, one per slot per draw, for ``rng =
+    The tails are those of ``_face_exponents``. Sampled draws are the values
+    of ``rng.randrange(len(pool))``, one per slot per draw, for ``rng =
     random.Random(seed)``, read straight from ``getrandbits``.
 
     At most ``LIFT_CANDIDATE_BOUND`` candidates are drawn: a search whose

@@ -545,11 +545,19 @@ def ref_valid_lift(polys, order):
     outside the non-face ideal, so it is the reduced basis exactly when every
     S-pair of non-coprime leads divides to zero by the candidate itself.
     """
-    return all(
-        not any(map(min, f.leading_monomial().exps, g.leading_monomial().exps))
-        or normal_form(s_polynomial(f, g), polys, order).is_zero()
-        for f, g in itertools.combinations(polys, 2)
+    return ref_first_failing_pair(polys, order) is None
+
+
+def ref_first_failing_pair(polys, order):
+    """The index of the first S-pair of non-coprime leads of the candidate
+    ``polys``, in ``itertools.combinations`` order, that does not divide to
+    zero by the candidate itself; None when every one does."""
+    pairs = (
+        (f, g) for f, g in itertools.combinations(polys, 2)
+        if any(map(min, f.leading_monomial().exps, g.leading_monomial().exps))
     )
+    failing = (k for k, (f, g) in enumerate(pairs) if not normal_form(s_polynomial(f, g), polys, order).is_zero())
+    return next(failing, None)
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +580,27 @@ def brute_projective_count(poly, p):
                     affine += 1
     assert affine % (p - 1) == 0
     return affine // (p - 1)
+
+
+def ref_hasse_invariant(terms, p):
+    """H_p of the plane cubic f with integer ``terms`` ``[(exponents, c), ...]``:
+    the coefficient of (xyz)^(p-1) in f^(p-1), mod p, by expanding the power
+    as a dict of exponent vectors.
+
+    Over GF(p) the affine zeros of f number sum(1 - f(v)^(p-1)) mod p, and of
+    the monomials of degree 3(p-1) only (xyz)^(p-1) has a nonzero sum over
+    GF(p)^3, namely -1. So there are H_p affine zeros mod p, 1 - H_p projective
+    points, and the trace p + 1 - #V(f) is H_p mod p, for every cubic form.
+    """
+    power = {(0, 0, 0): 1}
+    for _ in range(p - 1):
+        product = {}
+        for (a, b, c), u in power.items():
+            for (x, y, z), v in terms:
+                e = (a + x, b + y, c + z)
+                product[e] = (product.get(e, 0) + u * v) % p
+        power = product
+    return power.get((p - 1,) * 3, 0)
 
 
 # ---------------------------------------------------------------------------

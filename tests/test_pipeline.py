@@ -60,6 +60,8 @@ from conftest import (
     random_homogeneous_poly,
     ref_evaluate,
     ref_faces,
+    ref_first_failing_pair,
+    ref_hasse_invariant,
     ref_initial_monomials,
     ref_is_variable_regular,
     ref_keeps_marking,
@@ -1065,30 +1067,54 @@ def lift_candidates(delta, order, coeffs):
 
 @pytest.fixture
 def checked(monkeypatch):
-    """The ``(layout, assignments)`` of each lift search the test runs: the
-    slot layout it gave ``_stratum_equations``, and each assignment it gave
-    ``_valid_lift``, in checking order."""
+    """The ``(layout, assignments, divided)`` of each lift search the test
+    runs: the slot layout it gave ``_stratum_equations``, each assignment it
+    gave ``_valid_lift``, in checking order, and each S-pair ``(f, g)`` of
+    layout entries it gave ``_divide_pair``, in dividing order."""
     seen = []
-    equations, valid = pipeline._stratum_equations, pipeline._valid_lift
+    equations, valid, divide = pipeline._stratum_equations, pipeline._valid_lift, pipeline._divide_pair
 
     def recording_equations(order, layout):
-        seen.append((layout, []))
+        seen.append((layout, [], []))
         return equations(order, layout)
 
     def recording_valid(eqs, values, p, assignment):
         seen[-1][1].append(assignment)
         return valid(eqs, values, p, assignment)
 
+    def recording_divide(key, layout, f, g):
+        seen[-1][2].append((f, g))
+        return divide(key, layout, f, g)
+
     monkeypatch.setattr(pipeline, "_stratum_equations", recording_equations)
     monkeypatch.setattr(pipeline, "_valid_lift", recording_valid)
+    monkeypatch.setattr(pipeline, "_divide_pair", recording_divide)
     return seen
+
+
+def stratum_pairs(layout):
+    """The S-pairs of non-coprime leads of ``layout``, in ``itertools.combinations`` order."""
+    return [(f, g) for f, g in itertools.combinations(layout, 2) if any(map(min, f[0], g[0]))]
+
+
+def assert_divided_as_reached(drawn, search, order):
+    """The search ``search`` (an entry of ``checked``) divided its S-pairs in
+    order, each once, and exactly as far as some candidate of ``drawn`` got:
+    pair k is divided when some candidate passes pairs 0..k-1
+    (``ref_first_failing_pair``). Returns each candidate's failing pair."""
+    layout, _, divided = search
+    failing = [ref_first_failing_pair(c, order) for c in drawn]
+    pairs = stratum_pairs(layout)
+    reached = len(pairs) if None in failing else max(failing, default=-1) + 1
+    assert divided == pairs[:reached]
+    return failing
 
 
 def candidates(res, search):
     """The polynomials of each candidate that the search ``res`` checked, in
     checking order, built by the ``Polynomial`` constructor from the layout;
     ``search`` is its entry in ``checked``."""
-    layout, assignments = search
+    layout, assignments, _ = search
     order, pool = res.order, res.pool
     terms = [((Monomial(lead), 1), [(Monomial(e), s) for e, s in tails]) for lead, tails in layout]
     made = {}  # (target, its tails' pool indices) -> its polynomial; a generator recurs across candidates
@@ -1203,7 +1229,8 @@ class TestStratumEquationsOracle:
         coordinate points are ``jacobian_rank_at`` at every e_i, whatever the
         search memoized."""
         drawn = candidates(res, checked[-1])
-        want = [c for c in drawn if ref_valid_lift(c, order)]
+        failing = assert_divided_as_reached(drawn, checked[-1], order)
+        want = [c for c, k in zip(drawn, failing) if k is None]
         assert [lift.polys for lift in res.lifts] == want
         ctx = order.ctx
         codim = (ctx.n - 1) - res.delta.dim
@@ -1233,6 +1260,8 @@ class TestStratumEquationsOracle:
         tried, found = self.agree(res, checked, drl)
         assert tried == space
         assert 0 < found < space if valid is None else found == valid
+        layout, _, divided = checked[-1]
+        assert divided == stratum_pairs(layout) != []  # a valid lift passes every pair, each divided once
 
     def test_seeded_random_complexes(self, checked):
         """Non-pure and ghost-vertex complexes, both orders, three fields, and a
@@ -1339,7 +1368,7 @@ class TestLiftDraws:
         budget = 20
         for seed in range(20):
             res = lift_search(TestLiftOracle.PATH, drl, pool=pool, budget=budget, seed=seed)
-            layout, assignments = checked[-1]
+            layout, assignments, _ = checked[-1]
             slots = sum(len(tails) for _, tails in layout)
             rng = random.Random(seed)
             want = list(dict.fromkeys(tuple(rng.randrange(k) for _ in range(slots)) for _ in range(budget)))
@@ -1551,6 +1580,33 @@ class TestCountPoints:
             r = count_points(f, p)
             assert r.count == brute_projective_count(f, p)
             assert r.trace == p + 1 - r.count
+
+    def test_trace_is_the_hasse_invariant(self):
+        """Seeded cubic forms over GF(p), p <= 13: the trace is H_p mod p
+        (``ref_hasse_invariant``), and a smooth cubic is supersingular exactly
+        when H_p is 0. Two supersingular curves of trace -2 and -3, y^2 + y =
+        x^3 + x over GF(2) and y^2 = x^3 - x + 1 over GF(3), join them: there
+        "trace divisible by p" is not "trace 0"."""
+        rng = random.Random(37)
+        monomials = [e for e in itertools.product(range(4), repeat=3) if sum(e) == 3]
+        forms = [
+            (2, [((0, 2, 1), 1), ((0, 1, 2), 1), ((3, 0, 0), 1), ((1, 0, 2), 1)]),
+            (3, [((0, 2, 1), 1), ((3, 0, 0), 2), ((1, 0, 2), 1), ((0, 0, 3), 2)]),
+        ]
+        for p in (2, 3, 5, 7, 11, 13):
+            forms += [(p, [(e, rng.randrange(1, p)) for e in rng.sample(monomials, rng.randint(1, 10))]) for _ in range(25)]
+        traces, smooth = [], {True: 0, False: 0}  # smooth cubics by supersingularity
+        for p, terms in forms:
+            ctx = ctx_xyz(PrimeField(p))
+            r = count_points(Polynomial(ctx, MonomialOrder.degrevlex(ctx), [(Monomial(e), c) for e, c in terms]), p)
+            h = ref_hasse_invariant(terms, p)
+            assert r.trace % p == h
+            if r.smooth:
+                assert r.supersingular == (h == 0)
+                smooth[r.supersingular] += 1
+            traces.append(r.trace)
+        assert traces[:2] == [-2, -3]
+        assert smooth[True] > 2 and smooth[False] > 0
 
     def test_the_points_are_streamed(self, fermat_curve):
         """p^2 + p + 1 = 2863 points at p = 53, of which 54 lie on the curve:
@@ -1876,6 +1932,19 @@ class TestNoWorkTwice:
         assignments = [args[-1] for args in calls]
         assert res.tried == len(assignments) == len(set(assignments)) == 256
         assert len(set(built)) == len(built) == len(res.lifts) == 32 and len(builders) == 1
+
+    def test_lift_search_divides_only_the_pairs_a_candidate_reaches(self, checked):
+        """No draw of this 5-cycle search is valid, and none gets past its first
+        two S-pairs, so fewer than its 5 are divided; none is divided twice."""
+        five_cycle = SimplicialComplex.from_facets(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+        drl = MonomialOrder.degrevlex(ctx_n(5))
+        res = lift_search(five_cycle, drl, budget=10, seed=4)
+        assert res.tried == 10 and res.lifts == ()
+        (search,) = checked
+        failing = assert_divided_as_reached(candidates(res, search), search, drl)
+        layout, _, divided = search
+        assert None not in failing
+        assert 0 < len(divided) < len(stratum_pairs(layout)) == 5
 
     def test_lift_search_builds_its_equations_once(self, monkeypatch):
         calls = count_calls(monkeypatch, "_stratum_equations", module="pipeline")
