@@ -16,11 +16,13 @@ Four entry points:
   when a candidate first reaches it (``_stratum_equations``); each candidate
   is an evaluation. Whatever a valid lift needs that depends only on a tail
   slot and its pool value is tabled once per search, at the first valid
-  lift (``_lift_builder``): its terms and their texts, its forbidden tails,
-  and the coordinate-point table of ``singularity``, whose verdicts are
-  memoized. Each valid lift is then lookups and joins.
+  lift (``_lift_builder``): its term texts, its forbidden tails, and the
+  coordinate-point table of ``singularity``, whose verdicts are memoized.
+  Each valid lift is then lookups and joins; its Polynomials are built only
+  when its ``polys`` are read (``_LiftPolys``), which no report does.
 * ``count_points``: exact point counts of a plane curve over GF(p), with the
-  trace and supersingularity flags when the curve is a smooth cubic.
+  trace and supersingularity flags when the curve is a smooth cubic, smooth
+  meaning smooth over the algebraic closure of GF(p).
 
 Each result's ``as_dict`` holds its own fields only, with nested results
 left as records; ``reporting`` converts the tree, and writes a record that
@@ -619,6 +621,9 @@ class ValidLift(Record):
 
     ``texts`` are the generators as ``Polynomial.render`` writes them, joined
     from the search's term table (``_lift_builder``) rather than rendered.
+    No report reads ``polys``, so a lift from ``lift_search`` builds its
+    Polynomials when ``polys`` is first read (``_LiftPolys``) and keeps them;
+    equality, hashing and ``repr`` read it like any field.
     """
 
     def __init__(
@@ -629,6 +634,23 @@ class ValidLift(Record):
             polys=polys, texts=texts, coordinate_points=coordinate_points,
             support_violations=support_violations,
         )
+
+    @classmethod
+    def _lazy(cls, source, assignment, texts, coordinate_points, support_violations) -> "ValidLift":
+        """The lift whose ``polys`` is ``source(assignment)``, built when first read."""
+        lift = object.__new__(cls)
+        lift.__dict__.update(
+            texts=texts, coordinate_points=coordinate_points, support_violations=support_violations,
+            _source=(source, assignment),
+        )
+        return lift
+
+    @functools.cached_property
+    def polys(self) -> Tuple[Polynomial, ...]:  # reached only before the first read of a ``_lazy`` lift's polys
+        source, assignment = self.__dict__["_source"]
+        polys = source(assignment)
+        del self.__dict__["_source"]
+        return polys
 
     def singular_at_every_scheme_point(self) -> bool:
         on = [a for a in self.coordinate_points if a.on_scheme]
@@ -643,18 +665,45 @@ class ValidLift(Record):
         }
 
 
+class _LiftPolys:
+    """The ``Polynomial``s of the valid lifts of one search, built from its
+    layout and pool the first time some lift's ``polys`` is read: a lift's
+    ``ValidLift.polys`` is ``source(assignment)``. The term table holds each
+    target with coefficient 1 and each tail slot's ``(Monomial, coefficient)``
+    at each pool index (None at 0), and is built at the first such read. Each
+    target's tails are in decreasing order, all below it, and the pool holds
+    field elements, so the terms are already in canonical form. A class, not
+    a closure, so that a lift pickles before its first read as after it.
+    """
+
+    def __init__(self, order, layout, coeffs):
+        self.order, self.layout, self.coeffs, self.rows = order, layout, coeffs, None
+
+    def __call__(self, assignment) -> Tuple[Polynomial, ...]:
+        if self.rows is None:
+            one, rows, lo = self.order.ctx.field.one, [], 0  # per target: (head term, its slot range, terms)
+            for lead, tails in self.layout:
+                terms = [[(m, c) if c else None for c in self.coeffs] for m in (Monomial(e) for e, _ in tails)]
+                rows.append(((Monomial(lead), one), lo, lo + len(tails), terms))
+                lo += len(tails)
+            self.rows = rows
+        ctx, order = self.order.ctx, self.order
+        return tuple(
+            Polynomial._make(ctx, order, (head, *filter(None, map(getitem, terms, assignment[lo:hi]))))
+            for head, lo, hi, terms in self.rows
+        )
+
+
 def _lift_builder(order, delta, layout, coeffs, p, values):
     """``build(assignment)``, the ``ValidLift`` of a valid candidate of the
     search of ``layout``, by lookups in tables of what only valid lifts need,
-    so ``lift_search`` makes the builder at its first valid lift.
+    so ``lift_search`` makes the builder at its first valid lift. The lift's
+    ``polys`` are built only when read (``_LiftPolys``).
 
-    The term table holds each target with coefficient 1 and its text, and
-    each tail slot's term at each pool index (None at 0) with its text: ``" +
-    3/2*x1*x4"``, ``" - x2^2"``, empty at 0. A generator's text is its head
-    text followed by its tails' texts, as ``Polynomial.render`` writes it,
-    since both come from ``_term_text``. Each target's tails are in
-    decreasing order, all below it, and the pool holds field elements, so the
-    terms are already in canonical form.
+    The text table holds each target's head text and each tail slot's text at
+    each pool index: ``" + 3/2*x1*x4"``, ``" - x2^2"``, empty at 0. A
+    generator's text is its head text followed by its tails' texts, as
+    ``Polynomial.render`` writes it, since both come from ``_term_text``.
 
     The point table of ``_point_verdicts`` covers the tail slots, then one
     slot for every target, and its verdict memo spans the search. Over GF(p)
@@ -669,16 +718,15 @@ def _lift_builder(order, delta, layout, coeffs, p, values):
     one-dimensional setting there are no entries.
     """
     ctx = order.ctx
-    scalar, monomial, one = ctx.field.render_scalar, ctx.render_monomial, ctx.field.one
+    scalar, monomial = ctx.field.render_scalar, ctx.render_monomial
     pool = [(c, scalar(c)) for c in coeffs]
     heads = [Monomial(lead) for lead, _ in layout]
-    rows, lo = [], 0  # per target: (head term, head text, its slot range, terms, texts)
+    rows, lo = [], 0  # per target: (head text, its slot range, tail texts)
     for head, (_, tails) in zip(heads, layout):
-        ms = [Monomial(e) for e, _ in tails]  # a search with no valid lift builds no tail Monomial
+        monos = [monomial(Monomial(e)) for e, _ in tails]
         rows.append((
-            (head, one), _term_text(scalar(one), monomial(head))[2:], lo, lo + len(tails),  # monic: no "+ "
-            [[(m, c) if c else None for c, _ in pool] for m in ms],
-            [[" " + _term_text(text, mono) if c else "" for c, text in pool] for mono in map(monomial, ms)],
+            _term_text(scalar(ctx.field.one), monomial(head))[2:], lo, lo + len(tails),  # monic: no "+ "
+            [[" " + _term_text(text, mono) if c else "" for c, text in pool] for mono in monos],
         ))
         lo += len(tails)
     table = _point_table([[(lead, lo), *tails] for lead, tails in layout], ctx.n)  # slot lo: the leads
@@ -690,19 +738,16 @@ def _lift_builder(order, delta, layout, coeffs, p, values):
             slot_of = dict(tails)
             exclusions += [(k, rule, slot_of[e], monomial(Monomial(e))) for rule, e in forbidden[lead] if e in slot_of]
     units, codim, memo, verdicts = _unit_points(ctx), (ctx.n - 1) - delta.dim, {}, {}
+    source = _LiftPolys(order, layout, coeffs)
 
     def build(assignment) -> ValidLift:
-        polys, texts = [], []
-        for head, head_text, lo, hi, terms, tail_texts in rows:
-            picked = assignment[lo:hi]
-            polys.append(Polynomial._make(ctx, order, (head, *filter(None, map(getitem, terms, picked)))))
-            texts.append(head_text + "".join(map(getitem, tail_texts, picked)))
+        texts = [head + "".join(map(getitem, tails, assignment[lo:hi])) for head, lo, hi, tails in rows]
         # valid, so the candidate is its own reduced basis, whose order the entries keep
         violations = tuple(
             SupportViolation(rule, texts[k], mono) for k, rule, s, mono in exclusions if coeffs[assignment[s]]
         )
         points = _point_verdicts(table, [*map(ints.__getitem__, assignment), lead_value], units, codim, memo, verdicts)
-        return ValidLift(tuple(polys), tuple(texts), points, violations)
+        return ValidLift._lazy(source, assignment, tuple(texts), points, violations)
 
     return build
 
@@ -775,10 +820,11 @@ def lift_search(
     unknowns (``_stratum_equations``), at most once per search and only when
     a candidate reaches it, and each candidate is checked by evaluating the
     remainder coefficients at its own (``_valid_lift``). Only valid
-    candidates are built as polynomials, with their texts. They get Jacobian
-    verdicts at all coordinate points, plus the tail-support exclusion checks
-    in the one-dimensional setting. The search lays out its tail slots once,
-    target by target, and all the rest reads that layout. The term,
+    candidates are built, as texts: a lift's Polynomials are built when its
+    ``polys`` are first read (``ValidLift``), and no report reads them. They
+    get Jacobian verdicts at all coordinate points, plus the tail-support
+    exclusion checks in the one-dimensional setting. The search lays out its tail slots once,
+    target by target, and all the rest reads that layout. The text,
     coordinate-point and resolved exclusion tables are built at the first
     valid lift, with the builder that makes each lift (``_lift_builder``), so
     a search with no valid candidate builds none of them. An exhaustive
@@ -874,13 +920,41 @@ class PointCountResult(Record):
         }
 
 
+def _smooth_over_closure(terms, p: int, ctx: RingContext) -> bool:
+    """Whether the plane curve of ``terms``, ``(exponents, residue)`` pairs
+    mod p in the variables of ``ctx``, has no singular point over the
+    algebraic closure of GF(p).
+
+    The singular points are the common zeros of f and its three partials; f
+    itself is among them because Euler's relation x*f_x + y*f_y + z*f_z =
+    d*f says nothing when p divides the degree d. They have no common
+    projective zero exactly when some power of every variable lies in the
+    ideal they generate, that is, when every variable has a pure power among
+    the leads of its reduced basis. GF(p) is perfect, so completing over
+    GF(p) decides this over its closure. The completion has ``buchberger``'s
+    degree cap, and an overrun raises.
+    """
+    gf = RingContext(ctx.names, ctx.grading, PrimeField(p))
+    order = MonomialOrder.degrevlex(gf)
+    gens = [terms]  # f, then its partials
+    for j in range(3):
+        gens.append([(e[:j] + (e[j] - 1,) + e[j + 1 :], c * e[j] % p) for e, c in terms if c * e[j] % p])
+    B = buchberger([Polynomial(gf, order, [(Monomial(e), c) for e, c in g]) for g in gens], order)
+    pure = {j for m in B.leading_monomials() for j, a in enumerate(m.exps) if a == m.degree()}
+    return len(pure) == 3
+
+
 def count_points(f: Polynomial, p: int) -> PointCountResult:
     """Count projective points of a plane curve over GF(p), exactly.
 
     Works for any nonzero homogeneous ternary form and any prime p up to
     ``POINT_COUNT_PRIME_BOUND``; the trace ``p + 1 - N`` is always reported,
     while the supersingularity and Hasse-bound fields are filled only when
-    the reduction is a smooth cubic (the elliptic case).
+    the reduction is a smooth cubic (the elliptic case). ``smooth`` means
+    smooth over the algebraic closure of GF(p): no singular point over any
+    extension (``_smooth_over_closure``), while ``singular_points`` lists the
+    GF(p)-rational singular points only. A curve with a rational singular
+    point is not smooth, and needs no completion to say so.
     """
     if p > POINT_COUNT_PRIME_BOUND:
         raise ResourceLimitError(
@@ -916,7 +990,7 @@ def count_points(f: Polynomial, p: int) -> PointCountResult:
     singular = [pt for pt in on_curve if _jacobian_at([terms], pt, p)[1] == 0]
     count = len(on_curve)
     trace = p + 1 - count
-    smooth = not singular
+    smooth = not singular and _smooth_over_closure(terms, p, ctx)
     elliptic = smooth and degree == 3
     supersingular = (trace % p == 0) if elliptic else None
     hasse_ok = (trace * trace <= 4 * p) if elliptic else None

@@ -37,6 +37,7 @@ slot, and skips the check.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .complexes import SimplicialComplex, to_ideal
@@ -199,10 +200,13 @@ def _point_table(gens_slots, n: int) -> tuple:
     At e_i a term c*x^e of degree d is nonzero only when x^e = x_i^d, and its
     partials only when x^e = x_i^d (d*c in column i) or x^e = x_i^(d-1)*x_j (c
     in column j). A linear term c*x_j is both at every point: it puts c in
-    column j of every row. Point i gets ``(reads, entries, nonzero)``: the slots
-    it reads, sorted; its Jacobian entries ``(generator, column, multiplier,
-    slot)``; and the slots of the terms that are nonzero at it. With no
-    generators there are no points, as in the one empty lift of a full simplex.
+    column j of every row. Point i gets ``(pick, entries, nonzero)``: ``pick``
+    maps the slot values to the values of the slots it reads, in slot order,
+    as one ``itemgetter`` call (a bare value for one slot, and ``()`` for
+    none, where ``itemgetter`` has no form); its Jacobian entries
+    ``(generator, column, multiplier, slot)``; and the slots of the terms that
+    are nonzero at it. With no generators there are no points, as in the one
+    empty lift of a full simplex.
     """
     if not gens_slots:
         return ()
@@ -229,9 +233,14 @@ def _point_table(gens_slots, n: int) -> tuple:
                 if d == 2:  # x_i*x_j is also x_j^(d-1)*x_i
                     entries[j].append((k, i, 1, s))
     return tuple(
-        (tuple(sorted({s for *_, s in es}.union(zs))), tuple(es), tuple(zs))
+        (_reader(sorted({s for *_, s in es}.union(zs))), tuple(es), tuple(zs))
         for es, zs in zip(entries, nonzero)
     )
+
+
+def _reader(slots):
+    """The ``pick`` of ``_point_table`` for the sorted ``slots`` one point reads."""
+    return itemgetter(*slots) if slots else lambda values: ()
 
 
 def _point_verdicts(table, values, units, codim: int, memo: dict, verdicts: dict) -> Tuple[JacobianAnalysis, ...]:
@@ -239,15 +248,16 @@ def _point_verdicts(table, values, units, codim: int, memo: dict, verdicts: dict
     with ``values`` the integers at the slots: residues over GF(p), and over QQ
     any integers proportional generator by generator to the coefficients. A
     verdict depends only on the point and the values it reads, so it is kept
-    in ``memo`` under that key; only a miss builds the point's matrix for
+    in ``memo`` under ``(i, pick(values))``, one key per point and values
+    within one table; only a miss builds the point's matrix for
     ``rank_int``/``rank_mod_p``. ``verdicts`` holds one record per (point,
     on_scheme, rank), so lifts with equal verdicts share the record and the
     writer renders it once.
     """
     p = units[0].field.characteristic()
     out = []
-    for i, (reads, entries, nonzero) in enumerate(table):
-        key = (i, *map(values.__getitem__, reads))
+    for i, (pick, entries, nonzero) in enumerate(table):
+        key = (i, pick(values))
         a = memo.get(key)
         if a is None:
             rows = {}  # generator -> its row

@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -43,6 +44,7 @@ from grodeg import (
     link,
     parse_polynomial,
     property_report,
+    render_report,
     scan_orders,
     standard_context,
     support_exclusions,
@@ -1358,6 +1360,89 @@ class TestLiftTexts:
         assert (violations > 0) == (delta is FIVE_CYCLE and kind == "degrevlex")
 
 
+class TestLiftPolysOnRead:
+    """A valid lift's ``polys`` are built the first time they are read, from
+    the search's tables, and nothing else about the lift depends on when."""
+
+    SPACES = [
+        (TestLiftOracle.PATH, PrimeField(2), (0, 1), 256),
+        (TestLiftOracle.STAR, PrimeField(3), (0, 1, 2), 243),
+        (TestLiftOracle.STAR, QQ, (-1, 0, 1), 243),
+        (TestLiftOracle.STAR, QQ, (0, Fraction(1, 2), -1), 243),
+        (FOUR_CYCLE, QQ, (-1, 1), 256),
+    ]
+    IDS = ["path-GF(2)", "star-GF(3)", "star-QQ", "star-QQ-half", "C4-QQ"]
+
+    @staticmethod
+    def search(delta, field, pool, space):
+        return lift_search(delta, MonomialOrder.degrevlex(ctx_n(delta.n, field)), pool=pool, budget=space)
+
+    def test_a_search_builds_no_polynomial_until_read(self, monkeypatch):
+        made = []
+        make = Polynomial._make.__func__
+
+        def counted(cls, ctx, order, terms):
+            made.append(terms)
+            return make(cls, ctx, order, terms)
+
+        monkeypatch.setattr(Polynomial, "_make", classmethod(counted))
+        res = lift_search(FOUR_CYCLE, MonomialOrder.degrevlex(ctx_n(4)), pool=(-1, 1), budget=200)
+        render_report(res, "json")
+        render_report(res, "text")
+        assert len(res.lifts) == 128 and made == []
+        polys = res.lifts[5].polys
+        assert len(made) == len(polys) == 2
+        assert res.lifts[5].polys is polys and len(made) == 2  # kept, not built again
+
+    @pytest.mark.parametrize("delta,field,pool,space", SPACES, ids=IDS)
+    def test_read_polys_are_the_candidates(self, checked, delta, field, pool, space):
+        """Read on every lift of an exhaustive space, ``polys`` are the
+        candidates as the ``Polynomial`` constructor builds them, term for term."""
+        res = self.search(delta, field, pool, space)
+        assert res.exhaustive and res.lifts
+        built = {tuple(g.render() for g in c): c for c in candidates(res, checked[-1])}
+        order = res.order
+        for lift in res.lifts:
+            want = built[lift.texts]
+            got = lift.polys
+            assert got == want and [g.terms for g in got] == [g.terms for g in want]
+            assert all(g.order is order and g.ctx is order.ctx for g in got)
+
+    @pytest.mark.parametrize("delta,field,pool,space", SPACES, ids=IDS)
+    def test_the_result_is_the_same_read_or_not(self, delta, field, pool, space):
+        unread, read = self.search(delta, field, pool, space), self.search(delta, field, pool, space)
+        for lift in read.lifts:
+            lift.polys
+        for fmt in ("json", "text"):
+            assert render_report(unread, fmt) == render_report(read, fmt)
+        assert not any("polys" in lift.__dict__ for lift in unread.lifts)  # rendering reads none
+        assert repr(unread) == repr(read)
+        assert hash(unread) == hash(read) and unread == read
+        assert all("polys" in lift.__dict__ for lift in unread.lifts)  # equality and hashing read them
+
+    def test_a_lift_pickles_before_and_after_the_read(self):
+        res = self.search(FOUR_CYCLE, QQ, (-1, 1), 256)
+        lift = res.lifts[7]
+        back = pickle.loads(pickle.dumps(lift))
+        assert "polys" not in back.__dict__
+        assert render_report(back) == render_report(lift)
+        assert back.polys == lift.polys and back == lift
+        again = pickle.loads(pickle.dumps(lift))
+        assert set(vars(again)) == set(again._fields)  # read: only the fields remain
+        assert again == lift and hash(again) == hash(lift) and repr(again) == repr(lift)
+        whole = pickle.loads(pickle.dumps(res))
+        assert whole == res and render_report(whole, "text") == render_report(res, "text")
+
+    def test_a_read_lift_is_the_lift_built_whole(self):
+        lift = self.search(FOUR_CYCLE, QQ, (-1, 1), 256).lifts[0]
+        with pytest.raises(AttributeError):
+            lift.polys = ()
+        assert "polys" not in lift.__dict__
+        whole = pipeline.ValidLift(lift.polys, lift.texts, lift.coordinate_points, lift.support_violations)
+        assert whole == lift and hash(whole) == hash(lift) and repr(whole) == repr(lift)
+        assert vars(whole) == vars(lift)
+
+
 class TestLiftDraws:
     """The sampled candidates against ``rng.randrange`` itself."""
 
@@ -1445,6 +1530,33 @@ class TestCoordinatePointsOracle:
             assert got == want, [g.render() for g in gens]
             verdicts.update(a.verdict for a in got)
         assert verdicts == {"off_scheme", "singular", "smooth"}
+
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=str)
+    def test_points_that_read_zero_or_one_slot(self, monkeypatch, field):
+        """At e_1 and e_2 nothing of x1*x2*x3 + c*x3^3 is read, at e_3 its second
+        term; the triangle lifts of ``corpus/lift_cycle3.job`` read one slot at
+        e_2. A point's ``pick`` gives ``()`` for no slot and a bare value for one."""
+        ctx = ctx_n(3, field)
+        order = MonomialOrder.degrevlex(ctx)
+        units = singularity._unit_points(ctx)
+        cases = [("x1*x2*x3", [(), (), ()]), ("x1*x2*x3 + 2*x3^3", [(), (), 1]), ("x1*x2*x3 - x3^3", [(), (), 1])]
+        for text, picked in cases:
+            gens = [P(text, ctx, order)]
+            table = singularity._point_table([[(m.exps, s) for s, (m, _) in enumerate(gens[0].terms)]], 3)
+            assert [pick(range(2)) for pick, _, _ in table] == picked
+            for codim in (1, 2):
+                want = tuple(jacobian_rank_at(gens, e, codim) for e in units)
+                assert singularity._coordinate_points(gens, units, codim) == want
+        tables = count_calls(monkeypatch, "_point_table", module="singularity")
+        triangle = SimplicialComplex.from_facets(3, [(1, 2), (1, 3), (2, 3)])
+        res = lift_search(triangle, order, pool=(-1, 1), budget=20)
+        assert res.exhaustive and res.lifts and len(tables) == 1
+        gens_slots, n = tables[0]
+        slots = range(1 + max(s for terms in gens_slots for _, s in terms))
+        assert type(singularity._point_table(gens_slots, n)[1][0](slots)) is int
+        for lift in res.lifts:
+            assert lift.coordinate_points == tuple(jacobian_rank_at(lift.polys, e, 1) for e in units)
 
 
 class TestBayerStillman:
@@ -1631,6 +1743,14 @@ class TestCountPoints:
         assert r.supersingular is None
         assert r.hasse_ok is None
 
+    def test_a_smoothness_completion_past_its_cap_raises(self, monkeypatch, fermat_curve):
+        """No rational point of the Fermat cubic mod 5 is singular, so smoothness
+        takes a completion; past its degree cap it raises, never reads smooth."""
+        monkeypatch.setattr(pipeline, "buchberger", lambda gens, order: buchberger(gens, order, degree_cap=2))
+        with pytest.raises(DegreeCapExceeded):
+            count_points(fermat_curve, 5)
+        assert count_points(fermat_curve, 3).smooth is False  # a rational singular point: no completion
+
     def test_smooth_conic_gets_no_elliptic_verdicts(self):
         ctx = ctx_xyz()
         r = count_points(P("x^2 + y*z", ctx, MonomialOrder.degrevlex(ctx)), 5)
@@ -1699,16 +1819,33 @@ class TestCountPoints:
             count_points(f, 5)
 
 
-def textbook_point_count(f, p):
-    """(count, singular points) of the plane curve f over GF(p), or None when
-    f vanishes mod p: the textbook partial derivatives, evaluated mod p at
-    every point of P^2(F_p). A rational f is reduced from its primitive
-    integral form."""
+def integral_terms(f):
+    """The terms of f, a rational f cleared to its primitive integral form."""
     terms = ref_terms(f)
     if not f.ctx.field.characteristic():
         scale = math.lcm(*(c.denominator for _, c in terms))
         content = math.gcd(*(int(c * scale) for _, c in terms))
         terms = [(e, int(c * scale) // content) for e, c in terms]
+    return terms
+
+
+def sympy_smooth(sympy, f, p):
+    """Whether the plane curve f mod p is smooth over the algebraic closure of
+    GF(p), by ``sympy.groebner``: the grevlex basis mod p of f and its partials
+    holds a pure power of every variable."""
+    symbols = sympy.symbols("x y z")
+    F = sympy.Poly.from_dict({e: int(getattr(c, "v", c)) % p for e, c in integral_terms(f)}, *symbols, modulus=p)
+    G = sympy.groebner([F] + [F.diff(s) for s in symbols], *symbols, modulus=p, order="grevlex")
+    leads = [g.monoms(order="grevlex")[0] for g in G.polys]
+    return all(any(m[j] == sum(m) for m in leads) for j in range(3))
+
+
+def textbook_point_count(f, p):
+    """(count, singular points) of the plane curve f over GF(p), or None when
+    f vanishes mod p: the textbook partial derivatives, evaluated mod p at
+    every point of P^2(F_p). A rational f is reduced from its primitive
+    integral form."""
+    terms = integral_terms(f)
     if all(ref_evaluate([t], (1, 1, 1), p) == 0 for t in terms):  # every coefficient is 0 mod p
         return None
     partials = [ref_partial_derivative(terms, j) for j in range(3)]
@@ -1752,7 +1889,12 @@ class TestCountPointsOracle:
                 yield self.random_curve(rng, ctx, order)
 
     def test_matches_the_textbook_route(self):
-        checked = singular = 0
+        """The count and the rational singular points against the textbook
+        route. ``smooth`` is over the algebraic closure: false when a rational
+        singular point is listed, and otherwise ``sympy_smooth``, since a curve
+        with no rational singular point may be singular over an extension."""
+        sympy = pytest.importorskip("sympy")
+        checked = singular = hidden = 0
         for f in self.curves():
             char = f.ctx.field.characteristic()
             for p in (char,) if char else self.PRIMES:
@@ -1763,10 +1905,42 @@ class TestCountPointsOracle:
                     continue
                 r = count_points(f, p)
                 assert (r.count, r.singular_points) == want, (f.render(), p)
-                assert r.smooth == (not r.singular_points)
+                if r.singular_points:  # a textbook singular point: not smooth, with no oracle needed
+                    assert not r.smooth
+                else:
+                    assert r.smooth == sympy_smooth(sympy, f, p), (f.render(), p)
                 checked += 1
                 singular += bool(r.singular_points)
-        assert checked > 200 and singular > 50
+                hidden += not r.smooth and not r.singular_points
+        assert checked > 200 and singular > 50 and hidden > 0
+
+    def test_singular_only_over_an_extension(self):
+        """Over GF(2) this cubic has no singular rational point, yet it is
+        singular over GF(4): it would break the Hasse bound, |-3| > 2*sqrt(2),
+        were it smooth, so it gets no elliptic verdicts."""
+        ctx = ctx_xyz()
+        f = P("x^2*y + x^2*z + x*y*z + y^2*z + x*z^2 + y*z^2", ctx, MonomialOrder.degrevlex(ctx))
+        r = count_points(f, 2)
+        assert (r.count, r.trace, r.singular_points) == (6, -3, ())
+        assert r.smooth is False
+        assert r.supersingular is None and r.hasse_ok is None
+
+    def test_smooth_cubics_keep_the_hasse_bound(self):
+        """Seeded cubic forms over GF(2), GF(3), GF(5) and GF(7): every one
+        reported smooth is an elliptic curve, so |trace| <= 2*sqrt(p)."""
+        rng = random.Random(41)
+        monomials = [e for e in itertools.product(range(4), repeat=3) if sum(e) == 3]
+        smooth = 0
+        for p in (2, 3, 5, 7):
+            ctx = ctx_xyz(PrimeField(p))
+            order = MonomialOrder.degrevlex(ctx)
+            for _ in range(150):
+                terms = [(Monomial(e), rng.randrange(1, p)) for e in rng.sample(monomials, rng.randint(1, 10))]
+                r = count_points(Polynomial(ctx, order, terms), p)
+                if r.smooth:
+                    assert r.trace * r.trace <= 4 * p and r.hasse_ok is True, (r.curve, p)
+                    smooth += 1
+        assert smooth > 100
 
     def test_every_point_is_singular_when_every_partial_vanishes(self):
         ctx = ctx_xyz(PrimeField(3))
